@@ -21,13 +21,12 @@ See ``docs/api.md`` for the full tour and the migration table from the
 raw ``Client``/``Deployment`` plumbing.
 """
 
-from repro.api.driver import DriverConfig, SystemDriver
+from repro.api.driver import SystemDriver
 from repro.api.futures import TxHandle, TxResult, TxStatus, wait_all
 from repro.api.network import Network
 from repro.api.session import Session
 
 __all__ = [
-    "DriverConfig",
     "Network",
     "Session",
     "SystemDriver",

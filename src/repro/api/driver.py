@@ -17,69 +17,16 @@ Concrete implementations live in :mod:`repro.bench.drivers`; anything
 that implements this protocol (a new baseline, a new Qanaat variant)
 plugs into ``repro.bench.runner.run_point`` and every canned
 experiment for free.
-
-:class:`DriverConfig` is the pre-scenario flat-kwargs form, kept as a
-shim: ``DriverConfig(...).to_spec()`` produces the equivalent spec,
-and ``repro.bench.drivers.build_driver`` still accepts either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Metrics
     from repro.scenarios.spec import ScenarioSpec
-    from repro.sim.costs import CalibratedCost
     from repro.sim.kernel import Simulator
-    from repro.sim.latency import LatencyModel
-    from repro.workload.generator import WorkloadMix
-
-
-@dataclass
-class DriverConfig:
-    """Flat-kwargs driver input (deprecated shim over ScenarioSpec).
-
-    Knobs a family does not support are ignored by its driver (Fabric
-    has no CPU cost model or checkpointing; Caper cannot shard), which
-    is exactly how the per-family runners treated them.
-    """
-
-    system: str
-    mix: "WorkloadMix"
-    enterprises: tuple[str, ...] = ("A", "B", "C", "D")
-    shards: int = 4
-    latency: "LatencyModel | None" = None
-    cost: "CalibratedCost | None" = None
-    batch_size: int = 64
-    seed: int = 1
-    crash_nodes: int = 0
-    checkpoint_interval: int = 0
-
-    def to_spec(self) -> "ScenarioSpec":
-        """The equivalent declarative spec (measurement defaults)."""
-        from repro.scenarios.spec import (
-            ScenarioSpec,
-            TopologySpec,
-            WorkloadSpec,
-        )
-
-        return ScenarioSpec(
-            name=self.system,
-            system=self.system,
-            topology=TopologySpec(
-                enterprises=self.enterprises,
-                shards=self.shards,
-                batch_size=self.batch_size,
-                crash_nodes=self.crash_nodes,
-                checkpoint_interval=self.checkpoint_interval,
-            ),
-            workload=WorkloadSpec(mix=self.mix),
-            seed=self.seed,
-            latency=self.latency,
-            cost=self.cost,
-        )
 
 
 @runtime_checkable

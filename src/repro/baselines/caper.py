@@ -118,6 +118,10 @@ class CaperDeployment:
     def sim(self):
         return self.deployment.sim
 
+    @property
+    def network(self):
+        return self.deployment.network
+
     def resolve_scope(self, scope: Iterable[str]) -> frozenset[str]:
         """Caper's scope rule: internal stays internal, anything
         cross-enterprise is global (visible to every application)."""

@@ -81,6 +81,10 @@ class ShardedSingleEnterprise:
     def sim(self):
         return self.deployment.sim
 
+    @property
+    def network(self):
+        return self.deployment.network
+
     def create_client(self):
         client = self.deployment.create_client(self.enterprise)
         self.clients.append(client)

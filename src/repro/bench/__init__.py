@@ -12,9 +12,7 @@ from repro.bench.recovery import run_recovery_bench, run_recovery_scenario
 from repro.bench.runner import (
     PointResult,
     QANAAT_PROTOCOLS,
-    run_fabric_point,
     run_point,
-    run_qanaat_point,
     sweep,
     sweep_merge,
 )
@@ -25,8 +23,6 @@ __all__ = [
     "QANAAT_PROTOCOLS",
     "execute_tasks",
     "run_point",
-    "run_qanaat_point",
-    "run_fabric_point",
     "run_recovery_bench",
     "run_recovery_scenario",
     "sweep",

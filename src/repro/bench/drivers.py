@@ -16,11 +16,11 @@ replays through).
 
 from __future__ import annotations
 
-from repro.api.driver import DriverConfig, SystemDriver
+from repro.api.driver import SystemDriver
 from repro.baselines.caper import CaperDeployment
 from repro.baselines.fabric import FabricDeployment, FabricVariant
 from repro.baselines.sharded import AHLDeployment, SharPerDeployment
-from repro.core.deployment import Deployment, Metrics
+from repro.core.deployment import Metrics
 from repro.datamodel.transaction import Transaction
 from repro.errors import WorkloadError
 from repro.scenarios.build import (
@@ -29,13 +29,18 @@ from repro.scenarios.build import (
     crash_backups,
     pair_scopes,
     resolve_latency,
+    validate_partitioning,
 )
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.costs import CalibratedCost
 from repro.workload.generator import SmallBankWorkload
 from repro.workload.population import population_from
 
-def _require_fault_free(spec: ScenarioSpec) -> None:
+
+def _require_baseline_runnable(spec: ScenarioSpec) -> None:
+    """Baseline families run fault-free on one event kernel."""
+    if spec.kernel_workers is not None:
+        validate_partitioning(spec)  # raises: Qanaat deployments only
     if spec.faults:
         raise WorkloadError(
             f"{spec.system} cannot replay fault timelines; scenario "
@@ -67,36 +72,6 @@ def _pick(pools, population, tx_spec):
     if population is None:
         return pool[0]
     return pool[population.next_rank(tx_spec.enterprise) % len(pool)]
-
-
-def build_smallbank_deployment(
-    config,
-    mix,
-    latency=None,
-    cost=None,
-):
-    """Deployment + SmallBank workload + clients, wired the standard
-    way (§5): the root workflow, every pairwise shared collection, one
-    client per enterprise.  Returns ``(deployment, submit_next)`` —
-    shared by the Qanaat driver and the recovery scenario so both
-    drive identically-configured systems."""
-    from repro.scenarios.spec import TopologySpec, WorkloadSpec
-
-    spec = ScenarioSpec(
-        name="adhoc-smallbank",
-        system="Flt-C",
-        topology=TopologySpec(
-            enterprises=config.enterprises,
-            shards=config.shards_per_enterprise,
-        ),
-        workload=WorkloadSpec(mix=mix),
-        seed=config.seed,
-        latency=latency,
-        cost=cost if cost is not None else CalibratedCost(),
-    )
-    deployment = build_deployment(spec, config=config)
-    submit_next = build_workload(spec, deployment)
-    return deployment, submit_next
 
 
 class _DriverBase:
@@ -165,7 +140,7 @@ class FabricDriver(_DriverBase):
 
     @classmethod
     def build(cls, spec: ScenarioSpec) -> "FabricDriver":
-        _require_fault_free(spec)
+        _require_baseline_runnable(spec)
         enterprises = spec.topology.enterprises
         deployment = FabricDeployment(
             enterprises=enterprises,
@@ -208,7 +183,7 @@ class CaperDriver(_DriverBase):
 
     @classmethod
     def build(cls, spec: ScenarioSpec) -> "CaperDriver":
-        _require_fault_free(spec)
+        _require_baseline_runnable(spec)
         mix = spec.workload.mix
         if mix.cross > 0 and mix.cross_type != "isce":
             raise WorkloadError("Caper cannot run cross-shard workloads")
@@ -256,7 +231,7 @@ class ShardedDriver(_DriverBase):
 
     @classmethod
     def build(cls, spec: ScenarioSpec) -> "ShardedDriver":
-        _require_fault_free(spec)
+        _require_baseline_runnable(spec)
         mix = spec.workload.mix
         if mix.cross > 0 and mix.cross_type != "csie":
             raise WorkloadError(
@@ -325,11 +300,8 @@ def known_systems() -> list[str]:
     )
 
 
-def build_driver(spec: ScenarioSpec | DriverConfig) -> SystemDriver:
-    """Build the right driver for a scenario (accepts the deprecated
-    :class:`~repro.api.driver.DriverConfig` shim too)."""
-    if isinstance(spec, DriverConfig):
-        spec = spec.to_spec()
+def build_driver(spec: ScenarioSpec) -> SystemDriver:
+    """Build the right driver for a scenario."""
     if spec.workload is None:
         raise WorkloadError(
             f"scenario {spec.name!r} declares no workload; drivers measure "

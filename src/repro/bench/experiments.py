@@ -813,15 +813,11 @@ def shardpar(
     kernel_workers: int | None = None,
 ):
     """Shard-parallel kernel sweep: shards x worker counts, each point
-    byte-compared across worker counts and timed against the plain
-    sequential kernel; writes ``BENCH_shardpar.json`` with per-point
-    speedups in the ``perf`` block."""
-    import dataclasses
-    import time as _time
-
+    byte-compared against the one-kernel run of the same spec and timed
+    against it; writes ``BENCH_shardpar.json`` with per-point speedups
+    in the ``perf`` block."""
     from repro.bench.report import canonical_json, strip_perf, write_json
     from repro.scenarios import run_scenario, shardpar_scenario
-    from repro.scenarios.shardpar import run_scenario_shardpar
 
     sc = SCALES[scale]
     worker_counts = (1, 2) if scale == "smoke" else (1, 2, 4)
@@ -843,30 +839,18 @@ def shardpar(
             drain=sc.drain,
         )
         label = f"{len(spec.topology.enterprises)}x{shards}"
-        seq_started = _time.perf_counter()
-        sequential = run_scenario(
-            dataclasses.replace(spec, kernel_workers=None)
-        )
-        seq_wall = _time.perf_counter() - seq_started
-        reference: str | None = None
+        sequential = run_scenario(spec)
+        seq_wall = sequential["perf"]["wall_clock_s"]
+        results[label] = strip_perf(sequential)
+        reference = canonical_json(results[label])
         per_worker: dict = {}
         for workers in worker_counts:
-            report = run_scenario_shardpar(spec.with_kernel_workers(workers))
-            stripped = canonical_json(strip_perf(report))
-            if reference is None:
-                reference = stripped
-                results[label] = {
-                    "shardpar": strip_perf(report),
-                    # The sequential kernel's numbers are deterministic
-                    # too; recording them makes the artifact show both
-                    # interleavings side by side.
-                    "sequential": strip_perf(sequential),
-                }
-            elif stripped != reference:
+            report = run_scenario(spec.with_kernel_workers(workers))
+            if canonical_json(strip_perf(report)) != reference:
                 raise AssertionError(
-                    f"shard-parallel determinism violated: {label} at "
-                    f"kernel_workers={workers} diverged from "
-                    f"kernel_workers={worker_counts[0]}"
+                    f"kernel_workers determinism violated: {label} at "
+                    f"kernel_workers={workers} diverged from the "
+                    "one-kernel run"
                 )
             wall = report["perf"]["wall_clock_s"]
             per_worker[str(workers)] = {
@@ -876,7 +860,7 @@ def shardpar(
                 ),
             }
         points[label] = {
-            "sequential_wall_s": round(seq_wall, 6),
+            "sequential_wall_s": seq_wall,
             "workers": per_worker,
         }
         row = " ".join(

@@ -30,10 +30,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.bench.report import write_json
-from repro.bench.runner import _drive_arrivals, build_smallbank_deployment
-from repro.core.config import DeploymentConfig
 from repro.core.executor import ExecutionUnit
 from repro.errors import StorageError
+from repro.scenarios.build import build, build_workload
+from repro.scenarios.runner import launch_workload
+from repro.scenarios.spec import ScenarioSpec, TopologySpec, WorkloadSpec
+from repro.sim.costs import CalibratedCost
 from repro.storage import make_backend
 from repro.workload.generator import WorkloadMix
 
@@ -83,20 +85,25 @@ def _run_recovery_scenario(
     backend, storage_dir, enterprises, shards, failure_model,
     rate, warmup, measure, drain, checkpoint_interval, batch_size, seed,
 ) -> dict[str, Any]:
-    config = DeploymentConfig(
-        enterprises=enterprises,
-        shards_per_enterprise=shards,
-        failure_model=failure_model,
-        batch_size=batch_size,
-        batch_wait=0.002,
-        checkpoint_interval=checkpoint_interval,
-        storage_backend=backend,
-        storage_dir=storage_dir,
+    spec = ScenarioSpec(
+        name="crash-recovery",
+        system="Flt-C" if failure_model == "crash" else "Flt-B",
+        topology=TopologySpec(
+            enterprises=enterprises,
+            shards=shards,
+            batch_size=batch_size,
+            checkpoint_interval=checkpoint_interval,
+            storage_backend=backend,
+            storage_dir=storage_dir,
+        ),
+        workload=WorkloadSpec(
+            rate=rate, mix=WorkloadMix(cross=0.10, cross_type="isce")
+        ),
         seed=seed,
+        cost=CalibratedCost(),
     )
-    deployment, submit_next = build_smallbank_deployment(
-        config, WorkloadMix(cross=0.10, cross_type="isce")
-    )
+    deployment = build(spec)
+    submit_next = build_workload(spec, deployment)
 
     # The victim: a non-primary ordering replica of the first cluster,
     # killed halfway through the measurement window.
@@ -109,7 +116,7 @@ def _run_recovery_scenario(
     )
 
     total = warmup + measure
-    _drive_arrivals(deployment.sim, rate, total, submit_next, seed)
+    launch_workload(deployment.sim, spec, submit_next, total)
     deployment.run(total + drain)
 
     victim = deployment.nodes[victim_id]

@@ -11,14 +11,12 @@ Fabric family, Caper, SharPer, AHL — sits behind the
 :mod:`repro.bench.drivers`), and every measured point is described by
 a declarative :class:`~repro.scenarios.spec.ScenarioSpec`.
 :func:`run_point` accepts either a ready spec or the legacy loose
-kwargs (which it folds into a spec via :func:`point_spec`); the old
-per-family ``run_*_point`` entry points remain as thin shims.
+kwargs (which it folds into a spec via :func:`point_spec`).
 """
 
 from __future__ import annotations
 
 import inspect
-import time
 from dataclasses import dataclass, field
 
 from repro.scenarios.spec import (
@@ -89,18 +87,6 @@ class PointResult:
         )
 
 
-def _drive_arrivals(sim, rate, duration, submit_next, seed):
-    """Schedule Poisson arrivals calling ``submit_next`` per arrival.
-
-    Kept as a thin alias for the constant-rate path of
-    :func:`repro.workload.population.launch_arrivals` (the open-loop
-    engine behind rate profiles and populations) — same rng stream,
-    same event shape, bit-identical to the historical loop."""
-    from repro.workload.population import launch_arrivals
-
-    launch_arrivals(sim, rate, duration, submit_next, seed)
-
-
 def point_spec(
     system: str,
     rate: float,
@@ -122,9 +108,9 @@ def point_spec(
 ) -> ScenarioSpec:
     """Fold the classic loose-kwargs measurement surface into a spec.
 
-    Defaults mirror the pre-scenario ``DriverConfig``/``run_point``
-    defaults exactly, so legacy call sites keep producing bit-identical
-    numbers through the spec path.
+    Defaults mirror the pre-scenario ``run_point`` defaults exactly, so
+    legacy call sites keep producing bit-identical numbers through the
+    spec path.
     """
     return ScenarioSpec(
         name=name if name is not None else system,
@@ -169,16 +155,12 @@ def run_point(
     ``run_point(system, rate, mix, **kwargs)`` folds its arguments
     into a spec via :func:`point_spec` first.
 
-    Builds the scenario's :class:`~repro.api.driver.SystemDriver`,
-    drives open-loop Poisson arrivals through ``driver.submit_next``
-    for ``warmup + measure`` seconds, lets the tail ``drain``, and
-    reports the measurement window from ``driver.metrics()``.  Knobs a
-    family does not support (cost model for Fabric, checkpointing
-    outside Qanaat) are ignored by its driver, as the per-family
-    runners did.
+    One :func:`~repro.scenarios.runner.run_scenario` call — open-loop
+    Poisson arrivals for ``warmup + measure`` seconds, then the tail
+    ``drain`` — reduced to its measurement window.  Knobs a family
+    does not support (cost model for Fabric, checkpointing outside
+    Qanaat) are ignored by its driver.
     """
-    from repro.bench.drivers import build_driver
-
     if isinstance(system, ScenarioSpec):
         if (
             rate is not None or mix is not None or kwargs
@@ -208,61 +190,18 @@ def run_point(
             if value is not None
         }
         spec = point_spec(system, rate, mix, **windows, **kwargs)
-    from repro.crypto import hashing
-    from repro.scenarios.runner import launch_workload, paused_gc, perf_block
+    from repro.scenarios.runner import run_scenario
 
-    window = spec.measurement
-    counters_before = hashing.counters()
-    wall_start = time.perf_counter()
-    with paused_gc():
-        driver = build_driver(spec)
-    try:
-        total = window.warmup + window.measure
-        submit = getattr(driver, "_submit", None) or driver.submit_next
-        with paused_gc():
-            launch_workload(driver.sim, spec, submit, total)
-            driver.run(total + window.drain)
-        perf = perf_block(
-            wall_start, counters_before, driver.sim.events_processed
-        )
-        metrics = driver.metrics()
-        throughput = metrics.throughput(window.warmup, total)
-        latency_ms = metrics.mean_latency(window.warmup, total) * 1000
-        completed = metrics.completed_count(window.warmup, total)
-    finally:
-        driver.close()
+    report = run_scenario(spec)
+    measure = report["windows"]["measure"]
     return PointResult(
-        driver.name, spec.workload.rate, throughput, latency_ms, completed,
-        perf=perf,
+        spec.system,
+        spec.workload.rate,
+        measure["throughput_tps"],
+        measure["mean_latency_ms"],
+        measure["completed"],
+        perf=report["perf"],
     )
-
-
-# ----------------------------------------------------------------------
-# legacy per-family entry points (thin shims over the generic runner)
-# ----------------------------------------------------------------------
-def run_qanaat_point(protocol: str, rate: float, mix: WorkloadMix, **kwargs) -> PointResult:
-    """Deprecated: use :func:`run_point` — kept for callers of the
-    pre-driver harness."""
-    return run_point(protocol, rate, mix, **kwargs)
-
-
-def run_fabric_point(variant: str, rate: float, mix: WorkloadMix, **kwargs) -> PointResult:
-    """Deprecated: use :func:`run_point`."""
-    kwargs.pop("cost", None)
-    kwargs.pop("checkpoint_interval", None)
-    return run_point(variant, rate, mix, **kwargs)
-
-
-def run_caper_point(rate: float, mix: WorkloadMix, **kwargs) -> PointResult:
-    """Deprecated: use :func:`run_point`."""
-    kwargs.pop("checkpoint_interval", None)
-    return run_point("Caper", rate, mix, **kwargs)
-
-
-def run_sharded_point(variant: str, rate: float, mix: WorkloadMix, **kwargs) -> PointResult:
-    """Deprecated: use :func:`run_point`."""
-    kwargs.pop("checkpoint_interval", None)
-    return run_point(variant, rate, mix, **kwargs)
 
 
 def point_from_payload(payload: dict) -> PointResult:
@@ -343,11 +282,3 @@ def sweep(
         if sweep_stopped(curve, latency_cap_ms):
             break
     return sweep_merge(curve, latency_cap_ms)
-
-
-def build_smallbank_deployment(config, mix, latency=None, cost=None):
-    """Re-exported from :mod:`repro.bench.drivers` (the recovery
-    scenario drives the same wiring as the Qanaat driver)."""
-    from repro.bench.drivers import build_smallbank_deployment as _build
-
-    return _build(config, mix, latency=latency, cost=cost)

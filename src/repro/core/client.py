@@ -112,7 +112,10 @@ class Client(Actor):
         cluster = self.deployment.initiator_cluster(tx)
         pending = _PendingRequest(tx, cluster.name, self.sim.now)
         self._pending[tx.request_id] = pending
-        primary = self.deployment.believed_primary(cluster.name)
+        # A client cannot read replica memory: it aims at the view-0
+        # primary (members[0]), and after a view change the §4.3.4
+        # retransmission multicast reaches the real one.
+        primary = cluster.members[0]
         if self._obs_tracer is not None:
             self._obs_tracer.tx_begin(
                 tx.request_id,

@@ -119,17 +119,12 @@ class Deployment:
         latency: LatencyModel | None = None,
         cost_model: CostModel | None = None,
         sim: Any = None,
-        static_primaries: bool = False,
     ):
         self.config = config
-        # ``sim`` is injectable so the shard-parallel builder can hand
-        # in a PartitionedSimulator facade; every actor then shares it
-        # as their clock/scheduler exactly like a plain Simulator.
+        # ``sim`` is injectable so ``scenarios.build`` can hand in a
+        # PartitionedSimulator facade; every actor then shares it as
+        # their clock/scheduler exactly like a plain Simulator.
         self.sim = Simulator() if sim is None else sim
-        # Shard-parallel mode: client-side primary resolution must not
-        # read another partition's live node state (see
-        # believed_primary below).
-        self.static_primaries = static_primaries
         self.network = Network(self.sim, latency=latency, seed=config.seed)
         self.key_registry = KeyRegistry()
         self.collections = CollectionRegistry()
@@ -242,23 +237,6 @@ class Deployment:
         else:
             enterprise = members[shards[0] % len(members)]
         return self.directory.at(enterprise, shards[0])
-
-    def believed_primary(self, cluster_name: str) -> str:
-        members = self.directory.get(cluster_name).members
-        if self.static_primaries:
-            # Shard-parallel mode: asking a cluster node which primary
-            # it currently believes in would read live state owned by
-            # another partition's worker — a stale forked copy, and
-            # different at different worker counts.  The view-0 primary
-            # is members[0] (view % n with view 0), which matches the
-            # live answer at client-submission time in the common case;
-            # after a view change, the client's retransmission
-            # multicast (§4.3.4) reaches the real primary regardless.
-            return members[0]
-        node = self.nodes.get(members[0])
-        if node is not None:
-            return node.believed_primary(cluster_name)
-        return members[0]
 
     def execution_identities(self, scope: frozenset[str]) -> set[str]:
         """Who may see plaintext for a collection: execution (or

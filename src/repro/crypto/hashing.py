@@ -43,7 +43,7 @@ def count_verify(n: int = 1) -> None:
 
     The counter lives here (not in :mod:`repro.crypto.signatures`) so
     :func:`counters` exposes every hot-path counter from one place and
-    the perf plumbing — ``perf_block``, shard-parallel worker merging —
+    the perf plumbing — ``run_scenario``'s per-worker counter merge —
     needs no extra import edges.
     """
     global _verify_calls

@@ -48,9 +48,10 @@ class SimulationLimitError(ReproError):
 
 
 class PartitionError(ReproError):
-    """A shard-parallel partitioning rule was violated: scheduling
+    """A shard-parallel partitioning rule was violated — scheduling
     outside any partition context, or touching (cancelling into) a
-    kernel owned by another worker."""
+    kernel owned by another worker — or a worker process failed
+    (raised, or was killed) before the run finished."""
 
 
 class StorageError(ReproError):

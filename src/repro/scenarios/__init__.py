@@ -11,7 +11,12 @@ See ``docs/scenarios.md`` for the spec fields, the fault-event
 vocabulary, and how to register a named scenario.
 """
 
-from repro.scenarios.build import build, build_workload, pair_scopes
+from repro.scenarios.build import (
+    build,
+    build_workload,
+    pair_scopes,
+    validate_partitioning,
+)
 from repro.scenarios.faults import FaultScheduler, JitterOverlay
 from repro.scenarios.registry import (
     BENCH_SCENARIOS,
@@ -20,17 +25,13 @@ from repro.scenarios.registry import (
     bench_scenarios,
     example_scenario,
     register_scenario,
+    shardpar_scenario,
 )
 from repro.scenarios.runner import (
     launch_workload,
     run_scenario,
     run_scenarios,
     summary_row,
-)
-from repro.scenarios.shardpar import (
-    build_shardpar,
-    run_scenario_shardpar,
-    shardpar_scenario,
 )
 from repro.scenarios.spec import (
     FAULT_KINDS,
@@ -59,15 +60,14 @@ __all__ = [
     "WorkloadSpec",
     "bench_scenarios",
     "build",
-    "build_shardpar",
     "build_workload",
     "example_scenario",
     "launch_workload",
     "pair_scopes",
     "register_scenario",
     "run_scenario",
-    "run_scenario_shardpar",
     "run_scenarios",
     "shardpar_scenario",
     "summary_row",
+    "validate_partitioning",
 ]

@@ -2,10 +2,10 @@
 
 :func:`build` is the single construction entry point: spec in, ready
 :class:`~repro.core.deployment.Deployment` out — topology wired,
-construction-time crashes applied, fault timeline armed.  The wiring
-reproduces, step for step, what the hand-assembled construction sites
-did (same config objects, same creation order), so the same seeds
-produce bit-identical runs.
+construction-time crashes applied, fault timeline armed — on one event
+kernel, or (``spec.kernel_workers``) one kernel per cluster.
+:func:`validate_partitioning` is the one place that says which specs
+the per-cluster form can run.
 
 :func:`build_workload` adds the §5 SmallBank workload on top: the root
 workflow, every pairwise shared collection, the wire-client pool (one
@@ -17,17 +17,27 @@ open-loop arrivals — plus trace capture/replay plumbing.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.core.deployment import Deployment
-from repro.scenarios.faults import FaultScheduler
+from repro.errors import ConfigurationError
+from repro.scenarios.faults import (
+    CLUSTER_SELECTOR_KINDS,
+    ELASTIC_KINDS,
+    NETWORK_KINDS,
+    STATIC_SELECTOR_KINDS,
+    FaultScheduler,
+)
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.latency import UniformLatency
+from repro.sim.partition import (
+    PartitionMap,
+    PartitionedSimulator,
+    boundary_lookahead,
+)
 from repro.workload.generator import SmallBankWorkload, TxSpec
 from repro.workload.population import ReplayCounts, population_from
 from repro.workload.trace import TraceEntry, WorkloadTrace
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import DeploymentConfig
 
 
 def pair_scopes(enterprises: tuple[str, ...]) -> list[frozenset]:
@@ -67,20 +77,99 @@ def resolve_latency(spec: ScenarioSpec):
     return None
 
 
-def build(spec: ScenarioSpec, config: "DeploymentConfig | None" = None) -> Deployment:
+def validate_partitioning(spec: ScenarioSpec) -> PartitionMap:
+    """Every reason a spec cannot run with ``kernel_workers`` set — one
+    event kernel per cluster plus a root kernel for clients, advanced
+    in conservative-lookahead windows — each raised here with a clear
+    error (never a deadlock or a silently different result).  Any spec
+    this accepts yields a byte-identical report (modulo ``perf`` /
+    ``obs``) at every ``kernel_workers``, ``None`` included.
+
+    Returns the partition map the spec implies.
+    """
+    from repro.bench.runner import FIG4_CONFIGS, QANAAT_PROTOCOLS
+
+    if spec.system not in QANAAT_PROTOCOLS and spec.system not in FIG4_CONFIGS:
+        raise ConfigurationError(
+            f"kernel_workers partitions Qanaat deployments only; "
+            f"{spec.system!r} builds its own single-kernel system"
+        )
+    topology = spec.topology
+    if topology.storage_backend != "memory":
+        raise ConfigurationError(
+            f"kernel_workers requires storage_backend='memory' "
+            f"(got {topology.storage_backend!r}): forked workers "
+            "cannot share WAL/SQLite file handles"
+        )
+    for event in spec.faults:
+        if event.kind in ELASTIC_KINDS:
+            raise ConfigurationError(
+                f"{event.kind} events reconfigure global deployment "
+                "structure (collection registry, directory), which "
+                "per-partition kernels cannot apply consistently; "
+                "run elasticity scenarios with kernel_workers=None"
+            )
+        if event.kind in NETWORK_KINDS:
+            for group in event.groups:
+                for selector in group:
+                    if selector.partition(":")[0] not in STATIC_SELECTOR_KINDS:
+                        raise ConfigurationError(
+                            f"fault selector {selector!r} resolves "
+                            "against live consensus state, which network "
+                            "events replaying on every kernel cannot "
+                            "read consistently; use node:/cluster:/"
+                            "enterprise:/clients: selectors or run with "
+                            "kernel_workers=None"
+                        )
+        elif event.target.partition(":")[0] not in CLUSTER_SELECTOR_KINDS | {
+            "clients"
+        }:
+            raise ConfigurationError(
+                f"{event.kind} target {event.target!r} spans multiple "
+                "partitions; each node-state fault fires on one owning "
+                "cluster kernel — list the clusters explicitly or run "
+                "with kernel_workers=None"
+            )
+    clusters = [
+        f"{enterprise}{shard + 1}"
+        for enterprise in topology.enterprises
+        for shard in range(topology.shards)
+    ]
+    pmap = PartitionMap(clusters)
+    # Both latency models resolve a node by its cluster (or client-
+    # enterprise) prefix, so one representative per partition boundary
+    # decides whether any boundary link can be instantaneous.
+    representatives = [f"{cluster}.o0" for cluster in clusters] + [
+        f"client-{enterprise}-0" for enterprise in topology.enterprises
+    ]
+    latency = resolve_latency(spec) or UniformLatency()
+    if boundary_lookahead(latency, pmap, representatives) <= 0.0:
+        raise ConfigurationError(
+            "zero-latency boundary link: the conservative lookahead "
+            "would be 0 and safe windows could never advance; run "
+            "with kernel_workers=None or give boundary links a "
+            "positive minimum latency"
+        )
+    return pmap
+
+
+def build(spec: ScenarioSpec) -> Deployment:
     """Spec in, ready deployment out.
 
-    Builds the :class:`~repro.core.config.DeploymentConfig` (unless a
-    pre-built one is passed), wires the cluster topology, and arms the
-    fault timeline.  The scheduler is reachable as
+    Builds the :class:`~repro.core.config.DeploymentConfig`, wires the
+    cluster topology — over per-cluster kernels when the spec sets
+    ``kernel_workers`` (see :func:`validate_partitioning`) — and arms
+    the fault timeline.  The scheduler is reachable as
     ``deployment.fault_scheduler`` (None when the timeline is empty —
     arming nothing keeps event sequence numbers, and therefore tie-
     breaking, identical to the pre-scenario construction path).
     """
-    if config is None:
-        config = spec.deployment_config()
+    config = spec.deployment_config()
+    sim = None
+    if spec.kernel_workers is not None:
+        sim = PartitionedSimulator(validate_partitioning(spec))
     deployment = Deployment(
-        config, latency=resolve_latency(spec), cost_model=spec.cost
+        config, latency=resolve_latency(spec), cost_model=spec.cost, sim=sim
     )
     deployment.fault_scheduler = None
     if spec.topology.crash_nodes:
@@ -121,8 +210,8 @@ def build_workload(
     pairwise shared collections, workload generator, then the wire
     clients — one per enterprise (exactly the pre-scenario wiring)
     unless the spec declares a population or fan-out, in which case
-    each enterprise gets its bounded pool, created eagerly so actors
-    register before any shard-parallel partitioning.
+    each enterprise gets its bounded pool, created eagerly so every
+    actor is registered before the run forks any worker.
 
     The returned ``submit_next(hot_shard=None)`` closure draws one
     transaction per call (``hot_shard`` aims a flash-crowd hotspot

@@ -17,7 +17,7 @@ changes) and drives the existing fault primitives:
 
 Everything is deterministic: timers fire at the spec's offsets,
 selector resolution is order-stable, and the only randomness (jitter
-delays) flows through the network's seeded generator.  The scheduler
+delays) flows through the network's seeded per-pair streams.  The scheduler
 records an event **trace** — ``(time, kind, resolved details)`` — so
 tests can assert that the same spec and seed replay the identical
 timeline.
@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import FaultEvent
 from repro.sim.latency import LatencyModel
+from repro.sim.partition import ROOT_PID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Deployment
@@ -62,23 +63,27 @@ class JitterOverlay(LatencyModel):
 
 
 #: Fault kinds that mutate network tables (blocked pairs, the latency
-#: model) rather than node state.  In shard-parallel mode these fire on
-#: *every* kernel — each partition applies them to its own view of the
-#: network at the same virtual time — while node-state kinds fire only
-#: on the kernel owning the target cluster.
-_NETWORK_KINDS = frozenset(("partition", "heal", "wan_jitter"))
+#: model) rather than node state.  They fire on *every* kernel — each
+#: partition applies them to its own view of the network at the same
+#: virtual time — while node-state kinds fire only on the kernel owning
+#: the target cluster.
+NETWORK_KINDS = frozenset(("partition", "heal", "wan_jitter"))
 
 #: Selector kinds resolvable from build-time-static structure alone
 #: (directory, firewalls, client list).  Network-kind events replicate
 #: to every kernel, so their selectors must resolve identically
 #: everywhere — ``primary:``/``backup:`` read live consensus state and
 #: would diverge.
-_STATIC_SELECTOR_KINDS = frozenset(("node", "cluster", "enterprise", "clients"))
+STATIC_SELECTOR_KINDS = frozenset(("node", "cluster", "enterprise", "clients"))
+
+#: Selector kinds naming nodes of exactly one cluster: a node-state
+#: event on one of these fires on that cluster's kernel.
+CLUSTER_SELECTOR_KINDS = frozenset(("node", "primary", "backup", "cluster"))
 
 #: Elasticity kinds: planned reconfiguration under load.  They mutate
 #: global deployment structure (collection registry, directory), which
-#: per-partition kernels cannot apply consistently — sequential only.
-_ELASTIC_KINDS = frozenset(("create_collection", "swap_member"))
+#: per-partition kernels cannot apply consistently.
+ELASTIC_KINDS = frozenset(("create_collection", "swap_member"))
 
 
 class FaultScheduler:
@@ -92,97 +97,54 @@ class FaultScheduler:
         self._subverted: list[object] = []
         self._reconfig = None
         self._armed = False
-        # Shard-parallel replication control: a network-kind event
-        # fires on every kernel but only the root partition's firing
-        # records the trace (see _fire_partitioned).
+        # A network-kind event fires on every kernel but only the root
+        # partition's firing records the trace (see _fire).
         self._trace_enabled = True
 
     # ------------------------------------------------------------------
     # arming
     # ------------------------------------------------------------------
-    def install(self, base_time: float | None = None) -> "FaultScheduler":
-        """Schedule every event at ``base_time + event.at`` (default:
-        now).  Idempotence guard: a scheduler installs once."""
-        if self._armed:
-            raise ConfigurationError("fault scheduler already installed")
-        self._armed = True
-        sim = self.deployment.sim
-        start = sim.now if base_time is None else base_time
-        for event in self.events:
-            sim.schedule_at(start + event.at, self._fire, event)
-        return self
+    def install(self) -> "FaultScheduler":
+        """Schedule every event at ``now + event.at`` on the kernels of
+        the deployment's simulator.  Idempotence guard: a scheduler
+        installs once.
 
-    def install_partitioned(self, facade, pmap) -> "FaultScheduler":
-        """Arm the timeline on per-partition kernels (shard-parallel).
-
-        Node-state events (crash/recover/equivocate) are scheduled only
-        on the kernel owning the target's cluster, where selector
-        resolution — including live reads like ``primary:A1`` — happens
-        against local, current state.  Network-table events
-        (partition/heal/wan_jitter) are scheduled on *every* kernel:
-        each partition applies them to its own view of the network at
-        the same virtual time, and only the root partition's firing
-        records the trace entry.
+        Node-state events (crash/recover/equivocate, elasticity) go to
+        the one kernel owning the target, where selector resolution —
+        including live reads like ``primary:A1`` — happens against
+        local, current state.  Network-table events
+        (partition/heal/wan_jitter) go to *every* kernel: each
+        partition applies them to its own view of the network at the
+        same virtual time, and only the root partition's firing records
+        the trace entry.  A plain simulator is one kernel owning
+        everything, so both rules schedule exactly one timer there.
         """
         if self._armed:
             raise ConfigurationError("fault scheduler already installed")
         self._armed = True
+        sim = self.deployment.sim
+        start = sim.now
         for event in self.events:
-            if event.kind in _ELASTIC_KINDS:
-                raise ConfigurationError(
-                    f"{event.kind} events reconfigure global deployment "
-                    "structure (collection registry, directory), which "
-                    "per-partition kernels cannot apply consistently; "
-                    "run elasticity scenarios with kernel_workers=None"
-                )
-            if event.kind in _NETWORK_KINDS:
-                for group in event.groups:
-                    for selector in group:
-                        kind = selector.partition(":")[0]
-                        if kind not in _STATIC_SELECTOR_KINDS:
-                            raise ConfigurationError(
-                                f"fault selector {selector!r} resolves "
-                                "against live consensus state, which "
-                                "shard-parallel network events replaying "
-                                "on every kernel cannot read "
-                                "consistently; use node:/cluster:/"
-                                "enterprise:/clients: selectors or run "
-                                "with kernel_workers=None"
-                            )
-                for pid, kernel in enumerate(facade.kernels):
+            if event.kind in NETWORK_KINDS:
+                for pid, kernel in enumerate(sim.kernels):
                     kernel.schedule_at(
-                        kernel.now + event.at,
-                        self._fire_partitioned,
-                        event,
-                        pid == 0,
+                        start + event.at, self._fire, event, pid == ROOT_PID
                     )
             else:
-                pid = self._owning_pid(event, pmap)
-                facade.kernels[pid].schedule_at(
-                    facade.kernels[pid].now + event.at,
-                    self._fire_partitioned,
-                    event,
-                    True,
+                sim.kernels[self._owning_pid(event)].schedule_at(
+                    start + event.at, self._fire, event, True
                 )
         return self
 
-    def _owning_pid(self, event: FaultEvent, pmap) -> int:
-        """The partition whose kernel must fire a node-state event."""
-        kind, _, rest = event.target.partition(":")
-        if kind == "node":
-            return pmap.pid_of_node(rest)
-        if kind in ("primary", "backup", "cluster"):
-            return pmap.pid_of_cluster(rest.partition(":")[0])
-        if kind == "clients":
-            # Clients live in the root partition; membership is fixed
-            # at build time, so resolution there is worker-invariant.
-            return 0
-        raise ConfigurationError(
-            f"{event.kind} target {event.target!r} spans multiple "
-            "partitions; shard-parallel runs route each node-state "
-            "fault to one owning cluster kernel — list the clusters "
-            "explicitly or run with kernel_workers=None"
-        )
+    def _owning_pid(self, event: FaultEvent) -> int:
+        """The partition whose kernel fires a node-state event: the
+        target's cluster, else root (clients live there; the targets
+        and kinds that span partitions only pass
+        ``validate_partitioning`` on a single kernel, which is root)."""
+        kind, _, rest = (event.target or "").partition(":")
+        if kind in CLUSTER_SELECTOR_KINDS:
+            return self.deployment.sim.pid_of_node(rest.partition(":")[0])
+        return ROOT_PID
 
     # ------------------------------------------------------------------
     # selector resolution
@@ -224,23 +186,11 @@ class FaultScheduler:
     # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
-    def _fire(self, event: FaultEvent) -> None:
-        handler = getattr(self, f"_on_{event.kind}")
-        detail = handler(event)
-        # Rounded like every other virtual-time stamp in scenario
-        # reports (window edges, obs spans): 9 decimals — nanosecond
-        # resolution — so fire times never leak float noise like
-        # 0.15000000000000002 into BENCH_scenarios.json.
-        self.trace.append(
-            (round(self.deployment.sim.now, 9), event.kind, detail)
-        )
-
-    def _fire_partitioned(self, event: FaultEvent, record: bool) -> None:
-        """One kernel's firing of an event armed by
-        :meth:`install_partitioned`: same handlers, but the trace is
-        recorded only where ``record`` is set — node-state events on
-        their owning kernel, network events on the root partition —
-        so the merged per-worker traces hold each entry exactly once."""
+    def _fire(self, event: FaultEvent, record: bool) -> None:
+        """One kernel's firing of an event.  The trace is recorded only
+        where ``record`` is set — node-state events on their owning
+        kernel, network events on the root partition — so the merged
+        per-worker traces hold each entry exactly once."""
         handler = getattr(self, f"_on_{event.kind}")
         previous = self._trace_enabled
         self._trace_enabled = record
@@ -249,6 +199,10 @@ class FaultScheduler:
         finally:
             self._trace_enabled = previous
         if record:
+            # Rounded like every other virtual-time stamp in scenario
+            # reports (window edges, obs spans): 9 decimals — nanosecond
+            # resolution — so fire times never leak float noise like
+            # 0.15000000000000002 into BENCH_scenarios.json.
             self.trace.append(
                 (round(self.deployment.sim.now, 9), event.kind, detail)
             )

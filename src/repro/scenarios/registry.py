@@ -384,6 +384,34 @@ def _elastic_reconfig(scale: Any, seed: int) -> ScenarioSpec:
     )
 
 
+def shardpar_scenario(
+    shards: int = 4,
+    seed: int = 1,
+    enterprises: tuple[str, ...] = ("A", "B"),
+    system: str = "Flt-C",
+    rate_per_cluster: float = 250.0,
+    warmup: float = 0.1,
+    measure: float = 0.3,
+    drain: float = 0.15,
+    kernel_workers: int | None = None,
+) -> ScenarioSpec:
+    """A canonical shard-scaling scenario: offered load grows with the
+    cluster count, so wider topologies keep per-cluster pressure — the
+    shape the ``--experiment shardpar`` sweep and the CI smoke use."""
+    return ScenarioSpec(
+        name=f"shardpar-{len(enterprises)}x{shards}",
+        system=system,
+        topology=TopologySpec(enterprises=enterprises, shards=shards),
+        workload=WorkloadSpec(
+            rate=rate_per_cluster * shards * len(enterprises),
+            mix=WorkloadMix(cross=0.2),
+        ),
+        measurement=MeasurementSpec(warmup=warmup, measure=measure, drain=drain),
+        seed=seed,
+        kernel_workers=kernel_workers,
+    )
+
+
 def _register_byzantine_matrix() -> None:
     """The byzantine matrix: fault timelines × arrival profiles, each
     cell a BFT run over a populated workload.  Registered

@@ -7,10 +7,9 @@ warmup / measure / drain windows — plus the resolved fault trace, so a
 scenario with a mid-run crash shows the dip *and* the recovery.
 
 The simulator advance runs under the spec's event budget
-(``measurement.max_events``) with ``raise_on_limit``: a protocol bug
-that schedules a timer loop surfaces as a
-:class:`~repro.errors.SimulationLimitError` naming the virtual time
-and queue head instead of an apparent hang.
+(``measurement.max_events``): a protocol bug that schedules a timer
+loop surfaces as a :class:`~repro.errors.SimulationLimitError` naming
+the virtual time instead of an apparent hang.
 """
 
 from __future__ import annotations
@@ -45,41 +44,13 @@ class paused_gc:
             gc.enable()
 
 
-def perf_block(
-    wall_start: float, counters_before: dict[str, int], events: int
-) -> dict[str, Any]:
-    """The ``perf`` metadata block every bench point records: wall
-    clock since ``wall_start``, simulated ``events`` (+ rate), and the
-    hot-path counter deltas since ``counters_before``.  Shared by
-    :func:`run_scenario` and :func:`repro.bench.runner.run_point` so
-    the two artifact families cannot drift."""
-    from repro.crypto import hashing
-
-    wall = time.perf_counter() - wall_start
-    counters_after = hashing.counters()
-    return {
-        "wall_clock_s": round(wall, 6),
-        "events": events,
-        "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-        "digest_calls": (
-            counters_after["digest_calls"] - counters_before["digest_calls"]
-        ),
-        "encode_bytes": (
-            counters_after["encode_bytes"] - counters_before["encode_bytes"]
-        ),
-        "verify_calls": (
-            counters_after["verify_calls"] - counters_before["verify_calls"]
-        ),
-    }
-
-
 def launch_workload(
     sim: Any, spec: ScenarioSpec, submit: Any, duration: float
 ) -> None:
     """Schedule the spec's offered load onto a simulator.
 
-    One dispatcher for every execution path (sequential, shard-parallel
-    root kernel, bench points): a workload spec with a ``replay_trace``
+    One dispatcher for every caller (``run_scenario`` aims it at the
+    root kernel): a workload spec with a ``replay_trace``
     walks the loaded trace with the single-cursor scheduler; anything
     else runs open-loop arrivals through
     :func:`repro.workload.population.launch_arrivals`, building the
@@ -103,19 +74,6 @@ def launch_workload(
         profile=profile,
         supports_hotspot=getattr(submit, "supports_hotspot", False),
     )
-
-
-def write_capture(spec: ScenarioSpec, submit: Any) -> None:
-    """Persist a run's captured trace to the spec's ``capture_trace``
-    path (JSONL, one entry per submitted transaction)."""
-    capture = getattr(submit, "capture", None)
-    if capture is None or spec.workload.capture_trace is None:
-        return
-    from pathlib import Path
-
-    path = Path(spec.workload.capture_trace)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(capture.to_jsonl() + "\n")
 
 
 def series_report(
@@ -155,35 +113,41 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     """Build the spec's system, replay its timeline, measure every
     window; returns a JSON-ready report.
 
-    The report carries a ``perf`` block — wall-clock seconds,
-    simulated events, events/sec, and the hot-path counter deltas from
-    :func:`repro.crypto.hashing.counters` — so every
-    ``BENCH_scenarios.json`` records a perf trajectory.  ``perf`` is
-    metadata, not a result: artifact comparisons exclude it (see
-    ``repro.bench.report.strip_perf`` and ``python -m
-    repro.bench.compare``).
+    One flow for every spec: obs lifecycle, build, launch, advance,
+    collect, report.  ``spec.kernel_workers`` chooses only how the
+    advance is scheduled — ``sim.run`` on the one kernel, or
+    :class:`~repro.sim.shardpar.ShardParEngine` windows over per-cluster
+    kernels — never what it computes: any spec
+    :func:`~repro.scenarios.build.validate_partitioning` accepts reports
+    the same bytes (modulo ``perf`` / ``obs``) at every setting.
+
+    The report is assembled from the per-worker ``collect`` payloads
+    (one of them in-process) and carries a ``perf`` block — wall-clock
+    seconds, simulated events, events/sec, the hot-path counter deltas
+    from :func:`repro.crypto.hashing.counters`, and per-worker /
+    per-kernel facts — so every ``BENCH_scenarios.json`` records a perf
+    trajectory.  ``perf`` is metadata, not a result: artifact
+    comparisons exclude it (see ``repro.bench.report.strip_perf`` and
+    ``python -m repro.bench.compare``).
     """
     from repro import obs
     from repro.bench.drivers import build_driver
     from repro.crypto import hashing
+    from repro.sim.partition import ROOT_PID, boundary_lookahead
+    from repro.sim.shardpar import ShardParEngine
 
-    if spec.kernel_workers is not None:
-        from repro.scenarios.shardpar import run_scenario_shardpar
-
-        return run_scenario_shardpar(spec)
     if spec.workload is None:
         raise ValueError(
             f"scenario {spec.name!r} declares no workload; "
             "run_scenario measures workload-driven scenarios"
         )
     m = spec.measurement
+    total = m.warmup + m.measure
     # Observability: a spec with trace=True owns the obs lifecycle for
     # this run (enable before construction — hot objects capture obs
     # state when built — disable in finally); a caller that enabled
-    # obs beforehand (bench --trace) keeps ownership.  Either way the
-    # tracing-off path below is the seed's single bounded run, bit for
-    # bit.
-    owned = bool(getattr(spec, "trace", False)) and not obs.enabled()
+    # obs beforehand (bench --trace) keeps ownership.
+    owned = spec.trace and not obs.enabled()
     if owned:
         obs.enable()
     obs_on = obs.enabled()
@@ -193,76 +157,162 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         obs.TRACER.new_run()
         if obs.PROBES is not None:
             obs.PROBES.reset()
-    counters_before = hashing.counters()
+    # The trace JSONL rides in the report when the tracer is torn down
+    # with the run (owned) or lives in worker processes; under a
+    # caller-enabled tracer on one kernel the caller exports it.
+    ship_trace = owned or spec.kernel_workers is not None
+    counters_start = hashing.counters()
     wall_start = time.perf_counter()
     try:
         with paused_gc():
             driver = build_driver(spec)
         try:
-            total = m.warmup + m.measure
+            sim = driver.sim
+            system = driver.system
+            network = system.network
             submit = getattr(driver, "_submit", None) or driver.submit_next
-            with paused_gc():
-                launch_workload(driver.sim, spec, submit, total)
+            workload = getattr(submit, "workload", None)
+            population = getattr(submit, "population", None)
+            capture = getattr(submit, "capture", None)
+            scheduler = getattr(system, "fault_scheduler", None)
+            # Per-worker counter deltas are taken against the counters
+            # at launch (build work happened once, here, and every
+            # forked worker inherits it in its absolute counters).
+            counters_built = hashing.counters()
+
+            def collect(owned_pids: list[int]) -> dict[str, Any]:
+                # Runs inside each worker process after the final
+                # barrier (in-process: once, owning every partition):
+                # whatever a report needs crosses back here, picklable
+                # and partition-owned.
+                payload: dict[str, Any] = {
+                    "events": sum(
+                        sim.kernels[pid].events_processed
+                        for pid in owned_pids
+                    ),
+                    "messages_sent": network.messages_sent,
+                    "messages_dropped": network.messages_dropped,
+                    "counters": {
+                        key: value - counters_built[key]
+                        for key, value in hashing.counters().items()
+                    },
+                    "fault_trace": list(scheduler.trace)
+                    if scheduler is not None
+                    else [],
+                }
+                if ROOT_PID in owned_pids:
+                    # Clients and arrivals run on the root kernel, so
+                    # completions, the generated mix, population stats
+                    # and the captured trace all live there.
+                    payload["metrics"] = driver.metrics()
+                    payload["generated"] = (
+                        dict(workload.generated) if workload is not None else {}
+                    )
+                    payload["population"] = (
+                        population.stats() if population is not None else None
+                    )
+                    payload["capture_jsonl"] = (
+                        capture.to_jsonl() if capture is not None else None
+                    )
                 if obs_on:
-                    # Segmented advance: pause at every window edge to
-                    # sample gauges.  Back-to-back bounded runs tile
-                    # the timeline exactly (the kernel advances the
-                    # clock to `until` between calls), so event order
-                    # — and every reported number — matches the single
-                    # run below.
-                    base = driver.sim.now
-                    for offset, edge in (
-                        (m.warmup, "warmup"),
-                        (total, "measure"),
-                        (m.total, "drain"),
+                    if (
+                        len(owned_pids) == len(sim.kernels)
+                        and obs.PROBES is not None
+                        and hasattr(system, "executors_of")
                     ):
-                        driver.sim.run(
+                        # The cross-cluster ledger-agreement probe needs
+                        # live executor state from every partition at
+                        # once: a traced run that broke agreement fails
+                        # loudly here rather than reporting plausible
+                        # numbers.  Forked workers hold stale copies of
+                        # foreign clusters by design and skip it (the
+                        # inline per-node sequence probes still ran).
+                        obs.PROBES.ledger_agreement(system)
+                    payload["obs"] = {
+                        "spans": obs.TRACER.span_count,
+                        "metrics": obs.REGISTRY.snapshot(),
+                        "trace_jsonl": obs.TRACER.to_jsonl()
+                        if ship_trace
+                        else None,
+                    }
+                return payload
+
+            with paused_gc():
+                launch_workload(sim.kernels[ROOT_PID], spec, submit, total)
+                if spec.kernel_workers is None:
+                    # With obs on, pause at every window edge to sample
+                    # gauges.  Back-to-back bounded runs tile the
+                    # timeline exactly (the kernel advances the clock
+                    # to `until` between calls), so event order — and
+                    # every reported number — matches the single run.
+                    base = sim.now
+                    edges = (
+                        ((m.warmup, "warmup"), (total, "measure"), (m.total, "drain"))
+                        if obs_on
+                        else ((m.total, "drain"),)
+                    )
+                    for offset, edge in edges:
+                        sim.run(
                             until=base + offset,
                             max_events=m.max_events,
                             raise_on_limit=True,
                         )
                         obs.sample(driver, edge)
+                    lookahead = None
+                    windows = len(edges)
+                    payloads = [collect([ROOT_PID])]
                 else:
-                    driver.sim.run(
-                        until=driver.sim.now + m.total,
-                        max_events=m.max_events,
-                        raise_on_limit=True,
+                    # The event budget is enforced at window barriers
+                    # (window granularity) rather than per event.
+                    with sim.activate(ROOT_PID):
+                        lookahead = boundary_lookahead(
+                            network.latency, sim.pmap, network.node_ids()
+                        )
+                    engine = ShardParEngine(
+                        sim, network, lookahead, spec.kernel_workers
                     )
-            perf = perf_block(
-                wall_start, counters_before, driver.sim.events_processed
-            )
-            metrics = driver.metrics()
-            windows = {
-                "warmup": _window_report(metrics, 0.0, m.warmup),
-                "measure": _window_report(metrics, m.warmup, total),
-                "drain": _window_report(metrics, total, m.total),
-            }
-            scheduler = getattr(driver.system, "fault_scheduler", None)
-            trace = (
-                [
-                    {"t": t, "kind": kind, "detail": detail}
-                    for t, kind, detail in scheduler.trace
-                ]
-                if scheduler is not None
-                else []
-            )
-            workload = getattr(submit, "workload", None)
-            generated = dict(workload.generated) if workload is not None else {}
-            population = getattr(submit, "population", None)
-            population_stats = (
-                population.stats() if population is not None else None
-            )
-            if population_stats is not None:
-                perf["client_pool"] = population_stats["wire_clients"]
-            series = series_report(metrics, m) if m.window > 0 else None
-            write_capture(spec, submit)
-            obs_block = _obs_report(driver, owned) if obs_on else None
+                    payloads = engine.run(
+                        m.total, max_events=m.max_events, collect=collect
+                    )
+                    windows = engine.windows_run
+            wall = time.perf_counter() - wall_start
         finally:
             driver.close()
     finally:
         if owned:
             obs.disable()
-    report = {
+
+    root = payloads[0]
+    metrics = root["metrics"]
+    events = sum(p["events"] for p in payloads)
+    perf: dict[str, Any] = {
+        "wall_clock_s": round(wall, 6),
+        "events": events,
+        "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
+    }
+    for key in ("digest_calls", "encode_bytes", "verify_calls"):
+        perf[key] = (counters_built[key] - counters_start[key]) + sum(
+            p["counters"][key] for p in payloads
+        )
+    perf["kernel_workers"] = spec.kernel_workers
+    # Facts about the kernels themselves: invariant under worker count
+    # once partitioned, but not across the one-kernel form.
+    perf["kernel"] = {
+        "partitions": len(sim.kernels),
+        "lookahead_s": None if lookahead is None else round(lookahead, 9),
+        "windows": windows,
+    }
+    perf["workers"] = [
+        {
+            "events": p["events"],
+            "messages_sent": p["messages_sent"],
+            "messages_dropped": p["messages_dropped"],
+            **p["counters"],
+        }
+        for p in payloads
+    ]
+    trace = sorted(tuple(entry) for p in payloads for entry in p["fault_trace"])
+    report: dict[str, Any] = {
         "scenario": spec.name,
         "system": spec.system,
         "seed": spec.seed,
@@ -270,47 +320,48 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "enterprises": list(spec.topology.enterprises),
         "shards": spec.topology.shards,
         "fault_events": len(spec.faults),
-        "fault_trace": trace,
-        "generated": generated,
-        "windows": windows,
+        "fault_trace": [
+            {"t": t, "kind": kind, "detail": detail} for t, kind, detail in trace
+        ],
+        "generated": root["generated"],
+        "windows": {
+            "warmup": _window_report(metrics, 0.0, m.warmup),
+            "measure": _window_report(metrics, m.warmup, total),
+            "drain": _window_report(metrics, total, m.total),
+        },
         "perf": perf,
     }
-    if population_stats is not None:
-        report["population"] = population_stats
-    if series is not None:
-        report["series"] = series
-    if obs_block is not None:
-        report["obs"] = obs_block
+    if root["population"] is not None:
+        report["population"] = root["population"]
+        perf["client_pool"] = root["population"]["wire_clients"]
+    if m.window > 0:
+        report["series"] = series_report(metrics, m)
+    if root["capture_jsonl"] is not None:
+        # Persist the run's captured trace to the spec's
+        # ``capture_trace`` path (JSONL, one entry per submitted
+        # transaction).
+        from pathlib import Path
+
+        path = Path(spec.workload.capture_trace)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(root["capture_jsonl"] + "\n")
+    if obs_on:
+        from repro.obs.metrics import MetricRegistry
+        from repro.obs.trace import TRACE_SCHEMA_VERSION, merge_jsonl
+
+        shards = [p["obs"] for p in payloads]
+        report["obs"] = {
+            "schema": TRACE_SCHEMA_VERSION,
+            "spans": sum(shard["spans"] for shard in shards),
+            "metrics": MetricRegistry.merge_snapshots(
+                [shard["metrics"] for shard in shards]
+            ),
+        }
+        if ship_trace:
+            report["obs"]["trace_jsonl"] = merge_jsonl(
+                [shard["trace_jsonl"] for shard in shards]
+            )
     return report
-
-
-def _obs_report(driver: Any, owned: bool) -> dict[str, Any]:
-    """The ``obs`` block a traced scenario embeds next to ``perf``:
-    schema version, span count, and metric snapshot.  When the run
-    *owns* the tracer (``spec.trace=True``), the trace JSONL rides
-    along too — that is how process-pool workers and spec-owned runs
-    hand the trace back after :func:`repro.obs.disable` tears the
-    tracer down.  Under a caller-enabled tracer (``bench --trace``)
-    the tracer is cumulative across runs, so the caller exports it.
-
-    Runs the end-of-run invariant probes first — a traced run that
-    broke sequence monotonicity or ledger agreement fails loudly here
-    rather than reporting plausible numbers.
-    """
-    from repro import obs
-    from repro.obs import TRACE_SCHEMA_VERSION
-
-    system = getattr(driver, "system", driver)
-    if obs.PROBES is not None and hasattr(system, "executors_of"):
-        obs.PROBES.ledger_agreement(system)
-    block: dict[str, Any] = {
-        "schema": TRACE_SCHEMA_VERSION,
-        "spans": obs.TRACER.span_count if obs.TRACER is not None else 0,
-        "metrics": obs.REGISTRY.snapshot() if obs.REGISTRY is not None else {},
-    }
-    if owned and obs.TRACER is not None:
-        block["trace_jsonl"] = obs.TRACER.to_jsonl()
-    return block
 
 
 def run_scenarios(

@@ -360,8 +360,9 @@ class ScenarioSpec:
     #: Shard-parallel simulation: run one event kernel per cluster,
     #: spread over this many worker processes with conservative
     #: lookahead at the network boundary (``None`` — the default —
-    #: keeps the plain sequential kernel).  Reports are byte-identical
-    #: (modulo ``perf``/``obs``) at any worker count; see
+    #: runs one kernel).  Purely a scheduling choice: reports are
+    #: byte-identical (modulo ``perf``/``obs``) at every setting a
+    #: spec accepts (``scenarios.build.validate_partitioning``); see
     #: docs/performance.md.
     kernel_workers: int | None = None
 
@@ -374,8 +375,8 @@ class ScenarioSpec:
         object.__setattr__(self, "faults", faults)
         if self.kernel_workers is not None and self.kernel_workers < 1:
             raise ConfigurationError(
-                f"kernel_workers must be >= 1 (or None for the "
-                f"sequential kernel): {self.kernel_workers}"
+                f"kernel_workers must be >= 1 (or None for one "
+                f"kernel): {self.kernel_workers}"
             )
 
     # ------------------------------------------------------------------

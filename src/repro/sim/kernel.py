@@ -98,9 +98,20 @@ class Simulator:
     #: a foreign kernel.
     foreign = False
 
+    #: A plain simulator is its own one-partition context — the shape
+    #: :class:`~repro.sim.partition.PartitionedSimulator` has with many
+    #: kernels: partition 0 is always executing (``current`` is the
+    #: simulator itself), it is the only kernel, and it owns every node.
+    #: The network and the fault scheduler address every simulator
+    #: through this surface, so the sequential run is the one-partition
+    #: case rather than a second code path.
+    current_pid = 0
+
     def __init__(self) -> None:
         from repro import obs
 
+        self.current = self
+        self.kernels = (self,)
         self.now: float = 0.0
         # Observability capture: checked once per run() call, not per
         # event, so the hot loops below stay byte-identical when off.
@@ -122,6 +133,10 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events fired so far (cancelled events excluded)."""
         return self._events_processed
+
+    def pid_of_node(self, node_id: str) -> int:
+        """The partition owning ``node_id``: the only one."""
+        return 0
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""

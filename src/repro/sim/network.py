@@ -5,6 +5,15 @@ delay messages (partial synchrony), pairwise channels, and — for the
 privacy firewall (§3.4) — *physically restricted* links: a node with a
 link restriction can only exchange messages with its allowed peers, the
 way filter rows are wired only to the rows above and below.
+
+There is one transmission path.  Every ``(src, dst)`` pair draws drops
+and latency from its own rng stream, and everything a fault event
+mutates mid-run lives in a per-partition view; the simulator says which
+partition is executing (``sim.current_pid``) and which one owns a node
+(``sim.pid_of_node``).  A plain :class:`~repro.sim.kernel.Simulator` is
+one partition owning every node, so the sequential run is the
+one-partition case of the shard-parallel one — same streams, same
+views, same results at any ``kernel_workers``.
 """
 
 from __future__ import annotations
@@ -14,39 +23,40 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import ConfigurationError, PartitionError
 from repro.sim.latency import LatencyModel, UniformLatency
+from repro.sim.partition import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
     from repro.sim.node import Actor
 
 
-class _PartitionNetState:
-    """Per-partition view of the network's mutable tables.
+class _View:
+    """One partition's view of the network's mutable tables.
 
-    In shard-parallel mode, partitions of one window execute at
-    different wall-clock moments (and in different processes at
-    different worker counts), so anything a fault event mutates
-    mid-run — pairwise blocks, the latency model and its sampler
-    cache — must be per-partition: each kernel fires the fault event
-    itself, against its own view, at the same *virtual* time.
+    Partitions of one window execute at different wall-clock moments
+    (and in different processes at different worker counts), so
+    anything a fault event mutates mid-run — pairwise blocks, the
+    latency model and the per-pair link cache resolved from it — is
+    per-partition: each kernel fires the fault event itself, against
+    its own view, at the same *virtual* time.
     """
 
-    __slots__ = ("latency", "samplers", "blocked", "unrestricted")
+    __slots__ = ("latency", "links", "blocked", "unrestricted")
 
-    def __init__(self, latency: LatencyModel, blocked: set, unrestricted: bool):
+    def __init__(self, latency: LatencyModel):
         self.latency = latency
-        self.samplers: dict[tuple[str, str], Any] = {}
-        self.blocked = set(blocked)
-        self.unrestricted = unrestricted
+        #: (src, dst) -> (latency sampler, the pair's rng stream, same
+        #: partition?) — one dict probe per message on the hot path.
+        self.links: dict[tuple[str, str], tuple[Any, random.Random, bool]] = {}
+        self.blocked: set[frozenset[str]] = set()
+        #: Fast-path flag: True while this view has no blocked pair and
+        #: the network no link restriction (the common case), letting
+        #: ``send`` skip the per-message ``_routable`` walk.
+        self.unrestricted = True
 
 
 class Network:
     """Delivers messages between registered actors with modeled latency."""
-
-    #: Per-partition state table; None in (default) sequential mode,
-    #: one :class:`_PartitionNetState` per partition after
-    #: :meth:`enable_partitioning`.
-    _pstates = None
 
     def __init__(
         self,
@@ -56,23 +66,27 @@ class Network:
         drop_probability: float = 0.0,
     ):
         self.sim = sim
-        self._latency = latency if latency is not None else UniformLatency()
         self._seed = seed
-        self.rng = random.Random(seed)
         self.drop_probability = drop_probability
         self._nodes: dict[str, "Actor"] = {}
         self._deliver: dict[str, Any] = {}
-        self._blocked: set[frozenset[str]] = set()
+        self._partition_of: dict[str, int] = {}
         self._allowed_links: dict[str, frozenset[str]] = {}
-        # Fast-path flag: True while no partitions and no link
-        # restrictions exist (the common case), letting ``send`` skip
-        # the per-message ``_routable`` checks entirely.  ``block`` /
-        # ``restrict_links`` dirty it; ``unblock`` / ``heal`` restore
-        # it once both tables are empty again.
-        self._unrestricted = True
-        # One resolved latency sampler per (src, dst) pair; invalidated
-        # whenever the latency model is swapped (wan-jitter overlays).
-        self._samplers: dict[tuple[str, str], Any] = {}
+        if latency is None:
+            latency = UniformLatency()
+        self._views = [_View(latency) for _ in sim.kernels]
+        # One rng stream per (src, dst) pair, seeded from the network
+        # seed and the pair ids via string seeding (SHA-512 based,
+        # independent of PYTHONHASHSEED): a pair's draw sequence depends
+        # only on the sender's own event order, which no scheduling of
+        # the other partitions can perturb.  Streams outlive latency
+        # swaps (the link cache does not).
+        self._pair_rngs: dict[tuple[str, str], random.Random] = {}
+        # Cross-partition messages in flight: envelopes queued for the
+        # shard-parallel engine's barrier exchange, numbered per sender
+        # partition.  Always empty with one partition.
+        self._outbox: list[Envelope] = []
+        self._env_seqs = [0] * len(self._views)
         self.messages_sent = 0
         self.messages_dropped = 0
         # Observability capture at construction: None when off, so the
@@ -81,31 +95,25 @@ class Network:
 
         self._obs_registry = obs.REGISTRY
 
-    @property
-    def latency(self) -> LatencyModel:
-        if self._pstates is not None:
-            return self._pstates[self._current_pid()].latency
-        return self._latency
-
-    @latency.setter
-    def latency(self, model: LatencyModel) -> None:
-        if self._pstates is not None:
-            state = self._pstates[self._current_pid()]
-            state.latency = model
-            state.samplers.clear()
-            return
-        self._latency = model
-        self._samplers.clear()
-
-    def _current_pid(self) -> int:
-        pid = self._facade.current_pid
+    def _view(self) -> _View:
+        pid = self.sim.current_pid
         if pid is None:
             raise PartitionError(
                 "network state touched outside any partition context; "
-                "in shard-parallel mode latency/fault tables are "
-                "per-partition and only reachable while a kernel runs"
+                "latency/fault tables are per-partition and only "
+                "reachable while a kernel runs"
             )
-        return pid
+        return self._views[pid]
+
+    @property
+    def latency(self) -> LatencyModel:
+        return self._view().latency
+
+    @latency.setter
+    def latency(self, model: LatencyModel) -> None:
+        view = self._view()
+        view.latency = model
+        view.links.clear()
 
     # ------------------------------------------------------------------
     # topology
@@ -117,10 +125,7 @@ class Network:
         # Bind the delivery callback once: creating a bound method per
         # send is measurable at ~80k sends per smoke run.
         self._deliver[node.node_id] = node.deliver
-        if self._pstates is not None:
-            self._partition_of[node.node_id] = self._pmap.pid_of_node(
-                node.node_id
-            )
+        self._partition_of[node.node_id] = self.sim.pid_of_node(node.node_id)
 
     def node(self, node_id: str) -> "Actor":
         return self._nodes[node_id]
@@ -137,10 +142,12 @@ class Network:
         Models the firewall requirement that each filter has a physical
         connection only to the rows above and below (§3.4).  Traffic to
         or from any other node is silently impossible — not dropped
-        probabilistically, simply unroutable.
+        probabilistically, simply unroutable.  Wiring is physical, so
+        it holds in every partition's view.
         """
         self._allowed_links[node_id] = frozenset(allowed_peers)
-        self._unrestricted = False
+        for view in self._views:
+            view.unrestricted = False
 
     def allowed_peers(self, node_id: str) -> frozenset[str] | None:
         """The restriction set for a node, or None if unrestricted."""
@@ -151,34 +158,20 @@ class Network:
     # ------------------------------------------------------------------
     def block(self, a: str, b: str) -> None:
         """Partition the pair: messages between a and b are dropped."""
-        if self._pstates is not None:
-            state = self._pstates[self._current_pid()]
-            state.blocked.add(frozenset((a, b)))
-            state.unrestricted = False
-            return
-        self._blocked.add(frozenset((a, b)))
-        self._unrestricted = False
+        view = self._view()
+        view.blocked.add(frozenset((a, b)))
+        view.unrestricted = False
 
     def unblock(self, a: str, b: str) -> None:
-        if self._pstates is not None:
-            state = self._pstates[self._current_pid()]
-            state.blocked.discard(frozenset((a, b)))
-            state.unrestricted = (
-                not state.blocked and not self._allowed_links
-            )
-            return
-        self._blocked.discard(frozenset((a, b)))
-        self._unrestricted = not self._blocked and not self._allowed_links
+        view = self._view()
+        view.blocked.discard(frozenset((a, b)))
+        view.unrestricted = not view.blocked and not self._allowed_links
 
     def heal(self) -> None:
         """Remove all pairwise partitions."""
-        if self._pstates is not None:
-            state = self._pstates[self._current_pid()]
-            state.blocked.clear()
-            state.unrestricted = not self._allowed_links
-            return
-        self._blocked.clear()
-        self._unrestricted = not self._allowed_links
+        view = self._view()
+        view.blocked.clear()
+        view.unrestricted = not self._allowed_links
 
     def partition(self, *groups: Iterable[str]) -> None:
         """Split the named nodes into isolated groups.
@@ -202,8 +195,8 @@ class Network:
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
-    def _routable(self, src: str, dst: str) -> bool:
-        if frozenset((src, dst)) in self._blocked:
+    def _routable(self, view: _View, src: str, dst: str) -> bool:
+        if frozenset((src, dst)) in view.blocked:
             return False
         src_allowed = self._allowed_links.get(src)
         if src_allowed is not None and dst not in src_allowed:
@@ -213,6 +206,37 @@ class Network:
             return False
         return True
 
+    def _link(
+        self, view: _View, src: str, dst: str
+    ) -> tuple[Any, random.Random, bool]:
+        """Resolve and cache a pair's sampler, rng stream and locality."""
+        pair = (src, dst)
+        rng = self._pair_rngs.get(pair)
+        if rng is None:
+            rng = self._pair_rngs[pair] = random.Random(
+                f"pair|{self._seed}|{src}|{dst}"
+            )
+        partition_of = self._partition_of
+        link = view.links[pair] = (
+            view.latency.sampler(src, dst),
+            rng,
+            partition_of[src] == partition_of[dst],
+        )
+        return link
+
+    def _post(self, time: float, src: str, dst: str, msg: Any) -> None:
+        """Queue a cross-partition message for the barrier exchange."""
+        src_pid = self._partition_of[src]
+        seq = self._env_seqs[src_pid]
+        self._env_seqs[src_pid] = seq + 1
+        self._outbox.append(Envelope(time, src_pid, seq, src, dst, msg))
+
+    def take_outbox(self) -> list:
+        """Drain the cross-partition envelopes queued since last call."""
+        outbox = self._outbox
+        self._outbox = []
+        return outbox
+
     def send(self, src: str, dst: str, msg: Any) -> bool:
         """Send ``msg`` from ``src`` to ``dst``.
 
@@ -220,18 +244,22 @@ class Network:
         be dropped by the unreliable-network model), False if no
         physical route exists.  Local delivery (src == dst) bypasses
         the wire but still goes through the destination's CPU queue.
+        A destination in the sender's partition is scheduled on the
+        executing kernel; one in another partition becomes a
+        timestamped :class:`~repro.sim.partition.Envelope`.
 
         This is the hottest call in the simulation (one per message
         per destination), so the common case is kept lean: with no
-        partitions or link restrictions the ``_routable`` checks are
-        skipped outright, and the per-pair latency sampler is resolved
-        once and cached.  The rng draw sequence is identical to the
-        slow path, keeping runs bit-identical.
+        partitions or link restrictions the ``_routable`` walk is
+        skipped outright, and the pair's sampler, rng stream and
+        locality come out of one cached dict probe.
         """
         deliver = self._deliver.get(dst)
         if deliver is None:
             raise ConfigurationError(f"unknown destination {dst!r}")
-        if not self._unrestricted and not self._routable(src, dst):
+        sim = self.sim
+        view = self._views[sim.current_pid]
+        if not view.unrestricted and not self._routable(view, src, dst):
             return False
         self.messages_sent += 1
         registry = self._obs_registry
@@ -239,23 +267,24 @@ class Network:
             registry.counter(
                 "messages_sent", kind=msg.__class__.__name__
             ).inc()
-        if src != dst:
-            rng = self.rng
-            if self.drop_probability > 0.0 and rng.random() < self.drop_probability:
-                self.messages_dropped += 1
-                if registry is not None:
-                    registry.counter(
-                        "messages_dropped", kind=msg.__class__.__name__
-                    ).inc()
-                return True
-            samplers = self._samplers
-            sampler = samplers.get((src, dst))
-            if sampler is None:
-                sampler = samplers[(src, dst)] = self._latency.sampler(src, dst)
-            delay = sampler(rng)
+        if src == dst:
+            sim.current.schedule_fire(0.0, deliver, msg, src)
+            return True
+        link = view.links.get((src, dst))
+        if link is None:
+            link = self._link(view, src, dst)
+        sampler, rng, local = link
+        if self.drop_probability > 0.0 and rng.random() < self.drop_probability:
+            self.messages_dropped += 1
+            if registry is not None:
+                registry.counter(
+                    "messages_dropped", kind=msg.__class__.__name__
+                ).inc()
+            return True
+        if local:
+            sim.current.schedule_fire(sampler(rng), deliver, msg, src)
         else:
-            delay = 0.0
-        self.sim.schedule_fire(delay, deliver, msg, src)
+            self._post(sim.current.now + sampler(rng), src, dst, msg)
         return True
 
     def multicast(self, src: str, dsts: Iterable[str], msg: Any) -> int:
@@ -264,13 +293,15 @@ class Network:
         With no partitions or link restrictions (the dirty flag that
         already guards :meth:`send`) the whole fan-out runs on one fast
         path: the ``_routable`` walk is skipped per destination, and
-        the hot lookups — delivery table, rng, sampler cache, the
-        ``schedule_fire`` bound method, obs counters — are resolved
-        once per multicast instead of once per destination.  Counter
-        totals and the rng draw sequence are identical to the per-send
+        the hot lookups — delivery table, link cache, the executing
+        kernel's ``schedule_fire``, obs counters — are resolved once
+        per multicast instead of once per destination.  Counter totals
+        and every pair's draw sequence are identical to the per-send
         loop, so runs stay bit-identical.
         """
-        if not self._unrestricted:
+        sim = self.sim
+        view = self._views[sim.current_pid]
+        if not view.unrestricted:
             send = self.send
             routed = 0
             for dst in dsts:
@@ -287,14 +318,12 @@ class Network:
             sent_counter = registry.counter(
                 "messages_sent", kind=msg.__class__.__name__
             )
-        rng = self.rng
         drop_p = self.drop_probability
-        samplers = self._samplers
-        latency = self._latency
-        schedule_fire = self.sim.schedule_fire
+        links = view.links
+        kernel = sim.current
+        schedule_fire = kernel.schedule_fire
         sent = 0
         dropped = 0
-        routed = 0
         for dst in dsts:
             deliver = deliver_map.get(dst)
             if deliver is None:
@@ -302,145 +331,26 @@ class Network:
             sent += 1
             if sent_counter is not None:
                 sent_counter.inc()
-            if src != dst:
-                if drop_p > 0.0 and rng.random() < drop_p:
-                    dropped += 1
-                    if registry is not None:
-                        if dropped_counter is None:
-                            dropped_counter = registry.counter(
-                                "messages_dropped",
-                                kind=msg.__class__.__name__,
-                            )
-                        dropped_counter.inc()
-                    routed += 1
-                    continue
-                sampler = samplers.get((src, dst))
-                if sampler is None:
-                    sampler = samplers[(src, dst)] = latency.sampler(src, dst)
-                delay = sampler(rng)
+            if src == dst:
+                schedule_fire(0.0, deliver, msg, src)
+                continue
+            link = links.get((src, dst))
+            if link is None:
+                link = self._link(view, src, dst)
+            sampler, rng, local = link
+            if drop_p > 0.0 and rng.random() < drop_p:
+                dropped += 1
+                if registry is not None:
+                    if dropped_counter is None:
+                        dropped_counter = registry.counter(
+                            "messages_dropped",
+                            kind=msg.__class__.__name__,
+                        )
+                    dropped_counter.inc()
+            elif local:
+                schedule_fire(sampler(rng), deliver, msg, src)
             else:
-                delay = 0.0
-            schedule_fire(delay, deliver, msg, src)
-            routed += 1
+                self._post(kernel.now + sampler(rng), src, dst, msg)
         self.messages_sent += sent
         self.messages_dropped += dropped
-        return routed
-
-    # ------------------------------------------------------------------
-    # shard-parallel mode
-    # ------------------------------------------------------------------
-    def enable_partitioning(self, pmap: Any, facade: Any) -> None:
-        """Switch transmission to shard-parallel mode.
-
-        From here on, ``send``/``multicast`` (swapped as instance
-        attributes, so the sequential class methods — and their byte
-        behavior — are untouched) schedule same-partition traffic on
-        the currently-executing kernel and turn every cross-partition
-        message into a timestamped :class:`~repro.sim.partition.Envelope`
-        queued in :attr:`_outbox` for the engine's barrier exchange.
-
-        Determinism replaces the single shared rng with one stream per
-        ``(src, dst)`` pair, seeded from the network seed and the pair
-        ids via string seeding (SHA-512 based, independent of
-        ``PYTHONHASHSEED``): a pair's draw sequence then depends only
-        on the sender partition's own event order, which the safe-
-        window protocol makes identical at every worker count.
-        """
-        from repro.sim.partition import Envelope
-
-        if self._pstates is not None:
-            raise ConfigurationError("partitioning already enabled")
-        self._Envelope = Envelope
-        self._pmap = pmap
-        self._facade = facade
-        self._partition_of = {
-            node_id: pmap.pid_of_node(node_id) for node_id in self._nodes
-        }
-        self._pair_rngs: dict[tuple[str, str], random.Random] = {}
-        self._outbox: list[Any] = []
-        self._env_seqs = [0] * len(pmap)
-        self._pstates = [
-            _PartitionNetState(self._latency, self._blocked, self._unrestricted)
-            for _ in range(len(pmap))
-        ]
-        self.send = self._send_partitioned
-        self.multicast = self._multicast_partitioned
-
-    def take_outbox(self) -> list:
-        """Drain the cross-partition envelopes queued since last call."""
-        outbox = self._outbox
-        self._outbox = []
-        return outbox
-
-    def _routable_p(self, state: "_PartitionNetState", src: str, dst: str) -> bool:
-        if frozenset((src, dst)) in state.blocked:
-            return False
-        src_allowed = self._allowed_links.get(src)
-        if src_allowed is not None and dst not in src_allowed:
-            return False
-        dst_allowed = self._allowed_links.get(dst)
-        if dst_allowed is not None and src not in dst_allowed:
-            return False
-        return True
-
-    def _pair_rng(self, src: str, dst: str) -> random.Random:
-        rng = random.Random(f"pair|{self._seed}|{src}|{dst}")
-        self._pair_rngs[(src, dst)] = rng
-        return rng
-
-    def _send_partitioned(self, src: str, dst: str, msg: Any) -> bool:
-        """The shard-parallel ``send``: same wire semantics, but drop
-        and latency draws come from the per-pair rng stream, and
-        cross-partition messages become envelopes instead of events."""
-        deliver = self._deliver.get(dst)
-        if deliver is None:
-            raise ConfigurationError(f"unknown destination {dst!r}")
-        facade = self._facade
-        state = self._pstates[facade.current_pid]
-        if not state.unrestricted and not self._routable_p(state, src, dst):
-            return False
-        self.messages_sent += 1
-        registry = self._obs_registry
-        if registry is not None:
-            registry.counter(
-                "messages_sent", kind=msg.__class__.__name__
-            ).inc()
-        if src == dst:
-            facade.current.schedule_fire(0.0, deliver, msg, src)
-            return True
-        pair = (src, dst)
-        rng = self._pair_rngs.get(pair)
-        if rng is None:
-            rng = self._pair_rng(src, dst)
-        if self.drop_probability > 0.0 and rng.random() < self.drop_probability:
-            self.messages_dropped += 1
-            if registry is not None:
-                registry.counter(
-                    "messages_dropped", kind=msg.__class__.__name__
-                ).inc()
-            return True
-        sampler = state.samplers.get(pair)
-        if sampler is None:
-            sampler = state.samplers[pair] = state.latency.sampler(src, dst)
-        delay = sampler(rng)
-        partition_of = self._partition_of
-        src_pid = partition_of[src]
-        if src_pid == partition_of[dst]:
-            facade.current.schedule_fire(delay, deliver, msg, src)
-        else:
-            seq = self._env_seqs[src_pid]
-            self._env_seqs[src_pid] = seq + 1
-            self._outbox.append(
-                self._Envelope(
-                    facade.current.now + delay, src_pid, seq, src, dst, msg
-                )
-            )
-        return True
-
-    def _multicast_partitioned(self, src: str, dsts: Iterable[str], msg: Any) -> int:
-        send = self._send_partitioned
-        routed = 0
-        for dst in dsts:
-            if send(src, dst, msg):
-                routed += 1
-        return routed
+        return sent

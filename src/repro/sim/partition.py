@@ -74,9 +74,6 @@ class PartitionMap:
     def __len__(self) -> int:
         return len(self.partitions)
 
-    def pid_of_cluster(self, cluster_name: str) -> int:
-        return self._cluster_pid[cluster_name]
-
     def pid_of_node(self, node_id: str) -> int:
         """The owning partition (cluster prefix, else root)."""
         return self._cluster_pid.get(node_id.split(".", 1)[0], ROOT_PID)
@@ -110,6 +107,9 @@ class PartitionedSimulator:
     def clear(self) -> None:
         self.current = None
         self.current_pid = None
+
+    def pid_of_node(self, node_id: str) -> int:
+        return self.pmap.pid_of_node(node_id)
 
     # -- routing -------------------------------------------------------
     def _current(self) -> Simulator:
@@ -200,32 +200,22 @@ def boundary_lookahead(
 
     A kernel at barrier time ``t`` can safely fire every event before
     ``t + lookahead``, because no other partition can deliver anything
-    sooner.  Zero lookahead would mean zero-width safe windows — the
-    engine could never advance — so it is rejected here with a clear
-    error rather than deadlocking later (local delivery inside one
-    partition is exempt: it never crosses the boundary).
+    sooner (local delivery inside one partition is exempt: it never
+    crosses the boundary).  The result may be zero — safe windows could
+    then never advance — which ``scenarios.build.validate_partitioning``
+    rejects for specs and :class:`~repro.sim.shardpar.ShardParEngine`
+    refuses to run on.
     """
     nodes = sorted(node_ids)
     pids = {node: pmap.pid_of_node(node) for node in nodes}
-    best: float | None = None
-    for src in nodes:
-        src_pid = pids[src]
-        for dst in nodes:
-            if src == dst or pids[dst] == src_pid:
-                continue
-            delay = model.min_delay(src, dst)
-            if best is None or delay < best:
-                best = delay
-    if best is None:
+    delays = [
+        model.min_delay(src, dst)
+        for src in nodes
+        for dst in nodes
+        if pids[src] != pids[dst]
+    ]
+    if not delays:
         raise ConfigurationError(
-            "no cross-partition links: nothing to synchronize on "
-            "(single-cluster topologies run sequentially)"
+            "no cross-partition links: nothing to synchronize on"
         )
-    if best <= 0.0:
-        raise ConfigurationError(
-            "zero-latency boundary link: the conservative lookahead "
-            "would be 0 and safe windows could never advance; run "
-            "sequentially (kernel_workers=None) or give boundary links "
-            "a positive minimum latency"
-        )
-    return best
+    return min(delays)

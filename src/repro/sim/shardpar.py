@@ -27,9 +27,11 @@ child by the fork; each child executes only the partitions it owns and
 marks every other kernel *foreign* so stray cross-boundary mutations
 (event cancellation) fail loudly instead of desynchronizing.
 
-``workers=1`` runs the identical windowed algorithm in-process — the
-reference the byte-identity guarantee is stated against: reports are
-byte-identical (modulo ``perf``/``obs``) at **any** worker count.
+``workers=1`` runs the identical windowed algorithm in-process.
+Reports are byte-identical (modulo ``perf``/``obs``) at **any** worker
+count — and to the plain one-kernel ``sim.run`` of the same spec,
+which draws from the same per-pair streams.  A worker that raises or
+is killed ends the run in one :class:`~repro.errors.PartitionError`.
 """
 
 from __future__ import annotations
@@ -251,32 +253,51 @@ class ShardParEngine:
             if pid % workers != 0:
                 kernel.foreign = True
         partition_of = self.network._partition_of
+
+        def receive(w: int, kind: str, edge: float) -> tuple:
+            """Worker ``w``'s next message, or one PartitionError naming
+            the worker, what it owned and where the run stood — whether
+            the worker raised (its traceback rides along) or was killed
+            (its pipe just closes)."""
+            try:
+                message = _read_msg(channels[w - 1][0])
+            except EOFError:
+                detail = "it died without reporting (killed or exited)"
+            else:
+                if message[0] == kind:
+                    return message
+                detail = (
+                    f"it raised:\n{message[1]}"
+                    if message[0] == "err"
+                    else f"protocol error: expected {kind!r}, got {message[0]!r}"
+                )
+            raise PartitionError(
+                f"shard-parallel worker {w} (partitions {owned[w]}) failed "
+                f"in the window ending at {edge:.6f}: {detail}"
+            )
+
         try:
             fired_total = 0
             last = len(edges) - 1
             for i, edge in enumerate(edges):
                 fired = self._run_window(mine, edge, i == last)
                 envelopes = self.network.take_outbox()
-                for read_fd, _, _ in channels:
-                    kind, payload, fired_w = self._expect(
-                        _read_msg(read_fd), "win"
-                    )
+                for w in range(1, workers):
+                    _, payload, fired_w = receive(w, "win", edge)
                     envelopes.extend(payload)
                     fired += fired_w
                 fired_total += fired
                 self._check_budget(fired_total, max_events, edge)
                 for w, (_, write_fd, _) in enumerate(channels, start=1):
-                    _write_msg(
-                        write_fd,
-                        (
-                            "inbox",
-                            [
-                                env
-                                for env in envelopes
-                                if partition_of[env.dst] % workers == w
-                            ],
-                        ),
-                    )
+                    inbox = [
+                        env
+                        for env in envelopes
+                        if partition_of[env.dst] % workers == w
+                    ]
+                    try:
+                        _write_msg(write_fd, ("inbox", inbox))
+                    except OSError:
+                        pass  # a dead worker surfaces at its next receive
                 self._inject(
                     [
                         env
@@ -285,13 +306,8 @@ class ShardParEngine:
                     ]
                 )
             results = [collect(mine) if collect is not None else None]
-            for read_fd, _, _ in channels:
-                kind, payload = _read_msg(read_fd)
-                if kind == "err":
-                    raise RuntimeError(
-                        f"shard-parallel worker failed:\n{payload}"
-                    )
-                results.append(payload)
+            for w in range(1, workers):
+                results.append(receive(w, "done", edges[-1])[1])
             return results
         except BaseException:
             for _, write_fd, _ in channels:
@@ -301,6 +317,8 @@ class ShardParEngine:
                     pass
             raise
         finally:
+            # Reap every worker on every path: siblings of a failed
+            # worker see the abort (or their pipe closing) and exit.
             for read_fd, write_fd, child in channels:
                 os.close(read_fd)
                 os.close(write_fd)
@@ -308,19 +326,6 @@ class ShardParEngine:
                     os.waitpid(child, 0)
                 except ChildProcessError:
                     pass
-
-    @staticmethod
-    def _expect(message: tuple, kind: str) -> tuple:
-        if message[0] == "err":
-            raise RuntimeError(
-                f"shard-parallel worker failed:\n{message[1]}"
-            )
-        if message[0] != kind:
-            raise RuntimeError(
-                f"shard-parallel protocol error: expected {kind!r}, "
-                f"got {message[0]!r}"
-            )
-        return message
 
     def _child_main(
         self,

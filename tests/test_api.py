@@ -8,7 +8,6 @@ mid-flight, and TIMED_OUT as a state distinct from ABORTED.
 import pytest
 
 from repro.api import (
-    DriverConfig,
     Network,
     Session,
     SystemDriver,
@@ -241,17 +240,18 @@ def test_replica_ledgers_cover_the_cluster():
 # ----------------------------------------------------------------------
 def test_every_benchmarked_system_satisfies_the_driver_protocol():
     from repro.bench.drivers import build_driver, known_systems
+    from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
     from repro.workload.generator import WorkloadMix
 
     assert {"Flt-C", "Crd-B(PF)", "Fabric", "FastFabric", "Caper",
             "SharPer", "AHL", "Fig4d"} <= set(known_systems())
-    cfg = DriverConfig(
+    spec = ScenarioSpec(
+        name="driver-protocol",
         system="Flt-C",
-        mix=WorkloadMix(cross=0.1, cross_type="isce"),
-        enterprises=("A", "B"),
-        shards=1,
+        topology=TopologySpec(enterprises=("A", "B"), shards=1),
+        workload=WorkloadSpec(mix=WorkloadMix(cross=0.1, cross_type="isce")),
     )
-    driver = build_driver(cfg)
+    driver = build_driver(spec)
     assert isinstance(driver, SystemDriver)
     driver.submit_next()
     driver.run(0.5)
@@ -262,10 +262,10 @@ def test_every_benchmarked_system_satisfies_the_driver_protocol():
 def test_unknown_system_fails_with_the_valid_set():
     from repro.bench.drivers import build_driver
     from repro.errors import WorkloadError
-    from repro.workload.generator import WorkloadMix
+    from repro.scenarios import ScenarioSpec
 
     with pytest.raises(WorkloadError, match="unknown system.*Flt-C"):
-        build_driver(DriverConfig(system="NopeDB", mix=WorkloadMix()))
+        build_driver(ScenarioSpec(name="nope", system="NopeDB"))
 
 
 def test_generic_run_point_measures_all_four_families():

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.bench.runner import (
-    QANAAT_PROTOCOLS,
-    run_fabric_point,
-    run_qanaat_point,
-    sweep,
-)
+from repro.bench.runner import QANAAT_PROTOCOLS, run_point, sweep
 from repro.core.deployment import Metrics
 from repro.workload.generator import WorkloadMix
 
@@ -33,7 +28,7 @@ def test_metrics_windows():
 
 
 def test_qanaat_point_unsaturated_tracks_offered():
-    point = run_qanaat_point("Flt-C", 1500, MIX, **FAST)
+    point = run_point("Flt-C", 1500, MIX, **FAST)
     assert point.completed > 0
     assert point.throughput_tps == pytest.approx(1500, rel=0.25)
     assert not point.saturated
@@ -41,7 +36,7 @@ def test_qanaat_point_unsaturated_tracks_offered():
 
 
 def test_fabric_point_runs():
-    point = run_fabric_point("Fabric", 1500, MIX, **FAST)
+    point = run_point("Fabric", 1500, MIX, **FAST)
     assert point.completed > 0
     assert not point.saturated
 
@@ -60,7 +55,7 @@ def test_all_protocol_names_resolve():
 
 
 def test_crash_nodes_option_still_commits():
-    point = run_qanaat_point("Flt-C", 1000, MIX, crash_nodes=1, **FAST)
+    point = run_point("Flt-C", 1000, MIX, crash_nodes=1, **FAST)
     assert point.completed > 0
 
 

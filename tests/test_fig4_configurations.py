@@ -191,4 +191,5 @@ def test_fig4c_execution_nodes_still_fenced_from_clients():
     deployment = build(fig4c_config())
     client = deployment.create_client("A")
     exec_node = deployment.firewalls["A1"].execution_nodes[0]
-    assert not deployment.network._routable(exec_node.node_id, client.node_id)
+    assert exec_node.send(client.node_id, "leak") is False
+    assert deployment.sim.pending() == 0

@@ -73,14 +73,16 @@ def test_no_path_skips_a_row():
     deployment = build(h=1)
     firewall = deployment.firewalls["A1"]
     ordering = deployment.directory.get("A1").members
+    send = deployment.network.send
     for exec_node in firewall.execution_nodes:
         for member in ordering:
-            assert not deployment.network._routable(member, exec_node.node_id)
+            assert send(member, exec_node.node_id, "skip") is False
     for bottom in firewall.rows[0]:
         for exec_node in firewall.execution_nodes:
-            assert not deployment.network._routable(
-                bottom.node_id, exec_node.node_id
-            )
+            assert send(bottom.node_id, exec_node.node_id, "skip") is False
+    # Unroutable means never on the wire: nothing was even scheduled.
+    assert deployment.network.messages_sent == 0
+    assert deployment.sim.pending() == 0
 
 
 @pytest.mark.parametrize("h,g", [(1, 1), (2, 1), (1, 2)])

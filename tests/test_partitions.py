@@ -128,10 +128,11 @@ def test_partition_helper_blocks_across_groups_only():
     deployment = make_deployment()
     network = deployment.network
     network.partition({"A1.o0", "A1.o1"}, {"A1.o2"})
-    assert not network._routable("A1.o0", "A1.o2")
-    assert not network._routable("A1.o2", "A1.o1")
-    assert network._routable("A1.o0", "A1.o1")
+    assert network.send("A1.o0", "A1.o2", "cut") is False
+    assert network.send("A1.o2", "A1.o1", "cut") is False
+    assert network.send("A1.o0", "A1.o1", "same-group") is True
     # Unnamed nodes are unaffected.
-    assert network._routable("A1.o0", "B1.o0")
+    assert network.send("A1.o0", "B1.o0", "unnamed") is True
     network.heal()
-    assert network._routable("A1.o0", "A1.o2")
+    assert network.send("A1.o0", "A1.o2", "healed") is True
+    assert network.messages_sent == 3

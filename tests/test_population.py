@@ -2,7 +2,6 @@
 profiles, the open-loop arrival engine, trace capture/replay, and the
 elastic/flash-crowd scenario families."""
 
-import dataclasses
 import json
 import random
 
@@ -22,8 +21,6 @@ from repro.scenarios import (
     build,
     run_scenario,
 )
-from repro.scenarios.faults import FaultScheduler
-from repro.scenarios.shardpar import run_scenario_shardpar
 from repro.workload.generator import WorkloadMix
 from repro.workload.population import (
     ConstantRate,
@@ -343,16 +340,12 @@ def test_captured_population_run_replays_byte_identically(tmp_path):
     captured = run_scenario(population_spec(capture_trace=trace_path))
     replayed = run_scenario(population_spec(replay_trace=trace_path))
     assert stripped(captured) == stripped(replayed)
-    # The replay is also byte-identical across shard-parallel worker
-    # counts (the sequential and partitioned kernels draw latencies in
-    # different orders, so identity holds per engine, not across them).
-    shardpar = [
-        run_scenario_shardpar(
-            population_spec(replay_trace=trace_path).with_kernel_workers(w)
+    # ... and the replay is byte-identical at every kernel_workers.
+    for workers in (1, 2):
+        partitioned = run_scenario(
+            population_spec(replay_trace=trace_path).with_kernel_workers(workers)
         )
-        for w in (1, 2)
-    ]
-    assert stripped(shardpar[0]) == stripped(shardpar[1])
+        assert stripped(partitioned) == stripped(replayed)
 
 
 def test_shardpar_capture_matches_sequential_capture(tmp_path):
@@ -361,9 +354,7 @@ def test_shardpar_capture_matches_sequential_capture(tmp_path):
     seq = tmp_path / "seq.jsonl"
     par = tmp_path / "par.jsonl"
     run_scenario(population_spec(capture_trace=str(seq)))
-    run_scenario_shardpar(
-        population_spec(capture_trace=str(par)).with_kernel_workers(2)
-    )
+    run_scenario(population_spec(capture_trace=str(par)).with_kernel_workers(2))
     assert par.read_text() == seq.read_text()
 
 
@@ -412,11 +403,8 @@ def test_elastic_events_fire_under_load():
 
 
 def test_elastic_events_are_rejected_on_partitioned_kernels():
-    spec = elastic_spec()
-    deployment = build(dataclasses.replace(spec, faults=()))
-    scheduler = FaultScheduler(deployment, spec.faults)
     with pytest.raises(ConfigurationError, match="kernel_workers=None"):
-        scheduler.install_partitioned(None, None)
+        build(elastic_spec().with_kernel_workers(2))
 
 
 # ----------------------------------------------------------------------

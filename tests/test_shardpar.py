@@ -1,11 +1,14 @@
 """Shard-parallel simulation: the conservative-lookahead engine, the
 partitioned network, fault routing, and the byte-identity guarantee
-across worker counts."""
+across every ``kernel_workers`` setting (``None`` included)."""
 
 import dataclasses
 import json
+import os
 
 import pytest
+
+from repro.bench.experiments import SCALES
 
 from repro.bench.report import strip_perf
 from repro.errors import (
@@ -13,9 +16,15 @@ from repro.errors import (
     PartitionError,
     SimulationLimitError,
 )
-from repro.scenarios import FaultEvent, run_scenario, shardpar_scenario
+from repro.scenarios import (
+    FaultEvent,
+    bench_scenarios,
+    build,
+    run_scenario,
+    shardpar_scenario,
+    validate_partitioning,
+)
 from repro.scenarios.faults import JitterOverlay
-from repro.scenarios.shardpar import build_shardpar, run_scenario_shardpar
 from repro.sim import Network, RegionLatency, SimNode, Simulator, UniformLatency
 from repro.sim.latency import LatencyModel
 from repro.sim.partition import (
@@ -94,10 +103,12 @@ def test_boundary_lookahead_minimum_across_partitions():
 
 
 def test_zero_latency_boundary_rejected_not_deadlocked():
-    pmap = PartitionMap(["A1", "B1"])
-    model = UniformLatency(base_ms=0.0, jitter_ms=0.5)
+    spec = dataclasses.replace(
+        small_spec(kernel_workers=2),
+        latency=UniformLatency(base_ms=0.0, jitter_ms=0.5),
+    )
     with pytest.raises(ConfigurationError, match="zero-latency boundary"):
-        boundary_lookahead(model, pmap, ["A1.o0", "B1.o0"])
+        validate_partitioning(spec)
 
 
 def test_no_cross_partition_links_rejected():
@@ -192,7 +203,7 @@ def test_facade_activate_restores_previous_context():
 def test_partition_map_prefix_assignment():
     pmap = PartitionMap(["A1", "A2", "B1"])
     assert len(pmap) == 4
-    assert pmap.pid_of_node("A2.o1") == pmap.pid_of_cluster("A2")
+    assert pmap.pid_of_node("A2.o1") == pmap.pid_of_node("A2") == 2
     assert pmap.pid_of_node("client-A-0") == ROOT_PID
     with pytest.raises(ConfigurationError, match="duplicate"):
         PartitionMap(["A1", "A1"])
@@ -254,29 +265,92 @@ def test_engine_clamps_workers_to_partition_count():
 
 
 # ----------------------------------------------------------------------
-# end-to-end byte-identity across worker counts (the tentpole claim)
+# end-to-end byte-identity across worker settings (the tentpole claim)
 # ----------------------------------------------------------------------
 def test_reports_identical_at_any_worker_count():
     spec = small_spec()
     reports = [
-        run_scenario_shardpar(spec.with_kernel_workers(w)) for w in (1, 2, 4)
+        run_scenario(spec.with_kernel_workers(w)) for w in (None, 1, 2, 4)
     ]
-    assert stripped(reports[0]) == stripped(reports[1]) == stripped(reports[2])
+    assert len({stripped(report) for report in reports}) == 1
     measure = reports[0]["windows"]["measure"]
     assert measure["completed"] > 0
-    # Deterministic kernel facts are part of the comparable results.
-    assert reports[0]["kernel"]["partitions"] == 5
-    assert reports[0]["kernel"]["lookahead_s"] > 0
-    # Worker count is perf metadata, never a result.
-    assert "kernel_workers" not in strip_perf(reports[1])
-    assert reports[2]["perf"]["kernel_workers"] == 4
-    assert len(reports[2]["perf"]["workers"]) == 4
+    # Kernel facts and the worker count are perf metadata, never a
+    # result: they differ between settings and compare away.
+    assert "kernel" not in strip_perf(reports[1])
+    assert reports[0]["perf"]["kernel"]["partitions"] == 1
+    assert reports[1]["perf"]["kernel"]["partitions"] == 5
+    assert reports[1]["perf"]["kernel"]["lookahead_s"] > 0
+    assert reports[1]["perf"]["kernel"] == reports[3]["perf"]["kernel"]
+    assert reports[3]["perf"]["kernel_workers"] == 4
+    assert [len(r["perf"]["workers"]) for r in reports] == [1, 1, 2, 4]
+    for report in reports:
+        assert report["perf"]["events"] == sum(
+            w["events"] for w in report["perf"]["workers"]
+        )
 
 
-def test_run_scenario_dispatches_on_kernel_workers():
-    report = run_scenario(small_spec(kernel_workers=2))
-    assert report["kernel"]["windows"] > 0
-    assert report["perf"]["kernel_workers"] == 2
+def _smoke(name):
+    (spec,) = bench_scenarios(SCALES["smoke"], seed=1, names=(name,)).values()
+    return spec
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        shardpar_scenario(
+            4, seed=1, rate_per_cluster=40.0, warmup=0.04, measure=0.1,
+            drain=0.06,
+        ),
+        _smoke("steady-crash-flattened"),
+        _smoke("partition-heal"),
+        _smoke("equivocating-primary"),
+        _smoke("wan-jitter-burst"),
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_one_spec_one_answer(spec):
+    """The guarantee: a spec the validation function accepts yields the
+    same artifact bytes on one kernel, on windowed per-cluster kernels
+    in-process, and on forked workers."""
+    from repro.bench.report import canonical_json
+
+    validate_partitioning(spec)
+    artifacts = {
+        canonical_json(strip_perf(run_scenario(spec.with_kernel_workers(w))))
+        for w in (None, 1, 2)
+    }
+    assert len(artifacts) == 1
+
+
+def _wal_spec(tmp_path):
+    spec = small_spec()
+    return dataclasses.replace(
+        spec,
+        topology=dataclasses.replace(
+            spec.topology, storage_backend="wal", storage_dir=str(tmp_path)
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, restriction",
+    [
+        (lambda tmp: _smoke("fabric-baseline"), "Qanaat deployments only"),
+        (lambda tmp: _smoke("elastic-reconfig"), "reconfigure global"),
+        (_wal_spec, "storage_backend='memory'"),
+    ],
+    ids=["fabric-baseline", "elastic-reconfig", "wal"],
+)
+def test_unpartitionable_specs_rejected_by_the_one_function(
+    tmp_path, make, restriction
+):
+    spec = make(tmp_path).with_kernel_workers(2)
+    with pytest.raises(ConfigurationError, match=restriction):
+        validate_partitioning(spec)
+    # ... and that function is what the run path raises from.
+    with pytest.raises(ConfigurationError, match=restriction):
+        run_scenario(spec)
 
 
 def test_delivery_exactly_on_window_edge():
@@ -287,9 +361,7 @@ def test_delivery_exactly_on_window_edge():
     spec = dataclasses.replace(
         small_spec(), latency=UniformLatency(base_ms=0.25, jitter_ms=0.0)
     )
-    reports = [
-        run_scenario_shardpar(spec.with_kernel_workers(w)) for w in (1, 2)
-    ]
+    reports = [run_scenario(spec.with_kernel_workers(w)) for w in (1, 2)]
     assert stripped(reports[0]) == stripped(reports[1])
     assert reports[0]["windows"]["measure"]["completed"] > 0
 
@@ -307,9 +379,9 @@ def test_fault_timeline_identical_across_workers():
     )
     spec = dataclasses.replace(small_spec(), faults=faults)
     reports = [
-        run_scenario_shardpar(spec.with_kernel_workers(w)) for w in (1, 2, 3)
+        run_scenario(spec.with_kernel_workers(w)) for w in (None, 1, 2, 3)
     ]
-    assert stripped(reports[0]) == stripped(reports[1]) == stripped(reports[2])
+    assert len({stripped(report) for report in reports}) == 1
     kinds = [entry["kind"] for entry in reports[0]["fault_trace"]]
     assert kinds == [
         "crash", "wan_jitter", "partition", "wan_jitter_end", "heal",
@@ -319,9 +391,7 @@ def test_fault_timeline_identical_across_workers():
 
 def test_obs_trace_merges_deterministically():
     spec = dataclasses.replace(small_spec(), trace=True)
-    reports = [
-        run_scenario_shardpar(spec.with_kernel_workers(w)) for w in (1, 2)
-    ]
+    reports = [run_scenario(spec.with_kernel_workers(w)) for w in (1, 2)]
     # obs is perf-adjacent metadata (span counts shift with the process
     # split), but the merged metric counters are deterministic.
     assert (
@@ -340,7 +410,48 @@ def test_event_budget_enforced_at_barriers():
     )
     for workers in (1, 2):
         with pytest.raises(SimulationLimitError, match="window barriers"):
-            run_scenario_shardpar(spec.with_kernel_workers(workers))
+            run_scenario(spec.with_kernel_workers(workers))
+
+
+# ----------------------------------------------------------------------
+# a worker that dies (not raises) mid-run
+# ----------------------------------------------------------------------
+def test_killed_worker_raises_one_partition_error_and_reaps_siblings():
+    facade = PartitionedSimulator(PartitionMap(["A1", "B1"]))
+    net = Network(facade, latency=UniformLatency(base_ms=1.0, jitter_ms=0.0))
+    parent = os.getpid()
+
+    def die_in_child():
+        if os.getpid() != parent:
+            os._exit(9)
+
+    # Partition 1 belongs to worker 1 of 3 (pid % workers).
+    facade.kernels[1].schedule_at(0.0045, die_in_child)
+    engine = ShardParEngine(facade, net, lookahead=0.001, workers=3)
+    with pytest.raises(PartitionError) as caught:
+        engine.run(0.01)
+    message = str(caught.value)
+    assert "worker 1 (partitions [1])" in message
+    assert "window ending at 0.005" in message
+    assert "died without reporting" in message
+    # Every child — the dead one and its healthy sibling — was waited.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_raising_worker_reports_through_the_same_error():
+    facade = PartitionedSimulator(PartitionMap(["A1"]))
+    net = Network(facade, latency=UniformLatency(base_ms=1.0, jitter_ms=0.0))
+
+    def boom():
+        raise ValueError("boom at 0.002")
+
+    facade.kernels[1].schedule_at(0.002, boom)
+    engine = ShardParEngine(facade, net, lookahead=0.001, workers=2)
+    with pytest.raises(PartitionError, match="(?s)worker 1 .*boom at 0.002"):
+        engine.run(0.01)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ----------------------------------------------------------------------
@@ -353,34 +464,16 @@ def test_live_selectors_rejected_in_partition_groups():
             groups=(("primary:A1",), ("cluster:B1",)),
         ),
     )
-    spec = dataclasses.replace(small_spec(), faults=faults)
+    spec = dataclasses.replace(small_spec(kernel_workers=1), faults=faults)
     with pytest.raises(ConfigurationError, match="live consensus state"):
-        build_shardpar(spec)
+        build(spec)
 
 
 def test_enterprise_node_state_target_rejected():
     faults = (FaultEvent(at=0.01, kind="crash", target="enterprise:A"),)
-    spec = dataclasses.replace(small_spec(), faults=faults)
+    spec = dataclasses.replace(small_spec(kernel_workers=1), faults=faults)
     with pytest.raises(ConfigurationError, match="spans multiple"):
-        build_shardpar(spec)
-
-
-def test_durable_storage_rejected():
-    spec = small_spec()
-    spec = dataclasses.replace(
-        spec,
-        topology=dataclasses.replace(
-            spec.topology, storage_backend="sqlite", storage_dir="/tmp/x"
-        ),
-    )
-    with pytest.raises(ConfigurationError, match="memory"):
-        build_shardpar(spec)
-
-
-def test_baseline_system_rejected():
-    spec = dataclasses.replace(small_spec(), system="Fabric")
-    with pytest.raises(ConfigurationError, match="baseline"):
-        build_shardpar(spec)
+        build(spec)
 
 
 def test_kernel_workers_validated_on_spec():
@@ -420,8 +513,8 @@ def test_multicast_fast_path_matches_per_send_loop():
         routed = net_a.multicast("n0", dsts, "m")
         loop_routed = sum(1 for d in dsts if net_b.send("n0", d, "m"))
         assert routed == loop_routed
-    # Identical rng consumption, counters, and scheduled deliveries.
-    assert net_a.rng.getstate() == net_b.rng.getstate()
+    # Identical counters and scheduled deliveries (which pins every
+    # pair's rng consumption: the delays are its draws).
     assert net_a.messages_sent == net_b.messages_sent == 100
     assert net_a.messages_dropped == net_b.messages_dropped > 0
     sim_a.run()
@@ -440,7 +533,6 @@ def test_multicast_falls_back_when_restricted():
         1 for d in ["n1", "n2", "n3"] if net_b.send("n0", d, "m")
     )
     assert routed == loop_routed == 2
-    assert net_a.rng.getstate() == net_b.rng.getstate()
     sim_a.run()
     sim_b.run()
     assert nodes_a[3].received == [] and nodes_b[3].received == []

@@ -170,8 +170,8 @@ def test_region_latency_unknown_node_raises():
 # the send fast path: dirty-flag invalidation and sampler caching
 # ----------------------------------------------------------------------
 def test_partition_applied_after_traffic_started_still_blocks():
-    # The fast path skips _routable while no restrictions exist; a
-    # partition installed mid-run must invalidate it immediately.
+    # The fast path skips the route check while no restrictions exist;
+    # a partition installed mid-run must invalidate it immediately.
     sim, net, a, b = make_pair()
     assert a.send("b", 1) is True      # fast path in effect
     net.block("a", "b")
@@ -194,6 +194,31 @@ def test_link_restriction_applied_after_traffic_started_still_blocks():
     assert exec_node.send("filter", "reply") is True
     sim.run()
     assert [m for m, _, _ in client.received] == ["before"]
+
+
+def test_link_restriction_after_partitioning_dirties_every_view():
+    # Regression: restrict_links used to clear only a network-wide
+    # flag, leaving each partition view's fast-path flag True — send
+    # then skipped the route check and delivered over a link the
+    # privacy firewall (§3.4) says is physically absent.
+    from repro.sim.partition import PartitionMap, PartitionedSimulator
+
+    sim = PartitionedSimulator(PartitionMap(["A1", "B1"]))
+    net = Network(sim)
+    exec_node = Recorder("A1.e0", sim, net)
+    Recorder("A1.f0", sim, net)
+    client = Recorder("client-A-0", sim, net)
+    peer = Recorder("B1.o0", sim, net)
+    net.restrict_links("A1.e0", ["A1.f0"])
+    with sim.activate(1):
+        assert exec_node.send("client-A-0", "leak!") is False
+        assert exec_node.send("B1.o0", "leak!") is False
+        assert exec_node.send("A1.f0", "reply") is True
+    with sim.activate(2):
+        assert peer.send("A1.e0", "probe") is False
+    assert net.take_outbox() == []  # nothing crossed a boundary
+    assert net.messages_sent == 1
+    assert client.received == peer.received == []
 
 
 def test_heal_restores_fast_path_only_without_link_restrictions():
