@@ -6,8 +6,9 @@ could not express.  One run:
 
 1. drives a durable deployment (``storage_backend`` = ``wal`` or
    ``sqlite``) at a fixed offered load with checkpointing on, so
-   stable checkpoints keep moving the durability frontier
-   (snapshot + journal compaction) under live traffic;
+   stable checkpoints keep moving the durability frontier (journal
+   sync, and a snapshot + compaction fold whenever the journal has
+   outgrown the state) under live traffic;
 2. crashes a non-primary replica halfway through the measurement
    window and records the exact per-chain state digests it died with;
 3. rebuilds a fresh :class:`~repro.core.executor.ExecutionUnit` from
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.bench.report import write_json
-from repro.core.executor import ExecutionUnit
+from repro.core.executor import JOURNAL_COUNTERS, ExecutionUnit
 from repro.errors import StorageError
 from repro.scenarios.build import build, build_workload
 from repro.scenarios.runner import launch_workload
@@ -125,6 +126,9 @@ def _run_recovery_scenario(
         chain: victim.executor.state_digest(*chain) for chain in chains
     }
     committed_pre_crash = victim.committed_tx_count
+    journal = {
+        name: getattr(victim.executor, name) for name in JOURNAL_COUNTERS
+    }
     throughput = deployment.metrics.throughput(warmup, warmup + measure)
     deployment.close()
 
@@ -167,6 +171,7 @@ def _run_recovery_scenario(
         "committed_pre_crash": committed_pre_crash,
         "chains": chain_reports,
         "digests_match": bool(all_match),
+        "journal": journal,
         "recovery": {
             "latency_s": latency,
             "namespaces": stats.namespaces,

@@ -10,9 +10,10 @@ time a chain's committed sequence crosses a multiple of the interval.
 
 The flow for one chain ``(label, shard)`` at sequence ``n``:
 
-1. every replica computes a state digest — the chain head digest plus
-   the store snapshot at version ``n`` — and multicasts a signed
-   :class:`CheckpointMsg`;
+1. every replica computes a state digest — a commitment to the chain
+   head and the store's state root at version ``n``, kept incrementally
+   so it costs O(writes since the last checkpoint) — and multicasts a
+   signed :class:`CheckpointMsg`;
 2. on a local-majority of matching digests the checkpoint is *stable*:
    a :class:`StableCheckpoint` certificate is assembled, consensus
    slots covered by it are garbage-collected, and older checkpoints
@@ -20,7 +21,8 @@ The flow for one chain ``(label, shard)`` at sequence ``n``:
 3. a replica that discovers (through checkpoint traffic) that it is a
    full interval behind requests state transfer; the response carries
    the snapshot and the certificate, so the payload is verified
-   against a quorum of signatures before being installed.
+   against a quorum of signatures — and the same state digest,
+   recomputed from the snapshot alone — before being installed.
 
 The manager is transport-agnostic (it talks through the same host
 interface as the consensus protocols), so unit tests drive it over
@@ -135,11 +137,18 @@ class CheckpointManager:
         local-majority).
     interval:
         Checkpoint every ``interval`` commits per chain.
+    digest_fn:
+        ``(label, shard, seq) -> digest`` — the replica's commitment to
+        the chain's state at exactly that version; this is what it
+        votes.  ``None``: pure ordering nodes vote on the commit vector
+        only.
     snapshot_fn:
-        ``(label, shard, seq) -> payload`` — the replica's state for
-        the chain at exactly that version (digested for the vote and
-        shipped on state transfer).  ``None`` disables snapshots (pure
-        ordering nodes vote on the commit vector only).
+        ``(label, shard, seq) -> payload`` — the full state behind that
+        digest, materialized only to answer a state-transfer request.
+    snapshot_digest_fn:
+        ``(label, shard, seq, payload) -> digest`` — ``digest_fn``'s
+        value recomputed from a transferred payload alone; a payload
+        whose digest differs from the certified one is dropped.
     install_fn:
         ``(checkpoint, snapshot) -> None`` — adopt a verified remote
         checkpoint (fast-forward sequence books, store, ledger anchor).
@@ -150,7 +159,8 @@ class CheckpointManager:
         ``(label, shard, seq) -> None`` — called after a checkpoint
         becomes stable and the log is collected.  Stable checkpoints
         are the *durability frontier*: the storage layer hooks in here
-        to snapshot and compact its journal (:mod:`repro.storage`).
+        to sync its journal, and to fold it into a snapshot when it has
+        outgrown the state (:mod:`repro.storage`).
     """
 
     def __init__(
@@ -158,7 +168,9 @@ class CheckpointManager:
         host: Any,
         quorum: int,
         interval: int = 64,
+        digest_fn: Callable[[str, int, int], str] | None = None,
         snapshot_fn: Callable[[str, int, int], Any] | None = None,
+        snapshot_digest_fn: Callable[[str, int, int, Any], str] | None = None,
         install_fn: Callable[[StableCheckpoint, Any], None] | None = None,
         gc_fn: Callable[[str, int, int], None] | None = None,
         on_stable_fn: Callable[[str, int, int], None] | None = None,
@@ -168,7 +180,9 @@ class CheckpointManager:
         self.host = host
         self.quorum = quorum
         self.interval = interval
+        self.digest_fn = digest_fn
         self.snapshot_fn = snapshot_fn
+        self.snapshot_digest_fn = snapshot_digest_fn
         self.install_fn = install_fn
         self.gc_fn = gc_fn
         self.on_stable_fn = on_stable_fn
@@ -201,7 +215,10 @@ class CheckpointManager:
         self._vote(label, shard, seq)
 
     def _vote(self, label: str, shard: int, seq: int) -> None:
-        state_digest = self._state_digest(label, shard, seq)
+        if self.digest_fn is None:
+            state_digest = digest(["commit-vector", label, shard, seq])
+        else:
+            state_digest = self.digest_fn(label, shard, seq)
         draft = StableCheckpoint(
             self.host.cluster_name, label, shard, seq, state_digest
         )
@@ -218,13 +235,6 @@ class CheckpointManager:
         others = [m for m in self.host.members if m != self.host.node_id]
         self.host.multicast(others, msg)
         self._maybe_stable(label, shard, seq)
-
-    def _state_digest(self, label: str, shard: int, seq: int) -> str:
-        if self.snapshot_fn is None:
-            return digest(["commit-vector", label, shard, seq])
-        return digest(
-            ["state", label, shard, seq, self.snapshot_fn(label, shard, seq)]
-        )
 
     # ------------------------------------------------------------------
     # message handling
@@ -323,12 +333,15 @@ class CheckpointManager:
             return
         if not checkpoint.verify(self.host.key_registry, self.quorum):
             return
-        if self.snapshot_fn is not None:
-            expected = digest(
-                ["state", checkpoint.label, checkpoint.shard, checkpoint.seq,
-                 msg.snapshot]
-            )
-            if expected != checkpoint.state_digest:
+        if self.snapshot_digest_fn is not None:
+            try:
+                carried = self.snapshot_digest_fn(
+                    checkpoint.label, checkpoint.shard, checkpoint.seq,
+                    msg.snapshot,
+                )
+            except (AttributeError, KeyError, TypeError):
+                return  # not even shaped like a snapshot
+            if carried != checkpoint.state_digest:
                 return  # snapshot does not match the certified digest
         if self.install_fn is not None:
             self.install_fn(checkpoint, msg.snapshot)

@@ -25,7 +25,7 @@ from repro.core.contracts import ContractRegistry, StoreView
 from repro.crypto.hashing import digest
 from repro.datamodel.collections import CollectionRegistry
 from repro.datamodel.sharding import ShardingSchema
-from repro.datamodel.store import MultiVersionStore
+from repro.datamodel.store import MultiVersionStore, state_root
 from repro.datamodel.transaction import OrderedTransaction
 from repro.datamodel.txid import TxId
 from repro.errors import CryptoError, DataModelError
@@ -74,6 +74,39 @@ class ExecutionResult:
     reply_to_client: bool
 
 
+def chain_state_digest(
+    label: str, shard: int, seq: int, head: str, root: int, count: int
+) -> str:
+    """The one definition of "the state of a chain at ``seq``": its
+    ledger content head plus the store's state root and key count.
+
+    Checkpoint votes, state-transfer verification and the recovery
+    audit (:meth:`ExecutionUnit.state_digest`) all digest exactly this,
+    so a replica that executed every write, one that installed a
+    checkpoint and one rebuilt from disk agree whenever they hold the
+    same state.
+    """
+    return digest(["chain-state", label, shard, seq, head, f"{root:064x}", count])
+
+
+def snapshot_digest(
+    label: str, shard: int, seq: int, snapshot: dict[str, Any]
+) -> str:
+    """:func:`chain_state_digest` of a :meth:`ExecutionUnit.chain_snapshot`
+    payload, computed from the payload alone — what the receiver of a
+    state transfer checks against the certified digest."""
+    return chain_state_digest(
+        label, shard, seq, snapshot["head"], *state_root(snapshot["state"])
+    )
+
+
+#: :class:`ExecutionUnit` attributes counting what checkpoints did to
+#: the journal (mirrored per cluster into the obs metric registry).
+JOURNAL_COUNTERS = (
+    "checkpoint_syncs", "checkpoint_folds", "journal_records_dropped",
+)
+
+
 @dataclass
 class RecoveryStats:
     """What :meth:`ExecutionUnit.recover` rebuilt from disk."""
@@ -111,6 +144,13 @@ class ExecutionUnit:
         self._gamma_parked: dict[tuple[str, int], deque[_PendingCommit]] = {}
         self._executed_requests: dict[tuple[str, int], set[int]] = {}
         self._last_reply: dict[str, tuple[int, Any]] = {}
+        # Journal folding (see persist_checkpoint): store records
+        # journaled per chain since its last snapshot, and what the
+        # checkpoints did to the journal so far.
+        self._unfolded: dict[tuple[str, int], int] = {}
+        self.checkpoint_syncs = 0
+        self.checkpoint_folds = 0
+        self.journal_records_dropped = 0
 
     # ------------------------------------------------------------------
     # intake
@@ -256,6 +296,9 @@ class ExecutionUnit:
                 self.store.write(label, shard, tx_id.alpha.seq, write_key, value)
         else:
             self.store.mark_version(label, shard, tx_id.alpha.seq)
+        if self.backend is not None:  # one journal record per write, or a mark
+            key = (label, shard)
+            self._unfolded[key] = self._unfolded.get(key, 0) + (len(view.writes) or 1)
         self.executed_count += 1
         self._last_reply[otx.tx.client] = (otx.tx.timestamp, result)
         if self.on_executed is not None:
@@ -283,20 +326,35 @@ class ExecutionUnit:
 
         Contains the ledger head digest at ``seq`` and the latest value
         of every key in the chain's namespace as of ``seq``.  Identical
-        on every replica that executed the chain up to ``seq``.
+        on every replica that executed the chain up to ``seq``.  O(keys):
+        only state transfer and journal folds pay for it.
         """
-        missing = object()
-        state: dict[str, Any] = {}
-        for key in self.store.keys(label, shard):
-            value = self.store.read(
-                label, key, shard=shard, at_version=seq, default=missing
-            )
-            if value is not missing:
-                state[key] = value
         return {
-            "head": self.ledger.record(label, shard, seq).content_digest(),
-            "state": state,
+            "head": self._head_at(label, shard, seq),
+            "state": self.store.snapshot_at(label, shard, seq),
         }
+
+    def _head_at(self, label: str, shard: int, seq: int) -> str:
+        if seq == self.ledger.height(label, shard):
+            return self.ledger.content_head(label, shard)  # the anchor, too
+        return self.ledger.record(label, shard, seq).content_digest()
+
+    def chain_digest(self, label: str, shard: int, seq: int) -> str:
+        """:func:`snapshot_digest` of :meth:`chain_snapshot`, without
+        the snapshot: O(writes since the last call) whenever ``seq`` is
+        the version the store stands at (every checkpoint vote — a
+        replica votes the moment it executes ``seq``)."""
+        if seq != self.store.applied_version(label, shard):
+            return snapshot_digest(
+                label, shard, seq, self.chain_snapshot(label, shard, seq)
+            )
+        return chain_state_digest(
+            label,
+            shard,
+            seq,
+            self._head_at(label, shard, seq),
+            *self.store.state_root(label, shard),
+        )
 
     def install_checkpoint(
         self, label: str, shard: int, seq: int, snapshot: dict[str, Any]
@@ -314,10 +372,10 @@ class ExecutionUnit:
         self._appended[key] = seq
         if self.backend is not None:
             # The transferred checkpoint is a durability frontier too:
-            # persist it (head anchor included) so a crash right after
-            # the transfer still recovers an anchored chain.
-            self.backend.snapshot(key, seq, snapshot)
-            self.backend.compact(key, seq)
+            # fold it in (head anchor included — no journal record
+            # carries it) so a crash right after the transfer still
+            # recovers an anchored chain.
+            self._fold(key, seq, snapshot)
         waiting = self._buffer.get(key)
         if waiting:
             for stale_seq in [s for s in waiting if s <= seq]:
@@ -337,28 +395,31 @@ class ExecutionUnit:
     # durability (see repro.storage)
     # ------------------------------------------------------------------
     def state_digest(self, label: str, shard: int = 0) -> str:
-        """Digest of one chain's durable state: height, content head,
-        and latest store values.
+        """:func:`snapshot_digest` of one chain as it stands (height,
+        content head, state root), recomputed from the store's values:
+        an audit, so it neither trusts nor touches the root the store
+        maintains for checkpoint votes.
 
         Computable identically before a crash and after
         :meth:`recover` — individual records below the recovery anchor
         are gone, but the content head and materialized state survive.
         """
-        return digest(
-            [
-                "durable-state",
-                label,
-                shard,
-                self.ledger.height(label, shard),
-                self.ledger.content_head(label, shard),
-                self.store.latest_snapshot(label, shard),
-            ]
+        height = self.ledger.height(label, shard)
+        return snapshot_digest(
+            label, shard, height, self.chain_snapshot(label, shard, height)
         )
 
     def persist_checkpoint(self, label: str, shard: int, seq: int) -> None:
         """A stable checkpoint is the durability frontier (PBFT GC,
-        Castro & Liskov §4.3): snapshot the chain at ``seq`` and drop
-        the journal records the snapshot covers."""
+        Castro & Liskov §4.3): make the journal durable up to ``seq``,
+        and fold it into a snapshot once it has outgrown the state.
+
+        The fold rule is the doubling rule: snapshot + compact only when
+        the store records journaled since the last fold number at least
+        the chain's live keys.  A fold costs O(keys), so folding is O(1)
+        amortised per write and the journal stays within a constant
+        factor of the state.
+        """
         if self.backend is None:
             return
         key = (label, shard)
@@ -369,8 +430,19 @@ class ExecutionUnit:
             or self.store.applied_version(label, shard) < seq
         ):
             return  # not executed that far yet; a later one will cover it
-        self.backend.snapshot(key, seq, self.chain_snapshot(label, shard, seq))
-        self.backend.compact(key, seq)
+        self.backend.sync(key)
+        self.checkpoint_syncs += 1
+        if self._unfolded.get(key, 0) >= self.store.key_count(label, shard):
+            self._fold(key, seq, self.chain_snapshot(label, shard, seq))
+
+    def _fold(self, key: tuple[str, int], seq: int, snapshot: dict[str, Any]) -> None:
+        """Replace the journal up to ``seq`` by one snapshot.  Records
+        already journaled above ``seq`` (execution running ahead of the
+        stable point) stay in the journal and are not counted again."""
+        self.backend.snapshot(key, seq, snapshot)
+        self.journal_records_dropped += self.backend.compact(key, seq)
+        self.checkpoint_folds += 1
+        self._unfolded[key] = 0
 
     @classmethod
     def recover(
@@ -406,11 +478,16 @@ class ExecutionUnit:
                 head_digest = snapshot.payload.get("head")
                 if head_digest is not None:
                     head_seq = snapshot.version
+            unfolded = 0
             for record in recovered.replay_records():
-                if record.kind == KIND_HEAD and record.version > head_seq:
-                    head_seq = record.version
-                    head_digest = head_digest_of(record.value)
-                    stats.records_replayed += 1
+                if record.kind == KIND_HEAD:
+                    if record.version > head_seq:
+                        head_seq = record.version
+                        head_digest = head_digest_of(record.value)
+                        stats.records_replayed += 1
+                else:
+                    unfolded += 1
+            unit._unfolded[namespace] = unfolded
             if head_seq > 0 and head_digest is not None:
                 unit.ledger.install_anchor(label, ns_shard, head_seq, head_digest)
                 unit._appended[namespace] = head_seq

@@ -46,7 +46,12 @@ from repro.consensus.messages import (
     ReplyCertMsg,
 )
 from repro.core.config import ClusterInfo, DeploymentConfig
-from repro.core.executor import ExecutionResult, ExecutionUnit
+from repro.core.executor import (
+    JOURNAL_COUNTERS,
+    ExecutionResult,
+    ExecutionUnit,
+    snapshot_digest,
+)
 from repro.crypto.hashing import digest as _digest
 from repro.crypto.signatures import sign as crypto_sign
 from repro.crypto.signatures import verify as crypto_verify
@@ -150,7 +155,9 @@ class ClusterNode(SimNode):
                 self,
                 quorum=self.config.local_majority,
                 interval=self.config.checkpoint_interval,
-                snapshot_fn=self._chain_snapshot if has_state else None,
+                digest_fn=self.executor.chain_digest if has_state else None,
+                snapshot_fn=self.executor.chain_snapshot if has_state else None,
+                snapshot_digest_fn=snapshot_digest if has_state else None,
                 install_fn=self._install_checkpoint,
                 gc_fn=self._gc_consensus_log,
                 on_stable_fn=self._persist_checkpoint if has_state else None,
@@ -188,6 +195,7 @@ class ClusterNode(SimNode):
         self._obs_tracer = obs.TRACER
         self._obs_probes = obs.PROBES
         self._obs_registry = obs.REGISTRY
+        self._obs_journal_seen: dict[str, int] = {}
 
     # ==================================================================
     # ConsensusHost interface
@@ -695,13 +703,24 @@ class ClusterNode(SimNode):
     # ==================================================================
     # checkpointing callbacks (see repro.consensus.checkpoint)
     # ==================================================================
-    def _chain_snapshot(self, label: str, shard: int, seq: int):
-        return self.executor.chain_snapshot(label, shard, seq)
-
     def _persist_checkpoint(self, label: str, shard: int, seq: int) -> None:
-        """A stable checkpoint became the durability frontier: snapshot
-        and compact the storage journal behind it."""
+        """A stable checkpoint became the durability frontier: sync the
+        storage journal, folding it into a snapshot when it is due."""
         self.executor.persist_checkpoint(label, shard, seq)
+        self._obs_journal_counters()
+
+    def _obs_journal_counters(self) -> None:
+        """Mirror what checkpoints did to the executor's journal into
+        the metric registry, per cluster."""
+        registry = self._obs_registry
+        if registry is None:
+            return
+        for name in JOURNAL_COUNTERS:
+            total = getattr(self.executor, name)
+            delta = total - self._obs_journal_seen.get(name, 0)
+            if delta:
+                self._obs_journal_seen[name] = total
+                registry.counter(name, cluster=self.cluster_name).inc(delta)
 
     def _install_checkpoint(self, checkpoint: StableCheckpoint, snapshot) -> None:
         """State transfer completed: fast-forward this replica."""
@@ -718,6 +737,7 @@ class ClusterNode(SimNode):
                 self._commit_buffer.pop(key, None)
         if self.executor is not None and snapshot is not None:
             self.executor.install_checkpoint(label, shard, seq, snapshot)
+            self._obs_journal_counters()
         # Commits that arrived while the transfer was in flight can now
         # drain in order behind the installed checkpoint.
         self._drain_commits(key)

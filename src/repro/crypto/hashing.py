@@ -214,6 +214,21 @@ def digest(value: Any) -> str:
         _buf_busy = False
 
 
+def digest_int(value: Any) -> int:
+    """The full 256-bit SHA-256 of a canonicalized value, as an integer.
+
+    For additive commitments (the store's multiset state root sums leaf
+    hashes mod 2**256), which need every bit of the hash and arithmetic
+    on it rather than a printable prefix.  Counted like :func:`digest`.
+    """
+    global _digest_calls, _encode_bytes
+    _digest_calls += 1
+    buf = bytearray()
+    _encode_value(value, buf)
+    _encode_bytes += len(buf)
+    return int.from_bytes(hashlib.sha256(buf).digest(), "big")
+
+
 def _encode_value(value: Any, buf: bytearray) -> None:
     """Encode one digest preimage, fast-pathing the dominant shape:
     a flat list/tuple of str/bytes/int (record digests, vote payloads,

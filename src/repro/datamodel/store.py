@@ -9,13 +9,32 @@ transaction with γ = [Y:m] reads d_Y exactly as of its m-th commit.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
+from repro.crypto.hashing import digest_int
 from repro.errors import DataModelError
 from repro.storage.base import KIND_MARK, KIND_WRITE, LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.base import StorageBackend
+
+
+#: The state root is a sum of 256-bit leaf hashes modulo this.
+_ROOT_MODULUS = 1 << 256
+
+
+def state_root(state: Mapping[str, Any]) -> tuple[int, int]:
+    """``(root, key count)`` of a plain ``{key: value}`` state, from
+    scratch: the sum mod 2**256 of one leaf hash per ``(key, value)``.
+
+    A sum is order-independent, so two replicas that hold the same
+    latest values agree on the root whatever history took them there —
+    executing every write, installing a transferred checkpoint, or
+    replaying a journal.  :meth:`MultiVersionStore.state_root` keeps the
+    same number incrementally.
+    """
+    root = sum(digest_int((key, value)) for key, value in state.items())
+    return root % _ROOT_MODULUS, len(state)
 
 
 class MultiVersionStore:
@@ -29,12 +48,25 @@ class MultiVersionStore:
     write and version marker is journaled as it is applied, and
     :meth:`recover` rebuilds an equivalent store from snapshot + log
     replay after a crash.
+
+    A namespace whose *state root* (:func:`state_root` of its latest
+    values) has been asked for keeps it up to date lazily: a write only
+    notes its key as dirty, and :meth:`state_root` re-hashes the dirty
+    keys — so a commitment to the whole namespace costs O(writes since
+    the last one), not O(keys).  Namespaces nobody commits to (no
+    checkpoints) pay one dict probe per write and no memory.
     """
 
     def __init__(self, backend: "StorageBackend | None" = None) -> None:
         self._data: dict[tuple[str, int], dict[str, tuple[list[int], list[Any]]]] = {}
         self._applied: dict[tuple[str, int], int] = {}
         self._backend = backend
+        # State-root bookkeeping, per namespace whose root was ever
+        # asked for: keys written since it was last brought up to date,
+        # the leaf hash each key contributes to it, and the root itself.
+        self._dirty: dict[tuple[str, int], set[str]] = {}
+        self._leaves: dict[tuple[str, int], dict[str, int]] = {}
+        self._roots: dict[tuple[str, int], int] = {}
 
     def namespaces(self) -> list[tuple[str, int]]:
         return list(self._data)
@@ -73,6 +105,9 @@ class MultiVersionStore:
         by_key = self._data.get(namespace)
         if by_key is None:
             by_key = self._data[namespace] = {}
+        dirty = self._dirty.get(namespace)
+        if dirty is not None:
+            dirty.add(key)
         entry = by_key.get(key)
         if entry is None:
             entry = by_key[key] = ([], [])
@@ -128,12 +163,51 @@ class MultiVersionStore:
     def keys(self, label: str, shard: int = 0) -> Iterator[str]:
         yield from self._data.get((label, shard), {})
 
+    def key_count(self, label: str, shard: int = 0) -> int:
+        return len(self._data.get((label, shard), ()))
+
+    def snapshot_at(
+        self, label: str, shard: int = 0, version: int | None = None
+    ) -> dict[str, Any]:
+        """Every key's value as of ``version`` (latest if None), in one
+        walk over the namespace; keys first written later are absent."""
+        by_key = self._data.get((label, shard), {})
+        if version is None or version >= self._applied.get((label, shard), 0):
+            return {key: values[-1] for key, (_, values) in by_key.items()}
+        state: dict[str, Any] = {}
+        for key, (versions, values) in by_key.items():
+            index = bisect.bisect_right(versions, version) - 1
+            if index >= 0:
+                state[key] = values[index]
+        return state
+
     def latest_snapshot(self, label: str, shard: int = 0) -> dict[str, Any]:
         """Latest value of every key in a namespace (for audits/tests)."""
-        return {
-            key: values[-1]
-            for key, (_, values) in self._data.get((label, shard), {}).items()
-        }
+        return self.snapshot_at(label, shard)
+
+    def state_root(self, label: str, shard: int = 0) -> tuple[int, int]:
+        """``(root, key count)`` of the namespace's latest values —
+        equal to :func:`state_root` of :meth:`snapshot_at`, at the cost
+        of one leaf hash per key written since the previous call."""
+        namespace = (label, shard)
+        by_key = self._data.get(namespace, {})
+        dirty = self._dirty.get(namespace)
+        if dirty is None:
+            # First request: every key is new to the root, and write()
+            # notes the keys it touches from now on.
+            dirty = self._dirty[namespace] = set(by_key)
+            self._leaves[namespace] = {}
+            self._roots[namespace] = 0
+        if dirty:
+            leaves = self._leaves[namespace]
+            root = self._roots[namespace]
+            for key in dirty:
+                leaf = digest_int((key, by_key[key][1][-1]))
+                root += leaf - leaves.get(key, 0)
+                leaves[key] = leaf
+            self._roots[namespace] = root % _ROOT_MODULUS
+            dirty.clear()
+        return self._roots[namespace], len(by_key)
 
     def version_count(self, label: str, key: str, shard: int = 0) -> int:
         entry = self._data.get((label, shard), {}).get(key)

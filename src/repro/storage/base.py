@@ -9,8 +9,13 @@ periodic snapshots so a replica can be rebuilt from disk:
 - ``append`` journals one :class:`LogRecord` — a store write, a
   version marker, a ledger content-head anchor, or an archive segment
   manifest — strictly in commit order per namespace;
+- ``sync`` makes everything appended to a namespace so far survive a
+  power loss (every stable checkpoint calls it: the *durability
+  frontier*);
 - ``snapshot`` stores a full materialized state for a namespace at a
-  version (the *durability frontier*, normally a stable checkpoint);
+  version, folding the journal behind it (done only once the journal
+  has outgrown the state — see
+  :meth:`repro.core.executor.ExecutionUnit.persist_checkpoint`);
 - ``compact`` discards journaled records the newest snapshot covers;
 - ``load`` returns the newest snapshot plus the log suffix behind it,
   exactly what replay needs to reproduce the pre-crash state;
@@ -21,8 +26,10 @@ ledgers, or consensus.  Recovery semantics live with the callers
 (:meth:`repro.datamodel.store.MultiVersionStore.recover`,
 :meth:`repro.core.executor.ExecutionUnit.recover`).
 
-Durability frontier invariant: after ``snapshot(ns, v)`` +
-``compact(ns, v)``, ``load(ns)`` reproduces state at any version
+Durability frontier invariant: after ``sync(ns)`` at stable sequence
+``s``, ``load(ns)`` reproduces the state at ``s`` (and whatever was
+appended after it and reached the disk).  After ``snapshot(ns, v)`` +
+``compact(ns, v)``, with ``v <= s``, it reproduces state at any version
 ``>= v`` but nothing older — the same contract PBFT garbage
 collection gives the message log at stable checkpoints.
 """
@@ -175,6 +182,10 @@ class StorageBackend:
     def append(self, namespace: Namespace, record: LogRecord) -> None:
         raise NotImplementedError
 
+    def sync(self, namespace: Namespace) -> None:
+        """Make every record appended to ``namespace`` so far durable."""
+        raise NotImplementedError
+
     def snapshot(self, namespace: Namespace, version: int, payload: Any) -> None:
         raise NotImplementedError
 
@@ -195,11 +206,11 @@ class StorageBackend:
 
     # -- shared guards -------------------------------------------------
     def _check_compact(
-        self, namespace: Namespace, upto_version: int, snapshot: Snapshot | None
+        self, namespace: Namespace, upto_version: int, covered: int
     ) -> None:
-        """Compaction must never outrun the newest snapshot: dropping
-        records above the snapshot would lose committed effects."""
-        covered = snapshot.version if snapshot is not None else 0
+        """Compaction must never outrun the newest snapshot (version
+        ``covered``, 0 if there is none): dropping records above it
+        would lose committed effects."""
         if upto_version > covered:
             raise StorageError(
                 f"cannot compact {namespace} to {upto_version}: newest "

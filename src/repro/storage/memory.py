@@ -35,6 +35,9 @@ class MemoryBackend(StorageBackend):
     def append(self, namespace: Namespace, record: LogRecord) -> None:
         self._log.setdefault(namespace, []).append(record)
 
+    def sync(self, namespace: Namespace) -> None:
+        pass  # nothing outlives the process anyway
+
     def snapshot(self, namespace: Namespace, version: int, payload: Any) -> None:
         self._snapshots[namespace] = Snapshot(version, payload)
 
@@ -46,8 +49,9 @@ class MemoryBackend(StorageBackend):
         )
 
     def compact(self, namespace: Namespace, upto_version: int) -> int:
+        snapshot = self._snapshots.get(namespace)
         self._check_compact(
-            namespace, upto_version, self._snapshots.get(namespace)
+            namespace, upto_version, snapshot.version if snapshot else 0
         )
         log = self._log.get(namespace, [])
         kept = [r for r in log if r.version > upto_version]

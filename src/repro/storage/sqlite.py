@@ -109,6 +109,15 @@ class SqliteBackend(StorageBackend):
             ),
         )
 
+    def sync(self, namespace: Namespace) -> None:
+        # Under synchronous=NORMAL a commit reaches the SQLite WAL file
+        # without an fsync; a checkpoint syncs the WAL before it copies
+        # frames into the database.  PASSIVE never waits for a reader
+        # (the analytics ingest may hold one open).  One database holds
+        # every namespace, so this covers them all.
+        if not self._conn.in_transaction:
+            self._conn.execute("PRAGMA wal_checkpoint(PASSIVE)")
+
     def snapshot(self, namespace: Namespace, version: int, payload: Any) -> None:
         self._conn.execute(
             "INSERT INTO snapshots (ns, version, payload) VALUES (?, ?, ?)"
@@ -147,9 +156,11 @@ class SqliteBackend(StorageBackend):
         )
 
     def compact(self, namespace: Namespace, upto_version: int) -> int:
-        self._check_compact(
-            namespace, upto_version, self._read_snapshot(namespace)
-        )
+        row = self._conn.execute(
+            "SELECT version FROM snapshots WHERE ns=?",
+            (encode_namespace(namespace),),
+        ).fetchone()
+        self._check_compact(namespace, upto_version, row[0] if row else 0)
         table = self._table(namespace)
         if table is None:
             return 0

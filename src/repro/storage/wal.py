@@ -8,11 +8,15 @@ Layout (one directory per backend, normally one per node)::
       <ns>.snapshot.json     # newest snapshot (atomic tmp+rename)
 
 Appends go to the active segment and are flushed line-by-line, so a
-crash loses at most the final partially-written line — ``load``
-tolerates a torn tail exactly like SQLite's WAL recovery does.
-``snapshot`` writes the materialized state atomically and rotates to a
-fresh segment; ``compact`` then deletes segments fully covered by the
-snapshot and rewrites any straddling one.  Values must be
+process crash loses at most the final partially-written line — ``load``
+tolerates a torn tail exactly like SQLite's WAL recovery does.  ``sync``
+fsyncs the active segment, so a power loss keeps everything up to it.
+``snapshot`` writes the materialized state atomically, rotates to a
+fresh segment and fsyncs the directory (the rename and the new segment
+are directory entries); ``compact`` then deletes segments fully covered
+by the snapshot and rewrites any straddling one.  Which segments exist
+and which version the newest snapshot covers are kept in memory, read
+from the directory once, when the backend opens it.  Values must be
 JSON-serializable; tuples round-trip as lists, which the digest
 canonicalization in :mod:`repro.crypto.hashing` treats as equal.
 """
@@ -36,6 +40,7 @@ from repro.storage.base import (
 )
 
 _SEGMENT_WIDTH = 6
+_SNAPSHOT_SUFFIX = ".snapshot.json"
 
 
 class WalBackend(StorageBackend):
@@ -46,13 +51,31 @@ class WalBackend(StorageBackend):
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # A crash between writing `<ns>.*.tmp` and the atomic
-        # `tmp.replace(path)` (snapshot or compact rewrite) leaves an
-        # orphaned tmp file behind; recovery never reads it, so drop it
-        # here rather than letting it accumulate forever.
-        for stale in self.root.glob("*.tmp"):
-            stale.unlink(missing_ok=True)
         self._active: dict[Namespace, TextIO] = {}
+        # Segment numbers on disk per namespace, ascending (the last is
+        # the active one while a handle is open), and the version of
+        # the newest snapshot (None: there is one, not read yet).
+        self._segnos: dict[Namespace, list[int]] = {}
+        self._snapshot_version: dict[Namespace, int | None] = {}
+        for path in self.root.iterdir():
+            name = path.name
+            if name.endswith(".tmp"):
+                # A crash between writing `<ns>.*.tmp` and the atomic
+                # `tmp.replace(path)` (snapshot or compact rewrite)
+                # leaves an orphaned tmp file behind; recovery never
+                # reads it, so drop it here rather than letting it
+                # accumulate forever.
+                path.unlink(missing_ok=True)
+            elif name.endswith(".jsonl"):
+                encoded, segno, _ = name.rsplit(".", 2)
+                self._segnos.setdefault(decode_namespace(encoded), []).append(
+                    int(segno)
+                )
+            elif name.endswith(_SNAPSHOT_SUFFIX):
+                namespace = decode_namespace(name[: -len(_SNAPSHOT_SUFFIX)])
+                self._snapshot_version[namespace] = None
+        for segnos in self._segnos.values():
+            segnos.sort()
         self.closed = False
 
     # ------------------------------------------------------------------
@@ -64,22 +87,17 @@ class WalBackend(StorageBackend):
         )
 
     def _snapshot_path(self, namespace: Namespace) -> Path:
-        return self.root / f"{encode_namespace(namespace)}.snapshot.json"
+        return self.root / (encode_namespace(namespace) + _SNAPSHOT_SUFFIX)
 
-    def _segments(self, namespace: Namespace) -> list[Path]:
-        prefix = encode_namespace(namespace) + "."
-        found = []
-        for path in self.root.iterdir():
-            if not path.name.startswith(prefix):
-                continue
-            if path.suffix != ".jsonl":
-                continue
-            found.append(path)
-        return sorted(found)
-
-    @staticmethod
-    def _segno(path: Path) -> int:
-        return int(path.name.rsplit(".", 2)[-2])
+    def _open_segment(self, namespace: Namespace) -> TextIO:
+        """Start the next segment and make it the active one."""
+        segnos = self._segnos.setdefault(namespace, [])
+        segnos.append(segnos[-1] + 1 if segnos else 1)
+        handle = self._segment_path(namespace, segnos[-1]).open(
+            "a", encoding="utf-8"
+        )
+        self._active[namespace] = handle
+        return handle
 
     # ------------------------------------------------------------------
     # StorageBackend API
@@ -93,12 +111,7 @@ class WalBackend(StorageBackend):
             # files): always start a new segment.  Appending to the old
             # one would glue records onto a torn tail left by a crash,
             # and load() would then drop everything after the merge.
-            segments = self._segments(namespace)
-            segno = (self._segno(segments[-1]) + 1) if segments else 1
-            handle = self._segment_path(namespace, segno).open(
-                "a", encoding="utf-8"
-            )
-            self._active[namespace] = handle
+            handle = self._open_segment(namespace)
         try:
             line = json.dumps(record.to_payload(), separators=(",", ":"))
         except TypeError as exc:
@@ -107,6 +120,12 @@ class WalBackend(StorageBackend):
             ) from exc
         handle.write(line + "\n")
         handle.flush()
+
+    def sync(self, namespace: Namespace) -> None:
+        handle = self._active.get(namespace)
+        if handle is not None:
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def snapshot(self, namespace: Namespace, version: int, payload: Any) -> None:
         path = self._snapshot_path(namespace)
@@ -125,18 +144,21 @@ class WalBackend(StorageBackend):
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(path)
-        self._rotate(namespace)
-
-    def _rotate(self, namespace: Namespace) -> None:
-        """Close the active segment and start the next one, so
-        compaction works on whole files."""
+        self._snapshot_version[namespace] = version
+        # Close the active segment and start the next one, so
+        # compaction works on whole files.
         handle = self._active.pop(namespace, None)
         if handle is not None:
             handle.close()
-        segments = self._segments(namespace)
-        next_segno = (self._segno(segments[-1]) + 1) if segments else 1
-        path = self._segment_path(namespace, next_segno)
-        self._active[namespace] = path.open("a", encoding="utf-8")
+        self._open_segment(namespace)
+        # The rename and the new segment are directory entries: without
+        # this a power loss could drop the snapshot *and* the segments
+        # compact() is about to unlink because the snapshot covers them.
+        dir_fd = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def _read_snapshot(self, namespace: Namespace) -> Snapshot | None:
         path = self._snapshot_path(namespace)
@@ -160,29 +182,33 @@ class WalBackend(StorageBackend):
 
     def load(self, namespace: Namespace) -> RecoveredNamespace:
         records: list[LogRecord] = []
-        for path in self._segments(namespace):
-            records.extend(self._read_segment(path))
-        return RecoveredNamespace(
-            namespace,
-            snapshot=self._read_snapshot(namespace),
-            records=records,
-        )
+        for segno in self._segnos.get(namespace, ()):
+            records.extend(
+                self._read_segment(self._segment_path(namespace, segno))
+            )
+        snapshot = self._read_snapshot(namespace)
+        if snapshot is not None:
+            self._snapshot_version[namespace] = snapshot.version
+        return RecoveredNamespace(namespace, snapshot=snapshot, records=records)
 
     def compact(self, namespace: Namespace, upto_version: int) -> int:
-        self._check_compact(
-            namespace, upto_version, self._read_snapshot(namespace)
-        )
+        covered = self._snapshot_version.get(namespace, 0)
+        if covered is None:  # a snapshot from a previous life, not read yet
+            covered = self._read_snapshot(namespace).version
+            self._snapshot_version[namespace] = covered
+        self._check_compact(namespace, upto_version, covered)
         dropped = 0
-        active = self._active.get(namespace)
-        active_name = Path(active.name).name if active is not None else None
-        for path in self._segments(namespace):
-            if path.name == active_name:
-                continue  # never rewrite the segment we hold open
+        segnos = self._segnos.get(namespace, [])
+        # Never rewrite the segment we hold open.
+        sealed = segnos[:-1] if namespace in self._active else list(segnos)
+        for segno in sealed:
+            path = self._segment_path(namespace, segno)
             records = self._read_segment(path)
             kept = [r for r in records if r.version > upto_version]
             dropped += len(records) - len(kept)
             if not kept:
                 path.unlink()
+                segnos.remove(segno)
             elif len(kept) < len(records):
                 tmp = path.with_suffix(".jsonl.tmp")
                 with tmp.open("w", encoding="utf-8") as handle:
@@ -199,13 +225,8 @@ class WalBackend(StorageBackend):
         return dropped
 
     def namespaces(self) -> list[Namespace]:
-        seen: set[Namespace] = set()
-        for path in self.root.iterdir():
-            if path.suffix == ".jsonl":
-                seen.add(decode_namespace(path.name.rsplit(".", 2)[0]))
-            elif path.name.endswith(".snapshot.json"):
-                seen.add(decode_namespace(path.name[: -len(".snapshot.json")]))
-        return sorted(seen)
+        with_segments = {ns for ns, segnos in self._segnos.items() if segnos}
+        return sorted(with_segments | set(self._snapshot_version))
 
     def close(self) -> None:
         for handle in self._active.values():

@@ -10,10 +10,11 @@ from repro.consensus.checkpoint import (
     StateResponse,
 )
 from tests.helpers import make_deployment as _spec_deployment
+from repro.core.executor import ExecutionUnit, snapshot_digest
 from repro.crypto import KeyRegistry, sign
-from repro.crypto.hashing import digest
 from repro.datamodel import Operation
 from repro.errors import LedgerError
+from repro.storage import make_backend
 
 from tests.helpers import HarnessNode, build_cluster
 
@@ -31,7 +32,13 @@ class CheckpointHost(HarnessNode):
         self.collected: list[tuple] = []
 
     def snapshot(self, label, shard, seq):
-        return {"state": dict(self.state.get((label, shard), {})), "seq": seq}
+        return {
+            "head": f"head-{seq}",
+            "state": dict(self.state.get((label, shard), {})),
+        }
+
+    def digest(self, label, shard, seq):
+        return snapshot_digest(label, shard, seq, self.snapshot(label, shard, seq))
 
     def install(self, checkpoint, snapshot):
         self.installed.append(checkpoint)
@@ -58,7 +65,9 @@ def build_checkpoint_cluster(n=3, quorum=2, interval=4):
             host,
             quorum=quorum,
             interval=interval,
+            digest_fn=host.digest,
             snapshot_fn=host.snapshot,
+            snapshot_digest_fn=snapshot_digest,
             install_fn=host.install,
             gc_fn=host.gc,
         )
@@ -162,8 +171,8 @@ def test_transfer_quorum_with_one_forged_signature_rejected():
     sim, hosts = build_checkpoint_cluster(interval=4)
     target = hosts[0]
     registry = target.key_registry
-    snapshot = {"state": {"k": 1}, "seq": 4}
-    state_digest = digest(["state", "A", 0, 4, snapshot])
+    snapshot = {"head": "head-4", "state": {"k": 1}}
+    state_digest = snapshot_digest("A", 0, 4, snapshot)
     draft = StableCheckpoint("C", "A", 0, 4, state_digest)
     good = sign(registry, hosts[1].node_id, draft.payload())
     forged = sign(registry, hosts[2].node_id, "some other payload")
@@ -185,13 +194,30 @@ def test_transfer_quorum_with_one_forged_signature_rejected():
     assert target.installed[-1].seq == 4
 
 
-def test_transfer_rejected_on_tampered_snapshot():
+HONEST_SNAPSHOT = {"head": "head-4", "state": {"a": 1, "b": 2}}
+
+
+@pytest.mark.parametrize(
+    "tampered",
+    [
+        {"head": "head-4", "state": {"a": 1, "b": 3}},  # one value forged
+        # The root is a sum of per-key leaves: it must still bind each
+        # value to *its* key, count the keys, and cover the head.
+        {"head": "head-4", "state": {"a": 2, "b": 1}},  # values swapped
+        {"head": "head-4", "state": {"a": 1}},          # key withheld
+        {"head": "head-4", "state": {"a": 1, "b": 2, "c": 0}},  # key added
+        {"head": "head-5", "state": {"a": 1, "b": 2}},  # ledger head forged
+        {"state": {"a": 1, "b": 2}},                    # malformed: no head
+        {"head": "head-4", "state": [1, 2]},            # malformed: no mapping
+        None,
+    ],
+)
+def test_transfer_rejected_on_tampered_snapshot(tampered):
     sim, hosts = build_checkpoint_cluster(interval=4)
     target = hosts[0]
     registry = target.key_registry
-    # Forge a response whose snapshot does not match the certified digest.
-    fake_snapshot = {"state": {"k": "forged"}, "seq": 4}
-    honest_digest = digest(["state", "A", 0, 4, {"state": {"k": "real"}, "seq": 4}])
+    # A response whose snapshot does not match the certified digest.
+    honest_digest = snapshot_digest("A", 0, 4, HONEST_SNAPSHOT)
     checkpoint = StableCheckpoint(
         "C", "A", 0, 4, honest_digest,
         signatures=tuple(
@@ -201,16 +227,23 @@ def test_transfer_rejected_on_tampered_snapshot():
         ),
     )
     target.manager._on_state_response(
-        StateResponse(checkpoint, fake_snapshot), hosts[1].node_id
+        StateResponse(checkpoint, tampered), hosts[1].node_id
     )
     assert not target.installed
+    # The certificate is sound: the honest snapshot goes through (at
+    # another sequence number it would not — the digest covers seq).
+    assert snapshot_digest("A", 0, 8, HONEST_SNAPSHOT) != honest_digest
+    target.manager._on_state_response(
+        StateResponse(checkpoint, HONEST_SNAPSHOT), hosts[1].node_id
+    )
+    assert [c.seq for c in target.installed] == [4]
 
 
 def test_transfer_rejected_without_quorum_signatures():
     sim, hosts = build_checkpoint_cluster(interval=4)
     target = hosts[0]
-    snapshot = {"state": {"k": 1}, "seq": 4}
-    state_digest = digest(["state", "A", 0, 4, snapshot])
+    snapshot = {"head": "head-4", "state": {"k": 1}}
+    state_digest = snapshot_digest("A", 0, 4, snapshot)
     checkpoint = StableCheckpoint(
         "C", "A", 0, 4, state_digest,
         signatures=(
@@ -445,6 +478,90 @@ def test_crashed_replica_catches_up_via_state_transfer():
         == healthy.executor.store.latest_snapshot("A")
     )
     assert victim.executor.ledger.height("A") == healthy.executor.ledger.height("A")
+
+
+def record_votes(deployment, cluster="A1"):
+    """Spy on every replica's checkpoint vote: {seq: {node_id: digest}}."""
+    votes: dict[int, dict[str, str]] = {}
+    for member in deployment.directory.get(cluster).members:
+        manager = deployment.nodes[member].checkpoints
+
+        def spy(label, shard, seq, real=manager.digest_fn, member=member):
+            voted = real(label, shard, seq)
+            if (label, shard) == ("A", 0):
+                votes.setdefault(seq, {})[member] = voted
+            return voted
+
+        manager.digest_fn = spy
+    return votes
+
+
+def test_replica_that_installed_a_checkpoint_votes_with_its_peers():
+    # The vote is a commitment to the state, not to the history: a
+    # replica whose state came from a transferred snapshot must cast
+    # the same digest as the peers that executed every write.
+    deployment = make_deployment()
+    votes = record_votes(deployment)
+    client = deployment.create_client("A")
+    members = deployment.directory.get("A1").members
+    victim = deployment.nodes[members[-1]]
+    run_load(deployment, client, 4, prefix="warm")
+    victim.crash()
+    run_load(deployment, client, 30, prefix="gap")
+    victim.recover()
+    for burst in range(4):  # votes reach the victim, then it keeps up
+        run_load(deployment, client, 7, prefix=f"post{burst}")
+    assert victim.checkpoints.transfers_completed >= 1
+    installed = victim.executor.ledger.base("A")
+    assert installed >= 32  # state arrived as a snapshot, not as commits
+    after = [
+        seq for seq, cast in votes.items()
+        if seq > installed and victim.node_id in cast
+    ]
+    assert after, "the caught-up replica never voted again"
+    for seq in after:
+        assert len(votes[seq]) == len(members)
+        assert len(set(votes[seq].values())) == 1, f"votes differ at {seq}"
+
+
+def test_replica_rebuilt_from_disk_votes_with_its_peers(tmp_path):
+    # Same for a replica rebuilt by ExecutionUnit.recover: feed it the
+    # commits it missed up to the next interval and its digest there is
+    # the one its peers voted.
+    deployment = make_deployment(
+        storage_backend="wal", storage_dir=str(tmp_path)
+    )
+    votes = record_votes(deployment)
+    client = deployment.create_client("A")
+    members = deployment.directory.get("A1").members
+    victim = deployment.nodes[members[-1]]
+    for _ in range(3):  # overwrites, so the journal was folded on the way
+        run_load(deployment, client, 7)
+    stopped_at = victim.executor.ledger.height("A")
+    assert stopped_at % 8 != 0 and victim.executor.checkpoint_folds >= 1
+    victim.crash()
+    run_load(deployment, client, 12, prefix="later")
+    healthy = deployment.nodes[members[0]].executor
+    boundary = (stopped_at // 8 + 1) * 8
+    assert healthy.ledger.height("A") >= boundary
+    deployment.close()
+
+    backend = make_backend("wal", str(tmp_path), victim.node_id)
+    rebuilt, _ = ExecutionUnit.recover(
+        victim.node_id, deployment.collections, deployment.contracts,
+        deployment.schema, 0, backend,
+    )
+    assert rebuilt.ledger.height("A") == stopped_at
+    for seq in range(stopped_at + 1, boundary + 1):
+        record = healthy.ledger.record("A", 0, seq)
+        rebuilt.commit(record.otx, record.tx_id, record.certificate)
+    peers = {votes[boundary][m] for m in members[:-1]}
+    assert peers == {rebuilt.chain_digest("A", 0, boundary)}
+    # ... which is also what anyone would compute from the snapshot.
+    assert peers == {
+        snapshot_digest("A", 0, boundary, rebuilt.chain_snapshot("A", 0, boundary))
+    }
+    backend.close()
 
 
 def test_byzantine_cluster_checkpoints_with_quorum():

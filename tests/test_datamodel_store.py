@@ -98,6 +98,21 @@ def test_store_snapshot_and_keys():
     store.write("A", 0, 2, "y", 2)
     assert store.latest_snapshot("A") == {"x": 1, "y": 2}
     assert sorted(store.keys("A")) == ["x", "y"]
+    assert store.key_count("A") == 2 and store.key_count("B") == 0
+
+
+def test_store_snapshot_at_a_version():
+    store = MultiVersionStore()
+    store.write("A", 0, 1, "x", 1)
+    store.write("A", 0, 2, "y", 2)
+    store.write("A", 0, 4, "x", 4)
+    store.mark_version("A", 0, 5)
+    assert store.snapshot_at("A", 0, 0) == {}
+    assert store.snapshot_at("A", 0, 1) == {"x": 1}  # y not written yet
+    assert store.snapshot_at("A", 0, 3) == {"x": 1, "y": 2}
+    for latest in (4, 5, 9, None):
+        assert store.snapshot_at("A", 0, latest) == {"x": 4, "y": 2}
+    assert store.snapshot_at("B") == {}
 
 
 # ----------------------------------------------------------------------

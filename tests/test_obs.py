@@ -169,6 +169,41 @@ def test_obs_metrics_cover_the_required_series():
     )
 
 
+def test_checkpoint_journal_counters_per_cluster(tmp_path):
+    """What checkpoints do to the journal is read from the artifact:
+    syncs, folds and records dropped, labelled by cluster."""
+    import re
+
+    spec = ScenarioSpec(
+        name="obs-journal",
+        system="Flt-C",
+        topology=TopologySpec(
+            enterprises=("A", "B"), shards=1, batch_size=4,
+            checkpoint_interval=8, storage_backend="wal",
+            storage_dir=str(tmp_path),
+        ),
+        workload=WorkloadSpec(rate=1500.0, mix=WorkloadMix(cross=0.0)),
+        measurement=MeasurementSpec(warmup=0.05, measure=0.2, drain=0.1),
+        seed=3,
+        trace=True,
+    )
+    counters = run_scenario(spec)["obs"]["metrics"]["counters"]
+    by_name: dict[str, dict[str, int]] = {}
+    for series, value in counters.items():
+        match = re.fullmatch(r"(\w+)\{cluster=(\w+)\}", series)
+        if match:
+            by_name.setdefault(match[1], {})[match[2]] = value
+    syncs = by_name["checkpoint_syncs"]
+    folds = by_name["checkpoint_folds"]
+    dropped = by_name["journal_records_dropped"]
+    assert set(syncs) == set(folds) == set(dropped) == {"A1", "B1"}
+    for cluster in syncs:
+        # Every replica folds at its first checkpoint (the journal *is*
+        # the state then); after that most checkpoints only sync.
+        assert 3 <= folds[cluster] < syncs[cluster]
+        assert dropped[cluster] >= folds[cluster]
+
+
 # ----------------------------------------------------------------------
 # waterfall CLI
 # ----------------------------------------------------------------------

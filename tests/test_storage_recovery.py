@@ -7,6 +7,10 @@ re-consensus.
 """
 
 import json
+import os
+import shutil
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -400,22 +404,235 @@ def test_replica_recovers_exact_state_digest(backend, tmp_path):
     recovered.backend.close()
 
 
+def run_overwriting_load(deployment, client, count, distinct=10, start=0):
+    """``count`` kv sets cycling over ``distinct`` keys, so the journal
+    outgrows the state again and again (the fold rule's trigger)."""
+    for i in range(start, start + count):
+        tx = client.make_transaction(
+            {"A"}, Operation("kv", "set", (f"k{i % distinct}", i)),
+            keys=(f"k{i % distinct}",),
+        )
+        client.submit(tx)
+    deployment.run(3.0)
+
+
 def test_stable_checkpoint_moves_durability_frontier(tmp_path):
-    # Stable checkpoints snapshot + compact the journal: records at or
-    # below the frontier are folded into the snapshot and dropped.
+    # A stable checkpoint syncs the journal; it folds the journal into
+    # a snapshot only once the journal has outgrown the state.  Either
+    # way load() reproduces the state at the stable sequence.
+    interval = 8
     deployment = durable_deployment(tmp_path, "wal")
     client = deployment.create_client("A")
-    run_load(deployment, client, 30)
+    run_overwriting_load(deployment, client, 70)
     victim_id = deployment.directory.get("A1").members[-1]
     victim = deployment.nodes[victim_id]
     stable = victim.checkpoints.stable_seq("A", 0)
-    assert stable >= 8
-    backend = deployment.backends[victim_id]
-    recovered_ns = backend.load(("A", 0))
-    assert recovered_ns.snapshot is not None
-    assert recovered_ns.snapshot.version == stable
-    assert all(r.version > stable for r in recovered_ns.records)
+    assert stable >= 64
+    unit = victim.executor
+    # (a backup that learns of a stable checkpoint before executing up
+    # to it skips that sync: the next one covers it)
+    assert 2 <= unit.checkpoint_folds < unit.checkpoint_syncs <= stable // interval
+    assert unit.journal_records_dropped > 0
+
+    loaded = deployment.backends[victim_id].load(("A", 0))
+    assert loaded.snapshot is not None
+    assert loaded.snapshot.version <= stable
+    assert loaded.snapshot.version % interval == 0
+    rebuilt = MultiVersionStore()
+    rebuilt.restore_namespace("A", 0, loaded)
+    assert rebuilt.snapshot_at("A", 0, stable) == unit.store.snapshot_at(
+        "A", 0, stable
+    )
+    # The journal stays within a constant factor of the state.
+    behind = [r for r in loaded.replay_records() if r.kind == KIND_WRITE]
+    assert len(behind) < unit.store.key_count("A", 0) + interval
     deployment.close()
+
+
+def test_fold_rule_follows_the_state_not_the_clock(tmp_path):
+    # Only new keys: the journal never outgrows the state after the
+    # first fold, so later checkpoints sync and nothing else.
+    deployment = durable_deployment(tmp_path, "wal")
+    client = deployment.create_client("A")
+    run_load(deployment, client, 40)
+    victim = deployment.nodes[deployment.directory.get("A1").members[-1]]
+    assert victim.executor.checkpoint_syncs >= 4
+    assert victim.executor.checkpoint_folds == 1
+    deployment.close()
+
+
+# ----------------------------------------------------------------------
+# crash points on the checkpoint path (sync, then sometimes a fold)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["wal", "sqlite"])
+def test_recovery_exact_at_every_checkpoint_crash_point(
+    kind, tmp_path, monkeypatch
+):
+    """Freeze the storage directory at each step of persist_checkpoint
+    on a live replica — (a) journal synced, no fold; (b) fold begun, the
+    snapshot not yet in place (WAL: tmp written, not renamed); (c)
+    snapshot in place, covered records not yet dropped; (d) fold done —
+    and rebuild the replica from every frozen image: each must
+    reproduce the state digests the replica held at that instant."""
+    live = tmp_path / "live"
+    deployment = durable_deployment(live, kind)
+    victim_id = deployment.directory.get("A1").members[-1]
+    unit = deployment.nodes[victim_id].executor
+    backend = deployment.backends[victim_id]
+    images = []
+
+    def freeze(point):
+        image = tmp_path / f"image{len(images)}"
+        shutil.copytree(live, image)
+        digests = {
+            chain: unit.state_digest(*chain)
+            for chain in unit.ledger.chain_keys()
+        }
+        images.append((point, image, digests))
+
+    def after(method, point):
+        real = getattr(backend, method)
+
+        def wrapped(*args):
+            result = real(*args)
+            freeze(point)
+            return result
+
+        monkeypatch.setattr(backend, method, wrapped)
+
+    after("sync", "synced")
+    after("snapshot", "snapshot-in-place")
+    after("compact", "folded")
+    if kind == "wal":
+        real_replace = Path.replace
+
+        def replace(path, target):
+            if path.name.endswith(".snapshot.json.tmp") and path.parent == backend.root:
+                freeze("snapshot-begun")
+            return real_replace(path, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+    else:
+        real_snapshot = backend.snapshot  # the wrapper installed above
+
+        def snapshot(*args):
+            freeze("snapshot-begun")  # the upsert is one atomic statement
+            return real_snapshot(*args)
+
+        monkeypatch.setattr(backend, "snapshot", snapshot)
+
+    client = deployment.create_client("A")
+    run_overwriting_load(deployment, client, 50)
+    deployment.close()
+
+    points = [point for point, _, _ in images]
+    assert unit.checkpoint_folds >= 2
+    for point in ("snapshot-begun", "snapshot-in-place", "folded"):
+        assert points.count(point) == unit.checkpoint_folds
+    # (a): at least one checkpoint synced and did not fold.
+    assert points.count("synced") == unit.checkpoint_syncs > unit.checkpoint_folds
+    for point, image, digests in images:
+        reopened = make_backend(kind, str(image), victim_id)
+        rebuilt, _ = ExecutionUnit.recover(
+            victim_id, deployment.collections, deployment.contracts,
+            deployment.schema, 0, reopened,
+        )
+        for chain, expected in digests.items():
+            assert rebuilt.state_digest(*chain) == expected, (point, chain)
+        reopened.close()
+
+
+def test_wal_fold_syncs_directory_before_unlinking(tmp_path, monkeypatch):
+    # The snapshot rename must be durable before the segments it covers
+    # are unlinked, or a power loss could lose both.
+    backend = WalBackend(tmp_path / "wal")
+    ns = ("A", 0)
+    for version in (1, 2, 3):
+        backend.append(ns, LogRecord(version, KIND_WRITE, "k", version))
+    events = []
+    real_fsync, real_unlink = os.fsync, type(backend.root).unlink
+
+    def fsync(fd):
+        is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+        events.append("fsync-dir" if is_dir else "fsync-file")
+        return real_fsync(fd)
+
+    def unlink(path, *args, **kwargs):
+        events.append("unlink")
+        return real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(type(backend.root), "unlink", unlink)
+    backend.snapshot(ns, 3, {"state": {"k": 3}, "head": "aa"})
+    assert backend.compact(ns, 3) == 3
+    backend.close()
+    assert events == ["fsync-file", "fsync-dir", "unlink"]
+
+
+def test_wal_sync_fsyncs_the_active_segment(tmp_path, monkeypatch):
+    backend = WalBackend(tmp_path / "wal")
+    ns = ("A", 0)
+    synced = []
+    monkeypatch.setattr(os, "fsync", synced.append)
+    backend.sync(ns)  # nothing appended yet: nothing to sync
+    assert synced == []
+    backend.append(ns, LogRecord(1, KIND_WRITE, "k", 1))
+    backend.sync(ns)
+    assert synced == [backend._active[ns].fileno()]
+    backend.close()
+
+
+def test_wal_keeps_its_bookkeeping_in_memory(tmp_path, monkeypatch):
+    # Segment numbers and the newest snapshot's version are learnt from
+    # the directory once, at open; append/snapshot/compact never list
+    # the directory or read a snapshot back afterwards.
+    root = tmp_path / "wal"
+    backend = WalBackend(root)
+    ns = ("A", 0)
+    for version in (1, 2):
+        backend.append(ns, LogRecord(version, KIND_WRITE, "k", version))
+    backend.snapshot(ns, 2, {"state": {"k": 2}, "head": "aa"})
+    backend.append(ns, LogRecord(3, KIND_WRITE, "k", 3))
+    backend.close()
+
+    reopened = WalBackend(root)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("read back from disk")
+
+    monkeypatch.setattr(type(root), "iterdir", forbidden)
+    reopened.append(ns, LogRecord(4, KIND_WRITE, "k", 4))  # a fresh segment
+    assert sorted(n for n in os.listdir(root) if n.endswith(".jsonl")) == [
+        f"{encode_namespace(ns)}.00000{segno}.jsonl" for segno in (1, 2, 3)
+    ]
+    # The snapshot from the previous life is read once, for its version...
+    with pytest.raises(StorageError, match="covers only 2"):
+        reopened.compact(ns, 4)
+    # ... and never again: same error, no read-back.
+    monkeypatch.setattr(reopened, "_read_snapshot", forbidden)
+    with pytest.raises(StorageError, match="covers only 2"):
+        reopened.compact(ns, 3)
+    reopened.snapshot(ns, 4, {"state": {"k": 4}, "head": "bb"})
+    with pytest.raises(StorageError, match="covers only 4"):
+        reopened.compact(ns, 5)
+    assert reopened.compact(ns, 4) == 4
+    assert reopened.namespaces() == [ns]
+    monkeypatch.undo()
+    assert [r.version for r in reopened.load(ns).records] == []
+    assert reopened.load(ns).snapshot.version == 4
+    reopened.close()
+
+
+@pytest.mark.parametrize("kind", ["memory", "wal", "sqlite"])
+def test_backend_sync_keeps_the_journal_intact(kind, tmp_path):
+    backend = open_backend(kind, tmp_path)
+    ns = ("A", 0)
+    backend.sync(ns)  # an untouched namespace is fine
+    backend.append(ns, LogRecord(1, KIND_WRITE, "k", 1))
+    backend.sync(ns)
+    backend.append(ns, LogRecord(2, KIND_WRITE, "k", 2))
+    assert [r.version for r in backend.load(ns).records] == [1, 2]
+    backend.close()
 
 
 def test_memory_config_keeps_seed_behavior(tmp_path):
@@ -449,6 +666,9 @@ def test_recovery_scenario_reports_digest_match(tmp_path):
     assert all(c["digest_match"] for c in result["chains"])
     assert result["recovery"]["records_replayed"] > 0
     assert result["recovery"]["latency_s"] > 0
+    journal = result["journal"]
+    assert 1 <= journal["checkpoint_folds"] <= journal["checkpoint_syncs"]
+    assert journal["journal_records_dropped"] > 0
 
 
 def test_recovery_scenario_rejects_memory_backend():
