@@ -5,9 +5,8 @@ scale (2 enterprises x 2 shards, short windows) so the whole directory
 runs in minutes.  Every measured point is declared as a
 :class:`repro.scenarios.ScenarioSpec` (via
 :func:`repro.bench.runner.point_spec`) and measured through the one
-generic ``run_point``.  ``python -m repro.bench --experiment <id>
---scale full`` runs the paper-scale version; EXPERIMENTS.md records
-results.
+generic ``run_point(spec)``.  ``python -m repro.bench --experiment <id>
+--scale full`` runs the paper-scale version.
 """
 
 import os

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.experiments import ablation_gamma
+from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.workload.generator import WorkloadMix
 
 MIX = WorkloadMix(cross=0.10, cross_type="isce")
@@ -16,7 +16,11 @@ def test_ablation_batching(bench_point, batch_size):
 
 def test_ablation_gamma_reduction(benchmark):
     """γ transitive reduction shrinks IDs without changing semantics."""
-    sizes = benchmark.pedantic(ablation_gamma, rounds=1, iterations=1)
+    artifact = benchmark.pedantic(
+        run_experiment, args=(EXPERIMENTS["ablation_gamma"],), rounds=1,
+        iterations=1,
+    )
+    sizes = artifact["results"]
     assert sizes["reduced"] < sizes["full"]
 
 

@@ -1,21 +1,17 @@
 """Figure 10: scalability across spatial domains.
 
 Clusters are spread over the paper's four AWS regions (TY/SU/VA/CA RTT
-matrix, §5.4).  Expected shape: WAN round-trips dominate latency; the
+matrix, §5.4; ``topology.wan`` selects the model in
+``repro.scenarios.build``).  Expected shape: WAN round-trips dominate latency; the
 flattened protocols suffer most for cross-enterprise traffic; the
 privacy-firewall overhead shrinks relative to WAN latency.
 """
 
 import pytest
 
-from repro.bench.experiments import SCALES, _wan_latency
 from repro.workload.generator import WorkloadMix
 
 SYSTEMS = ["Flt-C", "Crd-C", "Flt-B", "Crd-B", "Crd-B(PF)"]
-
-
-def _latency():
-    return _wan_latency(SCALES["fast"])
 
 
 @pytest.mark.parametrize("system", SYSTEMS)
@@ -23,7 +19,7 @@ def test_fig10a_isce_wan(bench_point, system):
     bench_point(
         system,
         WorkloadMix(cross=0.10, cross_type="isce"),
-        latency=_latency(),
+        wan=True,
     )
 
 
@@ -32,7 +28,7 @@ def test_fig10b_csie_wan(bench_point, system):
     bench_point(
         system,
         WorkloadMix(cross=0.10, cross_type="csie"),
-        latency=_latency(),
+        wan=True,
     )
 
 
@@ -41,5 +37,5 @@ def test_fig10c_csce_wan(bench_point, system):
     bench_point(
         system,
         WorkloadMix(cross=0.10, cross_type="csce"),
-        latency=_latency(),
+        wan=True,
     )

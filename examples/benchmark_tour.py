@@ -7,11 +7,11 @@ experiments live behind ``python -m repro.bench`` (``--list`` shows
 them all).
 
 Every system label resolves to a :class:`repro.api.SystemDriver`
-implementation behind the one generic ``run_point`` — Qanaat
+implementation behind the one generic ``run_point(spec)`` — Qanaat
 protocols, the Fabric family, Caper, and SharPer/AHL all measure
 through the same loop.  Each measured point is described by a
 declarative :class:`repro.scenarios.ScenarioSpec`; ``point_spec``
-folds the classic (system, rate, mix) surface into one.
+builds one from the classic (system, rate, mix) surface.
 
     python examples/benchmark_tour.py
 """

@@ -20,7 +20,6 @@ comparable artifact.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from pathlib import Path
@@ -31,7 +30,7 @@ from repro.analytics.fill import FilledLedger, fill_journal
 from repro.analytics.ingest import AnalyticsIngest, IngestStats
 from repro.analytics.schema import SCHEMA_VERSION, open_analytics
 from repro.bench.parallel import resolve_jobs
-from repro.bench.report import results_payload, write_json
+from repro.bench.report import results_payload
 from repro.crypto.hashing import digest
 from repro.ledger.provenance import key_history, lineage_closure
 
@@ -230,17 +229,19 @@ def _maintain(
 
 
 def run_analytics_bench(
-    out_path: str | Path,
+    data_dir: str | Path,
     records: int,
     shards: int = 2,
     seed: int = 1,
     jobs: int | None = None,
-    scale_name: str = "fast",
     keys_per_shard: int = 24,
 ) -> dict[str, Any]:
-    """Fill, ingest, cross-check, and measure; writes the artifact."""
-    out_path = Path(out_path)
-    data_dir = out_path.parent / "analytics_data"
+    """Fill, ingest, cross-check, and measure.  The journal and the
+    analytics database land in ``data_dir``; the return value is the
+    ``analytics`` experiment's artifact fields (``results`` is the
+    deterministic part, ``perf`` the latencies), which
+    :func:`repro.bench.experiments.run_experiment` wraps and checks."""
+    data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     journal_path = data_dir / "journal.sqlite"
     analytics_path = data_dir / "analytics.sqlite"
@@ -252,10 +253,6 @@ def run_analytics_bench(
     analytics_conn = open_analytics(analytics_path)
     ingest = AnalyticsIngest(analytics_conn)
     totals = IngestStats()
-    print(
-        f"\n=== Analytics engine ({records:,} records, {shards} shards,"
-        f" seed={seed}) ==="
-    )
     fill_started = time.perf_counter()
     filled = fill_journal(
         journal_path,
@@ -275,7 +272,6 @@ def run_analytics_bench(
     measured = _measure(str(analytics_path), samples, repeats, jobs)
     queries: dict[str, Any] = {}
     latency_ms: dict[str, Any] = {}
-    all_verified = True
     for family in FAMILIES:
         answers, latencies = measured[family]
         normalized = results_payload(answers)
@@ -284,20 +280,14 @@ def run_analytics_bench(
             for got, want in zip(normalized, results_payload(expected[family]))
             if got != want
         )
-        verified = mismatches == 0 and len(answers) == len(expected[family])
-        all_verified = all_verified and verified
         queries[family] = {
             "samples": len(samples[family]),
-            "verified": verified,
+            "verified": mismatches == 0
+            and len(answers) == len(expected[family]),
             "mismatches": mismatches,
             "fingerprint": digest(["analytics", family, normalized]),
         }
         latency_ms[family] = _percentiles(latencies)
-        print(
-            f"  {family:<17} samples={len(samples[family]):>3} "
-            f"verified={verified} p50={latency_ms[family]['p50']:.3f}ms "
-            f"p99={latency_ms[family]['p99']:.3f}ms"
-        )
     engine = AnalyticsEngine.from_path(analytics_path)
     try:
         heads = [list(row) for row in engine.chain_heads()]
@@ -307,16 +297,13 @@ def run_analytics_bench(
         engine.close()
     analytics_conn.close()
     filled.close()
-    payload = {
-        "experiment": "analytics",
-        "scale": scale_name,
-        "seed": seed,
+    return {
         "records": records,
         "shards": shards,
         "schema_version": SCHEMA_VERSION,
         "results": {
             "queries": queries,
-            "all_verified": all_verified,
+            "all_verified": all(q["verified"] for q in queries.values()),
             "chain_heads": heads,
             "segments": segment_rows,
             "tables": tables,
@@ -330,10 +317,3 @@ def run_analytics_bench(
             "latency_ms": latency_ms,
         },
     }
-    write_json(out_path, payload)
-    if not all_verified:
-        raise AssertionError(
-            "analytics answers diverged from the in-process ledger: "
-            + json.dumps({f: queries[f]["mismatches"] for f in FAMILIES})
-        )
-    return payload

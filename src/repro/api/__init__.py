@@ -14,8 +14,8 @@ The canonical way to drive any system in this repo:
   (:class:`~repro.api.futures.TxStatus` COMMITTED/ABORTED/TIMED_OUT);
   :func:`~repro.api.futures.wait_all` resolves batches in one pass;
 - :class:`~repro.api.driver.SystemDriver` is the protocol every
-  benchmarked system implements so one generic ``run_point`` measures
-  them all (implementations in :mod:`repro.bench.drivers`).
+  benchmarked system implements so one generic ``run_point(spec)``
+  measures them all (implementations in :mod:`repro.bench.drivers`).
 
 See ``docs/api.md`` for the full tour and the migration table from the
 raw ``Client``/``Deployment`` plumbing.

@@ -15,8 +15,8 @@ objects (topology + workload + fault timeline + measurement):
 
 Concrete implementations live in :mod:`repro.bench.drivers`; anything
 that implements this protocol (a new baseline, a new Qanaat variant)
-plugs into ``repro.bench.runner.run_point`` and every canned
-experiment for free.
+plugs into ``repro.bench.runner.run_point(spec)`` and every row of the
+experiment table for free.
 """
 
 from __future__ import annotations

@@ -1,29 +1,32 @@
 """Benchmark harness: regenerates every table and figure of §5.
 
-``python -m repro.bench --experiment fig7`` (or fig8/fig9/fig10/
-table2/table3/fig11/recovery/all) prints the paper-style rows;
-``--out DIR`` writes ``BENCH_<experiment>.json`` artifacts and
-``--seed N`` makes runs reproducible.  The same machinery backs the
+``python -m repro.bench --experiment fig7`` (``--list`` shows the whole
+experiment table) prints the paper-style rows; ``--out DIR`` writes
+``BENCH_<experiment>.json`` artifacts and ``--seed N`` makes runs
+reproducible; the table and its one run function are
+:mod:`repro.bench.experiments`.  The same machinery backs the
 pytest-benchmark targets in ``benchmarks/``.
 """
 
-from repro.bench.parallel import PointTask, execute_tasks
-from repro.bench.recovery import run_recovery_bench, run_recovery_scenario
+from repro.bench.parallel import CellError, PointTask, execute_tasks
+from repro.bench.recovery import run_recovery_scenario
 from repro.bench.runner import (
     PointResult,
     QANAAT_PROTOCOLS,
+    point_spec,
     run_point,
     sweep,
     sweep_merge,
 )
 
 __all__ = [
+    "CellError",
     "PointResult",
     "PointTask",
     "QANAAT_PROTOCOLS",
     "execute_tasks",
+    "point_spec",
     "run_point",
-    "run_recovery_bench",
     "run_recovery_scenario",
     "sweep",
     "sweep_merge",

@@ -1,13 +1,15 @@
 """CLI: ``python -m repro.bench --experiment fig7 [--scale full]
 [--out results/ --seed 7 --jobs 4]``.
 
-``--list`` enumerates the available experiments with one-line
-descriptions; ``--out`` writes each experiment's results as
-``BENCH_<name>.json`` under the chosen directory (the recovery
-experiment manages its own ``BENCH_recovery.json`` there); ``--seed``
-is recorded in every artifact so a run can be reproduced exactly.
+``--list`` enumerates the experiment table with one-line descriptions;
+``--out`` writes each experiment's ``BENCH_<name>.json`` (and its side
+files) under the chosen directory; ``--seed`` is recorded in every
+artifact so a run can be reproduced exactly.  Every experiment ends by
+evaluating its row's checks: a failed check is named on stderr and the
+exit status is 1; a configuration error (unknown scale, a cell that
+cannot run under ``--kernel-workers``) is one line and exit status 2.
 
-``--jobs N`` fans the experiment's independent points out over N
+``--jobs N`` fans the experiment's independent cells out over N
 worker processes (``0`` = one per CPU; default: sequential).  The
 merge is deterministic, so artifacts are byte-identical at any job
 count — see ``docs/benchmarks.md``.  ``--profile`` runs the selected
@@ -20,39 +22,29 @@ pair it with sequential execution to see simulation internals.
 from __future__ import annotations
 
 import argparse
-import inspect
-import time
+import sys
 from pathlib import Path
 
-from repro.bench.experiments import EXPERIMENT_GROUPS, EXPERIMENTS
-from repro.bench.report import write_json
-
-
-def describe(fn) -> str:
-    """One-line description of an experiment: its docstring's first line."""
-    doc = inspect.getdoc(fn) or ""
-    return doc.splitlines()[0] if doc else ""
+from repro.bench.experiments import (
+    EXPERIMENTS,
+    SCALES,
+    ChecksFailed,
+    run_experiment,
+)
+from repro.errors import ConfigurationError
 
 
 def list_experiments() -> str:
-    """Experiments grouped by family, each with its one-line docstring
-    description; ungrouped names (should never exist) trail at the end
-    so nothing silently disappears from the listing."""
+    """The experiment table in order, one description per row, a
+    header wherever the group changes (a group's rows are adjacent)."""
     width = max(len(name) for name in EXPERIMENTS)
     lines = ["available experiments:"]
-    listed: set[str] = set()
-    for group, names in EXPERIMENT_GROUPS.items():
-        lines.append(f"\n{group}:")
-        for name in names:
-            lines.append(f"  {name:<{width}}  {describe(EXPERIMENTS[name])}")
-            listed.add(name)
-    missing = [name for name in EXPERIMENTS if name not in listed]
-    if missing:
-        lines.append("\nungrouped:")
-        lines.extend(
-            f"  {name:<{width}}  {describe(EXPERIMENTS[name])}"
-            for name in missing
-        )
+    group = None
+    for row in EXPERIMENTS.values():
+        if row.group != group:
+            group = row.group
+            lines.append(f"\n{group}:")
+        lines.append(f"  {row.name:<{width}}  {row.description}")
     return "\n".join(lines)
 
 
@@ -76,7 +68,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--scale",
         default="fast",
-        choices=["smoke", "fast", "full"],
+        metavar="{" + ",".join(SCALES) + "}",
         help="smoke: CI-sized 2 x 2; fast: 3 enterprises x 2 shards; "
         "full: the paper's 4 x 4",
     )
@@ -97,19 +89,19 @@ def main(argv: list[str] | None = None) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="run independent measurement points over N worker "
-        "processes (0 = one per CPU; default: sequential); results "
-        "and artifacts are byte-identical at any job count",
+        help="run independent cells over N worker processes (0 = one "
+        "per CPU; default: sequential); results and artifacts are "
+        "byte-identical at any job count",
     )
     parser.add_argument(
         "--kernel-workers",
         type=int,
         default=None,
         metavar="N",
-        help="shard-parallel worker processes for experiments that "
-        "support them (the shardpar sweep compares N against the "
-        "1-worker reference); artifacts are byte-identical at any "
-        "worker count — see docs/performance.md",
+        help="run every cell on per-cluster kernels over N worker "
+        "processes (the shardpar sweep compares N against the 1-worker "
+        "reference); artifacts are byte-identical at any worker count "
+        "— see docs/performance.md",
     )
     parser.add_argument(
         "--trace",
@@ -157,7 +149,6 @@ def main(argv: list[str] | None = None) -> None:
         # driving process would export an empty one — refuse instead
         # of writing a misleading artifact.
         parser.error("--trace requires sequential execution (drop --jobs)")
-    out_dir = Path(args.out) if args.out is not None else None
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if tracing:
         from repro import obs
@@ -171,39 +162,17 @@ def main(argv: list[str] | None = None) -> None:
         profiler.enable()
     try:
         for name in names:
-            fn = EXPERIMENTS[name]
-            supported = inspect.signature(fn).parameters
-            kwargs = {}
-            if "scale" in supported:
-                kwargs["scale"] = args.scale
-            if "seed" in supported:
-                kwargs["seed"] = args.seed
-            if "jobs" in supported and args.jobs is not None:
-                kwargs["jobs"] = args.jobs
-            if (
-                "kernel_workers" in supported
-                and args.kernel_workers is not None
-            ):
-                kwargs["kernel_workers"] = args.kernel_workers
-            manages_own_artifact = "out" in supported
-            if manages_own_artifact and out_dir is not None:
-                kwargs["out"] = str(out_dir / f"BENCH_{name}.json")
-            started = time.perf_counter()
-            results = fn(**kwargs)
-            elapsed = time.perf_counter() - started
-            if out_dir is not None and not manages_own_artifact:
-                write_json(
-                    out_dir / f"BENCH_{name}.json",
-                    {
-                        "experiment": name,
-                        "scale": args.scale,
-                        "seed": args.seed,
-                        "results": results,
-                        # Excluded from the determinism byte-compare
-                        # (repro.bench.compare strips perf blocks).
-                        "perf": {"wall_clock_s": round(elapsed, 3)},
-                    },
-                )
+            run_experiment(
+                EXPERIMENTS[name], args.scale, args.seed, args.jobs,
+                args.kernel_workers, args.out,
+            )
+    except ConfigurationError as exc:
+        print(f"repro.bench: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
+    except ChecksFailed as exc:
+        for failure in exc.failures:
+            print(f"check failed: {exc.experiment}: {failure}", file=sys.stderr)
+        raise SystemExit(1) from exc
     finally:
         if tracing:
             from repro import obs

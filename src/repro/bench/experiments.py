@@ -1,41 +1,68 @@
-"""Canned experiments: one function per table/figure of §5.
+"""The evaluation as data: one table of experiments, one run function.
 
-Scale control: ``scale="fast"`` (default) uses 2 enterprises x 2
-shards and short windows so the whole suite runs in minutes;
-``scale="full"`` uses the paper's 4 x 4.  Both produce the same
-*shapes*; EXPERIMENTS.md records paper-vs-measured.
+An experiment is a row of :data:`EXPERIMENTS` — a name, a ``--list``
+group, a one-line description and three functions:
 
-Every experiment is structured as **plan → execute → merge**: the plan
-step emits a flat list of :class:`~repro.bench.parallel.PointTask`
-items (one self-contained :class:`~repro.scenarios.spec.ScenarioSpec`
-per measured point), the execute step runs them — in order in-process,
-or fanned out over a worker pool when ``jobs`` says so — and the merge
-step is a pure function from keyed results to the experiment's tables.
-Because the merge consumes results by key in plan order, an
-experiment's output (and its ``BENCH_*.json`` artifact) is
-byte-identical regardless of job count or completion order.
+- ``plan(scale, seed) -> {cell key: ScenarioSpec}`` — the cells.  Every
+  cell is a self-contained spec, measured by
+  :func:`~repro.scenarios.runner.run_scenario`, in-process or on a
+  ``--jobs`` pool worker.
+- ``merge(run) -> fields`` — from the cells' reports (``run.reports``,
+  keyed and ordered like the plan) to the artifact's ``results`` and any
+  further top-level fields; a ``perf`` entry adds to the roll-up.  Pure
+  for every row whose measurements are all cells; the rows that measure
+  what a scenario cell cannot express (``recovery`` kills and rebuilds a
+  replica, ``analytics`` fills and queries a database, ``shardpar`` and
+  ``batching`` rerun a spec under a different engine setting) do that
+  measuring here, from the same arguments.
+- ``checks(artifact) -> [failure strings]`` — what CI asserts about the
+  artifact, pins included, beside the code that moves them.
+
+:func:`run_experiment` is the only way a row runs: plan → apply
+``kernel_workers`` → execute → merge → assemble the ``{experiment,
+scale, seed, results, perf}`` envelope → write ``BENCH_<name>.json`` →
+print rows → evaluate checks.  Because the merge consumes reports by
+key in plan order, an artifact is byte-identical (modulo ``perf`` /
+``obs``) regardless of job count or completion order.
+
+Scale control: ``smoke`` is CI-sized (2 enterprises x 2 shards),
+``fast`` uses 3 x 2 and short windows so the whole suite runs in
+minutes, ``full`` uses the paper's 4 x 4.  All produce the same shapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import dataclasses
+import tempfile
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any, Callable, Hashable
 
 from repro.bench.parallel import PointTask, execute_tasks
-from repro.bench.recovery import run_recovery_bench
+from repro.bench.report import comparable_json, strip_perf, write_json
 from repro.bench.runner import (
     FABRIC_VARIANTS,
     QANAAT_PROTOCOLS,
     PointResult,
-    point_from_payload,
     point_spec,
     sweep_merge,
-    sweep_specs,
     sweep_stopped,
 )
-from repro.sim.latency import RegionLatency
+from repro.errors import ConfigurationError, ReproError
+from repro.scenarios.runner import run_scenario, summary_row
+from repro.scenarios.spec import (
+    ArrivalSpec,
+    MeasurementSpec,
+    PopulationSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.workload.generator import WorkloadMix
 
-ALL_SYSTEMS = list(QANAAT_PROTOCOLS) + list(FABRIC_VARIANTS)
+ALL_SYSTEMS = tuple(QANAAT_PROTOCOLS) + FABRIC_VARIANTS
 
 
 @dataclass
@@ -80,299 +107,358 @@ SCALES = {
 }
 
 
-def _kwargs(scale: Scale, **extra):
-    base = dict(
-        enterprises=scale.enterprises,
-        shards=scale.shards,
-        warmup=scale.warmup,
-        measure=scale.measure,
-        drain=scale.drain,
+# ----------------------------------------------------------------------
+# the row type and the one run function
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Run:
+    """What a row's ``merge`` sees: the invocation and every cell's
+    report (rungs a sequential ladder stopped before are absent)."""
+
+    scale: str
+    seed: int
+    jobs: int | None
+    kernel_workers: int | None
+    out_dir: Path | None
+    specs: dict[Hashable, ScenarioSpec]
+    reports: dict[Hashable, dict[str, Any]]
+
+
+def _report_rows(artifact: dict[str, Any]) -> list[str]:
+    return [summary_row(report) for report in artifact["results"].values()]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One row of the evaluation (see the module docstring)."""
+
+    name: str
+    group: str
+    description: str
+    merge: Callable[[Run], dict[str, Any]]
+    plan: Callable[[str, int], dict[Hashable, ScenarioSpec]] = lambda scale, seed: {}
+    checks: Callable[[dict[str, Any]], list[str]] = lambda artifact: []
+    #: artifact -> printable lines (default: one per scenario report).
+    rows: Callable[[dict[str, Any]], list[str]] = _report_rows
+    #: Cells are keyed ``(..., rung)`` up a rate ladder; cells sharing
+    #: ``key[:-1]`` form one ladder, which sequential execution stops
+    #: climbing one rung past the knee.
+    ladder: bool = False
+
+
+class ChecksFailed(ReproError):
+    """An experiment's artifact failed its row's checks; ``failures``
+    holds one ``"<check name>: <what was found>"`` string per failure."""
+
+    def __init__(self, experiment: str, failures: list[str]):
+        super().__init__(f"{experiment}: " + "; ".join(failures))
+        self.experiment = experiment
+        self.failures = failures
+
+
+def _at(sc: Scale, seed: int) -> dict[str, Any]:
+    """The deployment size, windows and seed a scale fixes, as the
+    keyword options point_spec and run_recovery_scenario share."""
+    return dict(
+        enterprises=sc.enterprises, shards=sc.shards, warmup=sc.warmup,
+        measure=sc.measure, drain=sc.drain, seed=seed,
     )
-    base.update(extra)
-    return base
 
 
-def _print_rows(title: str, rows: list[PointResult]) -> None:
-    print(f"\n=== {title} ===")
-    for row in rows:
-        print("  " + row.row())
+def _ladder_stopped(reports: list[dict[str, Any]]) -> bool:
+    return sweep_stopped([PointResult.from_report(r) for r in reports])
 
 
-# ----------------------------------------------------------------------
-# plan/merge helpers shared by the sweep-shaped experiments
-# ----------------------------------------------------------------------
-def _sweep_tasks(prefix: tuple, system: str, scale: Scale, mix, **kwargs):
-    """One chained task per rung of the scale's rate ladder (the same
-    specs :func:`repro.bench.runner.sweep` plans from)."""
-    specs = sweep_specs(system, list(scale.rate_ladder), mix, **kwargs)
-    return [
-        PointTask(
-            key=prefix + (system, rung),
-            spec=spec,
-            chain=prefix + (system,),
-        )
-        for rung, spec in enumerate(specs)
-    ]
+def _partitioned(row: Experiment, key: Hashable, spec: ScenarioSpec, workers: int):
+    from repro.scenarios.build import validate_partitioning
+
+    spec = spec.with_kernel_workers(workers)
+    try:
+        validate_partitioning(spec)
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"{row.name}: cell {key!r} (spec {spec.name!r}) cannot run "
+            f"under --kernel-workers: {exc}"
+        ) from exc
+    return spec
 
 
-def _sweep_stop(accumulated: list[dict]) -> bool:
-    return sweep_stopped([point_from_payload(p) for p in accumulated])
-
-
-def _merge_sweep(raw: dict, prefix: tuple, system: str, ladder_len: int):
-    """Reassemble one system's ladder (tolerating rungs sequential
-    early-stop never ran) and reduce it to (curve, best)."""
-    points = [
-        point_from_payload(raw[prefix + (system, rung)])
-        for rung in range(ladder_len)
-        if prefix + (system, rung) in raw
-    ]
-    return sweep_merge(points)
-
-
-# ----------------------------------------------------------------------
-# Figures 7, 8, 9: latency-vs-throughput by cross-transaction type
-# ----------------------------------------------------------------------
-def _figure_cross_type(
-    cross_type: str,
-    percentages,
-    scale_name: str,
-    systems,
-    curves: bool,
+def run_experiment(
+    row: Experiment,
+    scale: str = "fast",
     seed: int = 1,
     jobs: int | None = None,
-) -> dict:
-    scale = SCALES[scale_name]
-    tasks: list[PointTask] = []
-    for pct in percentages:
-        mix = WorkloadMix(cross=pct / 100.0, cross_type=cross_type)
-        for system in systems:
-            tasks.extend(
-                _sweep_tasks((pct,), system, scale, mix, **_kwargs(scale, seed=seed))
-            )
-    raw = execute_tasks(tasks, jobs=jobs, stop=_sweep_stop)
-    results: dict = {}
-    for pct in percentages:
-        panel = []
-        for system in systems:
-            curve, best = _merge_sweep(raw, (pct,), system, len(scale.rate_ladder))
-            panel.append(best if not curves else curve)
-        label = f"{pct}% {cross_type}"
-        results[label] = panel
-        _print_rows(
-            f"{label} (just below saturation)",
-            panel if not curves else [p for c in panel for p in c],
+    kernel_workers: int | None = None,
+    out_dir: str | Path | None = None,
+    cells: set[Hashable] | None = None,
+) -> dict[str, Any]:
+    """Run one row end to end and return its artifact.
+
+    ``out_dir`` is where ``BENCH_<name>.json`` (and a row's side files:
+    the analytics databases, the obs trace) are written; nothing touches
+    the disk without it.  ``cells`` restricts the plan to a subset of
+    its keys — a smaller matrix for tests; the row's checks describe the
+    whole matrix and are skipped for a partial one.  A failing cell
+    raises :class:`~repro.bench.parallel.CellError`; failed checks raise
+    :class:`ChecksFailed` after the artifact is written.
+    """
+    if scale not in SCALES:
+        raise ConfigurationError(
+            f"unknown scale {scale!r}; valid: " + ", ".join(SCALES)
         )
-    return results
-
-
-def fig7(scale: str = "fast", percentages=(10, 50, 90), systems=None, curves=False,
-         seed: int = 1, jobs: int | None = None):
-    """Figure 7: intra-shard cross-enterprise workloads."""
-    return _figure_cross_type(
-        "isce", percentages, scale, systems or ALL_SYSTEMS, curves, seed=seed,
+    out_dir = Path(out_dir) if out_dir is not None else None
+    specs = row.plan(scale, seed)
+    if cells is not None:
+        unknown = set(cells) - set(specs)
+        if unknown:
+            raise ConfigurationError(
+                f"{row.name}: no such cells {sorted(map(repr, unknown))}"
+            )
+        specs = {key: spec for key, spec in specs.items() if key in cells}
+    if kernel_workers is not None:
+        specs = {
+            key: _partitioned(row, key, spec, kernel_workers)
+            for key, spec in specs.items()
+        }
+    print(
+        f"\n=== {row.name}: {row.description} "
+        f"(scale={scale}, seed={seed}, {len(specs)} cells) ==="
+    )
+    started = time.perf_counter()
+    reports = execute_tasks(
+        [
+            PointTask(key, spec, chain=key[:-1] if row.ladder else None)
+            for key, spec in specs.items()
+        ],
         jobs=jobs,
+        stop=_ladder_stopped if row.ladder else None,
+        label=row.name,
+    )
+    fields = row.merge(
+        Run(scale, seed, jobs, kernel_workers, out_dir, specs, reports)
+    )
+    # Measurement context, excluded from the determinism byte-compare
+    # (repro.bench.compare strips perf blocks at every level).
+    perf: dict[str, Any] = {"wall_clock_s": round(time.perf_counter() - started, 3)}
+    if reports:
+        for counter in ("digest_calls", "verify_calls", "events"):
+            perf[counter] = sum(r["perf"][counter] for r in reports.values())
+    perf.update(fields.pop("perf", {}))
+    artifact = {
+        "experiment": row.name, "scale": scale, "seed": seed, **fields,
+        "perf": perf,
+    }
+    if out_dir is not None:
+        write_json(out_dir / f"BENCH_{row.name}.json", artifact)
+    for line in row.rows(artifact):
+        print("  " + line)
+    failures = row.checks(artifact) if cells is None else []
+    if failures:
+        raise ChecksFailed(row.name, failures)
+    return artifact
+
+
+def _pinned(artifact: dict[str, Any]) -> bool:
+    """Counter pins are stated for the CI matrix: smoke scale, seed 1,
+    every cell on the one kernel (they hold at any ``--jobs`` and with
+    tracing on; per-cluster kernels hash a handful more)."""
+    return (
+        artifact["scale"] == "smoke"
+        and artifact["seed"] == 1
+        and all(
+            report["perf"]["kernel_workers"] is None
+            for report in artifact["results"].values()
+        )
     )
 
 
-def fig8(scale: str = "fast", percentages=(10, 50, 90), systems=None, curves=False,
-         seed: int = 1, jobs: int | None = None):
-    """Figure 8: cross-shard intra-enterprise workloads."""
-    return _figure_cross_type(
-        "csie", percentages, scale, systems or ALL_SYSTEMS, curves, seed=seed,
-        jobs=jobs,
+# ----------------------------------------------------------------------
+# panel grids: Figures 7-11, Tables 2-3, the cell-shaped ablations and
+# the related-work landscape are panels x points (x a rate ladder)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Panel:
+    """One panel of a figure: a workload mix over a row of points, each
+    ``(display label, system, point_spec options)``; ``options`` apply
+    to every point of the panel.  A row whose only panel is labelled
+    ``None`` reports that panel's list of points as its results."""
+
+    label: Hashable
+    mix: WorkloadMix
+    points: tuple[tuple[str, str, dict[str, Any]], ...]
+    options: dict[str, Any] = field(default_factory=dict)
+
+
+def _systems(*names: str) -> tuple[tuple[str, str, dict[str, Any]], ...]:
+    return tuple((name, name, {}) for name in names)
+
+
+def _panel_rows(artifact: dict[str, Any]) -> list[str]:
+    results = artifact["results"]
+    if isinstance(results, list):
+        return [point.row() for point in results]
+    return [
+        line
+        for label, points in results.items()
+        for line in [f"-- {label}", *(point.row() for point in points)]
+    ]
+
+
+def _grid(
+    name: str,
+    group: str,
+    description: str,
+    panels: Callable[[str], list[Panel]],
+    ladder: bool = False,
+) -> Experiment:
+    """A row over the one grid planner.  With ``ladder`` every point
+    climbs the scale's rate ladder and reports the rung just below
+    saturation (§5's methodology); otherwise it is measured once, at
+    the scale's fixed rate."""
+
+    def rates(scale: str) -> tuple[float, ...]:
+        sc = SCALES[scale]
+        return sc.rate_ladder if ladder else (sc.fixed_rate,)
+
+    def plan(scale: str, seed: int) -> dict[Hashable, ScenarioSpec]:
+        base = _at(SCALES[scale], seed)
+        return {
+            (panel.label, label, rung): point_spec(
+                system, rate, panel.mix, **{**base, **panel.options, **options}
+            )
+            for panel in panels(scale)
+            for label, system, options in panel.points
+            for rung, rate in enumerate(rates(scale))
+        }
+
+    def merge(run: Run) -> dict[str, Any]:
+        def best(panel: Panel, label: str) -> PointResult:
+            keys = [(panel.label, label, r) for r in range(len(rates(run.scale)))]
+            # A one-rung "ladder" merges to its only point.
+            _, point = sweep_merge(
+                [
+                    PointResult.from_report(run.reports[key])
+                    for key in keys
+                    if key in run.reports
+                ]
+            )
+            return dataclasses.replace(point, system=label)
+
+        results = {
+            panel.label: [best(panel, label) for label, _, _ in panel.points]
+            for panel in panels(run.scale)
+        }
+        return {"results": results[None] if set(results) == {None} else results}
+
+    return Experiment(
+        name, group, description, merge, plan, rows=_panel_rows, ladder=ladder
     )
 
 
-def fig9(scale: str = "fast", percentages=(10, 50, 90), systems=None, curves=False,
-         seed: int = 1, jobs: int | None = None):
-    """Figure 9: cross-shard cross-enterprise workloads."""
-    return _figure_cross_type(
-        "csce", percentages, scale, systems or ALL_SYSTEMS, curves, seed=seed,
-        jobs=jobs,
-    )
+_CROSS_10 = WorkloadMix(cross=0.10, cross_type="isce")
 
 
-# ----------------------------------------------------------------------
-# Figure 10: scalability across spatial domains (4 AWS regions)
-# ----------------------------------------------------------------------
-def _wan_latency(scale: Scale) -> RegionLatency:
-    regions = ("TY", "SU", "VA", "CA")
-    region_of = {}
-    for index, enterprise in enumerate(scale.enterprises):
-        for shard in range(scale.shards):
-            region_of[f"{enterprise}{shard + 1}"] = regions[index % 4]
-    for index, enterprise in enumerate(scale.enterprises):
-        region_of[f"client-{enterprise}"] = regions[index % 4]
-    return RegionLatency(region_of)
-
-
-def fig10(scale: str = "fast", systems=None, seed: int = 1, jobs: int | None = None):
-    """Figure 10: 10% cross workloads over the paper's RTT matrix.
-
-    Fabric and variants are excluded, as in the paper (a single
-    ordering service cannot be meaningfully geo-distributed).
-    """
-    sc = SCALES[scale]
-    systems = systems or list(QANAAT_PROTOCOLS)
-    latency = _wan_latency(sc)
-    cross_types = ("isce", "csie", "csce")
-    tasks: list[PointTask] = []
-    for cross_type in cross_types:
-        mix = WorkloadMix(cross=0.10, cross_type=cross_type)
-        for system in systems:
-            tasks.extend(
-                _sweep_tasks(
-                    (cross_type,), system, sc, mix,
-                    **_kwargs(sc, latency=latency, seed=seed),
-                )
-            )
-    raw = execute_tasks(tasks, jobs=jobs, stop=_sweep_stop)
-    results = {}
-    for cross_type in cross_types:
-        panel = [
-            _merge_sweep(raw, (cross_type,), system, len(sc.rate_ladder))[1]
-            for system in systems
-        ]
-        results[cross_type] = panel
-        _print_rows(f"Fig10 10% {cross_type} over 4 AWS regions", panel)
-    return results
-
-
-# ----------------------------------------------------------------------
-# Table 2: varying the number of enterprises
-# ----------------------------------------------------------------------
-def table2(scale: str = "fast", enterprise_counts=None, systems=None, seed: int = 1,
-           jobs: int | None = None):
-    """Table 2: 90% internal + 10% cross, 2..8 enterprises."""
-    sc = SCALES[scale]
-    if enterprise_counts is None:
-        enterprise_counts = (2, 4) if scale == "fast" else (2, 4, 6, 8)
-    systems = systems or list(QANAAT_PROTOCOLS)
-    names = tuple("ABCDEFGH")
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    tasks: list[PointTask] = []
-    for count in enterprise_counts:
-        for system in systems:
-            tasks.extend(
-                _sweep_tasks(
-                    (count,), system, sc, mix,
-                    **_kwargs(sc, enterprises=names[:count], seed=seed),
-                )
-            )
-    raw = execute_tasks(tasks, jobs=jobs, stop=_sweep_stop)
-    results = {}
-    for count in enterprise_counts:
-        panel = [
-            _merge_sweep(raw, (count,), system, len(sc.rate_ladder))[1]
-            for system in systems
-        ]
-        results[count] = panel
-        _print_rows(f"Table 2 with {count} enterprises", panel)
-    return results
-
-
-# ----------------------------------------------------------------------
-# Table 3: performance with faulty nodes
-# ----------------------------------------------------------------------
-def table3(scale: str = "fast", systems=None, seed: int = 1, jobs: int | None = None):
-    """Table 3: one failed non-primary node (plus exec+filter for PF)."""
-    sc = SCALES[scale]
-    systems = systems or ALL_SYSTEMS
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    cases = (("no fail", 0), ("1 fail", 1))
-    tasks = [
-        PointTask(
-            key=(label, system),
-            spec=point_spec(
-                system, sc.fixed_rate, mix,
-                **_kwargs(sc, crash_nodes=crash, seed=seed),
-            ),
+def _share_panels(cross_type: str) -> Callable[[str], list[Panel]]:
+    return lambda scale: [
+        Panel(
+            f"{pct}% {cross_type}",
+            WorkloadMix(cross=pct / 100.0, cross_type=cross_type),
+            _systems(*ALL_SYSTEMS),
         )
-        for label, crash in cases
-        for system in systems
+        for pct in (10, 50, 90)
     ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    results = {}
-    for label, _ in cases:
-        panel = [point_from_payload(raw[(label, system)]) for system in systems]
-        results[label] = panel
-        _print_rows(f"Table 3 ({label}) at {sc.fixed_rate:.0f} tps offered", panel)
-    return results
 
 
-# ----------------------------------------------------------------------
-# Figure 11: contention (Zipfian skew)
-# ----------------------------------------------------------------------
-def fig11(scale: str = "fast", skews=(0.0, 1.0, 2.0), systems=None, seed: int = 1,
-          jobs: int | None = None):
-    """Figure 11: 90% internal + 10% cross under key skew.
-
-    Qanaat orders-then-executes so skew barely matters; Fabric-family
-    systems lose most throughput to MVCC invalidation, with Fabric++
-    rescuing part of it through reordering/early abort.
-    """
-    sc = SCALES[scale]
-    systems = systems or ALL_SYSTEMS
-    tasks = [
-        PointTask(
-            key=(skew, system),
-            spec=point_spec(
-                system, sc.fixed_rate,
-                WorkloadMix(
-                    cross=0.10, cross_type="isce", zipf_s=skew,
-                    accounts_per_shard=500,
-                ),
-                **_kwargs(sc, seed=seed),
-            ),
+def _fig10_panels(scale: str) -> list[Panel]:
+    # Fabric and variants are excluded, as in the paper (a single
+    # ordering service cannot be meaningfully geo-distributed).
+    return [
+        Panel(
+            cross_type,
+            WorkloadMix(cross=0.10, cross_type=cross_type),
+            _systems(*QANAAT_PROTOCOLS),
+            {"wan": True},
         )
-        for skew in skews
-        for system in systems
+        for cross_type in ("isce", "csie", "csce")
     ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    results = {}
-    for skew in skews:
-        panel = [point_from_payload(raw[(skew, system)]) for system in systems]
-        results[skew] = panel
-        _print_rows(f"Fig11 zipf s={skew} at {sc.fixed_rate:.0f} tps offered", panel)
-    return results
 
 
-# ----------------------------------------------------------------------
-# Ablations (DESIGN.md §5)
-# ----------------------------------------------------------------------
-def ablation_batching(scale: str = "fast", sizes=(1, 8, 64, 256), seed: int = 1,
-                      jobs: int | None = None):
-    """Batch size vs throughput/latency for Flt-C."""
-    sc = SCALES[scale]
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    tasks = [
-        PointTask(
-            key=(size,),
-            spec=point_spec(
-                "Flt-C", sc.fixed_rate, mix,
-                **_kwargs(sc, batch_size=size, seed=seed),
-            ),
+def _table2_panels(scale: str) -> list[Panel]:
+    return [
+        Panel(
+            count, _CROSS_10, _systems(*QANAAT_PROTOCOLS),
+            {"enterprises": tuple("ABCDEFGH")[:count]},
         )
-        for size in sizes
+        for count in ((2, 4) if scale == "fast" else (2, 4, 6, 8))
     ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    panel = []
-    for size in sizes:
-        point = point_from_payload(raw[(size,)])
-        point.system = f"Flt-C/B={size}"
-        panel.append(point)
-    _print_rows("Ablation: batch size (Flt-C)", panel)
-    return panel
 
 
-def ablation_gamma(scale: str = "fast"):
-    """γ transitive reduction: ID size saved, throughput unchanged.
+def _table3_panels(scale: str) -> list[Panel]:
+    return [
+        Panel(label, _CROSS_10, _systems(*ALL_SYSTEMS), {"crash_nodes": crash})
+        for label, crash in (("no fail", 0), ("1 fail", 1))
+    ]
 
-    Measured directly on SequenceBooks over the bench collection
-    lattice rather than end-to-end (reduction changes bytes on the
-    wire, which the cost model does not charge for).
-    """
+
+def _fig11_panels(scale: str) -> list[Panel]:
+    # Qanaat orders-then-executes so skew barely matters; Fabric-family
+    # systems lose most throughput to MVCC invalidation, with Fabric++
+    # rescuing part of it through reordering/early abort.
+    return [
+        Panel(
+            skew,
+            WorkloadMix(
+                cross=0.10, cross_type="isce", zipf_s=skew, accounts_per_shard=500
+            ),
+            _systems(*ALL_SYSTEMS),
+        )
+        for skew in (0.0, 1.0, 2.0)
+    ]
+
+
+def _flt_c_panel(option: str, values: tuple, label: Callable[[Any], str]):
+    """One unlabelled Flt-C panel varying one point_spec option."""
+    points = tuple((label(value), "Flt-C", {option: value}) for value in values)
+    return lambda scale: [Panel(None, _CROSS_10, points)]
+
+
+def _fig4_panels(scale: str) -> list[Panel]:
+    # (a) crash combined -> (b) Byzantine ordering + crash execution ->
+    # (c) single crash filter row -> (d) full h+1 x h+1 firewall: each
+    # step buys a weaker trust assumption and costs latency/throughput.
+    return [Panel(None, _CROSS_10, _systems("Fig4a", "Fig4b", "Fig4c", "Fig4d"))]
+
+
+def _landscape_panels(scale: str) -> list[Panel]:
+    # 1. Confidential subset collaborations: Caper promotes every subset
+    #    collaboration to its global chain across *all* enterprises,
+    #    while Qanaat runs them on the pair's own collection — Caper's
+    #    curve collapses as the subset share grows.
+    # 2. Cross-shard intra-enterprise: SharPer/AHL are restricted to one
+    #    enterprise; Qanaat's csie protocols (their direct descendants)
+    #    match them, which is exactly the §5 claim that the comparison
+    #    is only meaningful on this slice.
+    return [
+        Panel(
+            f"{what} {pct}%",
+            WorkloadMix(cross=pct / 100.0, cross_type=cross_type),
+            _systems(*systems),
+        )
+        for what, cross_type, systems in (
+            ("subset", "isce", ("Flt-B", "Caper")),
+            ("cross-shard", "csie", ("Flt-B", "Crd-B", "SharPer", "AHL")),
+        )
+        for pct in (10, 50)
+    ]
+
+
+# ----------------------------------------------------------------------
+# γ transitive reduction (no cells)
+# ----------------------------------------------------------------------
+def _gamma_merge(run: Run) -> dict[str, Any]:
+    # Measured directly on SequenceBooks over the bench collection
+    # lattice rather than end-to-end (reduction changes bytes on the
+    # wire, which the cost model does not charge for).
     from repro.datamodel.collections import CollectionRegistry
     from repro.datamodel.txid import SequenceBook
 
@@ -393,194 +479,67 @@ def ablation_gamma(scale: str = "fast"):
                 book.commit(tx_id)
                 total_entries += len(tx_id.gamma)
         sizes["reduced" if reduce_gamma else "full"] = total_entries
+    return {"results": sizes}
+
+
+def _gamma_rows(artifact: dict[str, Any]) -> list[str]:
+    sizes = artifact["results"]
     saved = 1 - sizes["reduced"] / sizes["full"]
-    print(
-        f"\n=== Ablation: gamma transitive reduction ===\n"
-        f"  full gamma entries:    {sizes['full']}\n"
-        f"  reduced gamma entries: {sizes['reduced']}  "
-        f"({saved:.0%} smaller IDs)"
-    )
-    return sizes
-
-
-def baseline_landscape(scale: str = "fast", seed: int = 1, jobs: int | None = None):
-    """Related-work landscape (§6), two comparable slices.
-
-    1. Confidential subset collaborations: Caper promotes every subset
-       collaboration to its global chain across *all* enterprises,
-       while Qanaat runs them on the pair's own collection — Caper's
-       curve collapses as the subset share grows.
-    2. Cross-shard intra-enterprise: SharPer/AHL are restricted to one
-       enterprise; Qanaat's csie protocols (their direct descendants)
-       match them, which is exactly the §5 claim that the comparison
-       is only meaningful on this slice.
-    """
-    sc = SCALES[scale]
-    slices = [
-        (
-            f"subset {pct}%",
-            f"Landscape: {pct}% subset collaborations "
-            f"(Qanaat d_XY vs Caper global chain)",
-            WorkloadMix(cross=pct / 100.0, cross_type="isce"),
-            ("Flt-B", "Caper"),
-        )
-        for pct in (10, 50)
-    ] + [
-        (
-            f"cross-shard {pct}%",
-            f"Landscape: {pct}% cross-shard intra-enterprise "
-            f"(Qanaat vs SharPer/AHL)",
-            WorkloadMix(cross=pct / 100.0, cross_type="csie"),
-            ("Flt-B", "Crd-B", "SharPer", "AHL"),
-        )
-        for pct in (10, 50)
+    return [
+        f"full gamma entries:    {sizes['full']}",
+        f"reduced gamma entries: {sizes['reduced']}  ({saved:.0%} smaller IDs)",
     ]
-    tasks = [
-        PointTask(
-            key=(label, system),
-            spec=point_spec(system, sc.fixed_rate, mix, **_kwargs(sc, seed=seed)),
-        )
-        for label, _, mix, systems in slices
-        for system in systems
-    ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    results: dict = {}
-    for label, title, _, systems in slices:
-        panel = [point_from_payload(raw[(label, system)]) for system in systems]
-        results[label] = panel
-        _print_rows(title, panel)
-    return results
-
-
-def ablation_fig4(scale: str = "fast", seed: int = 1, jobs: int | None = None):
-    """Figure 4 infrastructure ladder at one load.
-
-    (a) crash combined -> (b) Byzantine ordering + crash execution ->
-    (c) single crash filter row -> (d) full h+1 x h+1 firewall: each
-    step buys a weaker trust assumption and costs latency/throughput.
-    """
-    sc = SCALES[scale]
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    configs = ("Fig4a", "Fig4b", "Fig4c", "Fig4d")
-    tasks = [
-        PointTask(
-            key=(name,),
-            spec=point_spec(name, sc.fixed_rate, mix, **_kwargs(sc, seed=seed)),
-        )
-        for name in configs
-    ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    panel = [point_from_payload(raw[(name,)]) for name in configs]
-    _print_rows("Ablation: Figure 4 configurations (flattened)", panel)
-    return panel
-
-
-def ablation_checkpoint(scale: str = "fast", intervals=(0, 16, 64, 256), seed: int = 1,
-                        jobs: int | None = None):
-    """Checkpointing cost: interval vs throughput/latency (Flt-C).
-
-    Checkpoint votes ride the same network and CPU as consensus, so
-    tight intervals tax throughput; 0 disables checkpointing (the
-    no-GC, unbounded-log configuration)."""
-    sc = SCALES[scale]
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    tasks = [
-        PointTask(
-            key=(interval,),
-            spec=point_spec(
-                "Flt-C", sc.fixed_rate, mix,
-                **_kwargs(sc, checkpoint_interval=interval, seed=seed),
-            ),
-        )
-        for interval in intervals
-    ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    panel = []
-    for interval in intervals:
-        point = point_from_payload(raw[(interval,)])
-        point.system = f"Flt-C/ckpt={interval or 'off'}"
-        panel.append(point)
-    _print_rows("Ablation: checkpoint interval (Flt-C)", panel)
-    return panel
 
 
 # ----------------------------------------------------------------------
-# Durability: crash-recovery scenario (repro.bench.recovery)
+# scenario matrices: the cells' reports are the results
 # ----------------------------------------------------------------------
-def recovery(scale: str = "fast", seed: int = 1, out: str | None = None):
-    """Kill a replica mid-measurement, rebuild it from WAL/SQLite
-    state, verify per-chain digests; writes ``BENCH_recovery.json``."""
-    sc = SCALES[scale]
-    print("\n=== Crash-recovery (durable storage backends) ===")
-    return run_recovery_bench(
-        out_path=out if out is not None else "BENCH_recovery.json",
-        seed=seed,
-        enterprises=sc.enterprises[:2],
-        shards=sc.shards,
-        warmup=sc.warmup,
-        measure=sc.measure * 2,
-        drain=sc.drain,
-    )
+def _scenarios_plan(scale: str, seed: int) -> dict[Hashable, ScenarioSpec]:
+    from repro.scenarios.registry import bench_scenarios
+
+    return bench_scenarios(SCALES[scale], seed=seed)
 
 
-# ----------------------------------------------------------------------
-# Scenario matrix (repro.scenarios registry)
-# ----------------------------------------------------------------------
-def scenarios(
-    scale: str = "fast",
-    seed: int = 1,
-    out: str | None = None,
-    names: tuple[str, ...] | None = None,
-    jobs: int | None = None,
-):
-    """Scenario-matrix sweep: every registered named scenario (fault
-    timelines included) at one scale; writes ``BENCH_scenarios.json``
-    with per-window throughput/latency/abort-rate and fault traces."""
-    import time
-
-    from repro.bench.report import write_json
-    from repro.scenarios import bench_scenarios, summary_row
-    from repro.scenarios.runner import run_scenarios
-
+def _traced_merge(run: Run) -> dict[str, Any]:
     from repro.obs import TRACE_SCHEMA_VERSION
 
-    sc = SCALES[scale]
-    specs = bench_scenarios(sc, seed=seed, names=names)
-    print(f"\n=== Scenario matrix ({len(specs)} scenarios, scale={scale}) ===")
-    started = time.perf_counter()
-    results = run_scenarios(specs, jobs=jobs)
-    elapsed = time.perf_counter() - started
-    for report in results.values():
-        print("  " + summary_row(report))
-    payload = {
-        "experiment": "scenarios",
-        "scale": scale,
-        "seed": seed,
-        # Version of the repro.obs span/fault-trace schema the reports
-        # (and any exported trace JSONL) follow.
-        "trace_schema": TRACE_SCHEMA_VERSION,
-        "results": results,
-        # Matrix-level measurement context; per-scenario perf blocks
-        # live inside each report.  All perf data is excluded from the
-        # determinism byte-compare (repro.bench.compare).
-        "perf": {
-            "wall_clock_s": round(elapsed, 3),
-            "digest_calls": sum(
-                r["perf"]["digest_calls"] for r in results.values()
-            ),
-            "verify_calls": sum(
-                r["perf"]["verify_calls"] for r in results.values()
-            ),
-            "events": sum(r["perf"]["events"] for r in results.values()),
-        },
-    }
-    write_json(out if out is not None else "BENCH_scenarios.json", payload)
-    return payload
+    # Version of the repro.obs span/fault-trace schema the reports (and
+    # any exported trace JSONL) follow.
+    return {"trace_schema": TRACE_SCHEMA_VERSION, "results": run.reports}
 
 
-# ----------------------------------------------------------------------
-# Population-scale workload matrix (repro.workload.population)
-# ----------------------------------------------------------------------
+#: The smoke matrix's hot-path counters at (smoke, seed 1): deterministic
+#: for a fixed seed (hash-seed independent), so a regression that
+#: reintroduces redundant hashing, re-verifies interned signatures or
+#: widens what certificates demand fails without timing flakiness.
+#: History and the re-pin procedure: docs/benchmarks.md.
+SCENARIO_PINS = {"digest_calls": 46794, "verify_calls": 85773}
+
+
+def _scenarios_checks(artifact: dict[str, Any]) -> list[str]:
+    from repro.scenarios.registry import SMOKE_SCENARIOS
+
+    results = artifact["results"]
+    failures = [
+        f"smoke-scenarios-run: {name} is missing or completed nothing in "
+        "its measure window"
+        for name in SMOKE_SCENARIOS
+        if name not in results
+        or results[name]["windows"]["measure"]["completed"] <= 0
+    ]
+    if not any(results.get(name, {}).get("fault_trace") for name in SMOKE_SCENARIOS):
+        failures.append("fault-trace: no smoke scenario recorded a fault trace")
+    if _pinned(artifact):
+        failures += [
+            f"{counter}-pin: the smoke matrix made {artifact['perf'][counter]} "
+            f"{counter}, pinned {pinned} at (smoke, seed 1) — hot-path "
+            "regression or intentional change; see docs/benchmarks.md"
+            for counter, pinned in SCENARIO_PINS.items()
+            if artifact["perf"][counter] != pinned
+        ]
+    return failures
+
+
 #: Logical-population sizes per cell: the small size exercises the
 #: exact-CDF Zipf path, the large one the rejection-inversion sampler
 #: (and the headline claim: a million logical clients per enterprise on
@@ -590,16 +549,8 @@ POPULATION_SKEWS = (0.0, 1.2)
 POPULATION_POOL = 8
 
 
-def _population_specs(sc: Scale, seed: int, kernel_workers: int | None):
-    from repro.scenarios import (
-        ArrivalSpec,
-        MeasurementSpec,
-        PopulationSpec,
-        ScenarioSpec,
-        TopologySpec,
-        WorkloadSpec,
-    )
-
+def _population_plan(scale: str, seed: int) -> dict[Hashable, ScenarioSpec]:
+    sc = SCALES[scale]
     profiles = {
         "constant": None,
         "diurnal": ArrivalSpec(
@@ -629,7 +580,7 @@ def _population_specs(sc: Scale, seed: int, kernel_workers: int | None):
                     ),
                     workload=WorkloadSpec(
                         rate=sc.fixed_rate,
-                        mix=WorkloadMix(cross=0.10, cross_type="isce"),
+                        mix=_CROSS_10,
                         population=PopulationSpec(
                             size=size, skew=skew, pool=POPULATION_POOL
                         ),
@@ -642,286 +593,35 @@ def _population_specs(sc: Scale, seed: int, kernel_workers: int | None):
                         window=sc.measure / 6,
                     ),
                     seed=seed,
-                    kernel_workers=kernel_workers,
                 )
     return specs
 
 
-def population(
-    scale: str = "smoke",
-    seed: int = 1,
-    out: str | None = None,
-    jobs: int | None = None,
-    kernel_workers: int | None = None,
-):
-    """Population-scale workload matrix: logical-population sizes x
-    activity skews x arrival profiles (constant, diurnal wave, flash
-    crowd with migrating hotspot), every cell multiplexing its
-    population onto a bounded wire-client pool; writes
-    ``BENCH_population.json`` with per-bucket ``series`` and
-    ``population`` blocks.  Asserts the wire bound on every cell: actors
-    used never exceed the declared pool.  The artifact is byte-identical
-    (modulo ``perf``/``obs``) at any ``jobs`` and — given the same
-    ``kernel_workers`` — any worker-pool width."""
-    import time
+def _population_merge(run: Run) -> dict[str, Any]:
+    # perf.client_pool: the wire bound each cell ran under.
+    pools = {name: r["perf"]["client_pool"] for name, r in run.reports.items()}
+    return {"results": run.reports, "perf": {"client_pool": pools}}
 
-    from repro.bench.report import write_json
-    from repro.scenarios import summary_row
-    from repro.scenarios.runner import run_scenarios
 
-    sc = SCALES[scale]
-    specs = _population_specs(sc, seed, kernel_workers)
-    print(
-        f"\n=== Population workload matrix ({len(specs)} cells, "
-        f"scale={scale}) ==="
-    )
-    started = time.perf_counter()
-    results = run_scenarios(specs, jobs=jobs)
-    elapsed = time.perf_counter() - started
-    pools = {}
-    for name, report in results.items():
-        stats = report["population"]
-        if stats["wire_clients_used"] > stats["wire_clients"]:
-            raise AssertionError(
-                f"{name}: wire-client bound violated — "
-                f"{stats['wire_clients_used']} actors used, pool is "
-                f"{stats['wire_clients']}"
+def _population_checks(artifact: dict[str, Any]) -> list[str]:
+    failures = []
+    stats = {name: r["population"] for name, r in artifact["results"].items()}
+    for name, cell in stats.items():
+        used, bound = cell["wire_clients_used"], cell["wire_clients"]
+        recorded = artifact["perf"]["client_pool"][name]
+        if used > bound or recorded != bound or cell["logical_clients"] < bound:
+            failures.append(
+                f"wire-pool-bound: {name} multiplexed "
+                f"{cell['logical_clients']} logical clients onto {used} "
+                f"wire clients; its pool is {bound} (recorded {recorded})"
             )
-        pools[name] = report["perf"]["client_pool"]
-        print(
-            "  " + summary_row(report)
-            + f"  logical={stats['logical_clients']:>9}"
-            f"  wire={stats['wire_clients_used']}/{stats['wire_clients']}"
+    if not any(cell["logical_clients"] >= 1_000_000 for cell in stats.values()):
+        failures.append(
+            "million-client-cell: no cell ran >= 1,000,000 logical clients"
         )
-    payload = {
-        "experiment": "population",
-        "scale": scale,
-        "seed": seed,
-        "results": results,
-        "perf": {
-            "wall_clock_s": round(elapsed, 3),
-            "digest_calls": sum(
-                r["perf"]["digest_calls"] for r in results.values()
-            ),
-            "events": sum(r["perf"]["events"] for r in results.values()),
-            # The wire bound each cell ran under (the pool-bound
-            # assertion above holds over these).
-            "client_pool": pools,
-        },
-    }
-    write_json(out if out is not None else "BENCH_population.json", payload)
-    return payload
+    return failures
 
 
-# ----------------------------------------------------------------------
-# Observability smoke (repro.obs)
-# ----------------------------------------------------------------------
-def obs(
-    scale: str = "smoke",
-    seed: int = 1,
-    out: str | None = None,
-    trace_out: str | None = None,
-):
-    """Observability smoke: one traced cross-shard cross-enterprise
-    scenario; writes ``BENCH_obs.json`` + the trace JSONL next to it."""
-    from pathlib import Path
-
-    from repro import obs as obs_mod
-    from repro.bench.report import write_json
-    from repro.obs import TRACE_SCHEMA_VERSION
-    from repro.scenarios import (
-        MeasurementSpec,
-        ScenarioSpec,
-        TopologySpec,
-        WorkloadSpec,
-        run_scenario,
-        summary_row,
-    )
-
-    sc = SCALES[scale]
-    # Two enterprises, two shards, coordinator-run Byzantine clusters,
-    # 30% csce traffic and batch_size=1: every consensus family phase
-    # (PBFT three-phase, cross lock/vote/decide, execute) appears in
-    # the trace, and one-transaction blocks keep tx -> block -> phase
-    # parentage easy to eyeball in the waterfall.
-    spec = ScenarioSpec(
-        name="obs-cross-enterprise",
-        system="Crd-B",
-        topology=TopologySpec(
-            enterprises=sc.enterprises[:2],
-            shards=max(sc.shards, 2),
-            batch_size=1,
-        ),
-        workload=WorkloadSpec(
-            rate=sc.fixed_rate / 4,
-            mix=WorkloadMix(cross=0.30, cross_type="csce"),
-        ),
-        measurement=MeasurementSpec(
-            warmup=sc.warmup, measure=sc.measure, drain=sc.drain
-        ),
-        seed=seed,
-        trace=True,
-    )
-    print(f"\n=== Observability smoke (traced, scale={scale}) ===")
-    report = run_scenario(spec)
-    print("  " + summary_row(report))
-    # The embedded JSONL becomes its own artifact; the JSON report
-    # keeps the span count / metric snapshot.  Under a caller-owned
-    # tracer (bench --trace) the report carries no JSONL — read the
-    # live tracer instead.
-    trace_jsonl = report["obs"].pop("trace_jsonl", None)
-    if trace_jsonl is None and obs_mod.TRACER is not None:
-        trace_jsonl = obs_mod.TRACER.to_jsonl()
-    out_path = Path(out) if out is not None else Path("BENCH_obs.json")
-    if trace_out is None:
-        trace_out = str(out_path.parent / "BENCH_obs_trace.jsonl")
-    if trace_jsonl is not None:
-        trace_path = Path(trace_out)
-        trace_path.parent.mkdir(parents=True, exist_ok=True)
-        trace_path.write_text(trace_jsonl, encoding="utf-8")
-        print(f"  trace written to {trace_path}")
-    payload = {
-        "experiment": "obs",
-        "scale": scale,
-        "seed": seed,
-        "trace_schema": TRACE_SCHEMA_VERSION,
-        "results": {spec.name: report},
-        "perf": {
-            "wall_clock_s": report["perf"]["wall_clock_s"],
-            "digest_calls": report["perf"]["digest_calls"],
-            "events": report["perf"]["events"],
-        },
-    }
-    write_json(out_path, payload)
-    return payload
-
-
-# ----------------------------------------------------------------------
-# Shard-parallel kernel sweep (repro.sim.shardpar)
-# ----------------------------------------------------------------------
-#: Shards-per-enterprise ladder for the shard-parallel sweep (two
-#: enterprises throughout, so total clusters = 2 x shards; ``full``
-#: tops out at the 16-cluster scenario the tentpole targets).
-SHARDPAR_SHARDS = {"smoke": (2,), "fast": (2, 4), "full": (4, 8)}
-SHARDPAR_RATE = {"smoke": 100.0, "fast": 250.0, "full": 250.0}
-
-
-def shardpar(
-    scale: str = "fast",
-    seed: int = 1,
-    out: str | None = None,
-    kernel_workers: int | None = None,
-):
-    """Shard-parallel kernel sweep: shards x worker counts, each point
-    byte-compared against the one-kernel run of the same spec and timed
-    against it; writes ``BENCH_shardpar.json`` with per-point speedups
-    in the ``perf`` block."""
-    from repro.bench.report import canonical_json, strip_perf, write_json
-    from repro.scenarios import run_scenario, shardpar_scenario
-
-    sc = SCALES[scale]
-    worker_counts = (1, 2) if scale == "smoke" else (1, 2, 4)
-    if kernel_workers is not None:
-        worker_counts = tuple(sorted({1, kernel_workers}))
-    print(
-        f"\n=== Shard-parallel kernel sweep (scale={scale}, "
-        f"workers={list(worker_counts)}) ==="
-    )
-    results: dict = {}
-    points: dict = {}
-    for shards in SHARDPAR_SHARDS[scale]:
-        spec = shardpar_scenario(
-            shards=shards,
-            seed=seed,
-            rate_per_cluster=SHARDPAR_RATE[scale],
-            warmup=sc.warmup,
-            measure=sc.measure,
-            drain=sc.drain,
-        )
-        label = f"{len(spec.topology.enterprises)}x{shards}"
-        sequential = run_scenario(spec)
-        seq_wall = sequential["perf"]["wall_clock_s"]
-        results[label] = strip_perf(sequential)
-        reference = canonical_json(results[label])
-        per_worker: dict = {}
-        for workers in worker_counts:
-            report = run_scenario(spec.with_kernel_workers(workers))
-            if canonical_json(strip_perf(report)) != reference:
-                raise AssertionError(
-                    f"kernel_workers determinism violated: {label} at "
-                    f"kernel_workers={workers} diverged from the "
-                    "one-kernel run"
-                )
-            wall = report["perf"]["wall_clock_s"]
-            per_worker[str(workers)] = {
-                "wall_clock_s": wall,
-                "speedup_vs_sequential": (
-                    round(seq_wall / wall, 3) if wall > 0 else 0.0
-                ),
-            }
-        points[label] = {
-            "sequential_wall_s": seq_wall,
-            "workers": per_worker,
-        }
-        row = " ".join(
-            f"w{workers}={data['wall_clock_s']:.2f}s"
-            f"(x{data['speedup_vs_sequential']:.2f})"
-            for workers, data in per_worker.items()
-        )
-        print(f"  {label:<6} seq={seq_wall:.2f}s  {row}")
-    payload = {
-        "experiment": "shardpar",
-        "scale": scale,
-        "seed": seed,
-        "results": results,
-        "perf": {"points": points},
-    }
-    write_json(out if out is not None else "BENCH_shardpar.json", payload)
-    return payload
-
-
-# ----------------------------------------------------------------------
-# Ledger analytics (repro.analytics)
-# ----------------------------------------------------------------------
-#: Ledger sizes per scale for the analytics benchmark.  The tentpole
-#: claim is stated at ``full``: four-family query latency percentiles
-#: over a 1M-record multi-shard ledger, every sampled answer verified
-#: against the in-process implementation.
-ANALYTICS_RECORDS = {"smoke": 2_000, "fast": 50_000, "full": 1_000_000}
-ANALYTICS_KEYS = {"smoke": 24, "fast": 48, "full": 96}
-
-
-def analytics(
-    scale: str = "fast",
-    seed: int = 1,
-    jobs: int | None = None,
-    out: str | None = None,
-):
-    """Off-replica analytics: fill a seeded multi-collection ledger,
-    ingest its journal into the indexed analytics database, cross-check
-    the four query families against the in-process answers, and report
-    per-family latency percentiles; writes ``BENCH_analytics.json``
-    (ledger + analytics databases land in ``analytics_data/`` next to
-    it, ready for ``python -m repro.analytics``)."""
-    from pathlib import Path
-
-    from repro.analytics.bench import run_analytics_bench
-
-    sc = SCALES[scale]
-    return run_analytics_bench(
-        Path(out) if out is not None else Path("BENCH_analytics.json"),
-        records=ANALYTICS_RECORDS[scale],
-        shards=sc.shards,
-        seed=seed,
-        jobs=jobs,
-        scale_name=scale,
-        keys_per_shard=ANALYTICS_KEYS[scale],
-    )
-
-
-# ----------------------------------------------------------------------
-# Adaptive batching / pipelined window knee sweep (PR 10)
-# ----------------------------------------------------------------------
 #: Batch-cap x inflight-window grids per scale.  The cap ladder spans
 #: "seal almost every arrival alone" to "deep amortization"; the window
 #: ladder spans strict one-at-a-time consensus to deep pipelining, so
@@ -937,216 +637,379 @@ BATCHING_WORKLOADS = {
 }
 
 
-def _batching_specs(sc: Scale, seed, kernel_workers, caps, windows, workloads):
-    from repro.scenarios import (
-        MeasurementSpec,
-        ScenarioSpec,
-        TopologySpec,
-        WorkloadSpec,
-    )
+def _batching_grid(scale: str) -> list[tuple[str, int, int]]:
+    return [
+        (wl_name, cap, window)
+        for wl_name in BATCHING_WORKLOADS
+        for cap in BATCHING_CAPS[scale]
+        for window in BATCHING_WINDOWS[scale]
+    ]
 
+
+def _batching_plan(scale: str, seed: int) -> dict[Hashable, ScenarioSpec]:
+    sc = SCALES[scale]
     specs = {}
-    for wl_name in workloads:
-        mix = BATCHING_WORKLOADS[wl_name]
-        for cap in caps:
-            for window in windows:
-                name = f"batch-{wl_name}-c{cap}-w{window}"
-                specs[name] = ScenarioSpec(
-                    name=name,
-                    system="Flt-C",
-                    topology=TopologySpec(
-                        enterprises=sc.enterprises,
-                        shards=sc.shards,
-                        batch_size=cap,
-                        batch_adaptive=True,
-                        max_inflight=window,
-                    ),
-                    # Well past the top of the rate ladder: the sweep
-                    # wants the saturated regime, where sealing policy
-                    # and window depth — not offered load — decide
-                    # throughput, so the knee is visible in the grid.
-                    workload=WorkloadSpec(
-                        rate=sc.rate_ladder[-1] * 4, mix=mix
-                    ),
-                    measurement=MeasurementSpec(
-                        warmup=sc.warmup, measure=sc.measure, drain=sc.drain
-                    ),
-                    seed=seed,
-                    kernel_workers=kernel_workers,
-                )
+    for wl_name, cap, window in _batching_grid(scale):
+        name = f"batch-{wl_name}-c{cap}-w{window}"
+        specs[name] = point_spec(
+            "Flt-C",
+            # Well past the top of the rate ladder: the sweep wants the
+            # saturated regime, where sealing policy and window depth —
+            # not offered load — decide throughput, so the knee is
+            # visible in the grid.
+            sc.rate_ladder[-1] * 4,
+            BATCHING_WORKLOADS[wl_name],
+            name=name,
+            batch_size=cap,
+            batch_adaptive=True,
+            max_inflight=window,
+            **_at(sc, seed),
+        )
     return specs
 
 
-def batching(
-    scale: str = "smoke",
-    seed: int = 1,
-    out: str | None = None,
-    jobs: int | None = None,
-    kernel_workers: int | None = None,
-    caps: tuple[int, ...] | None = None,
-    windows: tuple[int, ...] | None = None,
-    workloads: tuple[str, ...] | None = None,
-):
-    """Adaptive-batching knee sweep: batch cap x inflight window x
-    workload mix on the adaptive sealer, plus a per-signature-baseline
-    rerun of one cell proving verify_many reduces ``verify_calls``
-    without changing results; writes ``BENCH_batching.json`` with the
-    throughput matrix and per-point ``perf`` blocks.  The artifact is
-    byte-identical (modulo ``perf``/``obs``) at any ``jobs`` and
-    ``kernel_workers``."""
-    import time
-
-    from repro.bench.report import canonical_json, strip_perf, write_json
+def _batching_merge(run: Run) -> dict[str, Any]:
     from repro.crypto.signatures import set_batch_verify
-    from repro.errors import ConfigurationError
-    from repro.scenarios import run_scenario, summary_row
-    from repro.scenarios.runner import run_scenarios
 
-    if scale not in SCALES:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; valid: " + ", ".join(SCALES)
-        )
-    sc = SCALES[scale]
-    caps = tuple(caps) if caps is not None else BATCHING_CAPS[scale]
-    windows = tuple(windows) if windows is not None else BATCHING_WINDOWS[scale]
-    workloads = (
-        tuple(workloads) if workloads is not None else tuple(BATCHING_WORKLOADS)
-    )
-    for cap in caps:
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-            raise ConfigurationError(
-                f"batch caps must be integers >= 1, got {cap!r}"
-            )
-    for window in windows:
-        if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-            raise ConfigurationError(
-                f"inflight windows must be integers >= 1, got {window!r}"
-            )
-    for wl_name in workloads:
-        if wl_name not in BATCHING_WORKLOADS:
-            raise ConfigurationError(
-                f"unknown batching workload {wl_name!r}; valid: "
-                + ", ".join(BATCHING_WORKLOADS)
-            )
-    specs = _batching_specs(sc, seed, kernel_workers, caps, windows, workloads)
-    print(
-        f"\n=== Adaptive batching sweep ({len(specs)} cells, "
-        f"caps={list(caps)}, windows={list(windows)}, scale={scale}) ==="
-    )
-    started = time.perf_counter()
-    results = run_scenarios(specs, jobs=jobs)
-    elapsed = time.perf_counter() - started
     matrix: dict = {}
-    for wl_name in workloads:
-        cells = matrix[wl_name] = {}
-        for cap in caps:
-            for window in windows:
-                name = f"batch-{wl_name}-c{cap}-w{window}"
-                report = results[name]
-                measure = report["windows"]["measure"]
-                cells[f"c{cap}-w{window}"] = {
-                    "throughput_tps": measure["throughput_tps"],
-                    "mean_latency_ms": measure["mean_latency_ms"],
-                }
-                print("  " + summary_row(report))
+    for wl_name, cap, window in _batching_grid(run.scale):
+        measure = run.reports[f"batch-{wl_name}-c{cap}-w{window}"]["windows"]["measure"]
+        matrix.setdefault(wl_name, {})[f"c{cap}-w{window}"] = {
+            "throughput_tps": measure["throughput_tps"],
+            "mean_latency_ms": measure["mean_latency_ms"],
+        }
     # The verify_many claim, measured: rerun one cell with batched
     # verification off (every signature demand checked and counted one
-    # verify() at a time) and require identical results at a strictly
-    # higher verify_calls count.
-    probe_name = next(iter(specs))
-    batched_report = results[probe_name]
+    # verify() at a time); its results must not move.
+    probe_name = next(iter(run.specs))
+    batched_report = run.reports[probe_name]
     previous = set_batch_verify(False)
     try:
-        baseline_report = run_scenario(specs[probe_name])
+        baseline_report = run_scenario(run.specs[probe_name])
     finally:
         set_batch_verify(previous)
-    if canonical_json(strip_perf(baseline_report)) != canonical_json(
-        strip_perf(batched_report)
-    ):
+    if comparable_json(baseline_report) != comparable_json(batched_report):
         raise AssertionError(
             f"{probe_name}: batched signature verification changed the "
             "run's results — verify_many must be outcome-preserving"
         )
-    verify_batched = batched_report["perf"]["verify_calls"]
-    verify_baseline = baseline_report["perf"]["verify_calls"]
-    if verify_batched >= verify_baseline:
-        raise AssertionError(
-            f"{probe_name}: expected verify_many to reduce verify_calls "
-            f"(batched={verify_batched}, baseline={verify_baseline})"
-        )
-    print(
-        f"  verify_calls: batched={verify_batched} "
-        f"baseline={verify_baseline} "
-        f"(-{100 * (1 - verify_batched / verify_baseline):.1f}%)"
-    )
-    payload = {
-        "experiment": "batching",
-        "scale": scale,
-        "seed": seed,
-        "caps": list(caps),
-        "windows": list(windows),
-        "workloads": list(workloads),
+    return {
+        "caps": list(BATCHING_CAPS[run.scale]),
+        "windows": list(BATCHING_WINDOWS[run.scale]),
+        "workloads": list(BATCHING_WORKLOADS),
         # Throughput/latency per cell — deterministic (virtual-time)
         # numbers, so they participate in the byte-compare.
         "matrix": matrix,
-        "results": results,
+        "results": run.reports,
         "perf": {
-            "wall_clock_s": round(elapsed, 3),
-            "digest_calls": sum(
-                r["perf"]["digest_calls"] for r in results.values()
-            ),
-            "verify_calls": sum(
-                r["perf"]["verify_calls"] for r in results.values()
-            ),
-            "events": sum(r["perf"]["events"] for r in results.values()),
             "verify_baseline": {
                 "cell": probe_name,
-                "batched_verify_calls": verify_batched,
-                "baseline_verify_calls": verify_baseline,
+                "batched_verify_calls": batched_report["perf"]["verify_calls"],
+                "baseline_verify_calls": baseline_report["perf"]["verify_calls"],
             },
         },
     }
-    write_json(out if out is not None else "BENCH_batching.json", payload)
-    return payload
 
 
-EXPERIMENTS = {
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "table2": table2,
-    "table3": table3,
-    "fig11": fig11,
-    "ablation_batching": ablation_batching,
-    "ablation_gamma": ablation_gamma,
-    "ablation_checkpoint": ablation_checkpoint,
-    "ablation_fig4": ablation_fig4,
-    "baseline_landscape": baseline_landscape,
-    "recovery": recovery,
-    "scenarios": scenarios,
-    "population": population,
-    "batching": batching,
-    "shardpar": shardpar,
-    "obs": obs,
-    "analytics": analytics,
-}
+#: (batched, per-signature) verify_calls of the probe cell at (smoke,
+#: seed 1); same re-pin procedure as SCENARIO_PINS.
+BATCHING_PROBE_PIN = (15490, 19888)
 
-#: ``--list`` presentation order: every experiment appears in exactly
-#: one group (checked by a tier-1 test and the CLI itself).
-EXPERIMENT_GROUPS = {
-    "Paper figures and tables (§5)": (
-        "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "table3",
-    ),
-    "Ablations": (
-        "ablation_batching", "ablation_gamma", "ablation_checkpoint",
-        "ablation_fig4",
-    ),
-    "Baselines": ("baseline_landscape",),
-    "Batching and pipelining": ("batching",),
-    "Scenarios and durability": ("scenarios", "recovery"),
-    "Population workloads": ("population",),
-    "Shard-parallel kernel": ("shardpar",),
-    "Observability": ("obs",),
-    "Analytics": ("analytics",),
-}
+
+def _batching_checks(artifact: dict[str, Any]) -> list[str]:
+    failures = []
+    probe = artifact["perf"]["verify_baseline"]
+    calls = (probe["batched_verify_calls"], probe["baseline_verify_calls"])
+    if calls[0] >= calls[1]:
+        failures.append(
+            f"verify-many-reduces: {probe['cell']} made {calls[0]} batched "
+            f"verify calls, the per-signature baseline {calls[1]}"
+        )
+    if _pinned(artifact) and calls != BATCHING_PROBE_PIN:
+        failures.append(
+            f"verify-probe-pin: {probe['cell']} (batched, baseline) is "
+            f"{calls}, pinned {BATCHING_PROBE_PIN} at (smoke, seed 1); "
+            "see docs/benchmarks.md"
+        )
+    local = artifact["matrix"]["local"]
+    if "c4-w1" in local and "c16-w1" in local:
+        # Cap 4 saturates well below what cap 16 clears at W=1.
+        low, high = (local[c]["throughput_tps"] for c in ("c4-w1", "c16-w1"))
+        if low >= 0.8 * high:
+            failures.append(
+                f"batch-cap-knee: local c4-w1 runs at {low:.0f} tps, not "
+                f"below 0.8 x c16-w1 ({high:.0f} tps)"
+            )
+    return failures
+
+
+def _obs_plan(scale: str, seed: int) -> dict[Hashable, ScenarioSpec]:
+    sc = SCALES[scale]
+    # Two enterprises, two shards, coordinator-run Byzantine clusters,
+    # 30% csce traffic and batch_size=1: every consensus family phase
+    # (PBFT three-phase, cross lock/vote/decide, execute) appears in
+    # the trace, and one-transaction blocks keep tx -> block -> phase
+    # parentage easy to eyeball in the waterfall.
+    options = _at(sc, seed) | dict(
+        enterprises=sc.enterprises[:2], shards=max(sc.shards, 2), batch_size=1
+    )
+    spec = point_spec(
+        "Crd-B",
+        sc.fixed_rate / 4,
+        WorkloadMix(cross=0.30, cross_type="csce"),
+        name="obs-cross-enterprise",
+        **options,
+    )
+    return {spec.name: dataclasses.replace(spec, trace=True)}
+
+
+def _obs_merge(run: Run) -> dict[str, Any]:
+    from repro import obs
+
+    # The embedded JSONL becomes its own artifact; the JSON report keeps
+    # the span count / metric snapshot.  Under a caller-owned tracer
+    # (bench --trace) the report carries no JSONL — read the live
+    # tracer instead.
+    (report,) = run.reports.values()
+    trace_jsonl = report["obs"].pop("trace_jsonl", None)
+    if trace_jsonl is None and obs.TRACER is not None:
+        trace_jsonl = obs.TRACER.to_jsonl()
+    if run.out_dir is not None and trace_jsonl is not None:
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+        trace_path = run.out_dir / "BENCH_obs_trace.jsonl"
+        trace_path.write_text(trace_jsonl, encoding="utf-8")
+        print(f"  trace written to {trace_path}")
+    return _traced_merge(run)
+
+
+# ----------------------------------------------------------------------
+# rows whose measurement is not a scenario cell
+# ----------------------------------------------------------------------
+def _recovery_merge(run: Run) -> dict[str, Any]:
+    from repro.bench.recovery import run_recovery_scenario
+
+    sc = SCALES[run.scale]
+    options = _at(sc, run.seed) | dict(
+        enterprises=sc.enterprises[:2], measure=sc.measure * 2
+    )
+    return {
+        "results": {
+            backend: run_recovery_scenario(backend=backend, **options)
+            for backend in ("wal", "sqlite")
+        }
+    }
+
+
+def _recovery_rows(artifact: dict[str, Any]) -> list[str]:
+    return [
+        f"{backend:<7} committed={result['committed_pre_crash']:>6}  "
+        f"match={result['digests_match']}  "
+        f"recovery={result['recovery']['latency_s'] * 1000:>7.1f} ms  "
+        f"replay={result['recovery']['replay_tps']:>9.0f} rec/s"
+        for backend, result in artifact["results"].items()
+    ]
+
+
+def _recovery_checks(artifact: dict[str, Any]) -> list[str]:
+    failures = []
+    for backend, result in artifact["results"].items():
+        if not result["digests_match"]:
+            failures.append(
+                f"digests-match: the {backend} rebuild diverged from the "
+                "state the replica died with"
+            )
+        if result["journal"]["checkpoint_folds"] < 1:
+            failures.append(
+                f"recovery-crosses-a-fold: the {backend} journal was never "
+                "folded into a snapshot, so the rebuild was only a log replay"
+            )
+    return failures
+
+
+#: Shards-per-enterprise ladder for the shard-parallel sweep (two
+#: enterprises throughout, so total clusters = 2 x shards; ``full``
+#: tops out at the 16-cluster scenario the engine was built for).
+SHARDPAR_SHARDS = {"smoke": (2,), "fast": (2, 4), "full": (4, 8)}
+SHARDPAR_RATE = {"smoke": 100.0, "fast": 250.0, "full": 250.0}
+
+
+def _shardpar_merge(run: Run) -> dict[str, Any]:
+    from repro.scenarios.registry import shardpar_scenario
+
+    sc = SCALES[run.scale]
+    worker_counts = (1, 2) if run.scale == "smoke" else (1, 2, 4)
+    if run.kernel_workers is not None:
+        worker_counts = tuple(sorted({1, run.kernel_workers}))
+    results: dict = {}
+    points: dict = {}
+    for shards in SHARDPAR_SHARDS[run.scale]:
+        spec = shardpar_scenario(
+            shards=shards,
+            seed=run.seed,
+            rate_per_cluster=SHARDPAR_RATE[run.scale],
+            warmup=sc.warmup,
+            measure=sc.measure,
+            drain=sc.drain,
+        )
+        label = f"{len(spec.topology.enterprises)}x{shards}"
+        sequential = run_scenario(spec)
+        seq_wall = sequential["perf"]["wall_clock_s"]
+        results[label] = strip_perf(sequential)
+        reference = comparable_json(sequential)
+        per_worker: dict = {}
+        for workers in worker_counts:
+            report = run_scenario(spec.with_kernel_workers(workers))
+            if comparable_json(report) != reference:
+                raise AssertionError(
+                    f"kernel_workers determinism violated: {label} at "
+                    f"kernel_workers={workers} diverged from the "
+                    "one-kernel run"
+                )
+            wall = report["perf"]["wall_clock_s"]
+            per_worker[str(workers)] = {
+                "wall_clock_s": wall,
+                "speedup_vs_sequential": (
+                    round(seq_wall / wall, 3) if wall > 0 else 0.0
+                ),
+            }
+        points[label] = {"sequential_wall_s": seq_wall, "workers": per_worker}
+    return {"results": results, "perf": {"points": points}}
+
+
+def _shardpar_rows(artifact: dict[str, Any]) -> list[str]:
+    return [
+        f"{label:<6} seq={point['sequential_wall_s']:.2f}s  "
+        + " ".join(
+            f"w{workers}={data['wall_clock_s']:.2f}s"
+            f"(x{data['speedup_vs_sequential']:.2f})"
+            for workers, data in point["workers"].items()
+        )
+        for label, point in artifact["perf"]["points"].items()
+    ]
+
+
+#: Ledger sizes per scale for the analytics benchmark.  The headline
+#: claim is stated at ``full``: four-family query latency percentiles
+#: over a 1M-record multi-shard ledger, every sampled answer verified
+#: against the in-process implementation.
+ANALYTICS_RECORDS = {"smoke": 2_000, "fast": 50_000, "full": 1_000_000}
+ANALYTICS_KEYS = {"smoke": 24, "fast": 48, "full": 96}
+
+
+def _analytics_merge(run: Run) -> dict[str, Any]:
+    from repro.analytics.bench import run_analytics_bench
+
+    # The databases land next to the artifact, ready for
+    # ``python -m repro.analytics``; without an out_dir they are scratch.
+    with (
+        contextlib.nullcontext(run.out_dir / "analytics_data")
+        if run.out_dir is not None
+        else tempfile.TemporaryDirectory(prefix="qanaat-analytics-")
+    ) as data_dir:
+        return run_analytics_bench(
+            data_dir,
+            records=ANALYTICS_RECORDS[run.scale],
+            shards=SCALES[run.scale].shards,
+            seed=run.seed,
+            jobs=run.jobs,
+            keys_per_shard=ANALYTICS_KEYS[run.scale],
+        )
+
+
+def _analytics_rows(artifact: dict[str, Any]) -> list[str]:
+    latency = artifact["perf"]["latency_ms"]
+    return [
+        f"{family:<17} samples={query['samples']:>3} "
+        f"verified={query['verified']} p50={latency[family]['p50']:.3f}ms "
+        f"p99={latency[family]['p99']:.3f}ms"
+        for family, query in artifact["results"]["queries"].items()
+    ]
+
+
+def _analytics_checks(artifact: dict[str, Any]) -> list[str]:
+    from repro.analytics.bench import FAMILIES
+
+    queries = artifact["results"]["queries"]
+    failures = [
+        f"query-families: {family} verified={query['verified']} over "
+        f"{query['samples']} samples"
+        for family, query in queries.items()
+        if not query["verified"] or query["samples"] <= 0
+    ]
+    if set(queries) != set(FAMILIES):
+        failures.append(
+            f"query-families: measured {sorted(queries)}, not {sorted(FAMILIES)}"
+        )
+    if not artifact["results"]["all_verified"]:
+        failures.append(
+            "all-verified: analytics answers diverged from the in-process ledger"
+        )
+    return failures
+
+
+# ----------------------------------------------------------------------
+# the table (a group's rows are adjacent: --list prints it in order)
+# ----------------------------------------------------------------------
+_PAPER = "Paper figures and tables (§5)"
+_DURABILITY = "Scenarios and durability"
+
+_ROWS = (
+    _grid("fig7", _PAPER, "Figure 7: intra-shard cross-enterprise workloads",
+          _share_panels("isce"), ladder=True),
+    _grid("fig8", _PAPER, "Figure 8: cross-shard intra-enterprise workloads",
+          _share_panels("csie"), ladder=True),
+    _grid("fig9", _PAPER, "Figure 9: cross-shard cross-enterprise workloads",
+          _share_panels("csce"), ladder=True),
+    _grid("fig10", _PAPER, "Figure 10: 10% cross workloads over 4 AWS regions",
+          _fig10_panels, ladder=True),
+    _grid("table2", _PAPER, "Table 2: 90% internal + 10% cross, 2..8 enterprises",
+          _table2_panels, ladder=True),
+    _grid("table3", _PAPER, "Table 3: one failed non-primary node (plus "
+          "exec+filter for PF)", _table3_panels),
+    _grid("fig11", _PAPER, "Figure 11: 90% internal + 10% cross under key skew",
+          _fig11_panels),
+    _grid("ablation_batching", "Ablations",
+          "Batch size vs throughput/latency for Flt-C",
+          _flt_c_panel("batch_size", (1, 8, 64, 256), "Flt-C/B={}".format)),
+    Experiment("ablation_gamma", "Ablations",
+               "γ transitive reduction: ID size saved, throughput unchanged",
+               _gamma_merge, rows=_gamma_rows),
+    # Checkpoint votes ride the same network and CPU as consensus, so
+    # tight intervals tax throughput; 0 disables checkpointing (the
+    # no-GC, unbounded-log configuration).
+    _grid("ablation_checkpoint", "Ablations",
+          "Checkpointing cost: interval vs throughput/latency (Flt-C)",
+          _flt_c_panel("checkpoint_interval", (0, 16, 64, 256),
+                       lambda interval: f"Flt-C/ckpt={interval or 'off'}")),
+    _grid("ablation_fig4", "Ablations",
+          "Figure 4 infrastructure ladder at one load", _fig4_panels),
+    _grid("baseline_landscape", "Baselines",
+          "Related-work landscape (§6), two comparable slices",
+          _landscape_panels),
+    Experiment("batching", "Batching and pipelining",
+               "Adaptive-batching knee sweep: batch cap x inflight window x "
+               "workload mix", _batching_merge, _batching_plan, _batching_checks),
+    Experiment("scenarios", _DURABILITY,
+               "Scenario matrix: every registered scenario, fault timelines "
+               "included", _traced_merge, _scenarios_plan, _scenarios_checks),
+    Experiment("recovery", _DURABILITY,
+               "Kill a replica mid-measurement, rebuild it from WAL/SQLite "
+               "state, verify digests",
+               _recovery_merge, checks=_recovery_checks, rows=_recovery_rows),
+    Experiment("population", "Population workloads",
+               "Population matrix: logical sizes x skews x arrival profiles "
+               "on a bounded wire pool",
+               _population_merge, _population_plan, _population_checks),
+    Experiment("shardpar", "Shard-parallel kernel",
+               "Shard-parallel sweep: shards x worker counts, byte-compared "
+               "and timed against one kernel",
+               _shardpar_merge, rows=_shardpar_rows),
+    Experiment("obs", "Observability",
+               "Observability smoke: one traced cross-shard cross-enterprise "
+               "scenario", _obs_merge, _obs_plan),
+    Experiment("analytics", "Analytics",
+               "Off-replica analytics: fill, ingest, cross-check and time the "
+               "four query families",
+               _analytics_merge, checks=_analytics_checks, rows=_analytics_rows),
+)
+EXPERIMENTS: dict[str, Experiment] = {row.name: row for row in _ROWS}

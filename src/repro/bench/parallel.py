@@ -5,10 +5,11 @@ Every cell of the evaluation matrix is a self-contained
 build the deployment, seed the workload, and run the simulation from
 the spec alone, returning a plain-dict result.  That makes the matrix
 embarrassingly parallel — this module fans a flat list of
-:class:`PointTask` items over a ``multiprocessing`` pool and
-reassembles the results **keyed by task, in task order**, so the
-merged output (and therefore every ``BENCH_*.json`` artifact) is
-byte-identical regardless of job count or completion order.
+:class:`PointTask` items over a ``multiprocessing`` pool, runs each
+through :func:`~repro.scenarios.runner.run_scenario`, and reassembles
+the reports **keyed by task, in task order**, so the merged output
+(and therefore every ``BENCH_*.json`` artifact) is byte-identical
+regardless of job count or completion order.
 
 Sequential execution (``jobs=1``, the default) runs the same tasks
 through the same plain-dict path in-process, and additionally honors
@@ -22,11 +23,11 @@ to the merge.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
+from repro.errors import ReproError
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -34,19 +35,35 @@ from repro.scenarios.spec import ScenarioSpec
 class PointTask:
     """One independently-runnable cell of an experiment.
 
-    ``key`` identifies the result in the merged mapping (any hashable
-    tuple; experiments use label paths like ``(pct, system, rung)``).
-    ``kind`` selects the runner: ``"point"`` measures through
-    :func:`repro.bench.runner.run_point`, ``"scenario"`` through
-    :func:`repro.scenarios.runner.run_scenario`.  Tasks sharing a
-    ``chain`` id form an ordered ladder: sequential execution may stop
-    a chain early (see :func:`execute_tasks`).
+    ``key`` identifies the report in the merged mapping (a scenario
+    name, or a label path like ``(pct, system, rung)``).  Tasks sharing
+    a ``chain`` id form an ordered ladder: sequential execution may
+    stop a chain early (see :func:`execute_tasks`).
     """
 
-    key: tuple
+    key: Hashable
     spec: ScenarioSpec
-    kind: str = "point"
     chain: tuple | None = None
+
+
+class CellError(ReproError):
+    """One cell failed.  Names the experiment, the cell key and the
+    spec, and reads the same whether the cell ran in-process or on a
+    pool worker (where the original traceback arrives as the cause's
+    remote-traceback text instead of a live exception)."""
+
+    def __init__(self, label: str, key: Hashable, spec_name: str, cause: str):
+        super().__init__(label, key, spec_name, cause)
+        self.label = label
+        self.key = key
+        self.spec_name = spec_name
+        self.cause = cause
+
+    def __str__(self) -> str:
+        return (
+            f"{self.label}: cell {self.key!r} (spec {self.spec_name!r}) "
+            f"failed: {self.cause}"
+        )
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -61,8 +78,9 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def run_task(task: PointTask) -> dict[str, Any]:
-    """Run one task to a plain-dict result (picklable, JSON-ready).
+def run_task(task: PointTask, label: str = "tasks") -> dict[str, Any]:
+    """Run one task to its scenario report (picklable, JSON-ready); any
+    failure surfaces as one :class:`CellError` chained to the original.
 
     The hot-path interning tables (vote payloads, ledger digests,
     reply digests) are dropped after every task: their keys hold the
@@ -72,24 +90,24 @@ def run_task(task: PointTask) -> dict[str, Any]:
     pool worker.
     """
     from repro.crypto.hashing import clear_intern_caches
+    from repro.scenarios.runner import run_scenario
 
     try:
-        if task.kind == "scenario":
-            from repro.scenarios.runner import run_scenario
-
-            return run_scenario(task.spec)
-        if task.kind == "point":
-            from repro.bench.runner import run_point
-
-            return dataclasses.asdict(run_point(task.spec))
+        return run_scenario(task.spec)
+    except Exception as exc:
+        raise CellError(
+            label,
+            task.key,
+            task.spec.name,
+            f"{type(exc).__name__}: {exc}",
+        ) from exc
     finally:
         clear_intern_caches()
-    raise ValueError(f"unknown task kind {task.kind!r}")
 
 
-def _pool_entry(item: tuple[int, PointTask]) -> tuple[int, dict[str, Any]]:
-    index, task = item
-    return index, run_task(task)
+def _pool_entry(item: tuple[int, PointTask, str]) -> tuple[int, dict[str, Any]]:
+    index, task, label = item
+    return index, run_task(task, label)
 
 
 def _pool_context():
@@ -110,8 +128,11 @@ def execute_tasks(
     tasks: list[PointTask],
     jobs: int | None = None,
     stop: Callable[[list[dict[str, Any]]], bool] | None = None,
-) -> dict[tuple, dict[str, Any]]:
-    """Run ``tasks``; return ``{task.key: result}`` in task order.
+    label: str = "tasks",
+) -> dict[Hashable, dict[str, Any]]:
+    """Run ``tasks``; return ``{task.key: report}`` in task order.
+    ``label`` (the experiment's name) is what a :class:`CellError`
+    names first.
 
     Sequential mode (``jobs`` in (None, 1)) runs tasks in list order
     and consults ``stop`` after each chained task: once ``stop``
@@ -123,7 +144,7 @@ def execute_tasks(
     identical merged output.
     """
     jobs = resolve_jobs(jobs)
-    results: dict[tuple, dict[str, Any]] = {}
+    results: dict[Hashable, dict[str, Any]] = {}
     if len({task.key for task in tasks}) != len(tasks):
         raise ValueError("task keys must be unique")
     if jobs == 1 or len(tasks) <= 1:
@@ -132,7 +153,7 @@ def execute_tasks(
         for task in tasks:
             if task.chain is not None and task.chain in stopped:
                 continue
-            result = run_task(task)
+            result = run_task(task, label)
             results[task.key] = result
             if task.chain is not None and stop is not None:
                 accumulated = chains.setdefault(task.chain, [])
@@ -144,7 +165,7 @@ def execute_tasks(
     with context.Pool(processes=min(jobs, len(tasks))) as pool:
         unordered: dict[int, dict[str, Any]] = {}
         for index, result in pool.imap_unordered(
-            _pool_entry, list(enumerate(tasks))
+            _pool_entry, [(i, task, label) for i, task in enumerate(tasks)]
         ):
             unordered[index] = result
     for index, task in enumerate(tasks):

@@ -18,8 +18,9 @@ could not express.  One run:
 4. verifies every recovered chain reproduces the pre-crash digest and
    reports recovery latency and replay throughput.
 
-``run_recovery_bench`` runs the scenario for each durable backend and
-writes the ``BENCH_recovery.json`` artifact.
+The ``recovery`` row of :mod:`repro.bench.experiments` runs the
+scenario for each durable backend; its checks require every digest to
+match and the rebuild to have crossed at least one snapshot fold.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.bench.report import write_json
 from repro.core.executor import JOURNAL_COUNTERS, ExecutionUnit
 from repro.errors import StorageError
 from repro.scenarios.build import build, build_workload
@@ -182,26 +182,3 @@ def _run_recovery_scenario(
             ),
         },
     }
-
-
-def run_recovery_bench(
-    backends: tuple[str, ...] = ("wal", "sqlite"),
-    out_path: str | Path | None = "BENCH_recovery.json",
-    seed: int = 1,
-    **kwargs: Any,
-) -> dict[str, Any]:
-    """The recovery scenario across durable backends + JSON artifact."""
-    report: dict[str, Any] = {}
-    for backend in backends:
-        result = run_recovery_scenario(backend=backend, seed=seed, **kwargs)
-        report[backend] = result
-        recovery = result["recovery"]
-        print(
-            f"  {backend:<7} committed={result['committed_pre_crash']:>6}  "
-            f"match={result['digests_match']}  "
-            f"recovery={recovery['latency_s'] * 1000:>7.1f} ms  "
-            f"replay={recovery['replay_tps']:>9.0f} rec/s"
-        )
-    if out_path is not None:
-        write_json(out_path, report)
-    return report

@@ -1,5 +1,5 @@
-"""Render experiment results as markdown tables (EXPERIMENTS.md style)
-and as JSON artifacts (``python -m repro.bench --out``)."""
+"""Render experiment results as JSON artifacts (``python -m
+repro.bench --out``) and compare them modulo measurement metadata."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import dataclasses
 import json
 from pathlib import Path
 from typing import Any
-
-from repro.bench.runner import PointResult
 
 
 def results_payload(value: Any) -> Any:
@@ -77,55 +75,3 @@ def write_json(path: str | Path, payload: Any) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_json(payload), encoding="utf-8")
     return path
-
-
-def markdown_table(title: str, panels: dict[object, list[PointResult]]) -> str:
-    """One markdown table per panel of an experiment's results."""
-    lines = [f"### {title}", ""]
-    for label, points in panels.items():
-        lines.append(f"**{label}**")
-        lines.append("")
-        lines.append("| system | throughput (tps) | latency (ms) |")
-        lines.append("|---|---:|---:|")
-        for point in points:
-            lines.append(
-                f"| {point.system} | {point.throughput_tps:,.0f} "
-                f"| {point.mean_latency_ms:.1f} |"
-            )
-        lines.append("")
-    return "\n".join(lines)
-
-
-def ratio(points: list[PointResult], system_a: str, system_b: str) -> float:
-    """Throughput ratio a/b within one panel (shape checking)."""
-    by_name = {p.system: p for p in points}
-    return by_name[system_a].throughput_tps / by_name[system_b].throughput_tps
-
-
-def ascii_curve(
-    curves: dict[str, list[PointResult]],
-    width: int = 64,
-    height: int = 16,
-) -> str:
-    """Latency-vs-throughput panel in ASCII — the shape the paper's
-    figures plot (x: achieved ktps, y: latency ms), one letter per
-    system.  For terminals and EXPERIMENTS.md, where matplotlib isn't.
-    """
-    points = [(name, p) for name, ps in curves.items() for p in ps]
-    if not points:
-        return "(no data)"
-    xs = [p.throughput_tps for _, p in points]
-    ys = [p.mean_latency_ms for _, p in points]
-    x_max = max(xs) or 1.0
-    y_max = max(ys) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    letters = {name: chr(ord("a") + i) for i, name in enumerate(curves)}
-    for name, point in points:
-        col = min(width - 1, int(point.throughput_tps / x_max * (width - 1)))
-        row = min(height - 1, int(point.mean_latency_ms / y_max * (height - 1)))
-        grid[height - 1 - row][col] = letters[name]
-    lines = [f"latency 0..{y_max:.0f} ms (y), throughput 0..{x_max / 1000:.1f} ktps (x)"]
-    lines.extend("|" + "".join(row) for row in grid)
-    lines.append("+" + "-" * width)
-    lines.extend(f"  {letter} = {name}" for name, letter in letters.items())
-    return "\n".join(lines)

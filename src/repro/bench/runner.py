@@ -9,14 +9,13 @@ Every benchmarked system — the six Qanaat protocol configurations, the
 Fabric family, Caper, SharPer, AHL — sits behind the
 :class:`~repro.api.driver.SystemDriver` protocol (implementations in
 :mod:`repro.bench.drivers`), and every measured point is described by
-a declarative :class:`~repro.scenarios.spec.ScenarioSpec`.
-:func:`run_point` accepts either a ready spec or the legacy loose
-kwargs (which it folds into a spec via :func:`point_spec`).
+a declarative :class:`~repro.scenarios.spec.ScenarioSpec`:
+:func:`point_spec` builds one from the classic (system, rate, mix)
+surface and :func:`run_point` measures it.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 from repro.scenarios.spec import (
@@ -75,6 +74,20 @@ class PointResult:
     completed: int
     perf: dict | None = field(default=None, compare=False)
 
+    @classmethod
+    def from_report(cls, report: dict) -> "PointResult":
+        """The measure window of a :func:`~repro.scenarios.runner.
+        run_scenario` report — a point is nothing more."""
+        measure = report["windows"]["measure"]
+        return cls(
+            report["system"],
+            report["offered_tps"],
+            measure["throughput_tps"],
+            measure["mean_latency_ms"],
+            measure["completed"],
+            perf=report["perf"],
+        )
+
     @property
     def saturated(self) -> bool:
         return self.throughput_tps < 0.92 * self.offered_tps
@@ -96,8 +109,7 @@ def point_spec(
     drain: float = 0.3,
     enterprises: tuple[str, ...] = ("A", "B", "C", "D"),
     shards: int = 4,
-    latency=None,
-    cost=None,
+    wan: bool = False,
     batch_size: int = 64,
     batch_adaptive: bool = False,
     max_inflight: int | None = None,
@@ -106,18 +118,15 @@ def point_spec(
     checkpoint_interval: int = 0,
     name: str | None = None,
 ) -> ScenarioSpec:
-    """Fold the classic loose-kwargs measurement surface into a spec.
-
-    Defaults mirror the pre-scenario ``run_point`` defaults exactly, so
-    legacy call sites keep producing bit-identical numbers through the
-    spec path.
-    """
+    """The classic (system, rate, mix, options) measurement surface as
+    a spec; the defaults are the paper's 4 x 4 deployment and windows."""
     return ScenarioSpec(
         name=name if name is not None else system,
         system=system,
         topology=TopologySpec(
             enterprises=enterprises,
             shards=shards,
+            wan=wan,
             batch_size=batch_size,
             batch_adaptive=batch_adaptive,
             max_inflight=max_inflight,
@@ -127,33 +136,11 @@ def point_spec(
         workload=WorkloadSpec(rate=rate, mix=mix),
         measurement=MeasurementSpec(warmup=warmup, measure=measure, drain=drain),
         seed=seed,
-        latency=latency,
-        cost=cost,
     )
 
 
-#: Loose kwargs :func:`run_point` folds into a spec — derived from
-#: :func:`point_spec` so the two cannot drift apart.
-_CONFIG_FIELDS = set(inspect.signature(point_spec).parameters) - {
-    "system", "rate", "mix", "warmup", "measure", "drain", "name",
-}
-
-
-def run_point(
-    system: str | ScenarioSpec,
-    rate: float | None = None,
-    mix: WorkloadMix | None = None,
-    warmup: float | None = None,
-    measure: float | None = None,
-    drain: float | None = None,
-    **kwargs,
-) -> PointResult:
+def run_point(spec: ScenarioSpec) -> PointResult:
     """Measure any benchmarked system at one offered load.
-
-    Preferred form: ``run_point(spec)`` with a ready
-    :class:`~repro.scenarios.spec.ScenarioSpec`.  The legacy form
-    ``run_point(system, rate, mix, **kwargs)`` folds its arguments
-    into a spec via :func:`point_spec` first.
 
     One :func:`~repro.scenarios.runner.run_scenario` call — open-loop
     Poisson arrivals for ``warmup + measure`` seconds, then the tail
@@ -161,53 +148,9 @@ def run_point(
     does not support (cost model for Fabric, checkpointing outside
     Qanaat) are ignored by its driver.
     """
-    if isinstance(system, ScenarioSpec):
-        if (
-            rate is not None or mix is not None or kwargs
-            or warmup is not None or measure is not None or drain is not None
-        ):
-            raise TypeError(
-                "run_point(spec) takes no extra arguments; put the rate "
-                "in spec.workload and windows in spec.measurement"
-            )
-        spec = system
-    else:
-        if rate is None or mix is None:
-            raise TypeError(
-                "run_point(system, ...) needs both a rate and a mix "
-                "(or pass a ready ScenarioSpec)"
-            )
-        unknown = set(kwargs) - _CONFIG_FIELDS
-        if unknown:
-            raise TypeError(f"run_point got unexpected options {sorted(unknown)}")
-        # Windows default in point_spec's signature (the single source);
-        # only explicitly-passed values are forwarded.
-        windows = {
-            name: value
-            for name, value in (
-                ("warmup", warmup), ("measure", measure), ("drain", drain)
-            )
-            if value is not None
-        }
-        spec = point_spec(system, rate, mix, **windows, **kwargs)
     from repro.scenarios.runner import run_scenario
 
-    report = run_scenario(spec)
-    measure = report["windows"]["measure"]
-    return PointResult(
-        spec.system,
-        spec.workload.rate,
-        measure["throughput_tps"],
-        measure["mean_latency_ms"],
-        measure["completed"],
-        perf=report["perf"],
-    )
-
-
-def point_from_payload(payload: dict) -> PointResult:
-    """Rebuild a :class:`PointResult` from a worker's plain-dict result
-    (the :mod:`repro.bench.parallel` wire format)."""
-    return PointResult(**payload)
+    return PointResult.from_report(run_scenario(spec))
 
 
 def _acceptable(point: PointResult, latency_cap_ms: float) -> bool:
@@ -254,13 +197,6 @@ def sweep_stopped(
     return False
 
 
-def sweep_specs(
-    system: str, rates: list[float], mix: WorkloadMix, **kwargs
-) -> list[ScenarioSpec]:
-    """One spec per rung of a rate ladder (the plan half of a sweep)."""
-    return [point_spec(system, rate, mix, **kwargs) for rate in rates]
-
-
 def sweep(
     system: str,
     rates: list[float],
@@ -277,8 +213,8 @@ def sweep(
     experiment planner uses.
     """
     curve: list[PointResult] = []
-    for spec in sweep_specs(system, rates, mix, **kwargs):
-        curve.append(run_point(spec))
+    for rate in rates:
+        curve.append(run_point(point_spec(system, rate, mix, **kwargs)))
         if sweep_stopped(curve, latency_cap_ms):
             break
     return sweep_merge(curve, latency_cap_ms)

@@ -30,7 +30,6 @@ from repro.scenarios.registry import (
 from repro.scenarios.runner import (
     launch_workload,
     run_scenario,
-    run_scenarios,
     summary_row,
 )
 from repro.scenarios.spec import (
@@ -66,7 +65,6 @@ __all__ = [
     "pair_scopes",
     "register_scenario",
     "run_scenario",
-    "run_scenarios",
     "shardpar_scenario",
     "summary_row",
     "validate_partitioning",

@@ -364,28 +364,6 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     return report
 
 
-def run_scenarios(
-    specs: dict[str, ScenarioSpec], jobs: int | None = None
-) -> dict[str, dict[str, Any]]:
-    """Measure several scenarios, optionally in parallel.
-
-    Each scenario is independent (its spec carries everything a worker
-    needs), so with ``jobs`` > 1 the matrix fans out over a process
-    pool via :mod:`repro.bench.parallel`.  The returned mapping is
-    keyed and ordered like ``specs`` regardless of job count or worker
-    completion order — the determinism guarantee ``BENCH_scenarios.json``
-    is stated over.
-    """
-    from repro.bench.parallel import PointTask, execute_tasks
-
-    tasks = [
-        PointTask(key=(name,), spec=spec, kind="scenario")
-        for name, spec in specs.items()
-    ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    return {name: raw[(name,)] for name in specs}
-
-
 def summary_row(report: dict[str, Any]) -> str:
     """One printable row per scenario (paper-style)."""
     measure = report["windows"]["measure"]

@@ -348,8 +348,9 @@ class ScenarioSpec:
     faults: tuple[FaultEvent, ...] = ()
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     seed: int = 0
-    #: Runtime objects (latency/cost models) are injectable for the
-    #: legacy run_point path; declarative specs use ``topology.wan``.
+    #: Runtime objects (latency/cost models) for specs built in Python
+    #: (the recovery bench's calibrated cost, tests); declarative specs
+    #: use ``topology.wan``.
     latency: "LatencyModel | None" = None
     cost: "CostModel | None" = None
     #: Enable the :mod:`repro.obs` causal tracer / metric registry for

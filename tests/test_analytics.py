@@ -472,15 +472,10 @@ def test_bench_artifact_deterministic(tmp_path):
     from repro.analytics.bench import run_analytics_bench
     from repro.bench.report import strip_perf
 
-    first = run_analytics_bench(
-        tmp_path / "a" / "BENCH_analytics.json",
-        records=400, shards=2, seed=3, scale_name="smoke",
-    )
+    first = run_analytics_bench(tmp_path / "a", records=400, shards=2, seed=3)
     second = run_analytics_bench(
-        tmp_path / "b" / "BENCH_analytics.json",
-        records=400, shards=2, seed=3, jobs=2, scale_name="smoke",
+        tmp_path / "b", records=400, shards=2, seed=3, jobs=2
     )
     assert first["results"]["all_verified"]
     assert strip_perf(first) == strip_perf(second)
-    assert (tmp_path / "a" / "BENCH_analytics.json").exists()
-    assert (tmp_path / "a" / "analytics_data" / "journal.sqlite").exists()
+    assert (tmp_path / "a" / "journal.sqlite").exists()

@@ -269,7 +269,7 @@ def test_unknown_system_fails_with_the_valid_set():
 
 
 def test_generic_run_point_measures_all_four_families():
-    from repro.bench.runner import run_point
+    from repro.bench.runner import point_spec, run_point
     from repro.workload.generator import WorkloadMix
 
     fast = dict(warmup=0.1, measure=0.2, drain=0.1)
@@ -285,17 +285,19 @@ def test_generic_run_point_measures_all_four_families():
             if system == "SharPer"
             else isce
         )
-        point = run_point(system, 800, mix, **fast, **kwargs)
+        point = run_point(point_spec(system, 800, mix, **fast, **kwargs))
         assert point.completed > 0, system
         assert point.system == system
 
 
-def test_run_point_rejects_unknown_options():
-    from repro.bench.runner import run_point
+def test_run_point_takes_a_spec_and_nothing_else():
+    from repro.bench.runner import point_spec, run_point
     from repro.workload.generator import WorkloadMix
 
-    with pytest.raises(TypeError, match="unexpected options"):
-        run_point("Flt-C", 100, WorkloadMix(), warmupp=1)
+    with pytest.raises(TypeError):
+        run_point("Flt-C", 100, WorkloadMix())
+    with pytest.raises(TypeError, match="warmupp"):
+        point_spec("Flt-C", 100, WorkloadMix(), warmupp=1)
 
 
 # ----------------------------------------------------------------------

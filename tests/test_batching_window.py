@@ -360,27 +360,3 @@ def test_demoted_primary_relays_batch_crash_model():
     deployment.run(3.0)
     assert len(client.completed) == 3
     assert deployment.nodes[new_primary].executor.ledger.height("A") == 3
-
-
-# ----------------------------------------------------------------------
-# experiment knob validation
-# ----------------------------------------------------------------------
-def test_batching_experiment_rejects_unknown_knobs():
-    from repro.bench.experiments import batching
-
-    with pytest.raises(ConfigurationError):
-        batching(scale="warp")
-    with pytest.raises(ConfigurationError):
-        batching(scale="smoke", caps=(0,))
-    with pytest.raises(ConfigurationError):
-        batching(scale="smoke", windows=("wide",))
-    with pytest.raises(ConfigurationError):
-        batching(scale="smoke", workloads=("adversarial",))
-
-
-def test_batching_experiment_registered_in_groups():
-    from repro.bench.experiments import EXPERIMENT_GROUPS, EXPERIMENTS
-
-    assert "batching" in EXPERIMENTS
-    grouped = [n for names in EXPERIMENT_GROUPS.values() for n in names]
-    assert grouped.count("batching") == 1

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.bench import parallel
-from repro.bench.parallel import PointTask, execute_tasks, resolve_jobs, run_task
+from repro.bench.parallel import (
+    CellError,
+    PointTask,
+    execute_tasks,
+    resolve_jobs,
+)
 from repro.bench.runner import PointResult, sweep_merge, sweep_stopped
 
 
@@ -25,9 +30,52 @@ def test_resolve_jobs_values():
         resolve_jobs(-1)
 
 
-def test_run_task_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown task kind"):
-        run_task(PointTask(key=("x",), spec=None, kind="mystery"))
+def test_every_task_is_a_scenario_cell():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(PointTask)] == [
+        "key", "spec", "chain",
+    ]
+
+
+def _cells(**systems):
+    from repro.bench.runner import point_spec
+    from repro.workload.generator import WorkloadMix
+
+    return [
+        PointTask(
+            key,
+            point_spec(
+                system, 600, WorkloadMix(), enterprises=("A", "B"), shards=1,
+                warmup=0.05, measure=0.1, drain=0.05, name=f"cell-{key}",
+            ),
+        )
+        for key, system in systems.items()
+    ]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_cell_names_itself_in_process_and_pooled(jobs):
+    import multiprocessing
+    import traceback
+
+    tasks = _cells(good="Flt-C", bad="NopeDB", fine="Crd-C")
+    with pytest.raises(CellError) as excinfo:
+        execute_tasks(tasks, jobs=jobs, label="demo")
+    error = excinfo.value
+    assert (error.label, error.key, error.spec_name) == (
+        "demo", "bad", "cell-bad",
+    )
+    # One message, whichever side of the pool the cell ran on ...
+    assert str(error).startswith(
+        "demo: cell 'bad' (spec 'cell-bad') failed: WorkloadError: "
+        "unknown system 'NopeDB'"
+    )
+    # ... chained to the original (a live exception in-process, the
+    # worker's traceback text from a pool) ...
+    assert "build_driver" in "".join(traceback.format_exception(error))
+    # ... and no worker outlives the failure.
+    assert multiprocessing.active_children() == []
 
 
 def test_execute_tasks_rejects_duplicate_keys():
@@ -42,7 +90,7 @@ def test_execute_tasks_rejects_duplicate_keys():
 def test_sequential_execution_honors_chain_early_stop(monkeypatch):
     calls = []
 
-    def fake(task):
+    def fake(task, label):
         calls.append(task.key)
         return {"rung": task.key[-1]}
 
@@ -61,7 +109,9 @@ def test_sequential_execution_honors_chain_early_stop(monkeypatch):
 
 
 def test_sequential_execution_runs_unchained_tasks_fully(monkeypatch):
-    monkeypatch.setattr(parallel, "run_task", lambda task: {"key": task.key})
+    monkeypatch.setattr(
+        parallel, "run_task", lambda task, label: {"key": task.key}
+    )
     tasks = [PointTask(key=(i,), spec=None) for i in range(5)]
     results = execute_tasks(tasks, jobs=1, stop=lambda accumulated: True)
     assert list(results) == [(i,) for i in range(5)]
@@ -145,19 +195,14 @@ def test_cli_jobs_artifact_byte_identical(tmp_path):
     assert '"wall_clock_s"' in raw and '"digest_calls"' in raw
 
 
-def test_run_scenarios_parallel_matches_sequential_reports():
-    from repro.bench.experiments import SCALES
+def test_pooled_reports_match_sequential_ones():
     from repro.bench.report import strip_perf
-    from repro.scenarios import bench_scenarios
-    from repro.scenarios.runner import run_scenarios
 
-    specs = bench_scenarios(
-        SCALES["smoke"], seed=3, names=("steady-crash-flattened",)
-    )
-    sequential = run_scenarios(specs, jobs=1)
-    fanned = run_scenarios(specs, jobs=2)
+    tasks = _cells(a="Flt-C", b="Crd-C")
+    sequential = execute_tasks(tasks, jobs=1)
+    fanned = execute_tasks(tasks, jobs=2)
     assert strip_perf(sequential) == strip_perf(fanned)
-    assert list(sequential) == list(specs)
+    assert list(sequential) == list(fanned) == ["a", "b"]
     # Every report carries the perf metadata block.
     for report in sequential.values():
         perf = report["perf"]

@@ -1,28 +1,9 @@
 """Unit tests for result reporting and experiment registry."""
 
-from repro.bench.experiments import EXPERIMENTS, SCALES, _wan_latency
-from repro.bench.report import markdown_table, ratio
-from repro.bench.runner import PointResult
-
-
-def make_point(system, tput, lat):
-    return PointResult(system, tput * 1.1, tput, lat, int(tput))
-
-
-def test_markdown_table_renders_all_panels():
-    panels = {
-        "10% isce": [make_point("Flt-C", 14000, 4.0), make_point("Fabric", 9000, 5.0)],
-        "50% isce": [make_point("Flt-C", 9000, 6.0)],
-    }
-    text = markdown_table("Figure 7", panels)
-    assert "### Figure 7" in text
-    assert "| Flt-C | 14,000 | 4.0 |" in text
-    assert text.count("| system |") == 2
-
-
-def test_ratio_helper():
-    panel = [make_point("Flt-C", 12000, 4.0), make_point("Fabric", 3000, 5.0)]
-    assert ratio(panel, "Flt-C", "Fabric") == 4.0
+from repro.bench.experiments import EXPERIMENTS, SCALES
+from repro.bench.runner import PointResult, point_spec
+from repro.scenarios.build import resolve_latency
+from repro.workload.generator import WorkloadMix
 
 
 def test_experiment_registry_covers_every_table_and_figure():
@@ -39,7 +20,13 @@ def test_scales_defined_and_full_matches_paper():
 
 
 def test_wan_latency_assigns_all_clusters_to_paper_regions():
-    latency = _wan_latency(SCALES["fast"])
+    fast = SCALES["fast"]
+    latency = resolve_latency(
+        point_spec(
+            "Flt-C", 1_000, WorkloadMix(), wan=True,
+            enterprises=fast.enterprises, shards=fast.shards,
+        )
+    )
     regions = set(latency.region_of.values())
     assert regions <= {"TY", "SU", "VA", "CA"}
     for enterprise in SCALES["fast"].enterprises:
@@ -53,29 +40,3 @@ def test_saturation_flag():
     assert not healthy.saturated
     assert saturated.saturated
     assert "offered" in healthy.row()
-
-
-def test_ascii_curve_renders_all_systems():
-    from repro.bench.report import ascii_curve
-    from repro.bench.runner import PointResult
-
-    curves = {
-        "Flt-C": [
-            PointResult("Flt-C", 1000, 990, 4.0, 500),
-            PointResult("Flt-C", 2000, 1980, 6.0, 900),
-        ],
-        "Fabric": [PointResult("Fabric", 1000, 600, 30.0, 300)],
-    }
-    art = ascii_curve(curves)
-    assert "a = Flt-C" in art
-    assert "b = Fabric" in art
-    assert "ktps (x)" in art
-    body = [line for line in art.splitlines() if line.startswith("|")]
-    assert sum(line.count("a") for line in body) == 2
-    assert sum(line.count("b") for line in body) == 1
-
-
-def test_ascii_curve_empty():
-    from repro.bench.report import ascii_curve
-
-    assert ascii_curve({}) == "(no data)"

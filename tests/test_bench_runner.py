@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.runner import QANAAT_PROTOCOLS, run_point, sweep
+from repro.bench.runner import QANAAT_PROTOCOLS, point_spec, run_point, sweep
 from repro.core.deployment import Metrics
 from repro.workload.generator import WorkloadMix
 
@@ -28,7 +28,7 @@ def test_metrics_windows():
 
 
 def test_qanaat_point_unsaturated_tracks_offered():
-    point = run_point("Flt-C", 1500, MIX, **FAST)
+    point = run_point(point_spec("Flt-C", 1500, MIX, **FAST))
     assert point.completed > 0
     assert point.throughput_tps == pytest.approx(1500, rel=0.25)
     assert not point.saturated
@@ -36,7 +36,7 @@ def test_qanaat_point_unsaturated_tracks_offered():
 
 
 def test_fabric_point_runs():
-    point = run_point("Fabric", 1500, MIX, **FAST)
+    point = run_point(point_spec("Fabric", 1500, MIX, **FAST))
     assert point.completed > 0
     assert not point.saturated
 
@@ -55,70 +55,53 @@ def test_all_protocol_names_resolve():
 
 
 def test_crash_nodes_option_still_commits():
-    point = run_point("Flt-C", 1000, MIX, crash_nodes=1, **FAST)
+    point = run_point(point_spec("Flt-C", 1000, MIX, crash_nodes=1, **FAST))
     assert point.completed > 0
 
 
 def test_caper_point_runs():
-    from repro.bench.runner import run_point
-    from repro.workload.generator import WorkloadMix
-
-    point = run_point(
+    point = run_point(point_spec(
         "Caper", 800, WorkloadMix(cross=0.2, cross_type="isce"),
         enterprises=("A", "B"), warmup=0.1, measure=0.2, drain=0.1,
-    )
+    ))
     assert point.system == "Caper"
     assert point.completed > 0
 
 
 def test_caper_rejects_cross_shard_mixes():
-    import pytest
-
-    from repro.bench.runner import run_point
     from repro.errors import WorkloadError
-    from repro.workload.generator import WorkloadMix
 
     with pytest.raises(WorkloadError, match="cross-shard"):
-        run_point(
+        run_point(point_spec(
             "Caper", 500, WorkloadMix(cross=0.2, cross_type="csie"),
             enterprises=("A", "B"), warmup=0.1, measure=0.2, drain=0.1,
-        )
+        ))
 
 
 def test_sharded_baseline_points_run():
-    from repro.bench.runner import run_point
-    from repro.workload.generator import WorkloadMix
-
     for system in ("SharPer", "AHL"):
-        point = run_point(
+        point = run_point(point_spec(
             system, 800, WorkloadMix(cross=0.2, cross_type="csie"),
             shards=2, warmup=0.1, measure=0.2, drain=0.1,
-        )
+        ))
         assert point.system == system
         assert point.completed > 0
 
 
 def test_sharded_baselines_reject_cross_enterprise_mixes():
-    import pytest
-
-    from repro.bench.runner import run_point
     from repro.errors import WorkloadError
-    from repro.workload.generator import WorkloadMix
 
     with pytest.raises(WorkloadError, match="cross-enterprise"):
-        run_point(
+        run_point(point_spec(
             "SharPer", 500, WorkloadMix(cross=0.2, cross_type="isce"),
             shards=2, warmup=0.1, measure=0.2, drain=0.1,
-        )
+        ))
 
 
 def test_qanaat_point_accepts_checkpoint_interval():
-    from repro.bench.runner import run_point
-    from repro.workload.generator import WorkloadMix
-
-    point = run_point(
+    point = run_point(point_spec(
         "Flt-C", 800, WorkloadMix(cross=0.0),
         enterprises=("A", "B"), shards=1,
         warmup=0.1, measure=0.2, drain=0.1, checkpoint_interval=16,
-    )
+    ))
     assert point.completed > 0

@@ -1,11 +1,10 @@
-"""The EXPERIMENTS.md filler and bench CLI plumbing."""
+"""Bench CLI plumbing."""
 
 import json
 
 import pytest
 
-from repro.bench.fill import render, splice
-from repro.bench.report import markdown_table, write_json
+from repro.bench.report import write_json
 from repro.bench.runner import PointResult
 
 
@@ -16,37 +15,6 @@ def panel():
             PointResult("Fabric", 1000, 240, 31.0, 120),
         ]
     }
-
-
-def test_markdown_table_renders_rows():
-    table = markdown_table("T", panel())
-    assert "| Flt-C | 990 | 4.2 |" in table
-    assert "| Fabric | 240 | 31.0 |" in table
-    assert table.startswith("### T")
-
-
-def test_render_wraps_bare_lists():
-    text = render("x", [PointResult("Flt-C", 1000, 990, 4.2, 500)], "fast")
-    assert "Measured (x, fast scale)" in text
-    assert "Flt-C" in text
-
-
-def test_splice_replaces_marker_once():
-    content = "intro\n<!-- MEASURED:fig7 -->\noutro"
-    first = splice(content, "fig7", "TABLE-1")
-    assert "TABLE-1" in first
-    assert "<!-- /MEASURED:fig7 -->" in first
-    assert "outro" in first
-    # Re-splicing replaces the previous fill instead of duplicating.
-    second = splice(first, "fig7", "TABLE-2")
-    assert "TABLE-2" in second
-    assert "TABLE-1" not in second
-    assert second.count("<!-- /MEASURED:fig7 -->") == 1
-
-
-def test_splice_requires_marker():
-    with pytest.raises(SystemExit, match="no marker"):
-        splice("no markers here", "fig7", "TABLE")
 
 
 def test_cli_knows_every_experiment():
@@ -108,7 +76,7 @@ def test_cli_jobs_flag_reaches_experiments(tmp_path):
 
     main([
         "--experiment", "ablation_gamma", "--jobs", "2", "--out", str(tmp_path),
-    ])  # experiments without a jobs parameter simply ignore the flag
+    ])  # a row without cells has nothing to fan out
     assert (tmp_path / "BENCH_ablation_gamma.json").exists()
 
 
@@ -141,3 +109,46 @@ def test_cli_unknown_experiment_fails_with_the_valid_set(capsys):
     err = capsys.readouterr().err
     assert "unknown experiment 'fig99'" in err
     assert "fig7" in err and "recovery" in err
+
+
+def test_cli_configuration_error_is_one_line_and_exit_2(capsys):
+    from repro.bench.__main__ import main
+
+    for argv, needle in (
+        (["--experiment", "ablation_gamma", "--scale", "warp"],
+         "unknown scale 'warp'"),
+        # Fabric builds its own single-kernel system: the grid cannot
+        # run on per-cluster kernels, and says which cell and why.
+        (["--experiment", "table3", "--scale", "smoke",
+          "--kernel-workers", "2"],
+         "table3: cell ('no fail', 'Fabric', 0) (spec 'Fabric')"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert err.startswith("repro.bench: error: ")
+        assert err.count("\n") == 1
+
+
+def test_cli_failed_check_is_named_and_exit_1(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from repro.bench import experiments
+    from repro.bench.__main__ import main
+
+    row = dataclasses.replace(
+        experiments.EXPERIMENTS["ablation_gamma"],
+        checks=lambda artifact: ["gamma-shrinks: it did not"],
+    )
+    monkeypatch.setitem(experiments.EXPERIMENTS, "ablation_gamma", row)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--experiment", "ablation_gamma", "--out", str(tmp_path)])
+    assert excinfo.value.code == 1
+    assert (
+        "check failed: ablation_gamma: gamma-shrinks: it did not"
+        in capsys.readouterr().err
+    )
+    # The artifact is written before the checks judge it.
+    assert (tmp_path / "BENCH_ablation_gamma.json").exists()

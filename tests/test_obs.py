@@ -321,24 +321,6 @@ def test_windows_report_percentiles():
 # ----------------------------------------------------------------------
 # bench CLI surface
 # ----------------------------------------------------------------------
-def test_experiment_groups_cover_every_experiment():
-    from repro.bench.experiments import EXPERIMENT_GROUPS, EXPERIMENTS
-
-    grouped = [n for names in EXPERIMENT_GROUPS.values() for n in names]
-    assert sorted(grouped) == sorted(EXPERIMENTS)
-    assert len(grouped) == len(set(grouped))
-
-
-def test_list_experiments_is_grouped_with_descriptions():
-    from repro.bench.__main__ import list_experiments
-
-    listing = list_experiments()
-    assert "Observability" in listing
-    assert "obs" in listing
-    assert "Ablations" in listing
-    assert "ungrouped" not in listing
-
-
 def test_bench_trace_refuses_parallel_jobs():
     from repro.bench.__main__ import main
 

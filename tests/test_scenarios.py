@@ -211,15 +211,17 @@ def test_same_spec_and_seed_replays_identical_trace_and_numbers():
 
 
 def test_scenarios_experiment_artifact_is_byte_identical(tmp_path):
-    from repro.bench.experiments import scenarios
-
-    names = ("steady-crash-flattened", "backup-crash-recover")
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    scenarios(scale="smoke", seed=5, out=str(out_a), names=names)
-    scenarios(scale="smoke", seed=5, out=str(out_b), names=names)
     from repro.bench.compare import comparable_text
+    from repro.bench.experiments import EXPERIMENTS, run_experiment
 
+    names = {"steady-crash-flattened", "backup-crash-recover"}
+    for side in ("a", "b"):
+        run_experiment(
+            EXPERIMENTS["scenarios"], "smoke", seed=5,
+            out_dir=tmp_path / side, cells=names,
+        )
+    out_a = tmp_path / "a" / "BENCH_scenarios.json"
+    out_b = tmp_path / "b" / "BENCH_scenarios.json"
     assert comparable_text(out_a) == comparable_text(out_b)
     payload = json.loads(out_a.read_text())
     assert set(payload["results"]) == set(names)
@@ -262,25 +264,22 @@ def test_metrics_abort_windows():
 
 
 # ----------------------------------------------------------------------
-# legacy surface equivalence
+# a point is a projection of a scenario report
 # ----------------------------------------------------------------------
-def test_run_point_spec_and_legacy_kwargs_agree():
-    from repro.bench.runner import point_spec, run_point
+def test_run_point_is_the_measure_window_of_the_scenario_report():
+    from repro.bench.runner import PointResult, point_spec, run_point
 
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    kwargs = dict(
-        enterprises=("A", "B"), shards=2, warmup=0.05, measure=0.15, drain=0.1
+    spec = point_spec(
+        "Flt-C", 1_000, WorkloadMix(cross=0.10, cross_type="isce"), seed=3,
+        enterprises=("A", "B"), shards=2, warmup=0.05, measure=0.15, drain=0.1,
     )
-    legacy = run_point("Flt-C", 1_000, mix, seed=3, **kwargs)
-    spec = point_spec("Flt-C", 1_000, mix, seed=3, **kwargs)
-    via_spec = run_point(spec)
-    assert legacy == via_spec
-    with pytest.raises(TypeError):
-        run_point(spec, 1_000)
-    with pytest.raises(TypeError):
-        run_point(spec, warmup=0.1)  # windows live in spec.measurement
-    with pytest.raises(TypeError):
-        run_point("Flt-C", 1_000, mix, bogus_knob=1)
+    point = run_point(spec)
+    report = run_scenario(spec)
+    assert point == PointResult.from_report(report)
+    measure = report["windows"]["measure"]
+    assert (point.system, point.offered_tps) == ("Flt-C", 1_000)
+    assert point.throughput_tps == measure["throughput_tps"]
+    assert point.completed == measure["completed"] > 0
 
 
 def test_deployment_config_rejects_non_qanaat_labels():

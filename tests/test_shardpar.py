@@ -290,37 +290,48 @@ def test_reports_identical_at_any_worker_count():
         )
 
 
+def _smoke_registry():
+    """The whole smoke registry plus the wide 4-shard scenario, split by
+    what the one validation function says."""
+    specs = bench_scenarios(SCALES["smoke"], seed=1)
+    wide = shardpar_scenario(shards=4, seed=1, rate_per_cluster=100.0)
+    specs[wide.name] = wide
+    accepted, rejected = [], []
+    for spec in specs.values():
+        try:
+            validate_partitioning(spec)
+        except ConfigurationError:
+            rejected.append(spec)
+        else:
+            accepted.append(spec)
+    return accepted, rejected
+
+
 def _smoke(name):
     (spec,) = bench_scenarios(SCALES["smoke"], seed=1, names=(name,)).values()
     return spec
 
 
+def test_only_the_named_smoke_scenarios_are_unpartitionable():
+    _, rejected = _smoke_registry()
+    assert {spec.name for spec in rejected} == {
+        "fabric-baseline", "elastic-reconfig",
+    }
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [
-        shardpar_scenario(
-            4, seed=1, rate_per_cluster=40.0, warmup=0.04, measure=0.1,
-            drain=0.06,
-        ),
-        _smoke("steady-crash-flattened"),
-        _smoke("partition-heal"),
-        _smoke("equivocating-primary"),
-        _smoke("wan-jitter-burst"),
-    ],
-    ids=lambda spec: spec.name,
+    "spec", _smoke_registry()[0], ids=lambda spec: spec.name
 )
 def test_one_spec_one_answer(spec):
     """The guarantee: a spec the validation function accepts yields the
     same artifact bytes on one kernel, on windowed per-cluster kernels
-    in-process, and on forked workers."""
+    in-process, and on forked workers — over every smoke scenario, not
+    a sample."""
     from repro.bench.report import canonical_json
 
-    validate_partitioning(spec)
-    artifacts = {
-        canonical_json(strip_perf(run_scenario(spec.with_kernel_workers(w))))
-        for w in (None, 1, 2)
-    }
-    assert len(artifacts) == 1
+    reports = [run_scenario(spec.with_kernel_workers(w)) for w in (None, 1, 2)]
+    assert reports[0]["windows"]["measure"]["completed"] > 0
+    assert len({canonical_json(strip_perf(report)) for report in reports}) == 1
 
 
 def _wal_spec(tmp_path):

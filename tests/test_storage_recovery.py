@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.recovery import run_recovery_bench, run_recovery_scenario
+from repro.bench.recovery import run_recovery_scenario
 from repro.core import Deployment, DeploymentConfig
 from repro.core.executor import ExecutionUnit
 from repro.datamodel import MultiVersionStore, Operation
@@ -676,15 +676,20 @@ def test_recovery_scenario_rejects_memory_backend():
         run_recovery_scenario(backend="memory")
 
 
-def test_recovery_bench_writes_artifact(tmp_path):
-    out = tmp_path / "BENCH_recovery.json"
-    report = run_recovery_bench(
-        backends=("sqlite",), out_path=out, seed=3, **FAST_SCENARIO
+def test_recovery_experiment_writes_checked_artifact(tmp_path):
+    from repro.bench.experiments import EXPERIMENTS, run_experiment
+
+    artifact = run_experiment(
+        EXPERIMENTS["recovery"], "smoke", seed=3, out_dir=tmp_path
     )
-    assert out.exists()
-    on_disk = json.loads(out.read_text())
-    assert on_disk["sqlite"]["digests_match"] is True
-    assert report["sqlite"]["seed"] == 3
+    on_disk = json.loads((tmp_path / "BENCH_recovery.json").read_text())
+    assert on_disk["experiment"] == "recovery" and on_disk["seed"] == 3
+    assert set(on_disk["results"]) == {"wal", "sqlite"}
+    for backend, result in artifact["results"].items():
+        assert result["digests_match"] is True
+        assert result["seed"] == 3 and result["backend"] == backend
+        # The checks passed, so the rebuild crossed a fold.
+        assert result["journal"]["checkpoint_folds"] >= 1
 
 
 def test_recovery_scenario_refuses_dirty_storage_dir(tmp_path):
