@@ -46,7 +46,6 @@ from repro.storage.base import (
     KIND_WRITE,
     decode_head_payload,
     decode_namespace,
-    head_digest_of,
 )
 from repro.storage.sqlite import SqliteBackend
 
@@ -251,12 +250,9 @@ class AnalyticsIngest:
         )
 
     def _ingest_head(self, label: str, shard: int, version: int, value) -> int:
-        head = head_digest_of(value)
-        if head is not None:
-            self._bump_head(label, shard, version, head)
-        tx = decode_head_payload(value)
-        if tx is None:
-            return 0  # legacy bare-digest head: no projection to index
+        tx = decode_head_payload(value, (label, shard), version)
+        if tx["head"] is not None:
+            self._bump_head(label, shard, version, tx["head"])
         self.conn.execute(
             "INSERT OR IGNORE INTO txs"
             " (label, shard, seq, request_id, client, ts, body, head)"

@@ -483,7 +483,9 @@ class ExecutionUnit:
                 if record.kind == KIND_HEAD:
                     if record.version > head_seq:
                         head_seq = record.version
-                        head_digest = head_digest_of(record.value)
+                        head_digest = head_digest_of(
+                            record.value, namespace, record.version
+                        )
                         stats.records_replayed += 1
                 else:
                     unfolded += 1

@@ -3,7 +3,8 @@
 A :class:`ClusterNode` hosts
 
 - the pluggable internal consensus instance (Paxos or PBFT, §4.1),
-- the batcher that groups client requests per collection-shard,
+- the :class:`~repro.core.sealer.Sealer` that groups client requests
+  per collection-shard, and the one site that seals a batch,
 - one cross-cluster engine (coordinator-based or flattened),
 - the in-order commit pipeline feeding either a local
   :class:`~repro.core.executor.ExecutionUnit` (crash / no-firewall
@@ -52,6 +53,7 @@ from repro.core.executor import (
     ExecutionUnit,
     snapshot_digest,
 )
+from repro.core.sealer import CROSS, LOCAL, Sealer
 from repro.crypto.hashing import digest as _digest
 from repro.crypto.signatures import sign as crypto_sign
 from repro.crypto.signatures import verify as crypto_verify
@@ -167,16 +169,14 @@ class ClusterNode(SimNode):
         # (engine handlers differ between the coordinator and flattened
         # families, so they are resolved per instance).
         self._dispatch: dict[type, Callable[[Any, str], Any]] = {}
-        self._batch: dict[Any, list[Transaction]] = {}
-        self._batch_timers: dict[Any, Any] = {}
-        # Pipelined instance windows (config.max_inflight): what this
-        # node has proposed and not yet seen decided/committed, per
-        # lane — "local" tracks internal-consensus Block slots, "cross"
-        # tracks engine flows by block id.  ``_stalled`` is an ordered
-        # set (dict keyed by batch key) of lanes waiting for a slot.
-        self._inflight_local: set[Any] = set()
-        self._inflight_cross: set[int] = set()
-        self._stalled: dict[Any, None] = {}
+        self.sealer = Sealer(
+            cap=self.config.batch_size,
+            wait=self.config.batch_wait,
+            adaptive=self.config.batch_adaptive,
+            window=self.config.max_inflight,
+            set_timer=self.set_timer,
+            seal=self._seal,
+        )
         self._pending_requests: dict[int, Transaction] = {}
         self._committed_requests: set[int] = set()
         self._request_reply: dict[int, ClientReply] = {}
@@ -223,9 +223,7 @@ class ClusterNode(SimNode):
 
     def on_decide(self, slot: Any, value: Any, certificate) -> None:
         if isinstance(value, Block):
-            self._inflight_local.discard(slot)
-            if self._stalled:
-                self._drain_stalled()
+            self.sealer.closed(LOCAL, slot)
             keys = set()
             for otx in value.otxs:
                 keys.add(otx.primary_id.alpha.key())
@@ -240,19 +238,15 @@ class ClusterNode(SimNode):
 
     def on_view_change(self, new_primary: str) -> None:
         self._believed_primary[self.cluster_name] = new_primary
-        # The window restarts with the view: slots proposed under the
-        # old primary are either decided normally or redriven below, and
-        # a window pinned full by a dead view must not gag the sealer.
-        self._inflight_local.clear()
-        self._inflight_cross.clear()
         if hasattr(self.engine, "on_view_change"):
             self.engine.on_view_change()
         if new_primary == self.node_id:
             self._redrive_pending()
-        elif self._stalled:
-            # Demoted mid-batch: stalled batches flush through the
-            # non-primary path below, which relays to the new primary.
-            self._drain_stalled()
+        else:
+            # Slots proposed under the old primary decide normally or
+            # are redriven by the new one; batches stalled here seal
+            # through _seal, which relays them to the new primary.
+            self.sealer.reset()
 
     def suspect_primary(self) -> None:
         """Local-majority queries say our primary is faulty (§4.3.4)."""
@@ -353,79 +347,26 @@ class ClusterNode(SimNode):
         shards = self.schema.shards_of(tx.keys)
         protocol = classify(tx.scope, shards)
         if protocol == "local":
-            key = ("local", collection.label, shards[0])
+            key = (LOCAL, collection.label, shards[0])
         else:
             key = (protocol, collection.label, shards)
-        batch = self._batch.setdefault(key, [])
-        batch.append(tx)
-        if self.config.batch_adaptive:
-            # Adaptive sealer: seal immediately while the inflight
-            # window has idle capacity (1-tx batches at low load keep
-            # latency minimal); once the window is full, _flush stalls
-            # and the batch grows toward the batch_size cap until a
-            # decide frees a slot (or the batch_wait backstop fires).
-            self._flush(key)
-        elif len(batch) >= self.config.batch_size:
-            self._flush(key)
-        elif key not in self._batch_timers:
-            self._batch_timers[key] = self.set_timer(
-                self.config.batch_wait, self._force_flush, key
-            )
+        self.sealer.add(key, tx)
 
-    def _window_full(self, key: Any) -> bool:
-        window = self.config.max_inflight
-        if window is None:
-            return False
-        lane = self._inflight_local if key[0] == "local" else self._inflight_cross
-        return len(lane) >= window
-
-    def _force_flush(self, key: Any) -> None:
-        """batch_wait elapsed: seal even through a full window.  The
-        backstop keeps batches from stranding if window accounting ever
-        leaks a slot (and bounds queueing delay under backpressure)."""
-        self._flush(key, force=True)
-
-    def _flush(self, key: Any, force: bool = False) -> None:
-        windowed = self.config.max_inflight is not None
-        if windowed and not force and self._window_full(key):
-            # Backpressure: the lane's window is full.  The batch stays
-            # queued (and keeps growing); the next freed slot drains
-            # it via _drain_stalled, with the batch_wait timer as the
-            # liveness backstop.  The timer is NOT re-armed per arrival
-            # — its deadline must not slide under continuous load.
-            if self._batch.get(key):
-                self._stalled[key] = None
-                if key not in self._batch_timers:
-                    self._batch_timers[key] = self.set_timer(
-                        self.config.batch_wait, self._force_flush, key
-                    )
-            return
-        timer = self._batch_timers.pop(key, None)
-        if timer is not None:
-            timer.cancel()
-        if windowed:
-            queued = self._batch.get(key)
-            if not queued:
-                self._batch.pop(key, None)
-                self._stalled.pop(key, None)
-                return
-            # batch_size is a hard cap: a batch that outgrew it while
-            # stalled seals in cap-sized chunks, remainder re-queued.
-            txs = queued[: self.config.batch_size]
-            del queued[: self.config.batch_size]
-            if queued:
-                self._stalled[key] = None
-                self._batch_timers[key] = self.set_timer(
-                    self.config.batch_wait, self._force_flush, key
-                )
-            else:
-                self._batch.pop(key, None)
-                self._stalled.pop(key, None)
-        else:
-            txs = self._batch.pop(key, None)
-            if not txs:
-                return
-        if not self.consensus.is_primary():
+    def _seal(self, key: Any, txs: list[Transaction], reason: str) -> Any:
+        """The sealer's one output: turn a batch into a consensus
+        instance.  Returns the token the sealer tracks in its window
+        until ``sealer.closed`` (on_decide / commit_cross) frees it."""
+        relay = not self.consensus.is_primary()
+        if self._obs_registry is not None:
+            self._obs_registry.counter(
+                "batches_sealed",
+                cluster=self.cluster_name,
+                reason="relay" if relay else reason,
+            ).inc()
+            self._obs_registry.histogram(
+                "batch_size", cluster=self.cluster_name
+            ).observe(len(txs))
+        if relay:
             # A view change flipped primaryship mid-batch.  Relay the
             # half-sealed batch to the new primary instead of dropping
             # it: _redrive_pending only rescues these txs when *this*
@@ -434,31 +375,20 @@ class ClusterNode(SimNode):
             primary = self.consensus.primary_id
             for tx in txs:
                 self.send(primary, ClientRequest(tx, retransmission=True))
-            return
+            return None
         kind, label, shard_info = key
         collection = self.collections.get_by_label(label)
-        if kind == "local":
+        if kind == LOCAL:
             ids = self.seqbook.assign_block(collection, len(txs), shard_info)
             otxs = tuple(
                 OrderedTransaction(tx, (tx_id,)) for tx, tx_id in zip(txs, ids)
             )
             slot = (label, shard_info, ids[0].alpha.seq)
-            if windowed:
-                self._inflight_local.add(slot)
             self.consensus.propose(slot, Block(otxs))
-        else:
-            block = CrossBlock(tuple(txs), label, shard_info, kind)
-            if windowed:
-                self._inflight_cross.add(block.block_id)
-            self.engine.start(block)
-
-    def _drain_stalled(self) -> None:
-        """A window slot freed: seal stalled batches that now fit."""
-        for key in list(self._stalled):
-            if self._window_full(key):
-                continue
-            self._stalled.pop(key, None)
-            self._flush(key)
+            return slot
+        block = CrossBlock(tuple(txs), label, shard_info, kind)
+        self.engine.start(block)
+        return block.block_id
 
     def _redrive_pending(self) -> None:
         """New primary: re-route requests that cannot be in flight."""
@@ -466,11 +396,7 @@ class ClusterNode(SimNode):
         # _pending_requests and were never proposed, so folding them
         # into the uniform re-route below cannot double-propose (and
         # leaving them batched would double-append when _route runs).
-        for timer in self._batch_timers.values():
-            timer.cancel()
-        self._batch_timers.clear()
-        self._batch.clear()
-        self._stalled.clear()
+        self.sealer.clear()
         in_flight: set[int] = set()
         for slot in self.consensus.undecided_slots():
             state = self.consensus.slots[slot]
@@ -597,9 +523,7 @@ class ClusterNode(SimNode):
         state = self.engine.states.get(block.block_id)
         if state is not None:
             state.commit_cert = certificate
-        self._inflight_cross.discard(block.block_id)
-        if self._stalled:
-            self._drain_stalled()
+        self.sealer.closed(CROSS, block.block_id)
         own_ids = block.ids_of(self._own_id_cluster(block))
         if own_ids is None:
             return

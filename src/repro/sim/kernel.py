@@ -22,6 +22,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
+_INF = float("inf")
+
 
 class Event:
     """A scheduled callback.  Cancel with :meth:`cancel`."""
@@ -113,8 +115,8 @@ class Simulator:
         self.current = self
         self.kernels = (self,)
         self.now: float = 0.0
-        # Observability capture: checked once per run() call, not per
-        # event, so the hot loops below stay byte-identical when off.
+        # Observability capture: fixed at construction, read once per
+        # run() / run_horizon() call.
         self._obs_active = obs.REGISTRY is not None
         self.queue_peak = 0
         # The heap holds (time, seq, payload) tuples rather than bare
@@ -209,98 +211,67 @@ class Simulator:
         — a protocol bug that schedules a timer loop surfaces as a
         clear error rather than an apparent hang.
         """
-        if self._obs_active:
-            # Same semantics as the loops below, plus queue-peak
-            # tracking; kept separate so the untraced path pays nothing.
-            self._run_instrumented(until, max_events, raise_on_limit)
-            return
-        queue = self._queue
-        pop = heapq.heappop
-        event_cls = Event
-        if until is None and max_events is None:
-            # Cheap path for the common unbounded drain: no per-event
-            # limit checks, attribute lookups hoisted to locals.
-            while queue:
-                time, _, payload = pop(queue)
-                if payload.__class__ is event_cls:
-                    if payload.cancelled:
-                        continue
-                    payload._sim = None
-                    fn = payload.fn
-                    args = payload.args
-                else:
-                    fn, args = payload
-                self._live -= 1
-                self.now = time
-                fn(*args)
-                self._events_processed += 1
-            return
-        processed = 0
-        budget_exhausted = False
-        while queue:
-            time, _, payload = queue[0]
-            if until is not None and time > until:
-                break
-            if payload.__class__ is event_cls:
-                if payload.cancelled:
-                    pop(queue)
-                    continue
-            if max_events is not None and processed >= max_events:
-                budget_exhausted = True
-                if raise_on_limit:
-                    from repro.errors import SimulationLimitError
+        self._advance(until, True, max_events, raise_on_limit)
 
-                    raise SimulationLimitError(
-                        f"simulation exceeded {max_events} events without "
-                        f"finishing: now={self.now:.6f}, "
-                        f"pending={self.pending()}, queue head={payload!r}"
-                    )
-                break
-            pop(queue)
-            if payload.__class__ is event_cls:
-                payload._sim = None
-                fn = payload.fn
-                args = payload.args
-            else:
-                fn, args = payload
-            self._live -= 1
-            self.now = time
-            fn(*args)
-            processed += 1
-            self._events_processed += 1
-        if until is not None and self.now < until and not budget_exhausted:
-            self.now = until
+    def run_horizon(self, until: float, inclusive: bool = False) -> int:
+        """Fire events strictly before ``until`` — the shard-parallel
+        window primitive — then advance the clock to ``until``.
 
-    def _run_instrumented(
+        Conservative-lookahead execution advances each partition's
+        kernel one safe window at a time: events *at* the horizon may
+        still gain earlier-timestamped peers from another partition's
+        boundary envelopes, so they must wait for the next window.
+        With ``inclusive`` (the final window only) events landing
+        exactly on the horizon fire too, matching what a sequential
+        ``run(until)`` would have fired by end of run.
+
+        With no event budget the clock always lands on ``until`` —
+        windows must tile exactly or two kernels would disagree about
+        which window an envelope belongs to.  Budgets are enforced
+        *between* windows by the engine (window granularity), not
+        here.  Returns the number of events fired.
+        """
+        if until < self.now:
+            raise ValueError(
+                f"horizon in the past: {until} < {self.now}"
+            )
+        return self._advance(until, inclusive, None, False)
+
+    def _advance(
         self,
         until: float | None,
+        inclusive: bool,
         max_events: int | None,
         raise_on_limit: bool,
-    ) -> None:
-        """The :meth:`run` loop with queue-peak tracking.
-
-        Event selection, clock updates, and accounting mirror the
-        untraced loops exactly — observability must replay the same
-        event sequence — the only addition is reading ``len(queue)``.
-        """
+    ) -> int:
+        """The one event loop behind :meth:`run` and
+        :meth:`run_horizon`: fire events up to ``until`` (through it
+        when ``inclusive``), at most ``max_events`` of them; returns
+        how many fired."""
         queue = self._queue
         pop = heapq.heappop
         event_cls = Event
-        processed = 0
+        limit = _INF if until is None else until
+        budget = -1 if max_events is None else max_events
         budget_exhausted = False
+        fired = 0
+        # Observability: checked per event as one local-bool test, so
+        # the same loop — the same event sequence — runs on and off.
+        obs_active = self._obs_active
         peak = self.queue_peak
         while queue:
-            depth = len(queue)
-            if depth > peak:
-                peak = depth
+            if obs_active:
+                depth = len(queue)
+                if depth > peak:
+                    peak = depth
             time, _, payload = queue[0]
-            if until is not None and time > until:
+            if time >= limit and (time > limit or not inclusive):
                 break
             if payload.__class__ is event_cls:
                 if payload.cancelled:
                     pop(queue)
                     continue
-            if max_events is not None and processed >= max_events:
+            if fired == budget:
                 budget_exhausted = True
                 if raise_on_limit:
                     self.queue_peak = peak
@@ -322,65 +293,10 @@ class Simulator:
             self._live -= 1
             self.now = time
             fn(*args)
-            processed += 1
+            fired += 1
             self._events_processed += 1
         self.queue_peak = peak
         if until is not None and self.now < until and not budget_exhausted:
-            self.now = until
-
-    def run_horizon(self, until: float, inclusive: bool = False) -> int:
-        """Fire events strictly before ``until`` — the shard-parallel
-        window primitive — then advance the clock to ``until``.
-
-        Conservative-lookahead execution advances each partition's
-        kernel one safe window at a time: events *at* the horizon may
-        still gain earlier-timestamped peers from another partition's
-        boundary envelopes, so they must wait for the next window.
-        With ``inclusive`` (the final window only) events landing
-        exactly on the horizon fire too, matching what a sequential
-        ``run(until)`` would have fired by end of run.
-
-        Unlike :meth:`run`, the clock always lands on ``until`` —
-        windows must tile exactly or two kernels would disagree about
-        which window an envelope belongs to.  Event budgets are
-        enforced *between* windows by the engine (window granularity),
-        not here.  Returns the number of events fired.
-        """
-        if until < self.now:
-            raise ValueError(
-                f"horizon in the past: {until} < {self.now}"
-            )
-        queue = self._queue
-        pop = heapq.heappop
-        event_cls = Event
-        fired = 0
-        obs_active = self._obs_active
-        peak = self.queue_peak
-        while queue:
-            time = queue[0][0]
-            if time > until or (time == until and not inclusive):
-                break
-            if obs_active:
-                depth = len(queue)
-                if depth > peak:
-                    peak = depth
-            _, _, payload = pop(queue)
-            if payload.__class__ is event_cls:
-                if payload.cancelled:
-                    continue
-                payload._sim = None
-                fn = payload.fn
-                args = payload.args
-            else:
-                fn, args = payload
-            self._live -= 1
-            self.now = time
-            fn(*args)
-            fired += 1
-            self._events_processed += 1
-        if obs_active:
-            self.queue_peak = peak
-        if self.now < until:
             self.now = until
         return fired
 

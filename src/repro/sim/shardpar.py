@@ -27,11 +27,12 @@ child by the fork; each child executes only the partitions it owns and
 marks every other kernel *foreign* so stray cross-boundary mutations
 (event cancellation) fail loudly instead of desynchronizing.
 
-``workers=1`` runs the identical windowed algorithm in-process.
-Reports are byte-identical (modulo ``perf``/``obs``) at **any** worker
-count — and to the plain one-kernel ``sim.run`` of the same spec,
-which draws from the same per-pair streams.  A worker that raises or
-is killed ends the run in one :class:`~repro.errors.PartitionError`.
+``workers=1`` is the same loop with no children: the parent owns every
+partition and routes every envelope to itself.  Reports are
+byte-identical (modulo ``perf``/``obs``) at **any** worker count — and
+to the plain one-kernel ``sim.run`` of the same spec, which draws from
+the same per-pair streams.  A worker that raises or is killed ends the
+run in one :class:`~repro.errors.PartitionError`.
 """
 
 from __future__ import annotations
@@ -157,14 +158,6 @@ class ShardParEngine:
                 env.time, deliver[env.dst], env.msg, env.src
             )
 
-    def _check_budget(self, fired: int, max_events: int | None, edge: float) -> None:
-        if max_events is not None and fired > max_events:
-            raise SimulationLimitError(
-                f"simulation exceeded {max_events} events without "
-                f"finishing (checked at window barriers): "
-                f"window edge {edge:.6f}, events {fired}"
-            )
-
     # -- entry point ----------------------------------------------------
     def run(
         self,
@@ -186,36 +179,6 @@ class ShardParEngine:
             [pid for pid in range(partitions) if pid % workers == w]
             for w in range(workers)
         ]
-        if workers == 1:
-            return self._run_inline(edges, owned[0], max_events, collect)
-        return self._run_forked(edges, owned, max_events, collect)
-
-    # -- single-process reference ---------------------------------------
-    def _run_inline(
-        self,
-        edges: list[float],
-        pids: list[int],
-        max_events: int | None,
-        collect: Callable[[list[int]], Any] | None,
-    ) -> list[Any]:
-        network = self.network
-        fired_total = 0
-        last = len(edges) - 1
-        for i, edge in enumerate(edges):
-            fired_total += self._run_window(pids, edge, i == last)
-            self._check_budget(fired_total, max_events, edge)
-            self._inject(network.take_outbox())
-        return [collect(pids)] if collect is not None else [None]
-
-    # -- forked workers -------------------------------------------------
-    def _run_forked(
-        self,
-        edges: list[float],
-        owned: list[list[int]],
-        max_events: int | None,
-        collect: Callable[[list[int]], Any] | None,
-    ) -> list[Any]:
-        workers = self.workers
         channels: list[tuple[int, int, int]] = []  # (read_fd, write_fd, pid)
         for w in range(1, workers):
             to_child_r, to_child_w = os.pipe()
@@ -287,24 +250,23 @@ class ShardParEngine:
                     envelopes.extend(payload)
                     fired += fired_w
                 fired_total += fired
-                self._check_budget(fired_total, max_events, edge)
-                for w, (_, write_fd, _) in enumerate(channels, start=1):
-                    inbox = [
-                        env
-                        for env in envelopes
-                        if partition_of[env.dst] % workers == w
-                    ]
+                if max_events is not None and fired_total > max_events:
+                    raise SimulationLimitError(
+                        f"simulation exceeded {max_events} events without "
+                        f"finishing (checked at window barriers): "
+                        f"window edge {edge:.6f}, events {fired_total}"
+                    )
+                # One routing rule at every worker count: worker 0 is
+                # the parent itself.
+                inboxes: list[list] = [[] for _ in range(workers)]
+                for env in envelopes:
+                    inboxes[partition_of[env.dst] % workers].append(env)
+                for (_, write_fd, _), inbox in zip(channels, inboxes[1:]):
                     try:
                         _write_msg(write_fd, ("inbox", inbox))
                     except OSError:
                         pass  # a dead worker surfaces at its next receive
-                self._inject(
-                    [
-                        env
-                        for env in envelopes
-                        if partition_of[env.dst] % workers == 0
-                    ]
-                )
+                self._inject(inboxes[0])
             results = [collect(mine) if collect is not None else None]
             for w in range(1, workers):
                 results.append(receive(w, "done", edges[-1])[1])

@@ -106,12 +106,9 @@ class RecoveredNamespace:
 # ``head`` record payloads
 # ----------------------------------------------------------------------
 # A ``head`` record journals the ledger content-head digest after an
-# append.  Historically its value was the bare digest string; it now
-# carries a compact transaction projection alongside, which is what the
-# off-replica analytics engine (:mod:`repro.analytics`) ingests into
-# its indexed tables — recovery still reads only the digest.  Both
-# forms are accepted on the read side so journals written by either
-# version replay identically.
+# append, with a compact transaction projection alongside, which is
+# what the off-replica analytics engine (:mod:`repro.analytics`)
+# ingests into its indexed tables — recovery reads only the digest.
 
 
 def encode_head_payload(
@@ -142,22 +139,24 @@ def encode_head_payload(
     }
 
 
-def head_digest_of(value: Any) -> str | None:
-    """The content-head digest inside a ``head`` record value —
-    whichever of the two journal formats it uses."""
-    if isinstance(value, dict):
-        return value.get("h")
-    return value
-
-
-def decode_head_payload(value: Any) -> dict[str, Any] | None:
-    """The transaction projection of a ``head`` record value, or
-    ``None`` for legacy bare-digest records (which carry no
-    transaction metadata to index)."""
+def head_digest_of(value: Any, namespace: Namespace, version: int) -> str | None:
+    """The content-head digest inside a ``head`` record value read
+    from ``namespace``'s journal at ``version``."""
     if not isinstance(value, dict):
-        return None
+        raise StorageError(
+            f"malformed head record in namespace {namespace!r} at version "
+            f"{version}: expected the mapping encode_head_payload writes, "
+            f"got {type(value).__name__}"
+        )
+    return value.get("h")
+
+
+def decode_head_payload(
+    value: Any, namespace: Namespace, version: int
+) -> dict[str, Any]:
+    """The transaction projection of a ``head`` record value."""
     return {
-        "head": value.get("h"),
+        "head": head_digest_of(value, namespace, version),
         "body": value.get("b"),
         "request_id": value.get("r"),
         "client": value.get("c"),

@@ -139,21 +139,6 @@ def test_directory_without_journals_raises(tmp_path):
     conn.close()
 
 
-def test_legacy_bare_digest_head_is_tolerated(tmp_path):
-    backend = SqliteBackend(tmp_path / "legacy.sqlite")
-    backend.append(("L", 0), LogRecord(1, KIND_WRITE, "k", 1))
-    backend.append(("L", 0), LogRecord(1, "head", None, "ab" * 16))
-    backend.close()
-    conn = open_analytics(tmp_path / "legacy.db")
-    stats = AnalyticsIngest(conn).catch_up(tmp_path / "legacy.sqlite")
-    assert stats.records == 2
-    assert stats.txs == 0  # bare digest carries no transaction projection
-    engine = AnalyticsEngine(conn)
-    assert engine.chain_heads() == [("L", 0, 1, "ab" * 16)]
-    assert engine.as_of("k", 1, "L") == 1
-    conn.close()
-
-
 # ----------------------------------------------------------------------
 # query families == in-process answers
 # ----------------------------------------------------------------------

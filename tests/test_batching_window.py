@@ -13,6 +13,7 @@ import pytest
 from repro.consensus import MultiPaxos
 from repro.consensus.messages import Block
 from repro.core.config import DeploymentConfig
+from repro.core.sealer import LOCAL
 from repro.crypto import KeyRegistry, sign, verify_many
 from repro.crypto.hashing import counters
 from repro.crypto.signatures import set_batch_verify
@@ -165,7 +166,7 @@ def test_window_full_backpressure_bounds_inflight_and_grows_batches():
     original = primary.consensus.propose
 
     def spy(slot, value):
-        proposed_at_depth.append(len(primary._inflight_local))
+        proposed_at_depth.append(primary.sealer.inflight(LOCAL))
         if isinstance(value, Block):
             batch_sizes.append(len(value.otxs))
         original(slot, value)
@@ -174,14 +175,14 @@ def test_window_full_backpressure_bounds_inflight_and_grows_batches():
     client = submit_many(deployment, "A", 24)
     deployment.run(3.0)
     assert len(client.completed) == 24
-    # The slot was added to the window before propose, so the observed
-    # depth can never exceed max_inflight.
-    assert proposed_at_depth and max(proposed_at_depth) <= 2
+    # The sealer only seals into a lane with room, so the depth seen at
+    # propose time (the new slot not yet counted) stays below the window.
+    assert proposed_at_depth and max(proposed_at_depth) < 2
     # Under a full window the sealer accumulates: batches grow past the
     # 1-tx immediate seals, bounded by the batch_size cap.
     assert max(batch_sizes) > 1
     assert max(batch_sizes) <= 8
-    assert not primary._inflight_local and not primary._stalled
+    assert not primary.sealer.inflight(LOCAL) and not primary.sealer.stalled
 
 
 def test_adaptive_sealer_seals_immediately_at_idle():
@@ -303,7 +304,7 @@ def test_checkpoint_gc_prunes_log_with_deep_window():
 
 
 # ----------------------------------------------------------------------
-# half-sealed batch across a view change (the _flush silent-drop fix)
+# half-sealed batch across a view change (the silent-drop fix)
 # ----------------------------------------------------------------------
 def test_half_sealed_batch_rerouted_after_view_change():
     # Big batch + long batch_wait: the primary is still accumulating
@@ -322,7 +323,7 @@ def test_half_sealed_batch_rerouted_after_view_change():
     client = submit_many(deployment, "A", 3)
     deployment.run(0.05)  # delivered to the primary, batched, unsealed
     old_primary = deployment.primary_of("A1")
-    assert any(deployment.nodes[old_primary]._batch.values())
+    assert any(deployment.nodes[old_primary].sealer.queued.values())
     for member in deployment.directory.get("A1").members:
         if member != old_primary:
             deployment.nodes[member].consensus.request_view_change()
@@ -349,7 +350,7 @@ def test_demoted_primary_relays_batch_crash_model():
     deployment.run(0.05)  # delivered to the primary, batched, unsealed
     members = deployment.directory.get("A1").members
     old_primary = deployment.primary_of("A1")
-    assert any(deployment.nodes[old_primary]._batch.values())
+    assert any(deployment.nodes[old_primary].sealer.queued.values())
     for member in members:
         engine = deployment.nodes[member].consensus
         engine.ballot = 1

@@ -32,7 +32,7 @@ SMOKE_CELLS = {
     "table3": 18, "fig11": 27,
     "ablation_batching": 4, "ablation_gamma": 0, "ablation_checkpoint": 4,
     "ablation_fig4": 4, "baseline_landscape": 12,
-    "batching": 18, "scenarios": 16, "recovery": 0, "population": 12,
+    "batching": 12, "scenarios": 16, "recovery": 0, "population": 12,
     "shardpar": 0, "obs": 1, "analytics": 0,
 }
 

@@ -202,3 +202,39 @@ def test_pending_tracks_events_scheduled_during_run():
     assert sim.pending() == 1  # the rescheduled continuation
     sim.run()
     assert sim.pending() == 0
+
+
+@pytest.mark.parametrize("obs_on", [False, True])
+def test_run_and_inclusive_horizon_fire_the_same_sequence(obs_on):
+    # run(until) and run_horizon(until, inclusive=True) are one loop:
+    # same events, same order, same clock — observed or not.
+    from repro import obs
+
+    def trace(advance):
+        sim = Simulator()
+        out = []
+
+        def spawn(tag, depth):
+            out.append((sim.now, tag))
+            if depth:
+                sim.schedule_fire(0.5, spawn, tag + "+", depth - 1)
+
+        sim.schedule(1.0, spawn, "a", 3)
+        sim.schedule_fire(1.0, spawn, "b", 1)  # tie: insertion order
+        sim.schedule(0.5, spawn, "dead", 0).cancel()
+        sim.schedule_at(2.0, spawn, "edge", 0)  # exactly on the horizon
+        sim.schedule(2.5, spawn, "late", 0)
+        advance(sim)
+        return out, sim.now, sim.events_processed, sim.pending(), sim.queue_peak
+
+    if obs_on:
+        obs.enable()
+    try:
+        ran = trace(lambda sim: sim.run(until=2.0))
+        stepped = trace(lambda sim: sim.run_horizon(2.0, inclusive=True))
+    finally:
+        obs.disable()
+    assert ran == stepped
+    tags = [tag for _, tag in ran[0]]
+    assert tags == ["a", "b", "a+", "b+", "edge", "a++"]
+    assert (ran[4] > 0) == obs_on  # queue peak is tracked only when observed

@@ -404,6 +404,33 @@ def test_replica_recovers_exact_state_digest(backend, tmp_path):
     recovered.backend.close()
 
 
+@pytest.mark.parametrize("backend", ["wal", "sqlite"])
+def test_malformed_head_record_is_a_loud_error(backend, tmp_path):
+    # The executor always journals the mapping form; anything else in a
+    # journal is corruption, named by namespace and version.
+    journal = make_backend(backend, str(tmp_path), "n0")
+    journal.append(("A", 0), LogRecord(1, KIND_WRITE, "k", 1))
+    journal.append(("A", 0), LogRecord(1, KIND_HEAD, None, "ab" * 16))
+    journal.close()
+    deployment = Deployment(DeploymentConfig(enterprises=("A", "B")))
+    with pytest.raises(StorageError, match=r"\('A', 0\) at version 1"):
+        ExecutionUnit.recover(
+            "n0",
+            deployment.collections,
+            deployment.contracts,
+            deployment.schema,
+            0,
+            make_backend(backend, str(tmp_path), "n0"),
+        )
+    if backend == "sqlite":
+        from repro.analytics import AnalyticsIngest, open_analytics
+
+        conn = open_analytics(tmp_path / "analytics.db")
+        with pytest.raises(StorageError, match=r"\('A', 0\) at version 1"):
+            AnalyticsIngest(conn).catch_up(tmp_path / "n0.sqlite")
+        conn.close()
+
+
 def run_overwriting_load(deployment, client, count, distinct=10, start=0):
     """``count`` kv sets cycling over ``distinct`` keys, so the journal
     outgrows the state again and again (the fold rule's trigger)."""
