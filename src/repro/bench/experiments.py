@@ -513,7 +513,7 @@ def _traced_merge(run: Run) -> dict[str, Any]:
 #: reintroduces redundant hashing, re-verifies interned signatures or
 #: widens what certificates demand fails without timing flakiness.
 #: History and the re-pin procedure: docs/benchmarks.md.
-SCENARIO_PINS = {"digest_calls": 46794, "verify_calls": 85773}
+SCENARIO_PINS = {"digest_calls": 46794, "verify_calls": 85722}
 
 
 def _scenarios_checks(artifact: dict[str, Any]) -> list[str]:

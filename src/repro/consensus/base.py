@@ -80,6 +80,7 @@ class ConsensusHost(Protocol):  # pragma: no cover - structural type
     cluster_name: str
     members: list[str]
     key_registry: KeyRegistry
+    crashed: bool
 
     def send(self, dst: str, msg: Any) -> bool: ...
 
@@ -108,16 +109,20 @@ class SlotState:
     votes_phase2: dict[str, SignedMessage] = field(default_factory=dict)
     decided: bool = False
     view: int = 0
-    timer: Any = None
-
-    def cancel_timer(self) -> None:
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
 
 
 class InternalConsensus:
-    """Base class: primary tracking, slot table, decide plumbing."""
+    """Base class: primary tracking, slot table, decide plumbing, and
+    the replica's one failure detector (§4.3.4/§4.4.4).
+
+    The detector is a watch-set — what this replica waits on its primary
+    for: undecided slots, and ``("req", rid)`` per client retransmission
+    it relayed — and one timer, which exists iff something is watched
+    and restarts on every release.  It therefore expires only when
+    nothing watched arrived for a whole ``_suspicion``; the replica then
+    votes once to replace the primary and waits twice as long (up to
+    ``16 x timeout``) for the next one.  A decide resets the wait.
+    """
 
     #: Protocol label used in trace span names and metric labels.
     PROTO = "consensus"
@@ -128,6 +133,9 @@ class InternalConsensus:
         self.view = 0
         self.slots: dict[Any, SlotState] = {}
         self.decided_values: dict[Any, Any] = {}
+        self._watched: dict[Any, None] = {}  # insertion-ordered set
+        self._suspicion = timeout
+        self._timer: Any = None
         # Observability capture (all None when off): protocol subclasses
         # and _decide guard on these, never on module globals.
         from repro import obs
@@ -146,6 +154,42 @@ class InternalConsensus:
     def is_primary(self) -> bool:
         return self.host.node_id == self.primary_id
 
+    def _others(self) -> list[str]:
+        return [m for m in self.host.members if m != self.host.node_id]
+
+    # ------------------------------------------------------------------
+    # failure detector
+    # ------------------------------------------------------------------
+    def watch(self, item: Any) -> None:
+        """Start waiting on the primary for ``item`` (idempotent)."""
+        if item not in self._watched:
+            self._watched[item] = None
+            if self._timer is None:
+                self._restart_timer()
+
+    def release(self, item: Any) -> None:
+        """``item`` arrived: restart the wait for what is still watched."""
+        if item in self._watched:
+            del self._watched[item]
+            self._restart_timer()
+
+    def _restart_timer(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = None
+        if self._watched:
+            self._timer = self.host.set_timer(self._suspicion, self._expired)
+
+    def _expired(self) -> None:
+        if not self.host.crashed:  # the simulator still runs a dead node's timers
+            self._suspicion = min(self._suspicion * 2.0, self.timeout * 16)
+            if self._obs_registry is not None:
+                self._obs_registry.counter(
+                    "suspicion_expired", cluster=self.host.cluster_name
+                ).inc()
+            self.request_view_change(cause="timeout")
+        self._restart_timer()
+
     def _slot(self, slot: Any) -> SlotState:
         state = self.slots.get(slot)
         if state is None:
@@ -157,7 +201,8 @@ class InternalConsensus:
         if state.decided:
             return
         state.decided = True
-        state.cancel_timer()
+        self._suspicion = self.timeout
+        self.release(slot)
         self.decided_values[slot] = state.value
         certificate = CommitCertificate(
             cluster=self.host.cluster_name,
@@ -214,12 +259,12 @@ class InternalConsensus:
             (name, host.cluster_name, slot, host.node_id), t
         )
 
-    def _obs_view_change(self) -> None:
+    def _obs_count(self, name: str, **labels: Any) -> None:
+        """Record one view-change decision: ``view_change_votes`` where a
+        vote (PBFT) or bid (Paxos) is sent, ``view_changes`` on install."""
         if self._obs_registry is not None:
             self._obs_registry.counter(
-                "view_changes",
-                cluster=self.host.cluster_name,
-                protocol=self.PROTO,
+                name, cluster=self.host.cluster_name, protocol=self.PROTO, **labels
             ).inc()
 
     def _obs_decided(self, slot: Any, state: SlotState) -> None:
@@ -262,3 +307,9 @@ class InternalConsensus:
 
     def handle(self, msg: Any, src: str) -> bool:  # pragma: no cover
         raise NotImplementedError
+
+    def request_view_change(self, cause: str = "timeout") -> None:
+        """Vote to replace the primary because the detector expired
+        (``"timeout"``) or the cross engines say so (``"evidence"``).
+        A standing vote is never re-signed; only an expiry re-sends a bid."""
+        raise NotImplementedError  # pragma: no cover

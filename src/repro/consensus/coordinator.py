@@ -37,8 +37,6 @@ from repro.errors import ConsistencyViolation
 class CoordinatorEngine(CrossEngine):
     """Per-node handler for the coordinator-based protocols."""
 
-    MAX_RETRIES = 8
-
     # ------------------------------------------------------------------
     # entry point (coordinator primary)
     # ------------------------------------------------------------------
@@ -71,7 +69,7 @@ class CoordinatorEngine(CrossEngine):
                 self._obs_phase(block, "cross.vote", self.node.sim.now)
             if self.node.is_primary():
                 self._send_prepares(state, certificate)
-            self._arm_coordinator_timer(state, certificate)
+            self._retry(state, self._resend_prepares)
         else:
             # An assigning (non-coordinator) cluster finished its own
             # internal consensus: report prepared to the coordinator.
@@ -88,7 +86,7 @@ class CoordinatorEngine(CrossEngine):
                 )
             if self.node.is_primary():
                 self._send_prepared(state, certificate)
-            self._arm_involved_timer(state)
+            self._retry(state, self._send_commit_query)
         self.drain_early(block.block_id)
 
     def _origin_cluster(self, block: CrossBlock) -> str:
@@ -213,7 +211,7 @@ class CoordinatorEngine(CrossEngine):
             signed=self.node.sign(state.base_digest),
         )
         self.node.send(target_primary, msg)
-        self._arm_involved_timer(state)
+        self._retry(state, self._send_commit_query)
 
     # ------------------------------------------------------------------
     # prepared handling (coordinator nodes + csce same-shard validators)
@@ -328,40 +326,11 @@ class CoordinatorEngine(CrossEngine):
     # ------------------------------------------------------------------
     # failure handling (§4.3.4)
     # ------------------------------------------------------------------
-    def _arm_coordinator_timer(self, state: CrossState, certificate: Any) -> None:
-        state.cancel_timer()
-        state.timer = self.node.set_timer(
-            self.node.cross_timeout, self._coordinator_timeout, state, certificate
-        )
-
-    def _coordinator_timeout(self, state: CrossState, certificate: Any) -> None:
-        if state.committed or state.retries >= self.MAX_RETRIES:
-            return
-        state.retries += 1
+    def _resend_prepares(self, state: CrossState) -> None:
         if self.node.is_primary():
             # Deadlock/omission resolution: re-send prepare (idempotent
             # on the receivers) rather than assigning fresh IDs.
-            self._send_prepares(state, certificate)
-        self._arm_coordinator_timer(state, certificate)
-
-    def _arm_involved_timer(self, state: CrossState) -> None:
-        state.cancel_timer()
-        state.timer = self.node.set_timer(
-            self.node.cross_timeout, self._involved_timeout, state
-        )
-
-    def _involved_timeout(self, state: CrossState) -> None:
-        if state.committed or state.retries >= self.MAX_RETRIES:
-            return
-        state.retries += 1
-        coord = self.node.directory.get(state.coordinator)
-        self.node.multicast(
-            coord.members,
-            CommitQuery(
-                state.block.block_id, state.base_digest, self.node.cluster_name
-            ),
-        )
-        self._arm_involved_timer(state)
+            self._send_prepares(state, state.order_cert)
 
     def on_view_change(self) -> None:
         """A new primary re-drives in-flight coordinator-side blocks."""
@@ -382,21 +351,12 @@ class CoordinatorEngine(CrossEngine):
             return
         if state.committed:
             # Re-send the commit so the querying node can finish.
-            certificate = self.node.commit_certificate_for(state.block)
-            if certificate is not None:
+            if state.commit_cert is not None:
                 self.node.send(
                     src,
                     CrossCommitMsg(
-                        state.block, self.node.cluster_name, certificate
+                        state.block, self.node.cluster_name, state.commit_cert
                     ),
                 )
             return
-        # Not committed: count queries; a local-majority of a cluster
-        # suspecting us means our primary is sitting on the block.
-        if not self._is_member(msg.cluster, src):
-            return
-        votes = state.prepared_votes.setdefault(f"query:{msg.cluster}", {})
-        votes[src] = True
-        info = self.node.directory.get(msg.cluster)
-        if len(votes) >= info.local_majority and not self.node.is_primary():
-            self.node.suspect_primary()
+        self._count_query(state, msg, src)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.consensus.messages import CrossBlock
+from repro.consensus.messages import CommitQuery, CrossBlock
 from repro.core.config import ClusterInfo
 from repro.crypto.hashing import digest
 from repro.datamodel.transaction import OrderedTransaction
@@ -123,6 +123,8 @@ class CrossState:
     prepared_sent: bool = False
     timer: Any = None
     retries: int = 0
+    #: cluster -> members that queried this block before we committed it
+    queries: dict[str, set[str]] = field(default_factory=dict)
     order_cert: Any = None
     commit_cert: Any = None
     #: shard index -> assigning-cluster name (resolved lazily by the
@@ -140,6 +142,8 @@ class CrossState:
 
 class CrossEngine:
     """Base class: directory helpers shared by both families."""
+
+    MAX_RETRIES = 8
 
     def __init__(self, node: "ClusterNode"):
         self.node = node
@@ -258,6 +262,46 @@ class CrossEngine:
 
     def _obs_phase_end(self, block_id: int, name: str, t: float) -> None:
         self._obs_tracer.phase_end((name, block_id, self.node.node_id), t)
+
+    # ------------------------------------------------------------------
+    # failure handling (§4.3.4/§4.4.4)
+    # ------------------------------------------------------------------
+    def _retry(self, state: CrossState, action: Any) -> None:
+        """(Re)start the block's retry timer: every ``cross_timeout``
+        until the block commits, at most ``MAX_RETRIES`` times, run
+        ``action(state)``."""
+        state.cancel_timer()
+        state.timer = self.node.set_timer(
+            self.node.cross_timeout, self._on_retry, state, action
+        )
+
+    def _on_retry(self, state: CrossState, action: Any) -> None:
+        if state.committed or state.retries >= self.MAX_RETRIES:
+            return
+        state.retries += 1
+        action(state)
+        self._retry(state, action)
+
+    def _send_commit_query(self, state: CrossState) -> None:
+        """Ask the coordinator cluster what became of the block."""
+        self.node.multicast(
+            self.node.directory.get(state.coordinator).members,
+            CommitQuery(
+                state.block.block_id, state.base_digest, self.node.cluster_name
+            ),
+        )
+
+    def _count_query(self, state: CrossState, msg: CommitQuery, src: str) -> None:
+        """A commit query for a block we have not committed: a
+        local-majority of a cluster asking means our primary is sitting
+        on the block."""
+        if not self._is_member(msg.cluster, src):
+            return
+        askers = state.queries.setdefault(msg.cluster, set())
+        askers.add(src)
+        info = self.node.directory.get(msg.cluster)
+        if len(askers) >= info.local_majority and not self.node.is_primary():
+            self.node.suspect_primary()
 
     # ------------------------------------------------------------------
     # common commit path

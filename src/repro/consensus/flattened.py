@@ -43,8 +43,6 @@ from repro.ledger.certificate import CommitCertificate
 class FlattenedEngine(CrossEngine):
     """Per-node handler for the flattened protocols."""
 
-    MAX_RETRIES = 8
-
     # ------------------------------------------------------------------
     # entry point (initiator primary)
     # ------------------------------------------------------------------
@@ -94,7 +92,8 @@ class FlattenedEngine(CrossEngine):
     def _handle_propose(self, state: CrossState, msg: Propose) -> None:
         if state.committed:
             return
-        self._arm_timer(state)
+        if state.timer is None:
+            self._retry(state, self._redrive)
         own = self.node.cluster_name
         if own == msg.initiator:
             # Initiator-cluster nodes: the propose carries our IDs.
@@ -392,39 +391,18 @@ class FlattenedEngine(CrossEngine):
     # ------------------------------------------------------------------
     # failure handling (§4.4.4)
     # ------------------------------------------------------------------
-    def _arm_timer(self, state: CrossState) -> None:
-        if state.timer is not None:
-            return
-        state.timer = self.node.set_timer(
-            self.node.cross_timeout, self._on_timeout, state
-        )
-
-    def _on_timeout(self, state: CrossState) -> None:
-        if state.committed or state.retries >= self.MAX_RETRIES:
-            return
-        state.retries += 1
-        if self.node.cluster_name == state.coordinator:
+    def _redrive(self, state: CrossState) -> None:
+        if self.node.cluster_name != state.coordinator:
+            self._send_commit_query(state)
+        elif not self.node.is_primary():
             # Our own primary stalled the block: suspect it.
-            if not self.node.is_primary():
-                self.node.suspect_primary()
-            else:
-                # Re-drive the propose (lost messages / deadlock).
-                self.node.multicast(
-                    self._other_cluster_nodes(state.involved, include_own=True),
-                    Propose(state.block, self.node.cluster_name),
-                )
+            self.node.suspect_primary()
         else:
+            # Re-drive the propose (lost messages / deadlock).
             self.node.multicast(
-                self.node.directory.get(state.coordinator).members,
-                CommitQuery(
-                    state.block.block_id,
-                    state.base_digest,
-                    self.node.cluster_name,
-                ),
+                self._other_cluster_nodes(state.involved, include_own=True),
+                Propose(state.block, self.node.cluster_name),
             )
-        state.timer = self.node.set_timer(
-            self.node.cross_timeout, self._on_timeout, state
-        )
 
     def on_view_change(self) -> None:
         """A new initiator primary re-proposes in-flight blocks."""
@@ -457,10 +435,4 @@ class FlattenedEngine(CrossEngine):
                 ),
             )
             return
-        if not self._is_member(msg.cluster, src):
-            return
-        votes = state.commits.setdefault(f"query:{msg.cluster}", {})
-        votes[src] = True
-        info = self.node.directory.get(msg.cluster)
-        if len(votes) >= info.local_majority and not self.node.is_primary():
-            self.node.suspect_primary()
+        self._count_query(state, msg, src)

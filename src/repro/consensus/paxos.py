@@ -123,16 +123,11 @@ class MultiPaxos(InternalConsensus):
         self.promised = 0
         self._accepted: dict[Any, tuple[int, Any]] = {}
         self._promises: dict[int, dict[str, dict]] = {}
-        self._election_timer: Any = None
-        self._backoff = 1.0
 
     # ------------------------------------------------------------------
     @property
     def primary_id(self) -> str:
         return self.host.members[self.ballot % len(self.host.members)]
-
-    def _others(self) -> list[str]:
-        return [m for m in self.host.members if m != self.host.node_id]
 
     # ------------------------------------------------------------------
     # steady state
@@ -150,7 +145,7 @@ class MultiPaxos(InternalConsensus):
         self._accepted[slot] = (self.ballot, value)
         own = self.host.sign(vdigest)
         state.votes_phase2[self.host.node_id] = own
-        state.timer = self.host.set_timer(self.timeout, self._on_timeout, slot)
+        self.watch(slot)
         self.host.multicast(
             self._others(),
             PaxosAccept(self.ballot, slot, value, vdigest),
@@ -187,10 +182,7 @@ class MultiPaxos(InternalConsensus):
             return
         state.value = msg.value
         state.value_digest = msg.value_digest
-        if state.timer is None:
-            state.timer = self.host.set_timer(
-                self.timeout, self._on_timeout, msg.slot
-            )
+        self.watch(msg.slot)
         signed = self.host.sign(msg.value_digest)
         self.host.send(
             src, PaxosAccepted(msg.ballot, msg.slot, msg.value_digest, signed)
@@ -212,7 +204,6 @@ class MultiPaxos(InternalConsensus):
                     inst,
                 )
             self._obs_phase_begin(msg.slot, "paxos.learn", t, inst)
-
 
     def _on_accepted(self, msg: PaxosAccepted, src: str) -> None:
         state = self._slot(msg.slot)
@@ -267,39 +258,25 @@ class MultiPaxos(InternalConsensus):
             ballot += 1
         return ballot
 
-    def _on_timeout(self, slot: Any) -> None:
-        state = self.slots.get(slot)
-        if state is None or state.decided:
-            return
-        self.start_election()
-        # Re-arm with backoff so a failed election retries.
-        state.timer = self.host.set_timer(
-            self.timeout * self._backoff, self._on_timeout, slot
-        )
-
-    def request_view_change(self) -> None:
-        """Uniform failure-handling entry point (alias for election)."""
-        self.start_election()
-
-    def start_election(self) -> None:
-        """Bid for leadership with a fresh ballot owned by this node."""
+    def request_view_change(self, cause: str = "timeout") -> None:
+        """Bid for leadership with the next ballot owned by this node.
+        A bid already out keeps its promises; only a detector expiry
+        re-sends it (its first Prepare was lost, or met peers still down)."""
         ballot = self._next_ballot_for_self()
-        self._backoff = min(self._backoff * 2.0, 16.0)
-        self.promised = ballot
-        self._promises[ballot] = {
-            self.host.node_id: {
-                slot: acc for slot, acc in self._accepted.items()
-            }
-        }
+        if ballot not in self._promises:
+            self.promised = ballot
+            self._promises[ballot] = {self.host.node_id: dict(self._accepted)}
+        elif cause != "timeout":
+            return
+        self._obs_count("view_change_votes", cause=cause)
         self.host.multicast(self._others(), PaxosPrepare(ballot))
         self._check_promises(ballot)
 
     def _on_prepare(self, msg: PaxosPrepare, src: str) -> None:
-        if msg.ballot <= self.promised:
-            return
+        if msg.ballot < self.promised:
+            return  # a repeat of the ballot already promised is re-answered
         self.promised = msg.ballot
-        accepted = {slot: acc for slot, acc in self._accepted.items()}
-        self.host.send(src, PaxosPromise(msg.ballot, accepted))
+        self.host.send(src, PaxosPromise(msg.ballot, dict(self._accepted)))
 
     def _on_promise(self, msg: PaxosPromise, src: str) -> None:
         bucket = self._promises.get(msg.ballot)
@@ -314,8 +291,7 @@ class MultiPaxos(InternalConsensus):
             return
         del self._promises[ballot]
         self.ballot = ballot
-        self._backoff = 1.0
-        self._obs_view_change()
+        self._obs_count("view_changes")
         # Re-propose the highest-ballot accepted value per slot.
         merged: dict[Any, tuple[int, Any]] = {}
         for accepted in bucket.values():

@@ -6,10 +6,11 @@ The classic three phases over 3f+1 ordering nodes: ``pre-prepare``
 become the commit certificate the execution routine appends to the
 ledger and the privacy firewall verifies (§4.2).
 
-View changes follow PBFT's shape (§4.3.4/§4.4.4): timeouts trigger
-``view-change`` messages carrying prepared slots; on 2f+1 of them the
-new primary installs the view with ``new-view`` and re-proposes.
-Timeouts double on consecutive failures, as in PBFT.
+View changes follow PBFT's shape (§4.3.4/§4.4.4): the failure detector
+(:class:`~repro.consensus.base.InternalConsensus`) triggers one signed
+``view-change`` vote per target view, carrying prepared slots; on 2f+1
+of them the new primary installs the view with a ``new-view`` that
+carries those votes, and re-proposes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.hashing import Canonical, value_digest
-from repro.crypto.signatures import SignedMessage
+from repro.crypto.signatures import SignedMessage, verify_many
 from repro.consensus.base import ConsensusHost, InternalConsensus
 
 
@@ -109,6 +110,8 @@ class PbftNewView(Canonical):
     CPU_WEIGHT = 1.0
     new_view: int
     proposals: dict = field(default_factory=dict)  # slot -> value
+    #: The 2f+1 signed ``view-change|new_view`` votes that elect the sender.
+    votes: tuple[SignedMessage, ...] = ()
 
     def _canonical_bytes(self) -> bytes:
         slots = ";".join(
@@ -117,7 +120,8 @@ class PbftNewView(Canonical):
                 self.proposals.items(), key=lambda item: repr(item[0])
             )
         )
-        return f"pbft-nv|{self.new_view}|{slots}".encode()
+        votes = b";".join(vote.canonical_bytes() for vote in self.votes)
+        return f"pbft-nv|{self.new_view}|{slots}|".encode() + votes
 
     def tx_count(self) -> int:
         return max(1, len(self.proposals))
@@ -133,15 +137,10 @@ class PBFT(InternalConsensus):
         self.f = f
         self.quorum = 2 * f + 1
         self._view_changes: dict[int, dict[str, PbftViewChange]] = {}
-        self._current_timeout = timeout
-        self._view_change_in_progress = False
         # Messages from views we have not installed yet (a new primary's
         # pre-prepare can race ahead of its new-view); replayed on
         # install, dropped if the view is skipped.
         self._future_msgs: dict[int, list[tuple[Any, str]]] = {}
-
-    def _others(self) -> list[str]:
-        return [m for m in self.host.members if m != self.host.node_id]
 
     # ------------------------------------------------------------------
     # normal case
@@ -161,9 +160,7 @@ class PBFT(InternalConsensus):
         state.value_digest = vdigest
         state.view = self.view
         state.votes_phase1[self.host.node_id] = self.host.sign(vdigest)
-        state.timer = self.host.set_timer(
-            self._current_timeout, self._on_timeout, slot
-        )
+        self.watch(slot)
         self.host.multicast(
             self._others(), PbftPrePrepare(self.view, slot, value, vdigest)
         )
@@ -204,10 +201,7 @@ class PBFT(InternalConsensus):
         state.value = msg.value
         state.value_digest = msg.value_digest
         state.view = msg.view
-        if state.timer is None:
-            state.timer = self.host.set_timer(
-                self._current_timeout, self._on_timeout, msg.slot
-            )
+        self.watch(msg.slot)
         signed = self.host.sign(msg.value_digest)
         state.votes_phase1[self.host.node_id] = signed
         # The pre-prepare is the primary's phase-1 vote (PBFT rule):
@@ -292,25 +286,25 @@ class PBFT(InternalConsensus):
             return
         if len(state.votes_phase2) < self.quorum:
             return
-        self._current_timeout = self.timeout  # progress: reset backoff
         self._decide(slot, state)
 
     # ------------------------------------------------------------------
     # view change
     # ------------------------------------------------------------------
-    def _on_timeout(self, slot: Any) -> None:
-        state = self.slots.get(slot)
-        if state is None or state.decided:
-            return
-        self.request_view_change()
-        state.timer = self.host.set_timer(
-            self._current_timeout, self._on_timeout, slot
-        )
+    def request_view_change(self, cause: str = "timeout") -> None:
+        me = self.host.node_id
+        voted = next((v for v, b in self._view_changes.items() if me in b), self.view)
+        # On expiry a whole _suspicion passed since this replica voted for
+        # ``voted`` and it did not install: presume that primary down too
+        # and move past it.  Evidence never outbids a standing vote.
+        if cause == "timeout" or voted == self.view:
+            self._vote(voted + 1, cause)
 
-    def request_view_change(self) -> None:
-        """Vote to replace the current primary (timeout fired)."""
-        new_view = self.view + 1
-        self._current_timeout = min(self._current_timeout * 2.0, self.timeout * 16)
+    def _vote(self, new_view: int, cause: str) -> None:
+        """Cast this replica's one signed vote for ``new_view``."""
+        if self.host.node_id in self._view_changes.get(new_view, ()):
+            return
+        self._obs_count("view_change_votes", cause=cause)
         prepared = {
             slot: (state.view, state.value)
             for slot, state in self.slots.items()
@@ -320,10 +314,21 @@ class PBFT(InternalConsensus):
         }
         signed = self.host.sign(f"view-change|{new_view}")
         msg = PbftViewChange(new_view, prepared, signed)
-        bucket = self._view_changes.setdefault(new_view, {})
-        bucket[self.host.node_id] = msg
+        self._file_vote(self.host.node_id, msg)
         self.host.multicast(self._others(), msg)
+        if cause != "timeout":
+            # A replica pulled into a view change gives the primary it
+            # voted for a whole interval (_expired re-arms after its own).
+            self._restart_timer()
         self._maybe_install_view(new_view)
+
+    def _file_vote(self, src: str, msg: PbftViewChange) -> None:
+        """A member's latest vote replaces its earlier ones: the table
+        holds one vote per member however long a replica escalates alone."""
+        for view, bucket in list(self._view_changes.items()):
+            if bucket.pop(src, None) is not None and not bucket:
+                del self._view_changes[view]
+        self._view_changes.setdefault(msg.new_view, {})[src] = msg
 
     def _on_view_change_msg(self, msg: PbftViewChange, src: str) -> None:
         if msg.new_view <= self.view:
@@ -332,15 +337,11 @@ class PBFT(InternalConsensus):
             msg.signed, f"view-change|{msg.new_view}"
         ):
             return
-        bucket = self._view_changes.setdefault(msg.new_view, {})
-        bucket[src] = msg
+        self._file_vote(src, msg)
         # Join the view change once f+1 honest-looking votes exist
         # (PBFT's liveness rule avoids waiting for our own timeout).
-        if (
-            len(bucket) >= self.f + 1
-            and self.host.node_id not in bucket
-        ):
-            self.request_view_change()
+        if len(self._view_changes[msg.new_view]) >= self.f + 1:
+            self._vote(msg.new_view, "join")
         self._maybe_install_view(msg.new_view)
 
     def _maybe_install_view(self, new_view: int) -> None:
@@ -359,7 +360,8 @@ class PBFT(InternalConsensus):
                     proposals[slot] = (view, value)
         self._install_view(new_view)
         flat = {slot: value for slot, (_, value) in proposals.items()}
-        self.host.multicast(self._others(), PbftNewView(new_view, flat))
+        votes = tuple(vc.signed for vc in bucket.values())
+        self.host.multicast(self._others(), PbftNewView(new_view, flat, votes))
         for slot, value in flat.items():
             self._adopt_proposal(slot, value, send_prepare=False)
         self.host.on_view_change(self.primary_id)
@@ -372,6 +374,15 @@ class PBFT(InternalConsensus):
         ]
         if src != expected_primary:
             return
+        voters = verify_many(
+            self.host.key_registry,
+            msg.votes,
+            payload=f"view-change|{msg.new_view}",
+            quorum=self.quorum,
+            members=self.host.members,
+        )
+        if len(voters) < self.quorum:
+            return
         self._install_view(msg.new_view)
         for slot, value in msg.proposals.items():
             self._adopt_proposal(slot, value, send_prepare=True)
@@ -383,7 +394,7 @@ class PBFT(InternalConsensus):
             bucket.append((msg, src))
 
     def _install_view(self, new_view: int) -> None:
-        self._obs_view_change()
+        self._obs_count("view_changes")
         self.view = new_view
         for state in self.slots.values():
             if not state.decided:
@@ -407,10 +418,7 @@ class PBFT(InternalConsensus):
         state.view = self.view
         signed = self.host.sign(state.value_digest)
         state.votes_phase1[self.host.node_id] = signed
-        if state.timer is None:
-            state.timer = self.host.set_timer(
-                self._current_timeout, self._on_timeout, slot
-            )
+        self.watch(slot)
         if send_prepare:
             self.host.multicast(
                 self._others(),

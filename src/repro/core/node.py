@@ -237,9 +237,7 @@ class ClusterNode(SimNode):
                 self.engine.on_commit_decided(value.block, certificate)
 
     def on_view_change(self, new_primary: str) -> None:
-        self._believed_primary[self.cluster_name] = new_primary
-        if hasattr(self.engine, "on_view_change"):
-            self.engine.on_view_change()
+        self.engine.on_view_change()
         if new_primary == self.node_id:
             self._redrive_pending()
         else:
@@ -250,7 +248,7 @@ class ClusterNode(SimNode):
 
     def suspect_primary(self) -> None:
         """Local-majority queries say our primary is faulty (§4.3.4)."""
-        self.consensus.request_view_change()
+        self.consensus.request_view_change(cause="evidence")
 
     # ==================================================================
     # message dispatch
@@ -328,19 +326,12 @@ class ClusterNode(SimNode):
             if msg.retransmission:
                 # §4.3.4: a relayed-but-stuck request makes the node
                 # suspect the primary.
-                self.set_timer(
-                    self.config.consensus_timeout * 3, self._check_progress, rid
-                )
+                self.consensus.watch(("req", rid))
             return
         if rid in self._pending_requests:
             return  # already being handled by us
         self._pending_requests[rid] = tx
         self._route(tx)
-
-    def _check_progress(self, rid: int) -> None:
-        if rid in self._committed_requests or rid in self._request_reply:
-            return
-        self.suspect_primary()
 
     def _route(self, tx: Transaction) -> None:
         collection = self.collections.get(tx.scope)
@@ -459,10 +450,6 @@ class ClusterNode(SimNode):
         if node_id in self.directory.get(cluster_name).members:
             self._believed_primary[cluster_name] = node_id
 
-    def commit_certificate_for(self, block: CrossBlock):
-        state = self.engine.states.get(block.block_id)
-        return getattr(state, "commit_cert", None) if state else None
-
     # ------------------------------------------------------------------
     # cross-shard concurrency guard (§4.3.2: no two concurrent blocks
     # sharing >= 2 shards)
@@ -574,7 +561,8 @@ class ClusterNode(SimNode):
                 # nodes checkpoint at execution (state is then exact).
                 self.checkpoints.on_commit(key[0], key[1], tx_id.alpha.seq)
             self._committed_requests.add(otx.tx.request_id)
-            self._pending_requests.pop(otx.tx.request_id, None)
+            if self._pending_requests.pop(otx.tx.request_id, None) is not None:
+                self.consensus.release(("req", otx.tx.request_id))
             self.committed_tx_count += 1
             if self.executor is not None:
                 self.charge(self.cost_model.execution_time(1))
@@ -656,7 +644,8 @@ class ClusterNode(SimNode):
             for stale in [s for s in buffer if s <= seq]:
                 otx = buffer.pop(stale)[0]
                 self._committed_requests.add(otx.tx.request_id)
-                self._pending_requests.pop(otx.tx.request_id, None)
+                if self._pending_requests.pop(otx.tx.request_id, None) is not None:
+                    self.consensus.release(("req", otx.tx.request_id))
             if not buffer:
                 self._commit_buffer.pop(key, None)
         if self.executor is not None and snapshot is not None:

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import pytest
+
 from repro.crypto import KeyRegistry, sign, verify
 from repro.scenarios import ScenarioSpec, TopologySpec, build
 from repro.sim import Network, SimNode, Simulator, UniformLatency
@@ -107,3 +109,31 @@ def build_cluster(n, consensus_factory, seed=0):
     for node in nodes:
         node.attach(consensus_factory(node))
     return sim, network, nodes
+
+
+def check_backoff_schedule(sim, nodes, t):
+    """The failure detector's observable schedule, on either protocol:
+    with one item watched on ``nodes[1]`` and nothing ever decided, its
+    expiries fall ``t, 3t, 7t, 15t, 31t`` after arming and then every
+    ``16t``; one decide resets the gap to ``t``."""
+    consensus = nodes[1].consensus
+    expiries = []
+    vote = consensus.request_view_change
+
+    def spy(cause="timeout"):
+        if cause == "timeout":
+            expiries.append(sim.now)
+        vote(cause)
+
+    consensus.request_view_change = spy
+    consensus.watch("stuck")
+    sim.run(until=48 * t)
+    assert expiries == pytest.approx([t, 3 * t, 7 * t, 15 * t, 31 * t, 47 * t])
+    primary = next(n for n in nodes if n.node_id == consensus.primary_id)
+    primary.consensus.propose(("A", 0, 1), Value("progress"))
+    sim.run(until=48 * t + 0.005)
+    assert nodes[1].decided
+    sim.run(until=52 * t)
+    assert len(expiries) == 8
+    assert 48 * t < expiries[6] - t < 48 * t + 0.005
+    assert expiries[7] - expiries[6] == pytest.approx(2 * t)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.consensus import MultiPaxos
-from tests.helpers import Value, build_cluster
+from tests.helpers import Value, build_cluster, check_backoff_schedule
 
 
 def make_cluster(n=3, f=1, timeout=0.05):
@@ -58,7 +58,7 @@ def test_leader_failure_triggers_election_and_progress():
     # A follower received the request indirectly and accepted it; the
     # leader never drives it, so its timer fires and it runs for leader.
     nodes[1].consensus._accepted[("A", 0, 1)] = (0, Value("v1"))
-    nodes[1].consensus.start_election()
+    nodes[1].consensus.request_view_change()
     sim.run(until=0.2)
     # New leader re-proposed the accepted value; remaining nodes decide.
     assert nodes[1].decided and nodes[2].decided
@@ -76,7 +76,7 @@ def test_election_preserves_accepted_value():
     nodes[0].crash()
     sim.run(until=0.01)
     if not nodes[1].decided:
-        nodes[1].consensus.start_election()
+        nodes[1].consensus.request_view_change()
         sim.run(until=0.2)
     assert nodes[1].decided[0][1] == Value("v1")
     assert nodes[2].decided[0][1] == Value("v1")
@@ -103,3 +103,38 @@ def test_five_node_cluster_f2():
     nodes[0].consensus.propose(("A", 0, 1), Value("v"))
     sim.run(until=0.05)
     assert all(n.decided for n in nodes[:3])
+
+
+def test_timeout_backoff_doubles():
+    t = 0.02
+    sim, net, nodes = make_cluster(timeout=t)
+    check_backoff_schedule(sim, nodes, t)
+
+
+def test_repeated_request_sends_one_bid():
+    sim, net, nodes = make_cluster()
+    nodes[0].crash()  # nobody answers with a quorum of promises
+    nodes[2].crash()
+    before = net.messages_sent
+    for _ in range(5):
+        nodes[1].consensus.request_view_change(cause="evidence")
+    assert net.messages_sent - before == len(nodes) - 1
+
+
+def test_unanswered_bid_is_resent_on_expiry():
+    # n1 bids while both peers are down; n2 comes back later with
+    # nothing of its own to wait for.  The bid must reach it on a later
+    # expiry, with the ballot (and any promises) it already has.
+    t = 0.05
+    sim, net, nodes = make_cluster(timeout=t)
+    nodes[0].crash()
+    nodes[2].crash()
+    nodes[1].consensus.watch("stuck")
+    sim.run(until=1.5 * t)
+    bid = nodes[1].consensus.promised
+    assert bid == 1 and not nodes[1].consensus.is_primary()
+    nodes[2].recover()
+    sim.run(until=3.5 * t)
+    assert nodes[1].consensus.is_primary()
+    assert nodes[1].consensus.ballot == bid
+    assert nodes[1].view_changes == ["n1"]

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.consensus import PBFT
-from repro.consensus.pbft import PbftPrePrepare
+from repro.consensus.pbft import PbftNewView, PbftPrePrepare
 from repro.crypto.hashing import digest
-from tests.helpers import Value, build_cluster
+from tests.helpers import Value, build_cluster, check_backoff_schedule
 
 
 def make_cluster(n=4, f=1, timeout=0.05):
@@ -135,8 +135,79 @@ def test_f_plus_1_view_change_votes_pull_in_others():
 
 
 def test_timeout_backoff_doubles():
-    sim, net, nodes = make_cluster(timeout=0.02)
-    consensus = nodes[1].consensus
-    before = consensus._current_timeout
-    consensus.request_view_change()
-    assert consensus._current_timeout == pytest.approx(before * 2)
+    t = 0.02
+    sim, net, nodes = make_cluster(timeout=t)
+    check_backoff_schedule(sim, nodes, t)
+
+
+def test_repeated_request_sends_one_vote():
+    sim, net, nodes = make_cluster()
+    before = net.messages_sent
+    for _ in range(5):
+        nodes[1].consensus.request_view_change(cause="evidence")
+    assert net.messages_sent - before == len(nodes) - 1
+
+
+def test_escalates_past_a_dead_next_primary():
+    # n0 and its successor n1 are both down: voting for view 1 forever
+    # would never elect anyone.
+    sim, net, nodes = make_cluster(n=7, f=2, timeout=0.02)
+    nodes[0].crash()
+    nodes[1].crash()
+    live = nodes[2:]
+    for node in live:
+        node.consensus.watch("stuck")
+    sim.run(until=0.1)
+    assert [node.consensus.view for node in live] == [2] * 5
+    nodes[2].consensus.propose(("A", 0, 1), Value("after-vc"))
+    sim.run(until=0.11)
+    assert all(node.decided for node in live)
+
+
+def test_crashed_replica_casts_no_votes():
+    # The simulator keeps running a crashed node's timers.
+    t = 0.02
+    sim, net, nodes = make_cluster(timeout=t)
+    nodes[1].crash()
+    nodes[1].consensus.watch("stuck")
+    sim.run(until=10 * t)
+    assert net.messages_sent == 0
+    nodes[1].recover()
+    sim.run(until=11.5 * t)
+    assert net.messages_sent == len(nodes) - 1
+
+
+def test_lone_escalation_leaves_one_vote_per_member():
+    # A replica that can never install a view (here: nobody else is
+    # waiting on anything) votes higher and higher; neither it nor its
+    # peers may keep a bucket per view it passed through.
+    t = 0.02
+    sim, net, nodes = make_cluster(timeout=t)
+    nodes[1].consensus.watch("stuck")
+    sim.run(until=100 * t)
+    assert nodes[1].consensus.view == 0
+    for node in nodes:
+        table = node.consensus._view_changes
+        # expiries at t, 3t, 7t, 15t, 31t and then every 16t: nine votes
+        assert list(table) == [9] and list(table[9]) == ["n1"]
+
+
+def _view_change_votes(nodes, view, signers):
+    return tuple(nodes[i].sign(f"view-change|{view}") for i in signers)
+
+
+@pytest.mark.parametrize("signers", [(1,), (1, 1, 1), ()])
+def test_new_view_without_a_quorum_of_votes_is_ignored(signers):
+    sim, net, nodes = make_cluster()
+    msg = PbftNewView(1, {}, _view_change_votes(nodes, 1, signers))
+    nodes[2].consensus._on_new_view(msg, "n1")  # n1 is view 1's primary
+    assert nodes[2].consensus.view == 0
+    assert not nodes[2].view_changes
+
+
+def test_new_view_with_a_quorum_of_votes_installs():
+    sim, net, nodes = make_cluster()
+    msg = PbftNewView(1, {}, _view_change_votes(nodes, 1, (1, 2, 3)))
+    nodes[2].consensus._on_new_view(msg, "n1")
+    assert nodes[2].consensus.view == 1
+    assert nodes[2].view_changes == ["n1"]
