@@ -47,7 +47,10 @@ class SystemDriver(Protocol):
         ...
 
     def submit_next(self) -> None:
-        """Submit the workload's next transaction (one open-loop arrival)."""
+        """Submit the workload's next transaction (one open-loop arrival).
+
+        The workload builder's closure itself: ``launch_workload`` reads
+        its plumbing (hotspot support, a loaded trace) off it."""
         ...
 
     def run(self, duration: float) -> None:

@@ -9,7 +9,6 @@ pytest-benchmark targets in ``benchmarks/``.
 """
 
 from repro.bench.parallel import CellError, PointTask, execute_tasks
-from repro.bench.recovery import run_recovery_scenario
 from repro.bench.runner import (
     PointResult,
     QANAAT_PROTOCOLS,
@@ -27,7 +26,6 @@ __all__ = [
     "execute_tasks",
     "point_spec",
     "run_point",
-    "run_recovery_scenario",
     "sweep",
     "sweep_merge",
 ]

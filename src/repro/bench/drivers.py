@@ -26,6 +26,7 @@ from repro.errors import WorkloadError
 from repro.scenarios.build import (
     build as build_deployment,
     build_workload,
+    client_pools,
     crash_backups,
     pair_scopes,
     resolve_latency,
@@ -34,7 +35,6 @@ from repro.scenarios.build import (
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.costs import CalibratedCost
 from repro.workload.generator import SmallBankWorkload
-from repro.workload.population import population_from
 
 
 def _require_baseline_runnable(spec: ScenarioSpec) -> None:
@@ -46,23 +46,6 @@ def _require_baseline_runnable(spec: ScenarioSpec) -> None:
             f"{spec.system} cannot replay fault timelines; scenario "
             f"{spec.name!r} needs a Qanaat system"
         )
-
-
-def _client_pools(spec: ScenarioSpec, enterprises, create):
-    """Baseline client wiring: the spec's population (or fan-out)
-    multiplexed onto per-enterprise wire pools via ``create``, or the
-    legacy one-client-per-enterprise shape — same creation order either
-    way.  Returns ``(population, pools)``; ``population`` is None for
-    the legacy shape."""
-    population = population_from(spec.workload, enterprises, spec.seed)
-    if population is None:
-        pools = {e: (create(e),) for e in enterprises}
-    else:
-        pools = {
-            e: tuple(create(e) for _ in range(population.pool))
-            for e in enterprises
-        }
-    return population, pools
 
 
 def _pick(pools, population, tx_spec):
@@ -81,15 +64,14 @@ class _DriverBase:
     def __init__(self, name: str, system, submit, closer=None):
         self.name = name
         self.system = system
-        self._submit = submit
+        #: The builder's closure itself, so ``launch_workload`` sees the
+        #: plumbing it carries as attributes (trace, hotspot support).
+        self.submit_next = submit
         self._closer = closer
 
     @property
     def sim(self):
         return self.system.sim
-
-    def submit_next(self, **kwargs) -> None:
-        self._submit(**kwargs)
 
     def run(self, duration: float) -> None:
         self.system.run(duration)
@@ -114,11 +96,7 @@ class QanaatDriver(_DriverBase):
 
     @classmethod
     def build(cls, spec: ScenarioSpec) -> "QanaatDriver":
-        import dataclasses
-
-        if spec.cost is None:
-            spec = dataclasses.replace(spec, cost=CalibratedCost())
-        deployment = build_deployment(spec)
+        deployment = build_deployment(spec, CalibratedCost())
         submit_next = build_workload(spec, deployment)
         return cls(spec.system, deployment, submit_next, closer=deployment.close)
 
@@ -156,7 +134,7 @@ class FabricDriver(_DriverBase):
             enterprises, spec.topology.shards, scopes,
             spec.workload.mix, seed=spec.seed,
         )
-        population, pools = _client_pools(
+        population, pools = client_pools(
             spec, enterprises, deployment.create_client
         )
 
@@ -194,7 +172,7 @@ class CaperDriver(_DriverBase):
             cross_protocol="flattened",
             contract="smallbank",
             latency=resolve_latency(spec),
-            cost_model=spec.cost if spec.cost is not None else CalibratedCost(),
+            cost_model=CalibratedCost(),
             batch_size=spec.topology.batch_size,
             seed=spec.seed,
         )
@@ -206,7 +184,7 @@ class CaperDriver(_DriverBase):
         workload = SmallBankWorkload(
             enterprises, 1, scopes, mix, seed=spec.seed
         )
-        population, pools = _client_pools(
+        population, pools = client_pools(
             spec, enterprises, deployment.create_client
         )
 
@@ -242,7 +220,7 @@ class ShardedDriver(_DriverBase):
             failure_model="byzantine",
             contract="smallbank",
             latency=resolve_latency(spec),
-            cost_model=spec.cost if spec.cost is not None else CalibratedCost(),
+            cost_model=CalibratedCost(),
             batch_size=spec.topology.batch_size,
             seed=spec.seed,
         )
@@ -253,7 +231,7 @@ class ShardedDriver(_DriverBase):
         workload = SmallBankWorkload(
             (system.enterprise,), spec.topology.shards, [], mix, seed=spec.seed
         )
-        population, pools = _client_pools(
+        population, pools = client_pools(
             spec, (system.enterprise,), lambda _e: system.create_client()
         )
 

@@ -11,10 +11,9 @@ group, a one-line description and three functions:
   keyed and ordered like the plan) to the artifact's ``results`` and any
   further top-level fields; a ``perf`` entry adds to the roll-up.  Pure
   for every row whose measurements are all cells; the rows that measure
-  what a scenario cell cannot express (``recovery`` kills and rebuilds a
-  replica, ``analytics`` fills and queries a database, ``shardpar`` and
-  ``batching`` rerun a spec under a different engine setting) do that
-  measuring here, from the same arguments.
+  what a scenario cell cannot express (``analytics`` fills and queries a
+  database, ``shardpar`` and ``batching`` rerun a spec under a different
+  engine setting) do that measuring here, from the same arguments.
 - ``checks(artifact) -> [failure strings]`` — what CI asserts about the
   artifact, pins included, beside the code that moves them.
 
@@ -54,6 +53,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.scenarios.runner import run_scenario, summary_row
 from repro.scenarios.spec import (
     ArrivalSpec,
+    FaultEvent,
     MeasurementSpec,
     PopulationSpec,
     ScenarioSpec,
@@ -157,8 +157,8 @@ class ChecksFailed(ReproError):
 
 
 def _at(sc: Scale, seed: int) -> dict[str, Any]:
-    """The deployment size, windows and seed a scale fixes, as the
-    keyword options point_spec and run_recovery_scenario share."""
+    """The deployment size, windows and seed a scale fixes, as
+    point_spec keyword options."""
     return dict(
         enterprises=sc.enterprises, shards=sc.shards, warmup=sc.warmup,
         measure=sc.measure, drain=sc.drain, seed=seed,
@@ -784,30 +784,67 @@ def _obs_merge(run: Run) -> dict[str, Any]:
     return _traced_merge(run)
 
 
-# ----------------------------------------------------------------------
-# rows whose measurement is not a scenario cell
-# ----------------------------------------------------------------------
-def _recovery_merge(run: Run) -> dict[str, Any]:
-    from repro.bench.recovery import run_recovery_scenario
-
-    sc = SCALES[run.scale]
-    options = _at(sc, run.seed) | dict(
-        enterprises=sc.enterprises[:2], measure=sc.measure * 2
+def _recovery_plan(scale: str, seed: int) -> dict[Hashable, ScenarioSpec]:
+    sc = SCALES[scale]
+    # A durable deployment at a fixed load with checkpointing on, so
+    # stable checkpoints keep moving the durability frontier under live
+    # traffic; a non-primary ordering replica of the first cluster dies
+    # halfway through the measurement window.  run_scenario rebuilds
+    # every replica that ends a durable run down and reports the audit.
+    measure = sc.measure * 2
+    options = _at(sc, seed) | dict(
+        enterprises=sc.enterprises[:2], measure=measure,
+        batch_size=16, checkpoint_interval=16,
+    )
+    spec = point_spec("Flt-C", 2_000.0, _CROSS_10, name="crash-recovery", **options)
+    crash = FaultEvent(
+        at=sc.warmup + measure / 2, kind="crash",
+        target=f"backup:{sc.enterprises[0]}1:0",
     )
     return {
-        "results": {
-            backend: run_recovery_scenario(backend=backend, **options)
-            for backend in ("wal", "sqlite")
-        }
+        backend: dataclasses.replace(
+            spec,
+            faults=(crash,),
+            topology=dataclasses.replace(spec.topology, storage_backend=backend),
+        )
+        for backend in ("wal", "sqlite")
     }
+
+
+def _recovery_merge(run: Run) -> dict[str, Any]:
+    results = {}
+    for backend, report in run.reports.items():
+        (victim,) = report["recovery"]
+        (timing,) = report["perf"]["recovery"]
+        results[backend] = {
+            "scenario": report["scenario"],
+            "backend": backend,
+            "seed": report["seed"],
+            "offered_tps": report["offered_tps"],
+            "throughput_tps": report["windows"]["measure"]["throughput_tps"],
+            "victim": victim["node"],
+            "committed_pre_crash": victim["executed"],
+            "chains": victim["chains"],
+            "digests_match": victim["digests_match"],
+            "journal": victim["journal"],
+            "recovery": {
+                name: victim[name]
+                for name in ("namespaces", "snapshots_loaded", "records_replayed")
+            },
+            # Real I/O timed with a wall clock: metadata, not a result.
+            "perf": {
+                name: timing[name] for name in ("latency_s", "replay_tps")
+            },
+        }
+    return {"results": results}
 
 
 def _recovery_rows(artifact: dict[str, Any]) -> list[str]:
     return [
         f"{backend:<7} committed={result['committed_pre_crash']:>6}  "
         f"match={result['digests_match']}  "
-        f"recovery={result['recovery']['latency_s'] * 1000:>7.1f} ms  "
-        f"replay={result['recovery']['replay_tps']:>9.0f} rec/s"
+        f"recovery={result['perf']['latency_s'] * 1000:>7.1f} ms  "
+        f"replay={result['perf']['replay_tps']:>9.0f} rec/s"
         for backend, result in artifact["results"].items()
     ]
 
@@ -828,6 +865,9 @@ def _recovery_checks(artifact: dict[str, Any]) -> list[str]:
     return failures
 
 
+# ----------------------------------------------------------------------
+# rows whose measurement is not a scenario cell
+# ----------------------------------------------------------------------
 #: Shards-per-enterprise ladder for the shard-parallel sweep (two
 #: enterprises throughout, so total clusters = 2 x shards; ``full``
 #: tops out at the 16-cluster scenario the engine was built for).
@@ -997,7 +1037,7 @@ _ROWS = (
     Experiment("recovery", _DURABILITY,
                "Kill a replica mid-measurement, rebuild it from WAL/SQLite "
                "state, verify digests",
-               _recovery_merge, checks=_recovery_checks, rows=_recovery_rows),
+               _recovery_merge, _recovery_plan, _recovery_checks, _recovery_rows),
     Experiment("population", "Population workloads",
                "Population matrix: logical sizes x skews x arrival profiles "
                "on a bounded wire pool",

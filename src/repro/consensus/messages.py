@@ -188,17 +188,6 @@ class CrossCommitMsg:
         return self.block.tx_count()
 
 
-@dataclass
-class AbortMsg:
-    CPU_WEIGHT = 0.5
-    block_id: int
-    cluster: str
-    reason: str
-
-    def tx_count(self) -> int:
-        return 1
-
-
 # ----------------------------------------------------------------------
 # flattened cross-cluster (§4.4, Figure 6)
 # ----------------------------------------------------------------------
@@ -274,17 +263,6 @@ class CommitQuery:
     block_id: int
     digest: str
     cluster: str                   # querying cluster
-
-    def tx_count(self) -> int:
-        return 1
-
-
-@dataclass
-class PreparedQuery:
-    CPU_WEIGHT = 0.3
-    block_id: int
-    digest: str
-    cluster: str
 
     def tx_count(self) -> int:
         return 1

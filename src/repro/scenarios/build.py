@@ -153,8 +153,9 @@ def validate_partitioning(spec: ScenarioSpec) -> PartitionMap:
     return pmap
 
 
-def build(spec: ScenarioSpec) -> Deployment:
-    """Spec in, ready deployment out.
+def build(spec: ScenarioSpec, cost_model=None) -> Deployment:
+    """Spec in, ready deployment out (``cost_model``: the CPU cost
+    model its nodes charge; ``None`` is the deployment's default).
 
     Builds the :class:`~repro.core.config.DeploymentConfig`, wires the
     cluster topology — over per-cluster kernels when the spec sets
@@ -169,7 +170,7 @@ def build(spec: ScenarioSpec) -> Deployment:
     if spec.kernel_workers is not None:
         sim = PartitionedSimulator(validate_partitioning(spec))
     deployment = Deployment(
-        config, latency=resolve_latency(spec), cost_model=spec.cost, sim=sim
+        config, latency=resolve_latency(spec), cost_model=cost_model, sim=sim
     )
     deployment.fault_scheduler = None
     if spec.topology.crash_nodes:
@@ -201,6 +202,18 @@ def crash_backups(deployment: Deployment, enterprise: str, count: int):
     return info
 
 
+def client_pools(spec: ScenarioSpec, enterprises, create):
+    """Wire-client wiring for every system family: the spec's
+    population multiplexed onto per-enterprise wire pools via
+    ``create``, or the paper's one client per enterprise — same
+    creation order either way.  Returns ``(population, pools)``;
+    ``population`` is None for the one-client shape."""
+    population = population_from(spec.workload, enterprises, spec.seed)
+    size = 1 if population is None else population.pool
+    pools = {e: tuple(create(e) for _ in range(size)) for e in enterprises}
+    return population, pools
+
+
 def build_workload(
     spec: ScenarioSpec, deployment: Deployment
 ) -> Callable[..., None]:
@@ -209,8 +222,8 @@ def build_workload(
     Creation order matters for bit-identical replay: root workflow,
     pairwise shared collections, workload generator, then the wire
     clients — one per enterprise (exactly the pre-scenario wiring)
-    unless the spec declares a population or fan-out, in which case
-    each enterprise gets its bounded pool, created eagerly so every
+    unless the spec declares a population, in which case each
+    enterprise gets its bounded pool, created eagerly so every
     actor is registered before the run forks any worker.
 
     The returned ``submit_next(hot_shard=None)`` closure draws one
@@ -235,16 +248,9 @@ def build_workload(
     workload = SmallBankWorkload(
         enterprises, shards, scopes, spec.workload.mix, seed=spec.seed
     )
-    population = population_from(spec.workload, enterprises, spec.seed)
-    if population is None:
-        pools = {e: (deployment.create_client(e),) for e in enterprises}
-    else:
-        pools = {
-            e: tuple(
-                deployment.create_client(e) for _ in range(population.pool)
-            )
-            for e in enterprises
-        }
+    population, pools = client_pools(
+        spec, enterprises, deployment.create_client
+    )
     sim = deployment.sim
     capture = WorkloadTrace() if spec.workload.capture_trace else None
 

@@ -14,10 +14,15 @@ the virtual time instead of an apparent hang.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import shutil
+import tempfile
 import time
+from pathlib import Path
 from typing import Any
 
+from repro.errors import StorageError
 from repro.scenarios.spec import ScenarioSpec
 
 
@@ -56,8 +61,9 @@ def launch_workload(
     :func:`repro.workload.population.launch_arrivals`, building the
     rate profile from the spec's :class:`~repro.scenarios.spec.
     ArrivalSpec` (``None`` → the byte-identical constant-rate loop).
-    ``submit`` is the builder's closure (``build_workload``'s return),
-    which carries the trace/replay plumbing as attributes.
+    ``submit`` is the builder's closure (``build_workload``'s return,
+    ``driver.submit_next``), which carries the trace/replay plumbing
+    as attributes.
     """
     from repro.workload.population import launch_arrivals
 
@@ -109,6 +115,96 @@ def _window_report(metrics: Any, start: float, end: float) -> dict[str, Any]:
     }
 
 
+def _fresh_storage(spec: ScenarioSpec) -> tuple[ScenarioSpec, str | None]:
+    """The directory a durable run journals into: the spec's own, which
+    must be empty, or a scratch one the runner owns.  Returns the spec
+    to build and the directory to remove afterwards (None if not ours)."""
+    topology = spec.topology
+    if topology.storage_dir is None:
+        scratch = tempfile.mkdtemp(
+            prefix=f"qanaat-{topology.storage_backend}-"
+        )
+        topology = dataclasses.replace(topology, storage_dir=scratch)
+        return dataclasses.replace(spec, topology=topology), scratch
+    if any(Path(topology.storage_dir).glob("*")):
+        # A fresh deployment journaling on top of an old run's files
+        # would replay a chimera of both histories — refuse loudly
+        # instead of reporting a silent digest mismatch.
+        raise StorageError(
+            f"storage_dir {topology.storage_dir!r} is not empty: each "
+            "scenario run needs a fresh directory"
+        )
+    return spec, None
+
+
+def _audit_crashed(
+    system: Any,
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """Rebuild every stateful host (ordering/combined node or firewall
+    execution node) that ended a closed durable run crashed from its own
+    disk state — snapshot load + log replay, zero re-consensus — and
+    compare each chain's state digest with the one the replica died
+    with.  Returns the deterministic entries and their wall-clock
+    timings (real I/O, unlike the simulated protocol measurements).  A
+    mismatch is reported, not raised: callers hold the oracle."""
+    from repro.core.executor import JOURNAL_COUNTERS, ExecutionUnit
+    from repro.storage import make_backend
+
+    entries: list[dict[str, Any]] = []
+    timings: list[dict[str, Any]] = []
+    # Baseline families keep no storage backends: nothing to audit.
+    for node_id in getattr(system, "backends", ()):
+        host = system.network.node(node_id)
+        if not host.crashed:
+            continue
+        died_with = host.executor
+        config = system.config
+        started = time.perf_counter()
+        backend = make_backend(
+            config.storage_backend, config.storage_dir, node_id
+        )
+        try:
+            rebuilt, stats = ExecutionUnit.recover(
+                node_id, system.collections, system.contracts, system.schema,
+                died_with.shard, backend,
+            )
+            latency = time.perf_counter() - started
+            chains = [
+                {
+                    "label": label,
+                    "shard": shard,
+                    "height": rebuilt.ledger.height(label, shard),
+                    "digest_match": rebuilt.state_digest(label, shard)
+                    == died_with.state_digest(label, shard),
+                }
+                for label, shard in sorted(died_with.ledger.chain_keys())
+            ]
+        finally:
+            backend.close()
+        entries.append(
+            {
+                "node": node_id,
+                "executed": died_with.executed_count,
+                "chains": chains,
+                "digests_match": all(c["digest_match"] for c in chains),
+                "journal": {
+                    name: getattr(died_with, name) for name in JOURNAL_COUNTERS
+                },
+                **dataclasses.asdict(stats),
+            }
+        )
+        timings.append(
+            {
+                "node": node_id,
+                "latency_s": latency,
+                "replay_tps": (
+                    stats.records_replayed / latency if latency > 0 else 0.0
+                ),
+            }
+        )
+    return entries, timings
+
+
 def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     """Build the spec's system, replay its timeline, measure every
     window; returns a JSON-ready report.
@@ -120,6 +216,14 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     kernels — never what it computes: any spec
     :func:`~repro.scenarios.build.validate_partitioning` accepts reports
     the same bytes (modulo ``perf`` / ``obs``) at every setting.
+
+    A durable spec (``topology.storage_backend`` other than memory)
+    journals into ``topology.storage_dir`` — which must be empty; with
+    ``None`` the runner owns a scratch directory for the run — and,
+    once the deployment is closed, every replica that ended the run
+    crashed is rebuilt from its disk state and digest-compared
+    (:func:`_audit_crashed`): the ``recovery`` block of the report,
+    with the rebuild's wall-clock numbers under ``perf["recovery"]``.
 
     The report is assembled from the per-worker ``collect`` payloads
     (one of them in-process) and carries a ``perf`` block — wall-clock
@@ -163,14 +267,18 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     ship_trace = owned or spec.kernel_workers is not None
     counters_start = hashing.counters()
     wall_start = time.perf_counter()
+    durable = spec.topology.storage_backend != "memory"
+    scratch = None
     try:
+        if durable:
+            spec, scratch = _fresh_storage(spec)
         with paused_gc():
             driver = build_driver(spec)
         try:
             sim = driver.sim
             system = driver.system
             network = system.network
-            submit = getattr(driver, "_submit", None) or driver.submit_next
+            submit = driver.submit_next
             workload = getattr(submit, "workload", None)
             population = getattr(submit, "population", None)
             capture = getattr(submit, "capture", None)
@@ -278,9 +386,13 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
             wall = time.perf_counter() - wall_start
         finally:
             driver.close()
+        if durable:
+            recovered, recovery_timings = _audit_crashed(system)
     finally:
         if owned:
             obs.disable()
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
     root = payloads[0]
     metrics = root["metrics"]
@@ -336,6 +448,9 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         perf["client_pool"] = root["population"]["wire_clients"]
     if m.window > 0:
         report["series"] = series_report(metrics, m)
+    if durable:
+        report["recovery"] = recovered
+        perf["recovery"] = recovery_timings
     if root["capture_jsonl"] is not None:
         # Persist the run's captured trace to the spec's
         # ``capture_trace`` path (JSONL, one entry per submitted

@@ -36,7 +36,6 @@ from repro.workload.generator import WorkloadMix
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import DeploymentConfig
-    from repro.sim.costs import CostModel
     from repro.sim.latency import LatencyModel
 
 #: The fault-event vocabulary (docs/scenarios.md documents each kind).
@@ -195,13 +194,9 @@ class WorkloadSpec:
 
     rate: float = 4_000.0
     mix: WorkloadMix = field(default_factory=WorkloadMix)
-    #: Wire-level client fan-out.  1 is the paper's setup (§5); larger
-    #: values create that many clients per enterprise and spread
-    #: submissions uniformly across them.  For skewed, population-scale
-    #: multiplexing use ``population`` instead (the two are exclusive).
-    clients_per_enterprise: int = 1
     #: Millions-of-logical-clients declaration (Zipf activity skew over
-    #: ranks, bounded wire pool); ``None`` keeps the legacy wiring.
+    #: ranks, bounded wire pool); ``None`` is the paper's setup (§5),
+    #: one wire client per enterprise.
     population: PopulationSpec | None = None
     #: Arrival-rate profile; ``None`` is the classic constant-rate
     #: Poisson process, bit-identical to pre-profile runs.
@@ -217,13 +212,6 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.rate <= 0:
             raise ConfigurationError("workload rate must be positive")
-        if self.clients_per_enterprise < 1:
-            raise ConfigurationError("clients_per_enterprise must be >= 1")
-        if self.population is not None and self.clients_per_enterprise != 1:
-            raise ConfigurationError(
-                "population and clients_per_enterprise are exclusive: a "
-                "population declares its own wire pool"
-            )
         if self.capture_trace is not None and self.replay_trace is not None:
             raise ConfigurationError(
                 "capture_trace and replay_trace are exclusive"
@@ -348,11 +336,10 @@ class ScenarioSpec:
     faults: tuple[FaultEvent, ...] = ()
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     seed: int = 0
-    #: Runtime objects (latency/cost models) for specs built in Python
-    #: (the recovery bench's calibrated cost, tests); declarative specs
-    #: use ``topology.wan``.
+    #: A runtime latency model, for what nothing declarative expresses:
+    #: tests/test_shardpar.py injects a zero-floor model to prove the
+    #: lookahead guard.  Declarative specs use ``topology.wan``.
     latency: "LatencyModel | None" = None
-    cost: "CostModel | None" = None
     #: Enable the :mod:`repro.obs` causal tracer / metric registry for
     #: this run.  Off (the default) costs nothing and leaves reports
     #: byte-identical; on, the runner embeds an ``obs`` block in the

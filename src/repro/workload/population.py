@@ -245,20 +245,11 @@ def population_from(
     workload_spec: Any, enterprises: tuple[str, ...], seed: int
 ) -> PopulationModel | None:
     """The population a workload spec implies, or ``None`` for the
-    legacy one-client-per-enterprise shape.
-
-    ``clients_per_enterprise > 1`` without an explicit population is
-    uniform fan-out: N logical clients on N wire clients, no skew.
-    """
+    legacy one-client-per-enterprise shape."""
     pop = getattr(workload_spec, "population", None)
-    if pop is not None:
-        return PopulationModel(
-            enterprises, pop.size, pop.skew, pop.pool, seed
-        )
-    fanout = getattr(workload_spec, "clients_per_enterprise", 1)
-    if fanout != 1:
-        return PopulationModel(enterprises, fanout, 0.0, fanout, seed)
-    return None
+    if pop is None:
+        return None
+    return PopulationModel(enterprises, pop.size, pop.skew, pop.pool, seed)
 
 
 @dataclass

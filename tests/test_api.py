@@ -259,6 +259,62 @@ def test_every_benchmarked_system_satisfies_the_driver_protocol():
     driver.close()
 
 
+def _drive_through_driver_surface(workload, seed=4):
+    """Build, launch and run one spec the documented way — the call
+    ``benchmarks/perf/rep.py`` makes: ``launch_workload(driver.sim,
+    spec, driver.submit_next, ...)``.  Returns the submit closure and
+    the number of completions."""
+    from repro.bench.drivers import build_driver
+    from repro.scenarios import ScenarioSpec, TopologySpec
+    from repro.scenarios.runner import launch_workload
+
+    spec = ScenarioSpec(
+        name="through-the-driver",
+        system="Flt-C",
+        topology=TopologySpec(enterprises=("A", "B"), shards=2, batch_size=8),
+        workload=workload,
+        seed=seed,
+    )
+    driver = build_driver(spec)
+    launch_workload(driver.sim, spec, driver.submit_next, 0.3)
+    driver.run(0.6)
+    completed = len(driver.metrics().completions)
+    driver.close()
+    return driver.submit_next, completed
+
+
+def test_driver_submit_next_aims_a_flash_crowd_at_its_hotspot():
+    from repro.scenarios import ArrivalSpec, WorkloadSpec
+
+    flash = ArrivalSpec(
+        profile="flash", spike=2.0, spike_start=0.05, spike_duration=0.2,
+        hot_fraction=0.5,
+    )
+    submit, completed = _drive_through_driver_surface(
+        WorkloadSpec(rate=600.0, arrival=flash)
+    )
+    assert submit.workload.generated["hotspot"] > 0 and completed > 0
+
+
+def test_driver_submit_next_replays_a_loaded_trace(tmp_path):
+    from repro.scenarios import WorkloadSpec
+
+    path = tmp_path / "trace.jsonl"
+    captured, completed = _drive_through_driver_surface(
+        WorkloadSpec(rate=600.0, capture_trace=str(path))
+    )
+    path.write_text(captured.capture.to_jsonl() + "\n")
+    # A different rate and seed: fresh arrivals could not match.
+    replayed, replay_completed = _drive_through_driver_surface(
+        WorkloadSpec(rate=50.0, replay_trace=str(path)), seed=9
+    )
+    assert sum(replayed.workload.generated.values()) == len(
+        captured.capture.entries
+    )
+    assert replayed.workload.generated == captured.workload.generated
+    assert replay_completed == completed
+
+
 def test_unknown_system_fails_with_the_valid_set():
     from repro.bench.drivers import build_driver
     from repro.errors import WorkloadError

@@ -32,7 +32,7 @@ SMOKE_CELLS = {
     "table3": 18, "fig11": 27,
     "ablation_batching": 4, "ablation_gamma": 0, "ablation_checkpoint": 4,
     "ablation_fig4": 4, "baseline_landscape": 12,
-    "batching": 12, "scenarios": 16, "recovery": 0, "population": 12,
+    "batching": 12, "scenarios": 16, "recovery": 2, "population": 12,
     "shardpar": 0, "obs": 1, "analytics": 0,
 }
 
@@ -54,6 +54,18 @@ def test_plan_yields_picklable_cells_without_running_anything(row, monkeypatch):
         hash(key)
         if row.ladder:
             assert isinstance(key[-1], int)  # the rung; key[:-1] the ladder
+
+
+def test_recovery_cells_are_ordinary_durable_specs_with_a_timed_crash():
+    specs = EXPERIMENTS["recovery"].plan("smoke", 1)
+    assert list(specs) == ["wal", "sqlite"]
+    for backend, spec in specs.items():
+        # run_scenario owns the scratch directory and audits the victim.
+        assert spec.topology.storage_backend == backend
+        assert spec.topology.storage_dir is None
+        (event,) = spec.faults
+        assert (event.kind, event.target) == ("crash", "backup:A1:0")
+        assert event.at == pytest.approx(0.1 + 0.6 / 2)
 
 
 def test_table_names_groups_and_listing():

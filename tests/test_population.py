@@ -93,8 +93,11 @@ def test_population_from_spec_and_uniform_fanout():
     )
     model = population_from(pop_spec, ("A", "B"), seed=2)
     assert (model.size, model.skew, model.pool) == (500, 1.0, 4)
+    # Uniform fan-out is a population like any other: N ranks, no
+    # skew, N wire clients.
     fanout = population_from(
-        WorkloadSpec(rate=100.0, clients_per_enterprise=3), ("A",), seed=2
+        WorkloadSpec(rate=100.0, population=PopulationSpec(size=3, pool=3)),
+        ("A",), seed=2,
     )
     assert (fanout.size, fanout.skew, fanout.pool) == (3, 0.0, 3)
     assert population_from(WorkloadSpec(rate=100.0), ("A",), seed=2) is None
@@ -257,16 +260,14 @@ def test_population_and_arrival_spec_validation():
 
 def test_workload_spec_exclusivity_rules():
     with pytest.raises(ConfigurationError, match="exclusive"):
-        WorkloadSpec(
-            rate=100.0, clients_per_enterprise=2,
-            population=PopulationSpec(size=10),
-        )
-    with pytest.raises(ConfigurationError, match="exclusive"):
         WorkloadSpec(rate=100.0, capture_trace="a.jsonl",
                      replay_trace="b.jsonl")
     # Each alone is fine.
-    WorkloadSpec(rate=100.0, clients_per_enterprise=4)
-    WorkloadSpec(rate=100.0, population=PopulationSpec(size=10, pool=2))
+    WorkloadSpec(rate=100.0, capture_trace="a.jsonl")
+    WorkloadSpec(rate=100.0, replay_trace="b.jsonl")
+    # Wire clients are declared one way: through a population.
+    with pytest.raises(TypeError):
+        WorkloadSpec(rate=100.0, clients_per_enterprise=4)
 
 
 def test_elastic_fault_event_validation():
@@ -318,7 +319,7 @@ def test_population_scenario_reports_pool_bound_and_series():
 
 
 def test_uniform_fanout_still_reports_a_population_block():
-    spec = population_spec(population=None, clients_per_enterprise=3)
+    spec = population_spec(population=PopulationSpec(size=3, pool=3))
     report = run_scenario(spec)
     assert report["population"]["logical_clients"] == 6
     assert report["population"]["wire_clients"] == 6

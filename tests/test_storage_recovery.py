@@ -10,20 +10,33 @@ import json
 import os
 import shutil
 import stat
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from repro.bench.recovery import run_recovery_scenario
 from repro.core import Deployment, DeploymentConfig
 from repro.core.executor import ExecutionUnit
 from repro.datamodel import MultiVersionStore, Operation
-from repro.errors import ConfigurationError, LedgerError, StorageError
+from repro.errors import (
+    ConfigurationError,
+    LedgerError,
+    SimulationLimitError,
+    StorageError,
+)
 from repro.ledger.archive import (
     LedgerArchiver,
     SegmentManifest,
     archive_namespace,
     load_segment_manifests,
+)
+from repro.scenarios import (
+    FaultEvent,
+    MeasurementSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+    run_scenario,
 )
 from repro.storage import (
     KIND_HEAD,
@@ -38,6 +51,7 @@ from repro.storage import (
     encode_namespace,
     make_backend,
 )
+from repro.workload.generator import WorkloadMix
 
 
 def open_backend(kind, tmp_path, node="n0"):
@@ -676,31 +690,103 @@ def test_memory_config_keeps_seed_behavior(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the recovery benchmark scenario
+# the recovery audit of a durable run_scenario
 # ----------------------------------------------------------------------
 FAST_SCENARIO = dict(
     rate=800.0, warmup=0.1, measure=0.3, drain=0.1,
     checkpoint_interval=8, batch_size=8,
 )
+#: Halfway through the measurement window.
+CRASH_AT = FAST_SCENARIO["warmup"] + FAST_SCENARIO["measure"] / 2
+
+
+def crash(target="backup:A1:0"):
+    return FaultEvent(at=CRASH_AT, kind="crash", target=target)
+
+
+def recovery_spec(
+    storage_dir, backend="wal", system="Flt-C", faults=(crash(),), seed=2,
+    **measurement,
+):
+    fast = FAST_SCENARIO
+    return ScenarioSpec(
+        name="crash-recovery",
+        system=system,
+        topology=TopologySpec(
+            enterprises=("A", "B"), shards=2, batch_size=fast["batch_size"],
+            checkpoint_interval=fast["checkpoint_interval"],
+            storage_backend=backend,
+            storage_dir=None if storage_dir is None else str(storage_dir),
+        ),
+        workload=WorkloadSpec(
+            rate=fast["rate"], mix=WorkloadMix(cross=0.10, cross_type="isce")
+        ),
+        faults=faults,
+        measurement=MeasurementSpec(
+            warmup=fast["warmup"], measure=fast["measure"],
+            drain=fast["drain"], **measurement,
+        ),
+        seed=seed,
+    )
 
 
 def test_recovery_scenario_reports_digest_match(tmp_path):
-    result = run_recovery_scenario(
-        backend="wal", storage_dir=str(tmp_path), seed=2, **FAST_SCENARIO
-    )
-    assert result["digests_match"] is True
-    assert result["chains"]
-    assert all(c["digest_match"] for c in result["chains"])
-    assert result["recovery"]["records_replayed"] > 0
-    assert result["recovery"]["latency_s"] > 0
-    journal = result["journal"]
+    report = run_scenario(recovery_spec(tmp_path))
+    (victim,) = report["recovery"]
+    assert victim["node"] == "A1.o1" and victim["executed"] > 0
+    assert victim["digests_match"] is True
+    assert victim["chains"]
+    assert all(c["digest_match"] for c in victim["chains"])
+    assert victim["executed"] == sum(c["height"] for c in victim["chains"])
+    assert victim["records_replayed"] > 0
+    journal = victim["journal"]
     assert 1 <= journal["checkpoint_folds"] <= journal["checkpoint_syncs"]
     assert journal["journal_records_dropped"] > 0
+    # The rebuild is real I/O: its wall-clock numbers are perf metadata.
+    (timing,) = report["perf"]["recovery"]
+    assert timing["node"] == "A1.o1"
+    assert timing["latency_s"] > 0 and timing["replay_tps"] > 0
 
 
-def test_recovery_scenario_rejects_memory_backend():
-    with pytest.raises(StorageError):
-        run_recovery_scenario(backend="memory")
+def test_memory_run_reports_no_recovery_block():
+    # Nothing was journaled, so there is nothing to rebuild or compare.
+    report = run_scenario(recovery_spec(None, backend="memory"))
+    assert report["fault_trace"]
+    assert "recovery" not in report and "recovery" not in report["perf"]
+
+
+@pytest.mark.parametrize(
+    "system,target,victim",
+    [
+        # A firewall execution node, a PBFT backup under the
+        # coordinator protocol, and a Paxos primary.
+        ("Flt-B(PF)", "node:A1.e0", "A1.e0"),
+        ("Crd-B", "backup:A1:0", "A1.o1"),
+        ("Flt-C", "primary:A1", "A1.o0"),
+    ],
+)
+def test_every_stateful_host_that_ends_down_is_rebuilt(
+    system, target, victim, tmp_path
+):
+    report = run_scenario(
+        recovery_spec(tmp_path, system=system, faults=(crash(target),))
+    )
+    (entry,) = report["recovery"]
+    assert entry["node"] == victim
+    assert entry["executed"] > 0 and entry["records_replayed"] > 0
+    assert entry["digests_match"] is True
+
+
+def test_a_replica_that_recovered_is_not_audited(tmp_path):
+    faults = (
+        crash(),
+        FaultEvent(at=CRASH_AT + 0.05, kind="recover", target="node:A1.o1"),
+    )
+    report = run_scenario(recovery_spec(tmp_path, faults=faults))
+    assert [entry["kind"] for entry in report["fault_trace"]] == [
+        "crash", "recover",
+    ]
+    assert report["recovery"] == []
 
 
 def test_recovery_experiment_writes_checked_artifact(tmp_path):
@@ -717,16 +803,48 @@ def test_recovery_experiment_writes_checked_artifact(tmp_path):
         assert result["seed"] == 3 and result["backend"] == backend
         # The checks passed, so the rebuild crossed a fold.
         assert result["journal"]["checkpoint_folds"] >= 1
+        # Wall-clock numbers sit under perf, out of the comparison.
+        assert set(result["perf"]) == {"latency_s", "replay_tps"}
+        assert set(result["recovery"]) == {
+            "namespaces", "snapshots_loaded", "records_replayed",
+        }
 
 
 def test_recovery_scenario_refuses_dirty_storage_dir(tmp_path):
     # Two runs over one directory would interleave two histories in
-    # one journal; the scenario refuses instead of mis-reporting.
+    # one journal; the runner refuses instead of mis-reporting.
     (tmp_path / "stale.jsonl").write_text("{}")
     with pytest.raises(StorageError, match="not empty"):
-        run_recovery_scenario(
-            backend="wal", storage_dir=str(tmp_path), **FAST_SCENARIO
-        )
+        run_scenario(recovery_spec(tmp_path))
+
+
+def test_durable_run_owns_and_removes_its_scratch_dir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    report = run_scenario(recovery_spec(None))
+    assert report["recovery"][0]["digests_match"] is True
+    assert not any(tmp_path.iterdir())
+    # ... on the failing path too.
+    with pytest.raises(SimulationLimitError):
+        run_scenario(recovery_spec(None, max_events=50))
+    assert not any(tmp_path.iterdir())
+
+
+def test_sqlite_connections_carry_the_documented_pragmas(tmp_path):
+    # The SNIPPETS.md table, read back rather than only written.
+    backend = open_backend("sqlite", tmp_path)
+
+    def pragma(conn, name):
+        return conn.execute(f"PRAGMA {name}").fetchone()[0]
+
+    writer = backend._conn
+    assert pragma(writer, "journal_mode") == "wal"
+    assert pragma(writer, "synchronous") == 1  # NORMAL
+    assert pragma(writer, "busy_timeout") == 30000
+    assert pragma(writer, "foreign_keys") == 1  # ON
+    reader = SqliteBackend.open_reader(backend.path)
+    assert pragma(reader, "busy_timeout") == 30000
+    reader.close()
+    backend.close()
 
 
 def test_state_transfer_install_is_durable(tmp_path):
