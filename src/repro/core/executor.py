@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.core.contracts import ContractRegistry, StoreView
 from repro.crypto.hashing import digest
@@ -41,12 +41,9 @@ from repro.storage.base import (
 )
 
 
-@dataclass
-class _PendingCommit:
-    otx: OrderedTransaction
-    tx_id: TxId
-    certificate: CommitCertificate | None
-    reply_to_client: bool
+#: One committed transaction on its way through the unit:
+#: ``(otx, tx_id, certificate, reply_to_client)``.
+CommitEntry = tuple[OrderedTransaction, TxId, CommitCertificate | None, bool]
 
 
 #: Reply sentinels for rejected executions.  In-band because replies
@@ -139,9 +136,9 @@ class ExecutionUnit:
         self.ledger = DagLedger(identity)
         self.store = MultiVersionStore(backend=backend)
         self.executed_count = 0
-        self._buffer: dict[tuple[str, int], dict[int, _PendingCommit]] = {}
+        self._buffer: dict[tuple[str, int], dict[int, CommitEntry]] = {}
         self._appended: dict[tuple[str, int], int] = {}
-        self._gamma_parked: dict[tuple[str, int], deque[_PendingCommit]] = {}
+        self._gamma_parked: dict[tuple[str, int], deque[CommitEntry]] = {}
         self._executed_requests: dict[tuple[str, int], set[int]] = {}
         self._last_reply: dict[str, tuple[int, Any]] = {}
         # Journal folding (see persist_checkpoint): store records
@@ -162,13 +159,28 @@ class ExecutionUnit:
         certificate: CommitCertificate | None = None,
         reply_to_client: bool = True,
     ) -> None:
-        """Hand over a committed transaction; ordering may be ahead."""
-        key = tx_id.alpha.key()
-        if tx_id.alpha.seq <= self._appended.get(key, 0):
-            return  # duplicate delivery
-        pending = _PendingCommit(otx, tx_id, certificate, reply_to_client)
-        self._buffer.setdefault(key, {})[tx_id.alpha.seq] = pending
-        self._drain()
+        """Hand over one committed transaction: a run of one."""
+        entry = (otx, tx_id, certificate, reply_to_client)
+        self.commit_run(tx_id.alpha.key(), (entry,))
+
+    def commit_run(
+        self, key: tuple[str, int], entries: Iterable[CommitEntry]
+    ) -> None:
+        """Hand over a consecutive run of one chain's committed
+        transactions (a decided block); ordering may be ahead.  The entry
+        the chain is waiting for goes straight through; the rest buffer."""
+        for entry in entries:
+            seq = entry[1].alpha.seq
+            appended = self._appended.get(key, 0)
+            if seq <= appended:
+                continue  # duplicate delivery
+            waiting = key in self._buffer or key in self._gamma_parked
+            if seq == appended + 1 and not waiting:
+                self._append(key, seq, entry)
+            else:
+                self._buffer.setdefault(key, {})[seq] = entry
+            if self._buffer or self._gamma_parked:
+                self._drain()
 
     def cached_reply(self, client: str, timestamp: int) -> Any | None:
         """The stored reply if this request was already executed (§4.2)."""
@@ -196,22 +208,28 @@ class ExecutionUnit:
         if not waiting:
             return False
         next_seq = self._appended.get(key, 0) + 1
-        pending = waiting.pop(next_seq, None)
-        if pending is None:
+        entry = waiting.pop(next_seq, None)
+        if entry is None:
             return False
         if not waiting:
             del self._buffer[key]
-        record = self.ledger.append(
-            pending.otx, pending.tx_id, pending.certificate
-        )
-        self._appended[key] = next_seq
+        self._append(key, next_seq, entry)
+        return True
+
+    def _append(self, key: tuple[str, int], seq: int, entry: CommitEntry) -> None:
+        """Append the chain's next transaction to the ledger, then
+        execute it — or park it behind its γ (or behind what is already
+        parked: the chain executes in α order)."""
+        otx, tx_id, certificate, _ = entry
+        record = self.ledger.append(otx, tx_id, certificate)
+        self._appended[key] = seq
         if self.backend is not None:
             # Journal the content head so recovery can re-anchor the
             # chain without re-running consensus.  The record carries a
             # transaction projection alongside the digest for the
-            # off-replica analytics ingest; body_digest is interned, so
+            # off-replica analytics ingest; body_digest is memoised, so
             # this adds no digest work to the hot path.
-            tx = pending.otx.tx
+            tx = otx.tx
             payload = encode_head_payload(
                 self.ledger.content_head(*key),
                 body=record.body_digest(),
@@ -219,20 +237,14 @@ class ExecutionUnit:
                 client=tx.client,
                 timestamp=tx.timestamp,
                 keys=tuple(tx.keys),
-                gamma=tuple(
-                    (entry.label, entry.shard, entry.seq)
-                    for entry in pending.tx_id.gamma
-                ),
+                gamma=tuple((g.label, g.shard, g.seq) for g in tx_id.gamma),
             )
-            self.backend.append(
-                key, LogRecord(next_seq, KIND_HEAD, None, payload)
-            )
-        parked = self._gamma_parked.get(key)
-        if parked is None:
-            parked = self._gamma_parked[key] = deque()
-        parked.append(pending)
-        self._try_execute_parked(key)
-        return True
+            self.backend.append(key, LogRecord(seq, KIND_HEAD, None, payload))
+        if key not in self._gamma_parked and self._gamma_satisfied(tx_id):
+            self._execute(entry)
+        else:
+            self._gamma_parked.setdefault(key, deque()).append(entry)
+            self._try_execute_parked(key)
 
     def _try_execute_parked(self, key: tuple[str, int]) -> bool:
         # Execute parked transactions strictly in α order: the head of
@@ -240,7 +252,7 @@ class ExecutionUnit:
         queue = self._gamma_parked.get(key)
         progressed = False
         while queue:
-            if not self._gamma_satisfied(queue[0].tx_id):
+            if not self._gamma_satisfied(queue[0][1]):
                 break
             self._execute(queue.popleft())
             progressed = True
@@ -256,8 +268,8 @@ class ExecutionUnit:
                 return False
         return True
 
-    def _execute(self, pending: _PendingCommit) -> None:
-        otx, tx_id = pending.otx, pending.tx_id
+    def _execute(self, entry: CommitEntry) -> None:
+        otx, tx_id, _, reply_to_client = entry
         label, shard = tx_id.alpha.label, tx_id.alpha.shard
         # Deterministic duplicate suppression: a request re-ordered after
         # a view change executes once.  The per-key history is identical
@@ -265,6 +277,7 @@ class ExecutionUnit:
         executed = self._executed_requests.setdefault((label, shard), set())
         if otx.tx.request_id in executed:
             self.store.mark_version(label, shard, tx_id.alpha.seq)
+            self._journaled((label, shard), 1)  # recover() counts the mark
             return
         executed.add(otx.tx.request_id)
         collection = self.collections.get_by_label(label)
@@ -296,15 +309,18 @@ class ExecutionUnit:
                 self.store.write(label, shard, tx_id.alpha.seq, write_key, value)
         else:
             self.store.mark_version(label, shard, tx_id.alpha.seq)
-        if self.backend is not None:  # one journal record per write, or a mark
-            key = (label, shard)
-            self._unfolded[key] = self._unfolded.get(key, 0) + (len(view.writes) or 1)
+        self._journaled((label, shard), len(view.writes) or 1)
         self.executed_count += 1
         self._last_reply[otx.tx.client] = (otx.tx.timestamp, result)
         if self.on_executed is not None:
             self.on_executed(
-                ExecutionResult(otx, tx_id, result, pending.reply_to_client)
+                ExecutionResult(otx, tx_id, result, reply_to_client)
             )
+
+    def _journaled(self, key: tuple[str, int], records: int) -> None:
+        """Store records journaled since the last fold: writes, or a mark."""
+        if self.backend is not None:
+            self._unfolded[key] = self._unfolded.get(key, 0) + records
 
     def _open_operation(self, otx: OrderedTransaction):
         """Unseal the operation if the request body is encrypted."""
@@ -384,7 +400,7 @@ class ExecutionUnit:
                 del self._buffer[key]
         parked = self._gamma_parked.get(key)
         if parked:
-            fresh = deque(p for p in parked if p.tx_id.alpha.seq > seq)
+            fresh = deque(p for p in parked if p[1].alpha.seq > seq)
             if fresh:
                 self._gamma_parked[key] = fresh
             else:

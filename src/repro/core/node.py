@@ -179,7 +179,7 @@ class ClusterNode(SimNode):
         )
         self._pending_requests: dict[int, Transaction] = {}
         self._committed_requests: set[int] = set()
-        self._request_reply: dict[int, ClientReply] = {}
+        self._request_reply: dict[int, tuple[Any]] = {}  # rid -> (result,)
         self._reply_certs: dict[int, ReplyCertMsg] = {}
         self._exec_orders: dict[int, ExecOrder] = {}
         self._commit_buffer: dict[tuple[str, int], dict[int, tuple]] = {}
@@ -205,8 +205,8 @@ class ClusterNode(SimNode):
         return self.cluster.name
 
     @property
-    def members(self) -> list[str]:
-        return list(self.cluster.members)
+    def members(self) -> tuple[str, ...]:
+        return self.cluster.members
 
     def sign(self, payload: Any):
         return crypto_sign(self.key_registry, self.node_id, payload)
@@ -309,7 +309,7 @@ class ClusterNode(SimNode):
         rid = tx.request_id
         cached = self._request_reply.get(rid)
         if cached is not None:
-            self.send(tx.client, cached)
+            self.send(tx.client, self._reply(tx, cached[0]))
             return
         if rid in self._reply_certs:
             self.send(tx.client, self._reply_certs[rid])
@@ -546,17 +546,19 @@ class ClusterNode(SimNode):
 
     def _drain_commits(self, key: tuple[str, int]) -> None:
         buffer = self._commit_buffer.get(key)
-        exec_entries: list[ExecEntry] = []
+        # The consecutive run this call commits, handed over as one unit.
+        run: list[tuple] = []
+        executor = self.executor
         while buffer:
             next_seq = self.seqbook.last_committed(key) + 1
             entry = buffer.pop(next_seq, None)
             if entry is None:
                 break
-            otx, tx_id, certificate, reply_to_client = entry
+            otx, tx_id = entry[0], entry[1]
             self.seqbook.commit(tx_id)
             if self._obs_probes is not None:
                 self._obs_probes.commit_seq(self.node_id, key, tx_id.alpha.seq)
-            if self.checkpoints is not None and self.executor is None:
+            if self.checkpoints is not None and executor is None:
                 # Pure ordering nodes checkpoint at commit; combined
                 # nodes checkpoint at execution (state is then exact).
                 self.checkpoints.on_commit(key[0], key[1], tx_id.alpha.seq)
@@ -564,9 +566,9 @@ class ClusterNode(SimNode):
             if self._pending_requests.pop(otx.tx.request_id, None) is not None:
                 self.consensus.release(("req", otx.tx.request_id))
             self.committed_tx_count += 1
-            if self.executor is not None:
+            if executor is not None:
                 self.charge(self.cost_model.execution_time(1))
-                if self.executor.backend is not None and self.executor.backend.durable:
+                if executor.backend is not None and executor.backend.durable:
                     # The WAL write rides the commit path; its cost is
                     # modeled, not performed, inside the simulation.
                     self.charge(self.cost_model.journal_time(1))
@@ -582,17 +584,22 @@ class ClusterNode(SimNode):
                         self._obs_tracer.tx_sid(otx.tx.request_id),
                         seq=tx_id.alpha.seq,
                     )
-                self.executor.commit(otx, tx_id, certificate, reply_to_client)
-            elif self.firewall_row_below:
-                exec_entries.append(
-                    ExecEntry(otx, tx_id, certificate, reply_to_client)
-                )
-            for fn in self._deferred.pop((key, next_seq + 1), ()):
-                fn()
+            run.append(entry)
+            deferred = self._deferred.pop((key, next_seq + 1), None)
+            if deferred is not None:
+                # Whoever waited for this commit sees it executed:
+                # flush the run so far before the callbacks fire.
+                if executor is not None:
+                    executor.commit_run(key, run)
+                    run = []
+                for fn in deferred:
+                    fn()
         if not buffer:
             self._commit_buffer.pop(key, None)
-        if exec_entries:
-            self._dispatch_to_firewall(exec_entries)
+        if run and executor is not None:
+            executor.commit_run(key, run)
+        elif run and self.firewall_row_below:
+            self._dispatch_to_firewall([ExecEntry(*entry) for entry in run])
 
     def _dispatch_to_firewall(self, entries: list[ExecEntry]) -> None:
         """Forward committed transactions through the privacy firewall.
@@ -682,24 +689,22 @@ class ClusterNode(SimNode):
         if not result.reply_to_client:
             return
         tx = result.otx.tx
-        reply = ClientReply(
+        self._request_reply[tx.request_id] = (result.result,)
+        # §4.2: with crash-only nodes the primary replies (a backup signs
+        # only if a retransmission makes it answer); BFT without firewall:
+        # every node replies, the client waits for f+1 matching results.
+        if self.config.failure_model != "crash" or self.consensus.is_primary():
+            self.send(tx.client, self._reply(tx, result.result))
+
+    def _reply(self, tx: Transaction, result: Any) -> ClientReply:
+        """The signed reply to ``tx``, built where it is sent."""
+        return ClientReply(
             request_id=tx.request_id,
             client=tx.client,
             timestamp=tx.timestamp,
-            result=result.result,
-            signed=self.sign(
-                _reply_payload_digest(tx.request_id, result.result)
-            ),
+            result=result,
+            signed=self.sign(_reply_payload_digest(tx.request_id, result)),
         )
-        self._request_reply[tx.request_id] = reply
-        if self.config.failure_model == "crash":
-            # §4.2: with crash-only nodes the primary replies.
-            if self.consensus.is_primary():
-                self.send(tx.client, reply)
-        else:
-            # BFT without firewall: every node replies; the client
-            # waits for f+1 matching results.
-            self.send(tx.client, reply)
 
     def _on_reply_certificate(self, msg: ReplyCertMsg, src: str) -> None:
         """A reply certificate arrived from the firewall (§4.2) or — in

@@ -36,6 +36,13 @@ _CLOSE = object()
 _digest_calls = 0
 _encode_bytes = 0
 _verify_calls = 0
+_sign_calls = 0
+
+
+def count_sign() -> None:
+    """Record one signature made (here for :func:`count_verify`'s reason)."""
+    global _sign_calls
+    _sign_calls += 1
 
 
 def count_verify(n: int = 1) -> None:
@@ -357,7 +364,8 @@ def counters() -> dict[str, int]:
     ``encode_bytes`` totals the canonical bytes those calls encoded;
     ``verify_calls`` counts individual signature verifications (see
     :func:`repro.crypto.signatures.verify_many` for how certificates
-    amortize them).  All are process-local and monotonic — benchmark
+    amortize them); ``sign_calls`` counts signatures made, sent or
+    not.  All are process-local and monotonic — benchmark
     points report the *delta* across their run (see ``perf`` blocks in
     ``BENCH_*.json``).
     """
@@ -365,12 +373,14 @@ def counters() -> dict[str, int]:
         "digest_calls": _digest_calls,
         "encode_bytes": _encode_bytes,
         "verify_calls": _verify_calls,
+        "sign_calls": _sign_calls,
     }
 
 
 def reset_counters() -> None:
     """Zero the instrumentation counters (tests / standalone tools)."""
-    global _digest_calls, _encode_bytes, _verify_calls
+    global _digest_calls, _encode_bytes, _verify_calls, _sign_calls
     _digest_calls = 0
     _encode_bytes = 0
     _verify_calls = 0
+    _sign_calls = 0

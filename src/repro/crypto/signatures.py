@@ -16,7 +16,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.hashing import Canonical, count_verify, digest
+from repro.crypto.hashing import Canonical, count_sign, count_verify, digest
 from repro.errors import CryptoError, InvalidSignature
 
 
@@ -84,6 +84,7 @@ class SignedMessage(Canonical):
 
 def sign(registry: KeyRegistry, identity: str, payload: Any) -> SignedMessage:
     """Sign a payload (any canonicalizable value) as ``identity``."""
+    count_sign()
     payload_digest = payload if isinstance(payload, str) else digest(payload)
     # hmac.digest is the one-shot C implementation of
     # hmac.new(...).hexdigest() — same MAC, no HMAC-object overhead.

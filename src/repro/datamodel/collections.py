@@ -93,6 +93,7 @@ class CollectionRegistry:
     """
 
     _by_scope: dict[frozenset[str], DataCollection] = field(default_factory=dict)
+    _by_label: dict[str, DataCollection] = field(default_factory=dict)
 
     def create(
         self,
@@ -118,6 +119,7 @@ class CollectionRegistry:
             return existing
         collection = DataCollection(key, contract, num_shards)
         self._by_scope[key] = collection
+        self._by_label.setdefault(collection.label, collection)
         return collection
 
     def get(self, scope: Iterable[str]) -> DataCollection:
@@ -133,10 +135,10 @@ class CollectionRegistry:
         return frozenset(scope) in self._by_scope
 
     def get_by_label(self, label: str) -> DataCollection:
-        for collection in self._by_scope.values():
-            if collection.label == label:
-                return collection
-        raise DataModelError(f"no collection labelled {label!r}")
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise DataModelError(f"no collection labelled {label!r}") from None
 
     def __iter__(self) -> Iterator[DataCollection]:
         return iter(self._by_scope.values())

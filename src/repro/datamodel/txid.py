@@ -140,33 +140,33 @@ class SequenceBook:
     def assign(
         self, collection: "DataCollection", shard: int | None = None
     ) -> TxId:
-        """Assign the next ID for a transaction on ``collection``.
-
-        α gets the next sequence after the last *assigned* (not merely
-        committed) one, so a primary can pipeline.  γ captures the last
-        committed state of every order-dependent collection (§4.1: the
-        read-set is unknown before execution, so the whole dependency
-        closure is captured), with the transitive reduction applied
-        when enabled.
-        """
-        target_shard = self._shard_of(collection, shard)
-        key = (collection.label, target_shard)
-        seq = max(self._assigned.get(key, 0), self._committed.get(key, 0)) + 1
-        self._assigned[key] = seq
-        gamma = self._build_gamma(collection, target_shard)
-        return TxId(LocalPart(collection.label, target_shard, seq), gamma)
+        """The next ID on ``collection``: :meth:`assign_block` of one."""
+        return self.assign_block(collection, 1, shard)[0]
 
     def assign_block(
         self, collection: "DataCollection", count: int, shard: int | None = None
     ) -> tuple[TxId, ...]:
         """Assign a consecutive run of IDs for a batch of transactions.
 
-        All transactions in the run share one γ snapshot (no commits
-        can interleave between the assignments).
+        α continues after the last *assigned* (not merely committed)
+        sequence, so a primary can pipeline.  γ captures the last
+        committed state of every order-dependent collection (§4.1: the
+        read-set is unknown before execution, so the whole dependency
+        closure is captured), with the transitive reduction applied
+        when enabled.  All transactions in the run share one γ snapshot
+        (no commits can interleave between the assignments), built once.
         """
         if count < 1:
             raise DataModelError("a block needs at least one transaction")
-        return tuple(self.assign(collection, shard) for _ in range(count))
+        label, target_shard = collection.label, self._shard_of(collection, shard)
+        key = (label, target_shard)
+        first = max(self._assigned.get(key, 0), self._committed.get(key, 0)) + 1
+        self._assigned[key] = first + count - 1
+        gamma = self._build_gamma(collection, target_shard)
+        return tuple(
+            TxId(LocalPart(label, target_shard, seq), gamma)
+            for seq in range(first, first + count)
+        )
 
     def _build_gamma(
         self, collection: "DataCollection", shard: int

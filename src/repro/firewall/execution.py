@@ -8,6 +8,7 @@ can never message a client or an ordering node directly.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import TYPE_CHECKING, Any
 
 from repro.consensus.messages import ExecOrder, ExecReply, ReplyCertMsg
@@ -59,28 +60,32 @@ class ExecutionNode(SimNode):
         # Everything else is out of protocol for an execution node.
 
     def _on_exec_order(self, msg: ExecOrder, src: str) -> None:
+        clusters = self.deployment.directory.clusters
+        members: dict[str, frozenset[str]] = {}  # per order, not per entry
+        verified = []
         for entry in msg.entries:
-            info = self.deployment.directory.clusters.get(
-                entry.certificate.cluster
-            )
+            certificate = entry.certificate
+            info = clusters.get(certificate.cluster)
             if info is not None:
-                valid = entry.certificate.verify(
-                    self.key_registry,
-                    info.local_majority,
-                    frozenset(info.members),
+                if info.name not in members:
+                    members[info.name] = frozenset(info.members)
+                valid = certificate.verify(
+                    self.key_registry, info.local_majority, members[info.name]
                 )
             else:
-                valid = entry.certificate.verify(
-                    self.key_registry, self.order_quorum
-                )
+                valid = certificate.verify(self.key_registry, self.order_quorum)
             if not valid:
                 continue
             self.charge(self.cost_model.execution_time(1))
             if self.executor.backend is not None and self.executor.backend.durable:
                 self.charge(self.cost_model.journal_time(1))
-            self.executor.commit(
-                entry.otx, entry.tx_id, entry.certificate, entry.reply_to_client
+            verified.append(
+                (entry.otx, entry.tx_id, certificate, entry.reply_to_client)
             )
+        # An order is one chain's run (ClusterNode._drain_commits); a
+        # forged one may not be, so group by what the entries say.
+        for key, run in groupby(verified, lambda e: e[1].alpha.key()):
+            self.executor.commit_run(key, run)
 
     def _on_executed(self, result: ExecutionResult) -> None:
         if not result.reply_to_client:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.hashing import digest
 from repro.datamodel.transaction import OrderedTransaction
@@ -11,15 +11,12 @@ from repro.ledger.certificate import CommitCertificate
 
 # Content-chain digests are identical on every replica that committed
 # the same transaction at the same position — by design (§3.3) — so
-# each replica after the first gets them from these interning tables
-# instead of re-hashing.  Keys are frozen values (equality on
-# OrderedTransaction cannot alias: request ids are process-unique);
-# tables are dropped on overflow, and the bench executor clears them
-# between points so keys do not retain transaction graphs across runs
+# each replica after the first gets them from this interning table
+# instead of re-hashing.  Keys are digest strings; the table is dropped
+# on overflow, and the bench executor clears it between points
 # (repro.crypto.hashing.clear_intern_caches).
 from repro.crypto.hashing import register_intern_cache as _register_cache
 
-_body_cache: dict[tuple[OrderedTransaction, TxId], str] = _register_cache({})
 _content_cache: dict[tuple[str, str], str] = _register_cache({})
 _CACHE_MAX = 1 << 18
 
@@ -28,7 +25,7 @@ _CACHE_MAX = 1 << 18
 class TransactionRecord:
     """One committed transaction on one collection-shard.
 
-    ``prev_digest`` chains the record to its predecessor on the same
+    ``prev`` chains the record to its predecessor on the same
     collection-shard (the per-collection linear ledger); γ inside the
     ID provides the cross-chain DAG edges.  The commit certificate is
     stored alongside (§4.2: "the commit certificates are appended to
@@ -37,7 +34,11 @@ class TransactionRecord:
 
     otx: OrderedTransaction
     tx_id: TxId
-    prev_digest: str
+    #: The predecessor: the previous record, or a digest string where
+    #: the chain starts (genesis, a pruning or checkpoint anchor).  A
+    #: link, not a hash: :attr:`prev_digest` / :meth:`record_digest` are
+    #: computed when validation, the archive or ``prune`` asks.
+    prev: "TransactionRecord | str" = field(compare=False, repr=False)
     certificate: CommitCertificate | None
     #: Chains the *content* (transaction + ID) independently of the
     #: commit certificate.  Certificates differ across replicas (each
@@ -57,46 +58,49 @@ class TransactionRecord:
     def seq(self) -> int:
         return self.tx_id.alpha.seq
 
+    @property
+    def prev_digest(self) -> str:
+        prev = self.prev
+        return prev if isinstance(prev, str) else prev.record_digest()
+
     def record_digest(self) -> str:
-        # Cached per record: the certificate signature set differs
-        # across replicas, so this one cannot be interned — but chain
-        # validation and archive manifests re-walk the same records.
-        cached = getattr(self, "_record_digest_cache", None)
-        if cached is not None:
-            return cached
-        cert = (
-            self.certificate.canonical_bytes() if self.certificate else b"-"
-        )
-        result = digest(
-            [
-                self.otx.canonical_bytes(),
-                self.tx_id.canonical_bytes(),
-                self.prev_digest,
-                cert,
-            ]
-        )
-        object.__setattr__(self, "_record_digest_cache", result)
-        return result
+        # Cached per record.  Unresolved records are walked back to the
+        # last known digest and hashed oldest-first, iteratively: the
+        # first ask on a long chain must not recurse.
+        unresolved, link = [], self
+        while not isinstance(link, str):
+            cached = link.__dict__.get("_record_digest")
+            if cached is not None:
+                link = cached
+                break
+            unresolved.append(link)
+            link = link.prev
+        for record in reversed(unresolved):
+            cert = record.certificate
+            link = record.__dict__["_record_digest"] = digest(
+                [
+                    record.otx.canonical_bytes(),
+                    record.tx_id.canonical_bytes(),
+                    link,
+                    cert.canonical_bytes() if cert else b"-",
+                ]
+            )
+        return link
 
     def body_digest(self) -> str:
         """Digest of this record's own content (transaction + ID),
-        independent of its chain position."""
-        key = (self.otx, self.tx_id)
-        try:
-            cached = _body_cache.get(key)
-        except TypeError:
-            # Transactions can nest unhashable payloads (operation
-            # args, sealed envelopes): skip interning for those.
-            return digest(
-                [self.otx.canonical_bytes(), self.tx_id.canonical_bytes()]
-            )
-        if cached is None:
-            cached = digest(
-                [self.otx.canonical_bytes(), self.tx_id.canonical_bytes()]
-            )
-            if len(_body_cache) >= _CACHE_MAX:
-                _body_cache.clear()
-            _body_cache[key] = cached
+        independent of its chain position.  Memoised on the
+        :class:`OrderedTransaction` — the same object reaches every
+        replica — per ID it was committed under (a cross-shard
+        transaction has one per shard)."""
+        memo = self.otx.__dict__.setdefault("_body_digests", [])
+        for tx_id, cached in memo:
+            if tx_id is self.tx_id:
+                return cached
+        cached = digest(
+            [self.otx.canonical_bytes(), self.tx_id.canonical_bytes()]
+        )
+        memo.append((self.tx_id, cached))
         return cached
 
     def content_digest(self) -> str:

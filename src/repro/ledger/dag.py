@@ -5,7 +5,8 @@ final defense (consensus should never violate them, and tests that
 inject Byzantine primaries rely on the ledger refusing bad appends):
 
 - local consistency: per collection-shard, sequences are exactly
-  1, 2, 3, ... and each record chains to its predecessor's digest;
+  1, 2, 3, ... and each record chains to its predecessor (a link at
+  append; its digest is computed when something asks for it);
 - global consistency: γ is monotone along each chain.
 """
 
@@ -29,7 +30,8 @@ class DagLedger:
         self.owner = owner
         self._chains: dict[tuple[str, int], list[TransactionRecord]] = {}
         self._order: list[TransactionRecord] = []
-        self._head_digest: dict[tuple[str, int], str] = {}
+        # What a chain starts from when not genesis (prune, install_anchor).
+        self._anchor_digest: dict[tuple[str, int], str] = {}
         self._content_head: dict[tuple[str, int], str] = {}
         self._last_gamma: dict[tuple[str, int], dict[tuple[str, int], int]] = {}
         # Sequence number of the last record *below* the retained chain:
@@ -73,13 +75,12 @@ class DagLedger:
         record = TransactionRecord(
             otx=otx,
             tx_id=tx_id,
-            prev_digest=self._head_digest.get(key, GENESIS_DIGEST),
+            prev=chain[-1] if chain else self._anchor_digest.get(key, GENESIS_DIGEST),
             certificate=certificate,
             prev_content=self._content_head.get(key, GENESIS_DIGEST),
         )
         chain.append(record)
         self._order.append(record)
-        self._head_digest[key] = record.record_digest()
         self._content_head[key] = record.content_digest()
         self._last_gamma[key] = new_gamma
         return record
@@ -111,8 +112,13 @@ class DagLedger:
             )
         cut = upto_seq - base
         removed = chain[:cut]
-        self._chains[key] = chain[cut:]
+        retained = self._chains[key] = chain[cut:]
         self._base[key] = upto_seq
+        # Resolve the boundary before the prefix goes: it is the head if
+        # nothing is retained, else the first retained record's link.
+        anchor = self._anchor_digest[key] = removed[-1].record_digest()
+        if retained:
+            object.__setattr__(retained[0], "prev", anchor)
         dropped = set(map(id, removed))
         self._order = [r for r in self._order if id(r) not in dropped]
         return removed
@@ -136,7 +142,7 @@ class DagLedger:
             )
         self._chains[key] = []
         self._base[key] = seq
-        self._head_digest[key] = head_digest
+        self._anchor_digest[key] = head_digest
         self._content_head[key] = head_digest
 
     # ------------------------------------------------------------------
@@ -166,7 +172,10 @@ class DagLedger:
 
     def head_digest(self, label: str, shard: int = 0) -> str:
         """Digest of the chain head (the anchor digest after pruning)."""
-        return self._head_digest.get((label, shard), GENESIS_DIGEST)
+        head = self.head(label, shard)
+        if head is not None:
+            return head.record_digest()
+        return self._anchor_digest.get((label, shard), GENESIS_DIGEST)
 
     def content_head(self, label: str, shard: int = 0) -> str:
         """Certificate-independent head digest (see

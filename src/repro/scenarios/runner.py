@@ -402,7 +402,7 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "events": events,
         "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
     }
-    for key in ("digest_calls", "encode_bytes", "verify_calls"):
+    for key in ("digest_calls", "encode_bytes", "verify_calls", "sign_calls"):
         perf[key] = (counters_built[key] - counters_start[key]) + sum(
             p["counters"][key] for p in payloads
         )

@@ -222,7 +222,7 @@ def test_out_of_order_decides_execute_in_order():
     held = []
     commit_order = []
     original_decide = backup.on_decide
-    original_commit = backup.executor.commit
+    original_executed = backup.executor.on_executed
 
     def hold_first(slot, value, certificate):
         if isinstance(value, Block) and not held:
@@ -230,12 +230,12 @@ def test_out_of_order_decides_execute_in_order():
             return
         original_decide(slot, value, certificate)
 
-    def record_commit(otx, tx_id, certificate, reply_to_client):
-        commit_order.append(tx_id.alpha.seq)
-        return original_commit(otx, tx_id, certificate, reply_to_client)
+    def record_executed(result):
+        commit_order.append(result.tx_id.alpha.seq)
+        original_executed(result)
 
     backup.on_decide = hold_first
-    backup.executor.commit = record_commit
+    backup.executor.on_executed = record_executed
     client = submit_many(deployment, "A", 6)
     deployment.run(3.0)
     assert len(client.completed) == 6

@@ -365,6 +365,36 @@ def test_prune_keeps_height_and_digest_continuity():
     assert ledger.record("A", 0, 5).prev_digest == removed[-1].record_digest()
 
 
+def test_prune_at_unresolved_boundary_keeps_digest_continuity():
+    # Nothing asked for a record digest before the prune: the boundary
+    # link is resolved as the prefix goes, and the retained record no
+    # longer holds the prefix alive.
+    ledger, twin = build_ledger_with_records(6), build_ledger_with_records(6)
+    removed = ledger.prune("A", 0, 4)
+    first = ledger.record("A", 0, 5)
+    assert first.prev == removed[-1].record_digest() == first.prev_digest
+    assert ledger.head_digest("A") == twin.head_digest("A")
+    # Pruned to the head: the head digest is the anchor left behind.
+    everything = build_ledger_with_records(6)
+    gone = everything.prune("A", 0, 6)
+    assert everything.head_digest("A") == gone[-1].record_digest()
+    assert everything.head_digest("A") == twin.head_digest("A")
+
+
+def test_archive_at_unresolved_boundary_keeps_digest_continuity():
+    from repro.ledger import LedgerArchiver
+
+    ledger, twin = build_ledger_with_records(8), build_ledger_with_records(8)
+    archiver = LedgerArchiver(ledger)
+    first = archiver.archive_chain("A", 0, 3)
+    second = archiver.archive_chain("A", 0, 6)
+    assert archiver.verify_continuity("A")
+    # Each segment starts from a digest, not from the segment before it.
+    assert second.records[0].prev == first.records[-1].record_digest()
+    assert ledger.record("A", 0, 7).prev_digest == second.records[-1].record_digest()
+    assert ledger.head_digest("A") == twin.head_digest("A")
+
+
 def test_prune_then_append_continues_chain():
     from repro.datamodel.transaction import Operation as Op
     from repro.datamodel.transaction import OrderedTransaction, Transaction

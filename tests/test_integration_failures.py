@@ -120,3 +120,59 @@ def test_retransmitted_request_executes_once():
         1 for r in executor.ledger if r.otx.tx.request_id == tx.request_id
     )
     assert appearances == 1
+
+
+def test_crash_model_backup_signs_a_reply_only_when_it_answers():
+    from repro.consensus.messages import ClientReply, ClientRequest
+    from repro.crypto import verify
+
+    deployment = make_deployment()
+    client = deployment.create_client("A")
+    replies = []
+    deliver = client.on_message
+
+    def spy(msg, src):
+        if isinstance(msg, ClientReply):
+            replies.append((src, msg))
+        deliver(msg, src)
+
+    client.on_message = spy
+    tx = client.make_transaction({"A"}, Operation("kv", "set", ("k", 1)), keys=("k",))
+    client.submit(tx)
+    deployment.run(0.05)  # shorter than the request timeout
+    old_primary = deployment.primary_of("A1")
+    # §4.2: only the primary replied; the backups executed the request
+    # and remember its result, not a signed message nobody asked for.
+    [(src, original)] = replies
+    assert src == old_primary
+    backups = [
+        m for m in deployment.directory.get("A1").members if m != old_primary
+    ]
+    for member in backups:
+        assert deployment.nodes[member]._request_reply[tx.request_id] == ("ok",)
+
+    # The primary dies; a second request forces the election.
+    deployment.crash_node(old_primary)
+    client.submit(
+        client.make_transaction({"A"}, Operation("kv", "set", ("j", 2)), keys=("j",))
+    )
+    deployment.run(10.0)
+    assert len(client.completed) == 2
+    new_primary = deployment.nodes[backups[0]].consensus.primary_id
+    assert new_primary in backups
+
+    # A retransmission of the first request now has to be answered by a
+    # replica that never sent its reply: built and signed on the spot,
+    # saying what the old primary said.
+    client.send(new_primary, ClientRequest(tx, retransmission=True))
+    deployment.run(0.05)
+    [answer] = [
+        m for s, m in replies[1:]
+        if s == new_primary and m.request_id == tx.request_id
+    ]
+    assert answer.signed.signer == new_primary
+    assert verify(deployment.key_registry, answer.signed)
+    assert original.signed.signer == old_primary
+    assert (answer.result, answer.timestamp, answer.signed.payload_digest) == (
+        original.result, original.timestamp, original.signed.payload_digest
+    )

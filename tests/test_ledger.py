@@ -46,6 +46,31 @@ def test_append_builds_hash_chain():
     assert ledger.head("A") is r2
 
 
+def test_record_digests_resolve_on_demand_without_recursion():
+    # Append only links a record to its predecessor; the certificate-
+    # bearing digest chain is hashed when something asks.  Two replicas
+    # of one 50 000-record chain: far deeper than the interpreter's
+    # recursion limit, so the first ask must walk it iteratively.
+    n = 50_000
+    replica_a, replica_b = DagLedger("A1.o0"), DagLedger("A1.o1")
+    for seq in range(1, n + 1):
+        otx, tx_id = make_otx(seq=seq)
+        replica_a.append(otx, tx_id)
+        replica_b.append(otx, tx_id)
+    chain = replica_a.chain("A")
+    assert not any("_record_digest" in r.__dict__ for r in chain)
+    # Equal content at equal positions compares equal across replicas
+    # without resolving (or descending) either chain of links.
+    assert replica_a.head("A") == replica_b.head("A")
+    assert replica_a.record("A", 0, n // 2) == replica_b.record("A", 0, n // 2)
+    assert "_record_digest" not in replica_a.head("A").__dict__
+    head = replica_a.head_digest("A")
+    assert head == chain[-1].record_digest() == replica_b.head_digest("A")
+    assert chain[1].prev_digest == chain[0].record_digest()
+    assert chain[0].prev_digest == "0" * 32
+    assert audit_ledger(replica_a).ok()
+
+
 def test_append_rejects_sequence_gap():
     ledger = DagLedger("A")
     otx, tx_id = make_otx(seq=2)

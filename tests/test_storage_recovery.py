@@ -873,3 +873,40 @@ def test_state_transfer_install_is_durable(tmp_path):
     assert recovered.ledger.height("A", 0) == 16
     assert recovered.applied_seq("A") == 16
     recovered.backend.close()
+
+
+def test_duplicate_request_mark_is_counted_like_recovery_counts_it(tmp_path):
+    # A request re-ordered after a view change is skipped, but its
+    # version mark is journaled: the live fold counter must count it,
+    # as the recovered one does.
+    from repro.core.contracts import ContractRegistry
+    from repro.datamodel import (
+        CollectionRegistry, LocalPart, Operation, ShardingSchema,
+        Transaction, TxId,
+    )
+    from repro.datamodel.transaction import OrderedTransaction
+
+    collections = CollectionRegistry()
+    collections.create("A")
+    contracts = ContractRegistry()
+    schema = ShardingSchema(1)
+    backend = WalBackend(tmp_path / "n0")
+    unit = ExecutionUnit("n0", collections, contracts, schema, 0,
+                         backend=backend)
+    tx = Transaction(
+        client="c", timestamp=1, operation=Operation("kv", "incr", ("n", 1)),
+        scope=frozenset("A"), keys=("n",),
+    )
+    for seq in (1, 2):  # the same request, ordered twice
+        tx_id = TxId(LocalPart("A", 0, seq))
+        unit.commit(OrderedTransaction(tx, (tx_id,)), tx_id)
+    assert unit.executed_count == 1 and unit.ledger.height("A") == 2
+    assert unit._unfolded[("A", 0)] == 2  # one write, one mark
+    backend.close()
+
+    recovered, _ = ExecutionUnit.recover(
+        "n0", collections, contracts, schema, 0, WalBackend(tmp_path / "n0")
+    )
+    assert recovered._unfolded == unit._unfolded
+    assert recovered.state_digest("A", 0) == unit.state_digest("A", 0)
+    recovered.backend.close()
