@@ -139,7 +139,7 @@ class CoordinatorEngine(CrossEngine):
         if msg.certificate is None or not msg.certificate.verify(
             self.node.key_registry,
             coord_info.local_majority,
-            frozenset(coord_info.members),
+            coord_info.member_set,
         ):
             return
         state = self._state(block, coordinator=msg.coordinator)
@@ -249,7 +249,7 @@ class CoordinatorEngine(CrossEngine):
             if msg.certificate.verify(
                 self.node.key_registry,
                 info.local_majority,
-                frozenset(info.members),
+                info.member_set,
             ):
                 state.prepared_certs[msg.cluster] = msg.certificate
                 for name, ids in msg.ids_by_cluster:
@@ -316,7 +316,7 @@ class CoordinatorEngine(CrossEngine):
         if msg.certificate is None or not msg.certificate.verify(
             self.node.key_registry,
             coord_info.local_majority,
-            frozenset(coord_info.members),
+            coord_info.member_set,
         ):
             return
         state = self._state(msg.block, coordinator=msg.coordinator)

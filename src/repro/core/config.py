@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.consensus.base import cluster_size, local_majority
 from repro.errors import ConfigurationError
@@ -175,9 +176,14 @@ class ClusterInfo:
     failure_model: str
     f: int
 
-    @property
+    # Derived once per entry: certificate checks read both per entry.
+    @cached_property
     def local_majority(self) -> int:
         return local_majority(self.failure_model, self.f)
+
+    @cached_property
+    def member_set(self) -> frozenset[str]:
+        return frozenset(self.members)
 
 
 @dataclass

@@ -53,6 +53,13 @@ class KeyRegistry:
         # repeats many times per transaction; secrets never change once
         # enrolled, which makes the outcome cacheable.
         self._verify_cache: dict[tuple[str, str, str], bool] = {}
+        # identity -> its HMAC-SHA256 inner and outer hash states, keyed
+        # once: a MAC copies them instead of re-deriving the key pads.
+        self._pads: dict[str, tuple[Any, Any]] = {}
+
+    def __getstate__(self) -> dict:
+        # Hash states do not pickle; a loaded copy re-derives its pads.
+        return {**self.__dict__, "_pads": {}}
 
     def enroll(self, identity: str) -> None:
         """Issue a key pair for ``identity`` (idempotent)."""
@@ -69,6 +76,24 @@ class KeyRegistry:
         except KeyError:
             raise CryptoError(f"identity {identity!r} not enrolled") from None
 
+    def mac(self, identity: str, payload_digest: str) -> str:
+        """``identity``'s MAC of a digest: byte-identical to
+        ``hmac.digest(secret, digest, "sha256").hex()[:32]``."""
+        pads = self._pads.get(identity)
+        if pads is None:
+            # Secrets are SHA-256 digests, shorter than the block size,
+            # so the HMAC key is the secret zero-padded to 64 bytes.
+            key = self.secret(identity).ljust(64, b"\0")
+            pads = self._pads[identity] = (
+                hashlib.sha256(key.translate(hmac.trans_36)),
+                hashlib.sha256(key.translate(hmac.trans_5C)),
+            )
+        inner = pads[0].copy()
+        inner.update(payload_digest.encode())
+        outer = pads[1].copy()
+        outer.update(inner.digest())
+        return outer.hexdigest()[:32]
+
 
 @dataclass(frozen=True)
 class SignedMessage(Canonical):
@@ -78,6 +103,10 @@ class SignedMessage(Canonical):
     payload_digest: str
     signature: str
 
+    def __hash__(self) -> int:
+        # Equal messages carry equal MACs, and a str caches its hash.
+        return hash(self.signature)
+
     def _canonical_bytes(self) -> bytes:
         return f"{self.signer}|{self.payload_digest}|{self.signature}".encode()
 
@@ -86,12 +115,9 @@ def sign(registry: KeyRegistry, identity: str, payload: Any) -> SignedMessage:
     """Sign a payload (any canonicalizable value) as ``identity``."""
     count_sign()
     payload_digest = payload if isinstance(payload, str) else digest(payload)
-    # hmac.digest is the one-shot C implementation of
-    # hmac.new(...).hexdigest() — same MAC, no HMAC-object overhead.
-    mac = hmac.digest(
-        registry.secret(identity), payload_digest.encode(), "sha256"
-    ).hex()[:32]
-    return SignedMessage(identity, payload_digest, mac)
+    return SignedMessage(
+        identity, payload_digest, registry.mac(identity, payload_digest)
+    )
 
 
 def verify(
@@ -114,11 +140,7 @@ def verify(
     if valid is None:
         if not registry.is_enrolled(signed.signer):
             return False
-        expected = hmac.digest(
-            registry.secret(signed.signer),
-            signed.payload_digest.encode(),
-            "sha256",
-        ).hex()[:32]
+        expected = registry.mac(signed.signer, signed.payload_digest)
         valid = hmac.compare_digest(expected, signed.signature)
         if len(cache) >= _VERIFY_CACHE_MAX:
             cache.clear()
@@ -191,11 +213,7 @@ def verify_many(
             count_verify()
             if not registry.is_enrolled(signer):
                 continue
-            expected = hmac.digest(
-                registry._secrets[signer],
-                signed.payload_digest.encode(),
-                "sha256",
-            ).hex()[:32]
+            expected = registry.mac(signer, signed.payload_digest)
             ok = hmac.compare_digest(expected, signed.signature)
             if len(cache) >= _VERIFY_CACHE_MAX:
                 cache.clear()

@@ -76,6 +76,12 @@ class TxId(Canonical):
             object.__setattr__(self, "_gamma_map_cache", cached)
         return cached
 
+    def __hash__(self) -> int:
+        # Equal IDs encode equally; the encoding is memoised on the ID
+        # and caches its own hash, so an intern-table probe does not
+        # re-hash α and every γ entry.
+        return hash(self.canonical_bytes())
+
     def _canonical_bytes(self) -> bytes:
         parts = b";".join(g.canonical_bytes() for g in self.gamma)
         return b"id|" + self.alpha.canonical_bytes() + b"|" + parts

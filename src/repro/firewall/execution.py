@@ -61,16 +61,13 @@ class ExecutionNode(SimNode):
 
     def _on_exec_order(self, msg: ExecOrder, src: str) -> None:
         clusters = self.deployment.directory.clusters
-        members: dict[str, frozenset[str]] = {}  # per order, not per entry
         verified = []
         for entry in msg.entries:
             certificate = entry.certificate
             info = clusters.get(certificate.cluster)
             if info is not None:
-                if info.name not in members:
-                    members[info.name] = frozenset(info.members)
                 valid = certificate.verify(
-                    self.key_registry, info.local_majority, members[info.name]
+                    self.key_registry, info.local_majority, info.member_set
                 )
             else:
                 valid = certificate.verify(self.key_registry, self.order_quorum)

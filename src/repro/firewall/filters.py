@@ -87,7 +87,7 @@ class FilterNode(SimNode):
         info = self.deployment.directory.clusters.get(certificate.cluster)
         if info is not None:
             return certificate.verify(
-                self.key_registry, info.local_majority, frozenset(info.members)
+                self.key_registry, info.local_majority, info.member_set
             )
         return certificate.verify(self.key_registry, self.order_quorum)
 
@@ -103,7 +103,9 @@ class FilterNode(SimNode):
                 continue
             self._forwarded_up.add(key)
             passed.append(entry)
-        if passed:
+        if len(passed) == len(msg.entries):
+            self.multicast(self.peers_above, msg)  # every entry passed
+        elif passed:
             self.multicast(self.peers_above, ExecOrder(tuple(passed)))
 
     # ------------------------------------------------------------------

@@ -12,9 +12,11 @@ Two scheduling surfaces exist:
   :class:`Event` handle for callers that may cancel (protocol timers,
   retransmission guards);
 - :meth:`Simulator.schedule_fire` / :meth:`Simulator.schedule_at_fire`
-  are the flyweight path for fire-and-forget work — message delivery
-  and CPU-queue completions, the two hottest call sites — which skips
-  the per-call Event allocation entirely.
+  are the flyweight path for fire-and-forget work, which skips the
+  per-call Event allocation entirely; :meth:`Simulator.fire_at` and
+  :meth:`Simulator.fire_all` are the same push without argument
+  packing or validation, for the two hottest call sites (CPU-queue
+  completions and a multicast's deliveries).
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ import heapq
 from typing import Any, Callable
 
 _INF = float("inf")
+
+#: Cancelled timers stay in the heap until popped or until they
+#: outnumber live entries by this factor; then the heap is rebuilt
+#: without them.  Keys are unique ``(time, seq)`` pairs, so dropping
+#: entries never changes the order the rest pop in.
+_COMPACT_FACTOR = 4
 
 
 class Event:
@@ -67,12 +75,12 @@ class Event:
                     "live-event accounting)"
                 )
             self.cancelled = True
-            # Keep the owning simulator's live-event counter exact:
-            # a fired event drops its back-reference, so cancelling it
-            # afterwards (or twice) cannot decrement again.
+            # Keep the owning simulator's cancelled count exact: a fired
+            # (or already cancelled) event has no back-reference, so
+            # cancelling it again cannot count twice.
             if sim is not None:
-                sim._live -= 1
                 self._sim = None
+                sim._cancelled_one()
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -119,17 +127,16 @@ class Simulator:
         # run() / run_horizon() call.
         self._obs_active = obs.REGISTRY is not None
         self.queue_peak = 0
-        # The heap holds (time, seq, payload) tuples rather than bare
+        # The heap holds (time, seq, fn, args) tuples rather than bare
         # Events: heap sift compares are then C-level float/int tuple
-        # comparisons instead of Python ``Event.__lt__`` calls — the
-        # single hottest call site of a bench run before this change
-        # (~2.1M comparator calls in one smoke matrix).  ``payload`` is
-        # an :class:`Event` for cancellable schedules or a plain
-        # ``(fn, args)`` pair for the flyweight fire-and-forget path.
-        self._queue: list[tuple[float, int, Any]] = []
+        # comparisons instead of Python ``Event.__lt__`` calls.  A
+        # cancellable schedule is ``(time, seq, event, None)``.
+        self._queue: list[tuple[float, int, Any, tuple | None]] = []
         self._seq = 0
         self._events_processed = 0
-        self._live = 0
+        #: Cancelled events still in the heap: ``pending()`` is the
+        #: heap size minus this, exact at any moment.
+        self._cancelled = 0
 
     @property
     def events_processed(self) -> int:
@@ -150,8 +157,7 @@ class Simulator:
         seq = self._seq
         event = Event(time, seq, fn, args, self)
         self._seq = seq + 1
-        self._live += 1
-        heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, seq, event, None))
         return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
@@ -161,31 +167,57 @@ class Simulator:
         seq = self._seq
         event = Event(time, seq, fn, args, self)
         self._seq = seq + 1
-        self._live += 1
-        heapq.heappush(self._queue, (time, seq, event))
+        heapq.heappush(self._queue, (time, seq, event, None))
         return event
 
     def schedule_fire(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no Event handle, so no way
-        to cancel — and no per-call Event allocation.  Used by the
-        network delivery path, which never cancels."""
+        to cancel — and no per-call Event allocation."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        heapq.heappush(self._queue, (self.now + delay, seq, (fn, args)))
+        heapq.heappush(self._queue, (self.now + delay, seq, fn, args))
 
     def schedule_at_fire(
         self, time: float, fn: Callable[..., Any], *args: Any
     ) -> None:
-        """Fire-and-forget :meth:`schedule_at` (CPU-queue completions)."""
+        """Fire-and-forget :meth:`schedule_at` (boundary envelopes)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        self.fire_at(time, fn, args)
+
+    def fire_at(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
+        """Queue ``fn(*args)`` at ``time``, which the caller guarantees
+        is not in the past (a send's arrival, a CPU-queue completion)."""
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
-        heapq.heappush(self._queue, (time, seq, (fn, args)))
+        heapq.heappush(self._queue, (time, seq, fn, args))
+
+    def fire_all(
+        self, fires: list[tuple[float, Callable[..., Any]]], args: tuple
+    ) -> None:
+        """Queue ``fn(*args)`` at ``time`` for each ``(time, fn)`` of
+        one multicast, sequence numbers in list order — what one
+        :meth:`fire_at` per destination would assign."""
+        queue = self._queue
+        push = heapq.heappush
+        seq = self._seq
+        for time, fn in fires:
+            push(queue, (time, seq, fn, args))
+            seq += 1
+        self._seq = seq
+
+    def _cancelled_one(self) -> None:
+        """Count one cancelled event; rebuild the heap without the
+        cancelled ones once they outnumber the live ones
+        ``_COMPACT_FACTOR`` to one."""
+        cancelled = self._cancelled = self._cancelled + 1
+        queue = self._queue
+        if cancelled > _COMPACT_FACTOR * (len(queue) - cancelled):
+            queue[:] = [e for e in queue if e[3] is not None or not e[2].cancelled]
+            heapq.heapify(queue)
+            self._cancelled = 0
 
     def run(
         self,
@@ -250,7 +282,6 @@ class Simulator:
         how many fired."""
         queue = self._queue
         pop = heapq.heappop
-        event_cls = Event
         limit = _INF if until is None else until
         budget = -1 if max_events is None else max_events
         budget_exhausted = False
@@ -259,47 +290,47 @@ class Simulator:
         # the same loop — the same event sequence — runs on and off.
         obs_active = self._obs_active
         peak = self.queue_peak
-        while queue:
-            if obs_active:
-                depth = len(queue)
-                if depth > peak:
-                    peak = depth
-            time, _, payload = queue[0]
-            if time >= limit and (time > limit or not inclusive):
-                break
-            if payload.__class__ is event_cls:
-                if payload.cancelled:
+        try:
+            while queue:
+                if obs_active:
+                    depth = len(queue)
+                    if depth > peak:
+                        peak = depth
+                time, _, fn, args = queue[0]
+                if time >= limit and (time > limit or not inclusive):
+                    break
+                if args is None and fn.cancelled:
                     pop(queue)
+                    self._cancelled -= 1
                     continue
-            if fired == budget:
-                budget_exhausted = True
-                if raise_on_limit:
-                    self.queue_peak = peak
-                    from repro.errors import SimulationLimitError
+                if fired == budget:
+                    budget_exhausted = True
+                    if raise_on_limit:
+                        from repro.errors import SimulationLimitError
 
-                    raise SimulationLimitError(
-                        f"simulation exceeded {max_events} events without "
-                        f"finishing: now={self.now:.6f}, "
-                        f"pending={self.pending()}, queue head={payload!r}"
-                    )
-                break
-            pop(queue)
-            if payload.__class__ is event_cls:
-                payload._sim = None
-                fn = payload.fn
-                args = payload.args
-            else:
-                fn, args = payload
-            self._live -= 1
-            self.now = time
-            fn(*args)
-            fired += 1
-            self._events_processed += 1
-        self.queue_peak = peak
+                        raise SimulationLimitError(
+                            f"simulation exceeded {max_events} events without "
+                            f"finishing: now={self.now:.6f}, "
+                            f"pending={self.pending()}, queue head={fn!r}"
+                        )
+                    break
+                pop(queue)
+                if args is None:
+                    fn._sim = None
+                    args = fn.args
+                    fn = fn.fn
+                self.now = time
+                fn(*args)
+                fired += 1
+        finally:
+            # Counted once per run, on every exit path (an exhausted
+            # budget, a handler that raised).
+            self._events_processed += fired
+            self.queue_peak = peak
         if until is not None and self.now < until and not budget_exhausted:
             self.now = until
         return fired
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._live
+        return len(self._queue) - self._cancelled

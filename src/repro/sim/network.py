@@ -41,18 +41,14 @@ class _View:
     its own view, at the same *virtual* time.
     """
 
-    __slots__ = ("latency", "links", "blocked", "unrestricted")
+    __slots__ = ("latency", "links", "blocked")
 
     def __init__(self, latency: LatencyModel):
         self.latency = latency
-        #: (src, dst) -> (latency sampler, the pair's rng stream, same
-        #: partition?) — one dict probe per message on the hot path.
-        self.links: dict[tuple[str, str], tuple[Any, random.Random, bool]] = {}
+        #: src -> dst -> the pair resolved once per wiring (see
+        #: ``Network._link``); cleared whenever the wiring changes.
+        self.links: dict[str, dict[str, tuple | None]] = {}
         self.blocked: set[frozenset[str]] = set()
-        #: Fast-path flag: True while this view has no blocked pair and
-        #: the network no link restriction (the common case), letting
-        #: ``send`` skip the per-message ``_routable`` walk.
-        self.unrestricted = True
 
 
 class Network:
@@ -147,10 +143,10 @@ class Network:
         """
         self._allowed_links[node_id] = frozenset(allowed_peers)
         for view in self._views:
-            view.unrestricted = False
+            view.links.clear()
 
     def allowed_peers(self, node_id: str) -> frozenset[str] | None:
-        """The restriction set for a node, or None if unrestricted."""
+        """The restriction set for a node, or None if it may reach anyone."""
         return self._allowed_links.get(node_id)
 
     # ------------------------------------------------------------------
@@ -160,18 +156,18 @@ class Network:
         """Partition the pair: messages between a and b are dropped."""
         view = self._view()
         view.blocked.add(frozenset((a, b)))
-        view.unrestricted = False
+        view.links.clear()
 
     def unblock(self, a: str, b: str) -> None:
         view = self._view()
         view.blocked.discard(frozenset((a, b)))
-        view.unrestricted = not view.blocked and not self._allowed_links
+        view.links.clear()
 
     def heal(self) -> None:
         """Remove all pairwise partitions."""
         view = self._view()
         view.blocked.clear()
-        view.unrestricted = not self._allowed_links
+        view.links.clear()
 
     def partition(self, *groups: Iterable[str]) -> None:
         """Split the named nodes into isolated groups.
@@ -206,22 +202,29 @@ class Network:
             return False
         return True
 
-    def _link(
-        self, view: _View, src: str, dst: str
-    ) -> tuple[Any, random.Random, bool]:
-        """Resolve and cache a pair's sampler, rng stream and locality."""
-        pair = (src, dst)
-        rng = self._pair_rngs.get(pair)
-        if rng is None:
-            rng = self._pair_rngs[pair] = random.Random(
-                f"pair|{self._seed}|{src}|{dst}"
+    def _link(self, view: _View, src: str, dst: str) -> tuple | None:
+        """Resolve and cache a pair for the view's current wiring: None
+        when no route exists, ``()`` for a self-send (zero delay, no
+        draws, so no rng stream), else the pair's (sampler, rng stream,
+        same partition?)."""
+        if not self._routable(view, src, dst):
+            link = None
+        elif src == dst:
+            link = ()
+        else:
+            pair = (src, dst)
+            rng = self._pair_rngs.get(pair)
+            if rng is None:
+                rng = self._pair_rngs[pair] = random.Random(
+                    f"pair|{self._seed}|{src}|{dst}"
+                )
+            partition_of = self._partition_of
+            link = (
+                view.latency.sampler(src, dst),
+                rng,
+                partition_of[src] == partition_of[dst],
             )
-        partition_of = self._partition_of
-        link = view.links[pair] = (
-            view.latency.sampler(src, dst),
-            rng,
-            partition_of[src] == partition_of[dst],
-        )
+        view.links.setdefault(src, {})[dst] = link
         return link
 
     def _post(self, time: float, src: str, dst: str, msg: Any) -> None:
@@ -248,18 +251,20 @@ class Network:
         executing kernel; one in another partition becomes a
         timestamped :class:`~repro.sim.partition.Envelope`.
 
-        This is the hottest call in the simulation (one per message
-        per destination), so the common case is kept lean: with no
-        partitions or link restrictions the ``_routable`` walk is
-        skipped outright, and the pair's sampler, rng stream and
-        locality come out of one cached dict probe.
+        This is the hottest call in the simulation, so the pair's
+        route, sampler, rng stream and locality come out of one cached
+        probe, resolved once per wiring by :meth:`_link`.
         """
         deliver = self._deliver.get(dst)
         if deliver is None:
             raise ConfigurationError(f"unknown destination {dst!r}")
         sim = self.sim
         view = self._views[sim.current_pid]
-        if not view.unrestricted and not self._routable(view, src, dst):
+        try:
+            link = view.links[src][dst]
+        except KeyError:
+            link = self._link(view, src, dst)
+        if link is None:
             return False
         self.messages_sent += 1
         registry = self._obs_registry
@@ -267,12 +272,10 @@ class Network:
             registry.counter(
                 "messages_sent", kind=msg.__class__.__name__
             ).inc()
+        kernel = sim.current
         if src == dst:
-            sim.current.schedule_fire(0.0, deliver, msg, src)
+            kernel.fire_at(kernel.now, deliver, (msg, src))
             return True
-        link = view.links.get((src, dst))
-        if link is None:
-            link = self._link(view, src, dst)
         sampler, rng, local = link
         if self.drop_probability > 0.0 and rng.random() < self.drop_probability:
             self.messages_dropped += 1
@@ -282,75 +285,64 @@ class Network:
                 ).inc()
             return True
         if local:
-            sim.current.schedule_fire(sampler(rng), deliver, msg, src)
+            kernel.fire_at(kernel.now + sampler(rng), deliver, (msg, src))
         else:
-            self._post(sim.current.now + sampler(rng), src, dst, msg)
+            self._post(kernel.now + sampler(rng), src, dst, msg)
         return True
 
     def multicast(self, src: str, dsts: Iterable[str], msg: Any) -> int:
         """Send ``msg`` to every destination; returns the routable count.
 
-        With no partitions or link restrictions (the dirty flag that
-        already guards :meth:`send`) the whole fan-out runs on one fast
-        path: the ``_routable`` walk is skipped per destination, and
-        the hot lookups — delivery table, link cache, the executing
-        kernel's ``schedule_fire``, obs counters — are resolved once
-        per multicast instead of once per destination.  Counter totals
-        and every pair's draw sequence are identical to the per-send
-        loop, so runs stay bit-identical.
+        The fan-out resolves the hot lookups — the sender's link row,
+        delivery table, executing kernel, obs counters — once per
+        multicast, builds the ``(msg, src)`` arguments once, and queues
+        every local delivery in one kernel call.  Counter totals and
+        every pair's draw sequence are identical to one :meth:`send`
+        per destination, so runs stay bit-identical.
         """
         sim = self.sim
         view = self._views[sim.current_pid]
-        if not view.unrestricted:
-            send = self.send
-            routed = 0
-            for dst in dsts:
-                if send(src, dst, msg):
-                    routed += 1
-            return routed
+        row = view.links.get(src)
+        if row is None:
+            row = view.links[src] = {}
         deliver_map = self._deliver
-        registry = self._obs_registry
-        sent_counter = dropped_counter = None
-        if registry is not None:
-            # The dropped-counter series is resolved lazily below:
-            # creating it on a drop-free run would register a zero
-            # series the per-send path never materializes.
-            sent_counter = registry.counter(
-                "messages_sent", kind=msg.__class__.__name__
-            )
         drop_p = self.drop_probability
-        links = view.links
         kernel = sim.current
-        schedule_fire = kernel.schedule_fire
+        now = kernel.now
+        fires = []
         sent = 0
         dropped = 0
         for dst in dsts:
             deliver = deliver_map.get(dst)
             if deliver is None:
                 raise ConfigurationError(f"unknown destination {dst!r}")
-            sent += 1
-            if sent_counter is not None:
-                sent_counter.inc()
-            if src == dst:
-                schedule_fire(0.0, deliver, msg, src)
-                continue
-            link = links.get((src, dst))
-            if link is None:
+            try:
+                link = row[dst]
+            except KeyError:
                 link = self._link(view, src, dst)
+            if link is None:
+                continue
+            sent += 1
+            if src == dst:
+                fires.append((now, deliver))
+                continue
             sampler, rng, local = link
             if drop_p > 0.0 and rng.random() < drop_p:
                 dropped += 1
-                if registry is not None:
-                    if dropped_counter is None:
-                        dropped_counter = registry.counter(
-                            "messages_dropped",
-                            kind=msg.__class__.__name__,
-                        )
-                    dropped_counter.inc()
             elif local:
-                schedule_fire(sampler(rng), deliver, msg, src)
+                fires.append((now + sampler(rng), deliver))
             else:
-                self._post(kernel.now + sampler(rng), src, dst, msg)
+                self._post(now + sampler(rng), src, dst, msg)
+        if fires:
+            kernel.fire_all(fires, (msg, src))
         self.messages_sent += sent
         self.messages_dropped += dropped
+        registry = self._obs_registry
+        if registry is not None:
+            kind = msg.__class__.__name__
+            # The dropped series only exists once something dropped,
+            # as with per-send counting.
+            registry.counter("messages_sent", kind=kind).inc(sent)
+            if dropped:
+                registry.counter("messages_dropped", kind=kind).inc(dropped)
         return sent

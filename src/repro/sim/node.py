@@ -66,6 +66,9 @@ class SimNode(Actor):
         # virtual processing_time call.
         self._inline_cost = type(self.cost_model) is CalibratedCost
         self._cost_entries: dict[type, tuple] = {}
+        # The CPU-queue completion handler, bound once rather than per
+        # delivery.
+        self._handle_queued = self._handle
         # Observability capture (None when off): one attribute check in
         # deliver(), no global lookup on the hot path.
         from repro import obs
@@ -118,7 +121,7 @@ class SimNode(Actor):
         if finish <= now:
             self._handle(msg, src)
         else:
-            sim.schedule_at_fire(finish, self._handle, msg, src)
+            sim.current.fire_at(finish, self._handle_queued, (msg, src))
 
     def charge(self, seconds: float) -> None:
         """Charge CPU time for work done outside a message handler

@@ -64,6 +64,9 @@ class SmallBankWorkload:
         if num_shards < 2 and mix.cross > 0 and mix.cross_type in ("csie", "csce"):
             raise WorkloadError("cross-shard transactions need >= 2 shards")
         self.enterprises = tuple(enterprises)
+        # One single-enterprise scope per enterprise, shared by every
+        # internal / csie / hotspot spec drawn for it.
+        self._own_scope = {e: frozenset((e,)) for e in self.enterprises}
         self.num_shards = num_shards
         self.shared_scopes = [frozenset(s) for s in shared_scopes]
         self.mix = mix
@@ -117,7 +120,7 @@ class SmallBankWorkload:
         self.generated[kind] += 1
         if kind == "internal":
             enterprise = self.rng.choice(self.enterprises)
-            scope = frozenset((enterprise,))
+            scope = self._own_scope[enterprise]
             shard = self.rng.randrange(self.num_shards)
             src = self._account(shard)
             dst = self._account(shard, exclude=src)
@@ -129,7 +132,7 @@ class SmallBankWorkload:
             dst = self._account(shard, exclude=src)
         elif kind == "csie":
             enterprise = self.rng.choice(self.enterprises)
-            scope = frozenset((enterprise,))
+            scope = self._own_scope[enterprise]
             shard_a, shard_b = self._two_shards()
             src = self._account(shard_a)
             dst = self._account(shard_b)
@@ -152,7 +155,7 @@ class SmallBankWorkload:
         replays bit-identically."""
         self.generated["hotspot"] += 1
         enterprise = self.rng.choice(self.enterprises)
-        scope = frozenset((enterprise,))
+        scope = self._own_scope[enterprise]
         bucket = self._buckets[shard % self.num_shards]
         if len(bucket) < 2:
             raise WorkloadError("hotspot transactions need >= 2 accounts")

@@ -1,6 +1,11 @@
 """Unit tests for simulated crypto primitives."""
 
+import hmac
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto import (
     Envelope,
@@ -102,6 +107,38 @@ def test_verify_does_not_cache_unenrolled_signers():
     assert not verify(other, signed)
     other.enroll("bob")
     assert verify(other, signed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    identity=st.text(min_size=1, max_size=24),
+    payloads=st.lists(st.text(max_size=64), min_size=1, max_size=4),
+)
+def test_registry_mac_is_the_hmac_of_the_digest(identity, payloads):
+    # The registry keeps each identity's keyed hash states and copies
+    # them per MAC; the bytes must be exactly the one-shot HMAC's.
+    registry = KeyRegistry()
+    registry.enroll(identity)
+    secret = registry.secret(identity)
+    for payload in payloads:
+        expected = hmac.digest(secret, payload.encode(), "sha256").hex()[:32]
+        assert registry.mac(identity, payload) == expected
+        assert sign(registry, identity, payload).signature == expected
+
+
+def test_pickled_registry_signs_verifies_and_rejects_forgeries(registry):
+    # Certificates carry their registry into shard-parallel envelopes:
+    # the cached hash states must not be pickled, and a loaded copy
+    # must re-derive them.
+    signed = sign(registry, "alice", "payload")  # pads cached
+    loaded = pickle.loads(pickle.dumps(registry))
+    assert loaded._pads == {}
+    assert verify(loaded, signed, "payload")
+    again = sign(loaded, "alice", "payload")
+    assert again == signed and verify(registry, again)
+    forged = SignedMessage("bob", signed.payload_digest, signed.signature)
+    assert not verify(loaded, forged)
+    assert not verify(loaded, SignedMessage("alice", "0" * 32, signed.signature))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Firewall wiring invariants for general f, g, h (§3.4)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import Deployment, DeploymentConfig
@@ -112,3 +114,90 @@ def test_h_crashed_filters_leave_a_live_path():
     rid = client.submit(tx)
     deployment.run(3.0)
     assert rid in {c[0] for c in client.completed}
+
+
+class _Probe:
+    """A message no node handles: filters drop it, nodes ignore it."""
+
+
+def _submit(deployment, count):
+    client = deployment.create_client("A")
+    for i in range(count):
+        tx = client.make_transaction(
+            {"A"}, Operation("kv", "set", (f"k{i}", i)), keys=(f"k{i}",)
+        )
+        client.submit(tx)
+    return client
+
+
+def test_firewall_wiring_changes_mid_run_route_like_routable():
+    # Flt-B(PF): the link cache is warm with real traffic when each
+    # wiring change lands; every probe afterwards routes exactly as
+    # _routable says, and an unroutable probe schedules nothing.
+    deployment = build()
+    network = deployment.network
+    sim = deployment.sim
+    client = _submit(deployment, 8)
+    ordering = list(deployment.directory.get("A1").members)
+    ids = sorted(network.node_ids())
+    changes = [
+        lambda: network.block(ordering[0], ordering[1]),
+        lambda: network.partition(ordering[:2], ordering[2:]),
+        lambda: network.unblock(ordering[0], ordering[2]),
+        lambda: network.isolate(ordering[3], ordering[:3]),
+        lambda: network.heal(),
+        lambda: network.restrict_links(client.node_id, ordering),
+    ]
+    deployment.run(0.01)
+    for change in changes:
+        change()
+        view = network._views[0]
+        for src in ids:
+            for dst in ids:
+                expected = network._routable(view, src, dst)
+                before = sim.pending()
+                assert network.send(src, dst, _Probe()) is expected
+                assert (sim.pending() - before) == int(expected)
+            expected = sum(network._routable(view, src, dst) for dst in ids)
+            assert network.multicast(src, ids, _Probe()) == expected
+        deployment.run(0.01)
+    deployment.run(2.0)
+    assert len(client.completed) == 8
+
+
+def test_routes_are_resolved_once_per_pair_per_wiring():
+    deployment = build()
+    network = deployment.network
+    calls = Counter()
+    routable = network._routable
+
+    def spy(view, src, dst):
+        calls[src, dst] += 1
+        return routable(view, src, dst)
+
+    network._routable = spy
+    client = deployment.create_client("A")
+    ordering = deployment.directory.get("A1").members
+    phases = [
+        lambda: None,
+        lambda: network.block(ordering[0], ordering[1]),
+        lambda: network.heal(),
+    ]
+    sent = 0
+    for phase, change in enumerate(phases):
+        change()
+        calls.clear()
+        for i in range(8):
+            key = f"k{phase}.{i}"
+            client.submit(
+                client.make_transaction(
+                    {"A"}, Operation("kv", "set", (key, i)), keys=(key,)
+                )
+            )
+        deployment.run(1.0)
+        assert len(client.completed) == 8 * (phase + 1)
+        # At most one route walk per pair since the last wiring change,
+        # against many messages over those pairs.
+        assert calls and max(calls.values()) == 1
+        assert network.messages_sent - sent > 3 * len(calls)
+        sent = network.messages_sent

@@ -319,8 +319,30 @@ def test_only_the_named_smoke_scenarios_are_unpartitionable():
     }
 
 
+def _firewall_partition_heal():
+    """Firewall wiring, per-partition views and a mid-run wiring change
+    in one spec: Flt-B(PF) with two of A1's ordering nodes cut apart a
+    quarter into the measurement window and healed at its midpoint."""
+    spec = _smoke("byzantine-firewall")
+    m = spec.measurement
+    return dataclasses.replace(
+        spec,
+        name="firewall-partition-heal",
+        faults=(
+            FaultEvent(
+                at=m.warmup + m.measure / 4,
+                kind="partition",
+                groups=(("node:A1.o0",), ("node:A1.o1",)),
+            ),
+            FaultEvent(at=m.warmup + m.measure / 2, kind="heal"),
+        ),
+    )
+
+
 @pytest.mark.parametrize(
-    "spec", _smoke_registry()[0], ids=lambda spec: spec.name
+    "spec",
+    _smoke_registry()[0] + [_firewall_partition_heal()],
+    ids=lambda spec: spec.name,
 )
 def test_one_spec_one_answer(spec):
     """The guarantee: a spec the validation function accepts yields the

@@ -238,3 +238,72 @@ def test_run_and_inclusive_horizon_fire_the_same_sequence(obs_on):
     tags = [tag for _, tag in ran[0]]
     assert tags == ["a", "b", "a+", "b+", "edge", "a++"]
     assert (ran[4] > 0) == obs_on  # queue peak is tracked only when observed
+
+
+# ----------------------------------------------------------------------
+# heap compaction: cancelled timers are dropped, order is kept
+# ----------------------------------------------------------------------
+def _cancel_heavy(advance, compact):
+    """A failure-detector-like load: every event arms timers at coarse
+    (tied) times and cancels most of what is armed.  Returns what fired
+    and the kernel's accounting after ``advance``."""
+    import itertools
+    import random
+
+    from repro.sim import kernel
+
+    saved = kernel._COMPACT_FACTOR
+    kernel._COMPACT_FACTOR = 4 if compact else 1 << 60
+    try:
+        sim = Simulator()
+        rng = random.Random(5)
+        serial = itertools.count()
+        fired, armed, peak = [], [], [0]
+
+        def tick(tag):
+            fired.append((sim.now, tag))
+            peak[0] = max(peak[0], len(sim._queue))
+            if len(fired) < 3000:  # the message chain: short, tied delays
+                sim.schedule_fire(rng.choice((0.01, 0.02)), tick, next(serial))
+            # The detector: re-arm a long timer, cancel an older one.
+            armed.append(sim.schedule(rng.choice((5.0, 10.0)), tick, next(serial)))
+            while len(armed) > 3:
+                armed.pop(rng.randrange(len(armed))).cancel()
+
+        for _ in range(3):
+            sim.schedule(0.0, tick, next(serial))
+        outcome = advance(sim)
+        live = sum(1 for e in sim._queue if e[3] is not None or not e[2].cancelled)
+        return fired, outcome, sim.events_processed, sim.pending(), live, peak[0]
+    finally:
+        kernel._COMPACT_FACTOR = saved
+
+
+def _limited(sim):
+    from repro.errors import SimulationLimitError
+
+    with pytest.raises(SimulationLimitError):
+        sim.run(max_events=2000, raise_on_limit=True)
+    return "limit"
+
+
+@pytest.mark.parametrize(
+    "advance",
+    [
+        lambda sim: sim.run(until=12.0),
+        lambda sim: sim.run_horizon(12.0),
+        _limited,
+    ],
+    ids=["run", "run_horizon", "limit"],
+)
+def test_compaction_keeps_the_fire_order_and_exact_accounting(advance):
+    compacted = _cancel_heavy(advance, compact=True)
+    reference = _cancel_heavy(advance, compact=False)
+    fired, outcome, processed, pending, live, peak = compacted
+    # Same events, same (time, seq) order, same accounting.
+    assert compacted[:5] == reference[:5]
+    assert len(fired) > 500
+    assert processed == len(fired)
+    assert pending == live > 0
+    # ...from a heap that held a fraction of the cancelled timers.
+    assert peak * 3 < reference[5]

@@ -1,5 +1,7 @@
 """Unit tests for the simulated network and node actors."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -280,3 +282,115 @@ def test_samplers_draw_identically_to_direct_delay_calls():
         for _ in range(50):
             assert sampler(rng_sampled) == model.delay("a", "b", rng_direct)
         assert rng_direct.random() == rng_sampled.random()  # same draw count
+
+
+# ----------------------------------------------------------------------
+# the link cache: one route probe per pair per wiring
+# ----------------------------------------------------------------------
+def _wiring_script(seed, ids, steps):
+    """A deterministic mix of traffic and mid-run wiring changes; an
+    unblock lifts a cut the script made earlier."""
+    rng = random.Random(seed)
+    cut = []
+    for step in range(steps):
+        op = rng.choice(("send",) * 24 + (
+            "block", "unblock", "heal", "partition", "isolate", "restrict",
+            "latency",
+        ))
+        if op == "send":
+            yield op, (rng.choice(ids), rng.sample(ids, rng.randint(1, len(ids))))
+        elif op == "block":
+            pair = tuple(rng.sample(ids, 2))
+            cut.append(pair)
+            yield op, pair
+        elif op == "unblock":
+            yield op, cut.pop(rng.randrange(len(cut))) if cut else tuple(ids[:2])
+        elif op == "partition":
+            at = rng.randint(1, len(ids) - 1)
+            shuffled = rng.sample(ids, len(ids))
+            cut.extend((a, b) for a in shuffled[:at] for b in shuffled[at:])
+            yield op, (shuffled[:at], shuffled[at:])
+        elif op == "isolate":
+            node = rng.choice(ids)
+            others = rng.sample([i for i in ids if i != node], 2)
+            cut.extend((node, other) for other in others)
+            yield op, (node, others)
+        elif op == "restrict":
+            node = rng.choice(ids)
+            yield op, (node, rng.sample(ids, rng.randint(2, len(ids) - 1)))
+        elif op == "latency":
+            yield op, (rng.uniform(0.1, 1.0), rng.uniform(0.0, 0.5))
+        else:  # heal
+            cut.clear()
+            yield op, ()
+
+
+def _rewire(net, op, args):
+    if op == "block":
+        net.block(*args)
+    elif op == "unblock":
+        net.unblock(*args)
+    elif op == "heal":
+        net.heal()
+    elif op == "partition":
+        net.partition(*args)
+    elif op == "isolate":
+        net.isolate(*args)
+    elif op == "restrict":
+        net.restrict_links(*args)
+    elif op == "latency":
+        net.latency = UniformLatency(base_ms=args[0], jitter_ms=args[1])
+
+
+@pytest.mark.parametrize("wired", [False, True])
+def test_wiring_changes_after_links_are_cached_route_like_routable(wired):
+    # Two identical lossy networks run the same script: one fans out
+    # with multicast, the other with one send per destination.  Every
+    # result must be what _routable says about the wiring at that
+    # moment, an unroutable send schedules nothing, and every pair
+    # draws the same sequence, so both deliver the same messages at
+    # the same times.
+    def build():
+        sim = Simulator()
+        net = Network(sim, seed=3, drop_probability=0.2)
+        nodes = [Recorder(f"n{i}", sim, net) for i in range(5)]
+        if wired:  # firewall-style rows: n0-n1-n2 are a chain
+            net.restrict_links("n0", ["n1"])
+            net.restrict_links("n1", ["n0", "n2"])
+        return sim, net, nodes
+
+    sim_m, net_m, nodes_m = build()
+    sim_s, net_s, nodes_s = build()
+    ids = [node.node_id for node in nodes_m]
+    for step, (op, args) in enumerate(_wiring_script(11, ids, 600)):
+        if op != "send":
+            _rewire(net_m, op, args)
+            _rewire(net_s, op, args)
+            continue
+        src, dsts = args
+        view = net_m._views[0]
+        routable = [net_m._routable(view, src, dst) for dst in dsts]
+        assert net_m.multicast(src, dsts, step) == sum(routable)
+        for dst, expected in zip(dsts, routable):
+            before = sim_s.pending()
+            assert net_s.send(src, dst, step) is expected
+            if not expected:
+                assert sim_s.pending() == before
+        sim_m.run(until=sim_m.now + 0.0005)
+        sim_s.run(until=sim_s.now + 0.0005)
+    sim_m.run()
+    sim_s.run()
+    assert [n.received for n in nodes_m] == [n.received for n in nodes_s]
+    assert net_m.messages_sent == net_s.messages_sent > 0
+    assert net_m.messages_dropped == net_s.messages_dropped > 0
+
+
+def test_unroutable_pairs_and_self_sends_create_no_rng_stream():
+    sim, net, a, b = make_pair()
+    net.block("a", "b")
+    assert a.send("b", 1) is False
+    assert a.send("a", 2) is True  # zero-delay self-send: no draws
+    assert a.multicast(["a", "b"], 3) == 1
+    assert net._pair_rngs == {}
+    sim.run()
+    assert [(m, t) for m, _, t in a.received] == [(2, 0.0), (3, 0.0)]
