@@ -182,6 +182,15 @@ class ExecutionUnit:
             if self._buffer or self._gamma_parked:
                 self._drain()
 
+    def takes(self, tx_id: TxId) -> bool:
+        """Would :meth:`commit_run` take this entry: α above what the
+        chain has appended, and not already buffered?"""
+        alpha = tx_id.alpha
+        key = alpha.key()
+        if alpha.seq <= self._appended.get(key, 0):
+            return False
+        return alpha.seq not in self._buffer.get(key, ())
+
     def cached_reply(self, client: str, timestamp: int) -> Any | None:
         """The stored reply if this request was already executed (§4.2)."""
         entry = self._last_reply.get(client)

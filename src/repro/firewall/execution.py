@@ -61,6 +61,8 @@ class ExecutionNode(SimNode):
 
     def _on_exec_order(self, msg: ExecOrder, src: str) -> None:
         clusters = self.deployment.directory.clusters
+        executor = self.executor
+        durable = executor.backend is not None and executor.backend.durable
         verified = []
         for entry in msg.entries:
             certificate = entry.certificate
@@ -73,16 +75,19 @@ class ExecutionNode(SimNode):
                 valid = certificate.verify(self.key_registry, self.order_quorum)
             if not valid:
                 continue
-            self.charge(self.cost_model.execution_time(1))
-            if self.executor.backend is not None and self.executor.backend.durable:
-                self.charge(self.cost_model.journal_time(1))
+            # Every copy is verified; only an entry the unit will take
+            # costs execution (each top-row filter forwards every order).
+            if executor.takes(entry.tx_id):
+                self.charge(self.cost_model.execution_time(1))
+                if durable:
+                    self.charge(self.cost_model.journal_time(1))
             verified.append(
                 (entry.otx, entry.tx_id, certificate, entry.reply_to_client)
             )
         # An order is one chain's run (ClusterNode._drain_commits); a
         # forged one may not be, so group by what the entries say.
         for key, run in groupby(verified, lambda e: e[1].alpha.key()):
-            self.executor.commit_run(key, run)
+            executor.commit_run(key, run)
 
     def _on_executed(self, result: ExecutionResult) -> None:
         if not result.reply_to_client:

@@ -151,3 +151,46 @@ def test_reply_certificate_requires_g_plus_1_matching():
     assert len(client.completed) == 1
     rid, _, result = client.completed[0]
     assert result is None  # unset key reads None through the firewall
+
+
+class _CostSpy:
+    """Delegates to a node's cost model, recording execution charges."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.executions = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def execution_time(self, count):
+        self.executions.append(count)
+        return self.inner.execution_time(count)
+
+
+def test_execution_nodes_charge_each_execution_once():
+    # Both top-row filters forward every order, so each execution node
+    # receives (and verifies) every entry twice; it executes each once
+    # and must be charged once.
+    deployment = make_deployment()
+    spies = {}
+    for firewall in deployment.firewalls.values():
+        for node in firewall.execution_nodes:
+            node.cost_model = spies[node.node_id] = _CostSpy(node.cost_model)
+    client = deployment.create_client("A")
+    for i in range(12):
+        scope = {"A", "B"} if i % 3 == 0 else {"A"}
+        client.submit(
+            client.make_transaction(
+                scope, Operation("kv", "set", (f"k{i}", i)), keys=(f"k{i}",)
+            )
+        )
+    deployment.run(4.0)
+    assert len(client.completed) == 12
+    executed = 0
+    for firewall in deployment.firewalls.values():
+        for node in firewall.execution_nodes:
+            charged = spies[node.node_id].executions
+            assert charged == [1] * node.executor.executed_count
+            executed += node.executor.executed_count
+    assert executed > 12
