@@ -176,7 +176,7 @@ class ClusterInfo:
     failure_model: str
     f: int
 
-    # Derived once per entry: certificate checks read both per entry.
+    # Computed once per directory entry: every certificate check reads both.
     @cached_property
     def local_majority(self) -> int:
         return local_majority(self.failure_model, self.f)
