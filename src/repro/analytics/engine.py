@@ -231,8 +231,8 @@ class AnalyticsEngine:
         ]
 
     def transactions_for_request(self, request_id: int) -> list[tuple]:
-        """Every indexed position of one client request — the SQL form
-        of :func:`repro.ledger.provenance.trace_request`."""
+        """Every indexed position of one client request: where it landed
+        across the ingested ledgers."""
         return [
             tuple(row)
             for row in self.conn.execute(

@@ -96,50 +96,6 @@ class Network:
         """Open a client session for one enterprise."""
         return Session(self, enterprise, contract=contract)
 
-    def sessions(
-        self, enterprise: str, count: int, contract: str = "kv"
-    ) -> list[Session]:
-        """Open a bounded pool of client sessions for one enterprise —
-        the API-level face of client multiplexing: many logical users
-        (population ranks) ride ``count`` wire sessions via
-        ``pool[rank % count]``."""
-        if count < 1:
-            raise ValueError("session pools need count >= 1")
-        return [
-            Session(self, enterprise, contract=contract)
-            for _ in range(count)
-        ]
-
-    def replay_trace(
-        self,
-        trace: "Any | str",
-        pool: int = 1,
-        confidential: bool = False,
-    ) -> int:
-        """Replay a captured workload trace against this network.
-
-        ``trace`` is a :class:`~repro.workload.trace.WorkloadTrace` or
-        a path to its JSONL serialization.  One wire client pool of
-        ``pool`` actors per enterprise named in the trace carries the
-        entries (logical ranks pick slots, like the scenario engine);
-        schedules everything via the single-cursor replay and returns
-        the entry count — advance time with :meth:`run` afterwards.
-        """
-        from pathlib import Path
-
-        from repro.workload.trace import WorkloadTrace
-
-        if not isinstance(trace, WorkloadTrace):
-            trace = WorkloadTrace.from_jsonl(Path(trace).read_text())
-        enterprises = sorted({e.spec.enterprise for e in trace.entries})
-        clients = {
-            e: [
-                self.deployment.create_client(e) for _ in range(max(pool, 1))
-            ]
-            for e in enterprises
-        }
-        return trace.replay(self.deployment, clients, confidential=confidential)
-
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------

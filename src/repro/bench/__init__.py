@@ -14,7 +14,6 @@ from repro.bench.runner import (
     QANAAT_PROTOCOLS,
     point_spec,
     run_point,
-    sweep,
     sweep_merge,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "execute_tasks",
     "point_spec",
     "run_point",
-    "sweep",
     "sweep_merge",
 ]

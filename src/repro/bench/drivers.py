@@ -9,9 +9,10 @@ generic runner completes exactly the same set of transactions for the
 same seed as the pre-driver harness.
 
 The Qanaat family builds through :func:`repro.scenarios.build` and so
-supports fault timelines; the baseline families reject specs carrying
-timeline events (their deployments lack the primitives the scheduler
-replays through).
+supports fault timelines and workload traces; the baseline families
+reject specs carrying timeline events (their deployments lack the
+primitives the scheduler replays through) or a ``capture_trace`` /
+``replay_trace`` path.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from repro.workload.generator import SmallBankWorkload
 
 
 def _require_baseline_runnable(spec: ScenarioSpec) -> None:
-    """Baseline families run fault-free on one event kernel."""
+    """Baseline families run fault-free on one event kernel, from fresh
+    arrivals: their submit closures neither capture nor replay traces."""
     if spec.kernel_workers is not None:
         validate_partitioning(spec)  # raises: Qanaat deployments only
     if spec.faults:
@@ -46,6 +48,12 @@ def _require_baseline_runnable(spec: ScenarioSpec) -> None:
             f"{spec.system} cannot replay fault timelines; scenario "
             f"{spec.name!r} needs a Qanaat system"
         )
+    for name in ("capture_trace", "replay_trace"):
+        if getattr(spec.workload, name, None) is not None:
+            raise WorkloadError(
+                f"{spec.system} does not support workload.{name}; scenario "
+                f"{spec.name!r} needs a Qanaat system"
+            )
 
 
 def _pick(pools, population, tx_spec):

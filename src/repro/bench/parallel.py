@@ -13,9 +13,9 @@ regardless of job count or completion order.
 
 Sequential execution (``jobs=1``, the default) runs the same tasks
 through the same plain-dict path in-process, and additionally honors
-per-chain early stopping — the classic ``sweep`` behavior of not
-climbing a rate ladder past the saturation knee.  Parallel execution
-runs every rung and relies on the *pure* merge step (e.g.
+per-chain early stopping: it does not climb a rate ladder past the
+saturation knee (:func:`repro.bench.runner.sweep_stopped`).  Parallel
+execution runs every rung and relies on the *pure* merge step (e.g.
 :func:`repro.bench.runner.sweep_merge`) to discard exactly the rungs
 sequential mode never ran; both modes therefore feed identical inputs
 to the merge.

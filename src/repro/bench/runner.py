@@ -2,8 +2,9 @@
 
 Mirrors the paper's methodology (§5): open-loop Poisson arrivals, a
 warmup window, a measurement window, results from the client side.
-``sweep`` raises the offered load until the end-to-end throughput
-saturates and reports the point just below saturation.
+A rate ladder raises the offered load until the end-to-end throughput
+saturates (:func:`sweep_stopped`) and reports the point just below
+saturation (:func:`sweep_merge`).
 
 Every benchmarked system — the six Qanaat protocol configurations, the
 Fabric family, Caper, SharPer, AHL — sits behind the
@@ -160,13 +161,16 @@ def _acceptable(point: PointResult, latency_cap_ms: float) -> bool:
 def sweep_merge(
     points: list[PointResult], latency_cap_ms: float = 2_000.0
 ) -> tuple[list[PointResult], PointResult]:
-    """The pure half of :func:`sweep`: ladder-ordered points in,
-    (curve, just-below-saturation point) out.
+    """A rate ladder's result: ladder-ordered points in, (curve,
+    just-below-saturation point) out.
 
-    Walks the ladder exactly like the classic sequential sweep —
-    including stopping one rung past the knee — so feeding it a *full*
-    ladder (as the parallel executor produces) or the truncated prefix
-    (as sequential early-stop produces) yields identical output.
+    Mirrors §5: "we use an increasing number of requests until the
+    end-to-end throughput is saturated, and state the throughput and
+    latency just below saturation."  The curve stops one rung past the
+    knee, where :func:`sweep_stopped` stops a sequential climb, so
+    feeding it a *full* ladder (as the parallel executor produces) or
+    the truncated prefix (as sequential early-stop produces) yields
+    identical output.
     """
     curve: list[PointResult] = []
     best: PointResult | None = None
@@ -185,9 +189,9 @@ def sweep_merge(
 def sweep_stopped(
     points: list[PointResult], latency_cap_ms: float = 2_000.0
 ) -> bool:
-    """Would the classic sweep stop climbing after these points?  The
-    sequential executor's chain-stop predicate; by construction it
-    agrees with where :func:`sweep_merge` truncates."""
+    """Should a rate ladder stop climbing after these points?  The
+    sequential executor's chain-stop predicate: true one rung past the
+    knee, which is where :func:`sweep_merge` truncates."""
     seen_acceptable = False
     for point in points:
         if _acceptable(point, latency_cap_ms):
@@ -196,25 +200,3 @@ def sweep_stopped(
             return True
     return False
 
-
-def sweep(
-    system: str,
-    rates: list[float],
-    mix: WorkloadMix,
-    latency_cap_ms: float = 2_000.0,
-    **kwargs,
-) -> tuple[list[PointResult], PointResult]:
-    """Measure a load curve; return (curve, just-below-saturation point).
-
-    Mirrors §5: "we use an increasing number of requests until the
-    end-to-end throughput is saturated, and state the throughput and
-    latency just below saturation."  Implemented as run-until-stopped
-    plus the pure :func:`sweep_merge`, the same pieces the parallel
-    experiment planner uses.
-    """
-    curve: list[PointResult] = []
-    for rate in rates:
-        curve.append(run_point(point_spec(system, rate, mix, **kwargs)))
-        if sweep_stopped(curve, latency_cap_ms):
-            break
-    return sweep_merge(curve, latency_cap_ms)

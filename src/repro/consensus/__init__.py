@@ -14,7 +14,6 @@ matching Table 1:
 from repro.consensus.base import (
     ConsensusHost,
     InternalConsensus,
-    crash_quorum,
     local_majority,
 )
 from repro.consensus.paxos import MultiPaxos
@@ -26,7 +25,6 @@ __all__ = [
     "MultiPaxos",
     "PBFT",
     "local_majority",
-    "crash_quorum",
 ]
 
 

@@ -37,10 +37,6 @@ def cluster_size(failure_model: str, f: int) -> int:
     raise ValueError(f"unknown failure model {failure_model!r}")
 
 
-def crash_quorum(f: int) -> int:
-    return f + 1
-
-
 def _block_span(tracer: Any, value: Any, node: str, t: float) -> int | None:
     """Begin-once the trace span for the batch being ordered.
 

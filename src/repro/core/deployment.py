@@ -271,9 +271,6 @@ class Deployment:
         """Advance simulated time by ``duration`` seconds."""
         self.sim.run(until=self.sim.now + duration)
 
-    def run_until_quiescent(self, max_time: float = 30.0) -> None:
-        self.sim.run(until=self.sim.now + max_time)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

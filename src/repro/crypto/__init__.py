@@ -6,25 +6,19 @@ provides simulation-grade equivalents: signatures are keyed digests
 registered in a process-local PKI, so they are unforgeable *within the
 simulation* (a Byzantine node cannot mint another node's signature
 without its secret) while costing microseconds.  Protocol code treats
-them exactly like real signatures.
+them exactly like real signatures.  §3.1's threshold signatures are
+stood in for by quorum certificates: a certificate carries its quorum's
+individual signatures, checked with :func:`verify_many`.
 """
 
 from repro.crypto.envelope import Envelope, seal, unseal
 from repro.crypto.hashing import digest
-from repro.crypto.secret_sharing import combine_shares, split_secret
 from repro.crypto.signatures import (
     KeyRegistry,
     SignedMessage,
     sign,
     verify,
     verify_many,
-)
-from repro.crypto.threshold import (
-    SignatureShare,
-    ThresholdSignature,
-    combine,
-    sign_share,
-    verify_threshold,
 )
 
 __all__ = [
@@ -34,13 +28,6 @@ __all__ = [
     "sign",
     "verify",
     "verify_many",
-    "SignatureShare",
-    "ThresholdSignature",
-    "sign_share",
-    "combine",
-    "verify_threshold",
-    "split_secret",
-    "combine_shares",
     "Envelope",
     "seal",
     "unseal",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.hashing import Canonical, count_sign, count_verify, digest
-from repro.errors import CryptoError, InvalidSignature
+from repro.errors import CryptoError
 
 
 #: Per-registry verification-cache bound; far above what one simulated
@@ -223,13 +223,3 @@ def verify_many(
             if quorum is not None and len(valid) >= quorum:
                 break
     return valid
-
-
-def require_valid(
-    registry: KeyRegistry, signed: SignedMessage, payload: Any | None = None
-) -> None:
-    """Raise :class:`InvalidSignature` unless the signature verifies."""
-    if not verify(registry, signed, payload):
-        raise InvalidSignature(
-            f"bad signature from {signed.signer!r} on {signed.payload_digest}"
-        )

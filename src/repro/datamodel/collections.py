@@ -63,11 +63,6 @@ class DataCollection:
     def label(self) -> str:
         return scope_label(self.scope)
 
-    @property
-    def is_local(self) -> bool:
-        """Private collection of a single enterprise."""
-        return len(self.scope) == 1
-
     def involves(self, enterprise: str) -> bool:
         return enterprise in self.scope
 

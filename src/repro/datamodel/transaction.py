@@ -98,12 +98,6 @@ class OrderedTransaction(Canonical):
     def primary_id(self) -> TxId:
         return self.ids[0]
 
-    def id_for_shard(self, shard: int) -> TxId | None:
-        for tx_id in self.ids:
-            if tx_id.alpha.shard == shard:
-                return tx_id
-        return None
-
     def _canonical_bytes(self) -> bytes:
         ids = b";".join(i.canonical_bytes() for i in self.ids)
         return b"otx|" + self.tx.canonical_bytes() + b"|" + ids

@@ -275,10 +275,6 @@ class SequenceBook:
                             )
             previous = tx_id
 
-    def is_next(self, tx_id: TxId) -> bool:
-        key = tx_id.alpha.key()
-        return tx_id.alpha.seq == self._committed.get(key, 0) + 1
-
     # ------------------------------------------------------------------
     # commitment
     # ------------------------------------------------------------------
@@ -295,13 +291,8 @@ class SequenceBook:
             self._assigned[key] = tx_id.alpha.seq
         self._last_gamma[key] = tx_id.gamma_map()
 
-    def committed_state(self) -> dict[tuple[str, int], int]:
-        """Snapshot of last committed sequence per collection-shard."""
-        return dict(self._committed)
-
     def last_committed(self, key: tuple[str, int]) -> int:
-        """Last committed sequence for one collection-shard — the
-        copy-free form of ``committed_state().get(key, 0)`` (the commit
+        """Last committed sequence for one collection-shard (the commit
         pipeline probes this once per buffered transaction)."""
         return self._committed.get(key, 0)
 

@@ -95,6 +95,3 @@ class CollaborationWorkflow:
             (self.registry.get(s) for s in self._scopes),
             key=lambda c: (-len(c.scope), c.label),
         )
-
-    def involves(self, enterprise: str) -> bool:
-        return enterprise in self.enterprises

@@ -10,11 +10,9 @@ class ConfigurationError(ReproError):
 
 
 class CryptoError(ReproError):
-    """Signature, threshold-signature, or secret-sharing failure."""
-
-
-class InvalidSignature(CryptoError):
-    """A signature failed verification."""
+    """A signing, envelope or zero-knowledge-proof operation was given
+    input it cannot accept: an unenrolled signer, an identity outside an
+    envelope's audience, or a value outside a proof's range."""
 
 
 class DataModelError(ReproError):
@@ -31,10 +29,6 @@ class ConsistencyViolation(DataModelError):
 
 class LedgerError(ReproError):
     """The blockchain ledger rejected or failed to verify a record."""
-
-
-class ConsensusError(ReproError):
-    """A consensus protocol reached an illegal state."""
 
 
 class WorkloadError(ReproError):

@@ -36,13 +36,6 @@ class FirewallTopology:
             return tuple(e.node_id for e in self.execution_nodes)
         return tuple(f.node_id for f in self.rows[0])
 
-    @property
-    def top_row_ids(self) -> tuple[str, ...]:
-        return tuple(f.node_id for f in self.rows[-1])
-
-    def all_filter_ids(self) -> list[str]:
-        return [f.node_id for row in self.rows for f in row]
-
 
 def build_firewall(
     deployment: "Deployment",

@@ -22,7 +22,7 @@ Verification invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.crypto.hashing import digest
 from repro.errors import LedgerError
@@ -310,6 +310,3 @@ class ArchivedLedgerView:
             records.extend(segment.records)
         records.extend(self.ledger.chain(label, shard))
         return records
-
-    def iter_records(self, label: str, shard: int = 0) -> Iterator[TransactionRecord]:
-        yield from self.chain(label, shard)

@@ -131,9 +131,6 @@ class ReplyCertificate(Canonical):
     result_digest: str
     signatures: tuple[SignedMessage, ...]
 
-    def signers(self) -> frozenset[str]:
-        return frozenset(s.signer for s in self.signatures)
-
     def verify(
         self,
         registry: KeyRegistry,

@@ -195,6 +195,3 @@ class DagLedger:
 
     def contains_request(self, request_id: int) -> bool:
         return any(r.otx.tx.request_id == request_id for r in self._order)
-
-    def tx_ids(self) -> list[TxId]:
-        return [r.tx_id for r in self._order]

@@ -5,62 +5,22 @@ the data was collected, where it was stored, and how it was used ...
 transparent and immutable ... verifiable by all participants" (§1).
 These helpers answer those questions from a ledger:
 
-- :func:`record_lineage` — the causal past of one record: its own
+- :func:`lineage_closure` — the causal past of one record: its own
   chain predecessor plus, through γ, the latest record of every
   order-dependent collection it could have read;
-- :func:`key_history` — every committed transaction that wrote a key,
-  with the writing enterprise and sequence;
-- :func:`trace_request` — where a request landed across a set of
-  ledgers (which enterprises replicate it, at which positions).
+- :func:`key_history` — every committed transaction that wrote a key.
+
+Both are the in-process oracles the off-replica analytics engine
+(:mod:`repro.analytics`) cross-checks its SQL answers against.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro.errors import LedgerError
 from repro.ledger.block import TransactionRecord
 from repro.ledger.dag import DagLedger
-
-
-@dataclass(frozen=True)
-class LineageEdge:
-    """A causal edge: ``record`` depends on ``dependency``."""
-
-    record: TransactionRecord
-    dependency: TransactionRecord
-    kind: str  # "chain" (same collection) | "gamma" (order-dependency)
-
-
-def record_lineage(
-    ledger: DagLedger, label: str, shard: int, seq: int, depth: int = 10
-) -> list[LineageEdge]:
-    """The causal past of one record, breadth-first up to ``depth`` edges.
-
-    Follows the per-collection hash chain and the γ snapshot links; the
-    result is exactly the sub-DAG a verifier would re-check to audit
-    this record's inputs.
-    """
-    edges: list[LineageEdge] = []
-    frontier = [ledger.record(label, shard, seq)]
-    seen: set[tuple[str, int, int]] = set()
-    while frontier and len(edges) < depth:
-        record = frontier.pop(0)
-        key = (record.label, record.shard, record.seq)
-        if key in seen:
-            continue
-        seen.add(key)
-        if record.seq > 1:
-            parent = ledger.record(record.label, record.shard, record.seq - 1)
-            edges.append(LineageEdge(record, parent, "chain"))
-            frontier.append(parent)
-        for entry in record.tx_id.gamma:
-            if ledger.height(entry.label, entry.shard) >= entry.seq:
-                dependency = ledger.record(entry.label, entry.shard, entry.seq)
-                edges.append(LineageEdge(record, dependency, "gamma"))
-                frontier.append(dependency)
-    return edges
 
 
 def lineage_closure(
@@ -68,11 +28,9 @@ def lineage_closure(
 ) -> list[tuple[str, int, int, int]]:
     """The hop-bounded causal closure of one record, as plain tuples.
 
-    Unlike :func:`record_lineage` (edge-budgeted BFS returning live
-    edge objects), this computes the *set of reachable records* with
-    their minimum hop distance — the exact relation a recursive SQL
-    CTE over a provenance-edge table produces, which is what the
-    analytics engine (:mod:`repro.analytics`) cross-checks against.
+    The *set of reachable records* with their minimum hop distance —
+    the exact relation a recursive SQL CTE over a provenance-edge table
+    produces.
 
     ``source`` is anything with ``record``/``height`` (a
     :class:`DagLedger` or an
@@ -124,28 +82,3 @@ def key_history(
         for record in ledger.chain(label, shard)
         if key in record.otx.tx.keys
     ]
-
-
-@dataclass
-class RequestTrace:
-    """Where one request landed across a set of ledgers."""
-
-    request_id: int
-    locations: list[tuple[str, str, int, int]] = field(default_factory=list)
-    # (ledger owner, collection label, shard, seq)
-
-    def owners(self) -> set[str]:
-        return {owner for owner, _, _, _ in self.locations}
-
-
-def trace_request(ledgers: list[DagLedger], request_id: int) -> RequestTrace:
-    """Find every replica position of a request — the paper's
-    end-to-end tracking of goods, as a ledger query."""
-    trace = RequestTrace(request_id)
-    for ledger in ledgers:
-        for record in ledger:
-            if record.otx.tx.request_id == request_id:
-                trace.locations.append(
-                    (ledger.owner, record.label, record.shard, record.seq)
-                )
-    return trace

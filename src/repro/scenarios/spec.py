@@ -434,8 +434,6 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # spec surgery (specs are frozen; these return modified copies)
     # ------------------------------------------------------------------
-    def with_seed(self, seed: int) -> "ScenarioSpec":
-        return dataclasses.replace(self, seed=seed)
 
     def with_kernel_workers(self, workers: int | None) -> "ScenarioSpec":
         return dataclasses.replace(self, kernel_workers=workers)

@@ -126,9 +126,6 @@ class Network:
     def node(self, node_id: str) -> "Actor":
         return self._nodes[node_id]
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self._nodes
-
     def node_ids(self) -> list[str]:
         return list(self._nodes)
 

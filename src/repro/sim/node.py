@@ -86,12 +86,6 @@ class SimNode(Actor):
     def recover(self) -> None:
         self.crashed = False
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds this CPU spent busy."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
     def deliver(self, msg: Any, src: str) -> None:
         if self.crashed:
             return

@@ -315,6 +315,27 @@ def test_driver_submit_next_replays_a_loaded_trace(tmp_path):
     assert replay_completed == completed
 
 
+@pytest.mark.parametrize("field", ["capture_trace", "replay_trace"])
+@pytest.mark.parametrize("system", ["Fabric", "Caper", "SharPer"])
+def test_baseline_drivers_reject_workload_traces(tmp_path, system, field):
+    # A baseline's submit closure carries no trace plumbing: a capture
+    # would write nothing and a replay would run fresh arrivals.
+    from repro.bench.drivers import build_driver
+    from repro.errors import WorkloadError
+    from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
+
+    spec = ScenarioSpec(
+        name="traced-baseline",
+        system=system,
+        topology=TopologySpec(enterprises=("A", "B"), shards=2),
+        workload=WorkloadSpec(
+            rate=100.0, **{field: str(tmp_path / "trace.jsonl")}
+        ),
+    )
+    with pytest.raises(WorkloadError, match=f"{system}.*workload.{field}"):
+        build_driver(spec)
+
+
 def test_unknown_system_fails_with_the_valid_set():
     from repro.bench.drivers import build_driver
     from repro.errors import WorkloadError
@@ -380,3 +401,24 @@ def test_metrics_window_edges_are_half_open():
     metrics.record_completion(1, sent_at=0.0, latency=0.5)  # done at 0.5
     assert metrics.completed_count(0.0, 0.5) == 0
     assert metrics.completed_count(0.5, 1.0) == 1
+
+
+def test_every_exported_name_resolves():
+    # A deleted unit must not leave a stale name in any ``__all__``.
+    import importlib
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    ]
+    dangling = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert dangling == []

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.bench.runner import QANAAT_PROTOCOLS, point_spec, run_point, sweep
+from repro.bench.runner import (
+    QANAAT_PROTOCOLS,
+    point_spec,
+    run_point,
+    sweep_merge,
+    sweep_stopped,
+)
 from repro.core.deployment import Metrics
 from repro.workload.generator import WorkloadMix
 
@@ -42,7 +48,15 @@ def test_fabric_point_runs():
 
 
 def test_sweep_reports_point_below_saturation():
-    curve, best = sweep("Fabric", [1000, 4000, 30000, 60000], MIX, **FAST)
+    # A real Fabric ladder climbed the way the experiment table's
+    # sequential executor climbs one: stop past the knee, then merge.
+    curve = []
+    for rate in (1000, 4000, 30000, 60000):
+        curve.append(run_point(point_spec("Fabric", rate, MIX, **FAST)))
+        if sweep_stopped(curve):
+            break
+    merged, best = sweep_merge(curve)
+    assert merged == curve
     assert best.throughput_tps >= 900
     assert len(curve) <= 4
     assert not best.saturated

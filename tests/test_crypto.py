@@ -10,19 +10,14 @@ from hypothesis import strategies as st
 from repro.crypto import (
     Envelope,
     KeyRegistry,
-    combine,
-    combine_shares,
     digest,
     seal,
     sign,
-    sign_share,
-    split_secret,
     unseal,
     verify,
-    verify_threshold,
 )
-from repro.crypto.signatures import SignedMessage, require_valid
-from repro.errors import CryptoError, InvalidSignature
+from repro.crypto.signatures import SignedMessage
+from repro.errors import CryptoError
 
 
 @pytest.fixture
@@ -71,13 +66,6 @@ def test_unenrolled_signer_fails(registry):
     assert not verify(registry, tampered)
     with pytest.raises(CryptoError):
         sign(registry, "mallory", "payload")
-
-
-def test_require_valid_raises(registry):
-    signed = sign(registry, "alice", "payload")
-    require_valid(registry, signed, "payload")
-    with pytest.raises(InvalidSignature):
-        require_valid(registry, signed, "other")
 
 
 def test_verify_cache_keeps_answers_consistent(registry):
@@ -139,79 +127,6 @@ def test_pickled_registry_signs_verifies_and_rejects_forgeries(registry):
     forged = SignedMessage("bob", signed.payload_digest, signed.signature)
     assert not verify(loaded, forged)
     assert not verify(loaded, SignedMessage("alice", "0" * 32, signed.signature))
-
-
-# ----------------------------------------------------------------------
-# threshold signatures
-# ----------------------------------------------------------------------
-def test_threshold_combine_and_verify(registry):
-    shares = [
-        sign_share(registry, "cluster", who, "msg")
-        for who in ("alice", "bob", "carol")
-    ]
-    tsig = combine(registry, shares, threshold=3)
-    assert verify_threshold(registry, tsig, "msg")
-    assert not verify_threshold(registry, tsig, "other")
-
-
-def test_threshold_insufficient_shares(registry):
-    shares = [sign_share(registry, "g", "alice", "m")]
-    with pytest.raises(CryptoError):
-        combine(registry, shares, threshold=2)
-
-
-def test_threshold_duplicate_signers_do_not_count_twice(registry):
-    shares = [
-        sign_share(registry, "g", "alice", "m"),
-        sign_share(registry, "g", "alice", "m"),
-    ]
-    with pytest.raises(CryptoError):
-        combine(registry, shares, threshold=2)
-
-
-def test_threshold_mixed_payloads_rejected(registry):
-    shares = [
-        sign_share(registry, "g", "alice", "m1"),
-        sign_share(registry, "g", "bob", "m2"),
-    ]
-    with pytest.raises(CryptoError):
-        combine(registry, shares, threshold=2)
-
-
-def test_threshold_tampered_proof_fails(registry):
-    shares = [
-        sign_share(registry, "g", who, "m") for who in ("alice", "bob")
-    ]
-    tsig = combine(registry, shares, threshold=2)
-    from dataclasses import replace
-
-    bad = replace(tsig, proof="deadbeef")
-    assert not verify_threshold(registry, bad)
-
-
-# ----------------------------------------------------------------------
-# secret sharing
-# ----------------------------------------------------------------------
-def test_secret_sharing_roundtrip():
-    secret = 123456789
-    shares = split_secret(secret, threshold=3, n_shares=5)
-    assert combine_shares(shares[:3]) == secret
-    assert combine_shares(shares[2:]) == secret
-
-
-def test_secret_sharing_below_threshold_gives_garbage():
-    secret = 42
-    shares = split_secret(secret, threshold=3, n_shares=5, seed=1)
-    assert combine_shares(shares[:2]) != secret
-
-
-def test_secret_sharing_validation():
-    with pytest.raises(CryptoError):
-        split_secret(1, threshold=4, n_shares=3)
-    with pytest.raises(CryptoError):
-        combine_shares([])
-    with pytest.raises(CryptoError):
-        combine_shares([(1, 5), (1, 6)])
 
 
 # ----------------------------------------------------------------------

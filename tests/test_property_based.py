@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import combine_shares, digest, split_secret
+from repro.crypto import digest
 from repro.datamodel import (
     CollectionRegistry,
     LocalPart,
@@ -38,24 +38,6 @@ def test_digest_dict_order_independent(mapping):
     items = list(mapping.items())
     random.Random(0).shuffle(items)
     assert digest(dict(items)) == digest(mapping)
-
-
-# ----------------------------------------------------------------------
-# secret sharing
-# ----------------------------------------------------------------------
-@given(
-    st.integers(min_value=0, max_value=2**64),
-    st.integers(min_value=1, max_value=5),
-    st.integers(min_value=0, max_value=3),
-    st.integers(),
-)
-@settings(max_examples=40)
-def test_secret_sharing_any_quorum_reconstructs(secret, threshold, extra, seed):
-    n = threshold + extra
-    shares = split_secret(secret, threshold, n, seed=seed)
-    rng = random.Random(seed)
-    subset = rng.sample(shares, threshold)
-    assert combine_shares(subset) == secret
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from repro.core import Deployment, DeploymentConfig
 from repro.datamodel import Operation
-from repro.ledger.provenance import key_history, record_lineage, trace_request
+from repro.ledger.provenance import key_history, lineage_closure
 
 
 def build():
@@ -56,26 +56,35 @@ def test_lineage_follows_chain_and_gamma_edges():
     client.submit(local2)
     deployment.run(1.0)
     ledger = deployment.executors_of("A1")[0].ledger
-    edges = record_lineage(ledger, "A", 0, 2)
-    kinds = {(e.kind, e.dependency.label) for e in edges}
-    assert ("chain", "A") in kinds          # A:2 depends on A:1
-    assert any(k == "gamma" and lbl == "AB" for k, lbl in kinds)
+    closure = lineage_closure(ledger, "A", 0, 2, max_hops=1)
+    assert ("A", 0, 1, 1) in closure        # A:2 depends on A:1
+    assert any(label == "AB" and hop == 1 for label, _, _, hop in closure)
 
 
-def test_trace_request_shows_replication():
+def _locations(deployment, request_id):
+    """Every (owner, label) position of one request on the two
+    enterprises' ledgers."""
+    return [
+        (ledger.owner, record.label)
+        for ledger in (
+            deployment.executors_of("A1")[0].ledger,
+            deployment.executors_of("B1")[0].ledger,
+        )
+        for record in ledger
+        if record.otx.tx.request_id == request_id
+    ]
+
+
+def test_shared_request_lands_on_both_ledgers():
     deployment, client = build()
     tx = client.make_transaction(
         {"A", "B"}, Operation("kv", "set", ("traced", 1)), keys=("traced",)
     )
     client.submit(tx)
     deployment.run(1.0)
-    ledgers = [
-        deployment.executors_of("A1")[0].ledger,
-        deployment.executors_of("B1")[0].ledger,
-    ]
-    trace = trace_request(ledgers, tx.request_id)
-    assert len(trace.locations) == 2
-    assert {loc[1] for loc in trace.locations} == {"AB"}
+    locations = _locations(deployment, tx.request_id)
+    assert len(locations) == 2
+    assert {label for _, label in locations} == {"AB"}
 
 
 def test_trace_internal_request_stays_home():
@@ -85,9 +94,4 @@ def test_trace_internal_request_stays_home():
     )
     client.submit(tx)
     deployment.run(1.0)
-    ledgers = [
-        deployment.executors_of("A1")[0].ledger,
-        deployment.executors_of("B1")[0].ledger,
-    ]
-    trace = trace_request(ledgers, tx.request_id)
-    assert [loc[0] for loc in trace.locations] == ["A1.o0"]
+    assert _locations(deployment, tx.request_id) == [("A1.o0", "A")]
