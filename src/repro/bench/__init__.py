@@ -4,8 +4,10 @@
 experiment table) prints the paper-style rows; ``--out DIR`` writes
 ``BENCH_<experiment>.json`` artifacts and ``--seed N`` makes runs
 reproducible; the table and its one run function are
-:mod:`repro.bench.experiments`.  The same machinery backs the
-pytest-benchmark targets in ``benchmarks/``.
+:mod:`repro.bench.experiments`.  A paper figure is nothing but a row
+there: its checks judge every run, and the ``paper-figures-smoke`` CI
+job regenerates each smoke artifact and compares it with the one
+committed under ``artifacts/``.
 """
 
 from repro.bench.parallel import CellError, PointTask, execute_tasks

@@ -13,9 +13,12 @@ group, a one-line description and three functions:
   for every row whose measurements are all cells; the rows that measure
   what a scenario cell cannot express (``analytics`` fills and queries a
   database, ``shardpar`` and ``batching`` rerun a spec under a different
-  engine setting) do that measuring here, from the same arguments.
+  engine setting) do that measuring here, from the same arguments and
+  through the same :func:`~repro.bench.parallel.run_task` as a cell.
 - ``checks(artifact) -> [failure strings]`` — what CI asserts about the
-  artifact, pins included, beside the code that moves them.
+  artifact, pins included, beside the code that moves them.  A check
+  reads the artifact as written (plain JSON data), so the same function
+  judges a fresh run and a committed ``artifacts/BENCH_<name>.json``.
 
 :func:`run_experiment` is the only way a row runs: plan → apply
 ``kernel_workers`` → execute → merge → assemble the ``{experiment,
@@ -39,8 +42,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Hashable
 
-from repro.bench.parallel import PointTask, execute_tasks
-from repro.bench.report import comparable_json, strip_perf, write_json
+from repro.bench.parallel import PointTask, execute_tasks, run_task
+from repro.bench.report import (
+    comparable_json,
+    results_payload,
+    strip_perf,
+    write_json,
+)
 from repro.bench.runner import (
     FABRIC_VARIANTS,
     QANAAT_PROTOCOLS,
@@ -50,7 +58,7 @@ from repro.bench.runner import (
     sweep_stopped,
 )
 from repro.errors import ConfigurationError, ReproError
-from repro.scenarios.runner import run_scenario, summary_row
+from repro.scenarios.runner import summary_row
 from repro.scenarios.spec import (
     ArrivalSpec,
     FaultEvent,
@@ -252,7 +260,7 @@ def run_experiment(
         write_json(out_dir / f"BENCH_{row.name}.json", artifact)
     for line in row.rows(artifact):
         print("  " + line)
-    failures = row.checks(artifact) if cells is None else []
+    failures = row.checks(results_payload(artifact)) if cells is None else []
     if failures:
         raise ChecksFailed(row.name, failures)
     return artifact
@@ -310,6 +318,7 @@ def _grid(
     description: str,
     panels: Callable[[str], list[Panel]],
     ladder: bool = False,
+    checks: Callable[[dict[str, Any]], list[str]] = Experiment.checks,
 ) -> Experiment:
     """A row over the one grid planner.  With ``ladder`` every point
     climbs the scale's rate ladder and reports the rung just below
@@ -351,7 +360,8 @@ def _grid(
         return {"results": results[None] if set(results) == {None} else results}
 
     return Experiment(
-        name, group, description, merge, plan, rows=_panel_rows, ladder=ladder
+        name, group, description, merge, plan, checks, rows=_panel_rows,
+        ladder=ladder,
     )
 
 
@@ -400,6 +410,23 @@ def _table3_panels(scale: str) -> list[Panel]:
     ]
 
 
+def _sustains(share: float) -> Callable[[dict[str, Any]], list[str]]:
+    """Checks that every reported point of a panel grid achieved more
+    than ``share`` of its offered load."""
+
+    def checks(artifact: dict[str, Any]) -> list[str]:
+        return [
+            f"sustains-offered: {panel}/{point['system']} achieved "
+            f"{point['throughput_tps']:.0f} of {point['offered_tps']:.0f} "
+            f"tps offered, not above {share} x offered"
+            for panel, points in artifact["results"].items()
+            for point in points
+            if point["throughput_tps"] <= share * point["offered_tps"]
+        ]
+
+    return checks
+
+
 def _fig11_panels(scale: str) -> list[Panel]:
     # Qanaat orders-then-executes so skew barely matters; Fabric-family
     # systems lose most throughput to MVCC invalidation, with Fabric++
@@ -414,6 +441,29 @@ def _fig11_panels(scale: str) -> list[Panel]:
         )
         for skew in (0.0, 1.0, 2.0)
     ]
+
+
+def _fig11_checks(artifact: dict[str, Any]) -> list[str]:
+    # Panels are keyed by the skew as written to JSON ("0.0", "2.0").
+    tps = {
+        (skew, point["system"]): point["throughput_tps"]
+        for skew, points in artifact["results"].items()
+        for point in points
+    }
+    failures = []
+    flat, skewed = tps["0.0", "Flt-C"], tps["2.0", "Flt-C"]
+    if not skewed > 0.8 * flat:
+        failures.append(
+            f"qanaat-skew-flat: Flt-C runs {skewed:.0f} tps at s=2, not "
+            f"above 0.8 x its {flat:.0f} tps at s=0"
+        )
+    flat, skewed = tps["0.0", "Fabric"], tps["2.0", "Fabric"]
+    if not skewed < 0.6 * flat:
+        failures.append(
+            f"fabric-skew-collapse: Fabric runs {skewed:.0f} tps at s=2, "
+            f"not below 0.6 x its {flat:.0f} tps at s=0"
+        )
+    return failures
 
 
 def _flt_c_panel(option: str, values: tuple, label: Callable[[Any], str]):
@@ -480,6 +530,16 @@ def _gamma_merge(run: Run) -> dict[str, Any]:
                 total_entries += len(tx_id.gamma)
         sizes["reduced" if reduce_gamma else "full"] = total_entries
     return {"results": sizes}
+
+
+def _gamma_checks(artifact: dict[str, Any]) -> list[str]:
+    sizes = artifact["results"]
+    if sizes["reduced"] < sizes["full"]:
+        return []
+    return [
+        f"gamma-reduces: reduced IDs carry {sizes['reduced']} γ entries, "
+        f"full ones {sizes['full']}"
+    ]
 
 
 def _gamma_rows(artifact: dict[str, Any]) -> list[str]:
@@ -683,12 +743,16 @@ def _batching_merge(run: Run) -> dict[str, Any]:
         }
     # The verify_many claim, measured: rerun one cell with batched
     # verification off (every signature demand checked and counted one
-    # verify() at a time); its results must not move.
+    # verify() at a time); its results must not move.  The rerun is a
+    # task like any cell, so it leaves no interned digest behind for
+    # the next row to hit.
     probe_name = next(iter(run.specs))
     batched_report = run.reports[probe_name]
     previous = set_batch_verify(False)
     try:
-        baseline_report = run_scenario(run.specs[probe_name])
+        baseline_report = run_task(
+            PointTask(probe_name, run.specs[probe_name]), "batching"
+        )
     finally:
         set_batch_verify(previous)
     if comparable_json(baseline_report) != comparable_json(batched_report):
@@ -895,13 +959,16 @@ def _shardpar_merge(run: Run) -> dict[str, Any]:
             drain=sc.drain,
         )
         label = f"{len(spec.topology.enterprises)}x{shards}"
-        sequential = run_scenario(spec)
+        sequential = run_task(PointTask(label, spec), "shardpar")
         seq_wall = sequential["perf"]["wall_clock_s"]
         results[label] = strip_perf(sequential)
         reference = comparable_json(sequential)
         per_worker: dict = {}
         for workers in worker_counts:
-            report = run_scenario(spec.with_kernel_workers(workers))
+            report = run_task(
+                PointTask((label, workers), spec.with_kernel_workers(workers)),
+                "shardpar",
+            )
             if comparable_json(report) != reference:
                 raise AssertionError(
                     f"kernel_workers determinism violated: {label} at "
@@ -1006,17 +1073,17 @@ _ROWS = (
     _grid("fig10", _PAPER, "Figure 10: 10% cross workloads over 4 AWS regions",
           _fig10_panels, ladder=True),
     _grid("table2", _PAPER, "Table 2: 90% internal + 10% cross, 2..8 enterprises",
-          _table2_panels, ladder=True),
+          _table2_panels, ladder=True, checks=_sustains(0.85)),
     _grid("table3", _PAPER, "Table 3: one failed non-primary node (plus "
-          "exec+filter for PF)", _table3_panels),
+          "exec+filter for PF)", _table3_panels, checks=_sustains(0.6)),
     _grid("fig11", _PAPER, "Figure 11: 90% internal + 10% cross under key skew",
-          _fig11_panels),
+          _fig11_panels, ladder=True, checks=_fig11_checks),
     _grid("ablation_batching", "Ablations",
           "Batch size vs throughput/latency for Flt-C",
           _flt_c_panel("batch_size", (1, 8, 64, 256), "Flt-C/B={}".format)),
     Experiment("ablation_gamma", "Ablations",
                "γ transitive reduction: ID size saved, throughput unchanged",
-               _gamma_merge, rows=_gamma_rows),
+               _gamma_merge, checks=_gamma_checks, rows=_gamma_rows),
     # Checkpoint votes ride the same network and CPU as consensus, so
     # tight intervals tax throughput; 0 disables checkpointing (the
     # no-GC, unbounded-log configuration).

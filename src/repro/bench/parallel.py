@@ -84,10 +84,10 @@ def run_task(task: PointTask, label: str = "tasks") -> dict[str, Any]:
 
     The hot-path interning tables (vote payloads, ledger digests,
     reply digests) are dropped after every task: their keys hold the
-    point's transaction graphs, entries cannot hit across points (keys
-    embed process-unique request ids), and clearing keeps a long
-    matrix run's memory flat whether the task ran in-process or on a
-    pool worker.
+    point's transaction graphs, and one table (the client's result
+    digests) would hit across points and change the next point's
+    counters.  Clearing keeps every point's counters its own and a long
+    matrix run's memory flat, in-process or on a pool worker.
     """
     from repro.crypto.hashing import clear_intern_caches
     from repro.scenarios.runner import run_scenario

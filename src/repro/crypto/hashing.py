@@ -319,9 +319,13 @@ class Canonical:
 
 #: Interning tables registered by hot-path modules (vote payloads,
 #: ledger body/content digests, reply digests).  Their keys hold live
-#: object graphs, so the bench executor clears them between points —
-#: entries never hit across points anyway (keys embed process-unique
-#: request ids), and clearing keeps a long matrix run's memory flat.
+#: object graphs, so the bench executor clears them after every point,
+#: which keeps a long matrix run's memory flat.  Most keys embed
+#: process-unique request ids and cannot hit across points, but the
+#: client's reply-matching digests are keyed by the result value alone:
+#: a point started with a warm table hashes ``"ok"`` once fewer, which
+#: moves the fixed-seed ``digest_calls`` pins.  So every point, merge
+#: reruns included, runs through ``repro.bench.parallel.run_task``.
 _INTERN_CACHES: list[dict] = []
 
 

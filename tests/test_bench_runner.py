@@ -62,6 +62,18 @@ def test_sweep_reports_point_below_saturation():
     assert not best.saturated
 
 
+@pytest.mark.parametrize("system", ["Flt-C", "Crd-C", "Flt-B", "Crd-B"])
+def test_four_enterprises_sustain_8000_tps(system):
+    # Table 2 (§5.5) at 2 000 tps per enterprise: 90% of the traffic is
+    # internal, so four enterprises keep up with twice the top rung of
+    # the smoke ladder, which the table2 row never offers.
+    point = run_point(point_spec(
+        system, 8_000, MIX, enterprises=("A", "B", "C", "D"), shards=2,
+        warmup=0.1, measure=0.25, drain=0.15,
+    ))
+    assert point.throughput_tps > 0.85 * point.offered_tps
+
+
 def test_all_protocol_names_resolve():
     assert set(QANAAT_PROTOCOLS) == {
         "Crd-B", "Crd-B(PF)", "Flt-B", "Flt-B(PF)", "Crd-C", "Flt-C",

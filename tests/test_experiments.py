@@ -1,7 +1,9 @@
 """The experiment table: every row's contract, every row's checks, and
 the one run function."""
 
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,10 @@ from repro.bench.experiments import (
     SCENARIO_PINS,
     ChecksFailed,
     Experiment,
+    Run,
     run_experiment,
 )
-from repro.bench.parallel import CellError
+from repro.bench.parallel import CellError, PointTask, run_task
 from repro.bench.report import comparable_json
 from repro.bench.runner import point_spec
 from repro.errors import ConfigurationError
@@ -29,7 +32,8 @@ SMOKE_CELLS = {
     "fig7": 81, "fig8": 81, "fig9": 81,  # 3 panels x 9 systems x 3 rungs
     "fig10": 54,                         # 3 panels x 6 systems x 3 rungs
     "table2": 72,                        # 4 panels x 6 systems x 3 rungs
-    "table3": 18, "fig11": 27,
+    "fig11": 81,                         # 3 panels x 9 systems x 3 rungs
+    "table3": 18,
     "ablation_batching": 4, "ablation_gamma": 0, "ablation_checkpoint": 4,
     "ablation_fig4": 4, "baseline_landscape": 12,
     "batching": 12, "scenarios": 16, "recovery": 2, "population": 12,
@@ -176,6 +180,56 @@ def _recovery_artifact():
     }
 
 
+def _gamma_artifact():
+    return {
+        "experiment": "ablation_gamma", "scale": "smoke", "seed": 1,
+        "results": {"full": 320, "reduced": 260},
+        "perf": {},
+    }
+
+
+def _grid_artifact(name, achieved):
+    """A panel grid as written to JSON: ``achieved`` maps panel label ->
+    system -> (offered, achieved) tps."""
+    return {
+        "experiment": name, "scale": "smoke", "seed": 1,
+        "results": {
+            panel: [
+                {
+                    "system": system, "offered_tps": offered,
+                    "throughput_tps": tps, "mean_latency_ms": 20.0,
+                    "completed": int(tps * 0.3), "perf": {},
+                }
+                for system, (offered, tps) in points.items()
+            ]
+            for panel, points in achieved.items()
+        },
+        "perf": {},
+    }
+
+
+def _table2_artifact():
+    return _grid_artifact("table2", {
+        str(count): {"Flt-C": (4_000.0, 3_990.0), "Crd-B": (4_000.0, 3_900.0)}
+        for count in (2, 8)
+    })
+
+
+def _table3_artifact():
+    return _grid_artifact("table3", {
+        label: {"Flt-C": (1_500.0, 1_490.0), "Fabric": (1_500.0, 1_420.0)}
+        for label in ("no fail", "1 fail")
+    })
+
+
+def _fig11_artifact():
+    return _grid_artifact("fig11", {
+        "0.0": {"Flt-C": (4_000.0, 4_000.0), "Fabric": (4_000.0, 3_900.0)},
+        "1.0": {"Flt-C": (4_000.0, 3_990.0), "Fabric": (2_000.0, 1_950.0)},
+        "2.0": {"Flt-C": (4_000.0, 3_990.0), "Fabric": (2_000.0, 1_500.0)},
+    })
+
+
 def _parent(artifact, path):
     for step in path[:-1]:
         artifact = artifact[step]
@@ -262,7 +316,40 @@ CHECK_CASES = {
              "recovery-crosses-a-fold: the sqlite"),
         ],
     ),
+    "ablation_gamma": (
+        _gamma_artifact,
+        [(_set(("results", "reduced"), 320), "gamma-reduces")],
+    ),
+    "table2": (
+        _table2_artifact,
+        [(_set(("results", "8", 1, "throughput_tps"), 3_000.0),
+          "sustains-offered: 8/Crd-B")],
+    ),
+    "table3": (
+        _table3_artifact,
+        [(_set(("results", "1 fail", 1, "throughput_tps"), 800.0),
+          "sustains-offered: 1 fail/Fabric")],
+    ),
+    "fig11": (
+        _fig11_artifact,
+        [
+            (_set(("results", "2.0", 0, "throughput_tps"), 3_000.0),
+             "qanaat-skew-flat"),
+            (_set(("results", "2.0", 1, "throughput_tps"), 3_000.0),
+             "fabric-skew-collapse"),
+        ],
+    ),
 }
+
+#: The rows whose smoke artifacts (seed 1) are committed under
+#: artifacts/: the paper's figures and tables, the ablations, the
+#: related-work landscape, and the batching sweep.
+COMMITTED = (
+    "fig7", "fig8", "fig9", "fig10", "table2", "table3", "fig11",
+    "ablation_batching", "ablation_gamma", "ablation_checkpoint",
+    "ablation_fig4", "baseline_landscape", "batching",
+)
+ARTIFACTS = Path(__file__).resolve().parent.parent / "artifacts"
 
 
 def test_every_row_with_checks_has_cases():
@@ -282,6 +369,21 @@ def test_checks_pass_the_good_artifact_and_name_each_failure(name):
         failures = checks(artifact)
         assert len(failures) == 1, (needle, failures)
         assert failures[0].startswith(needle), failures
+
+
+def test_committed_artifacts_are_exactly_the_listed_rows():
+    assert sorted(p.name for p in ARTIFACTS.glob("BENCH_*.json")) == sorted(
+        f"BENCH_{name}.json" for name in COMMITTED
+    )
+
+
+@pytest.mark.parametrize("name", COMMITTED)
+def test_committed_artifact_passes_its_rows_checks(name):
+    artifact = json.loads((ARTIFACTS / f"BENCH_{name}.json").read_text())
+    assert (artifact["experiment"], artifact["scale"], artifact["seed"]) == (
+        name, "smoke", 1,
+    )
+    assert EXPERIMENTS[name].checks(artifact) == []
 
 
 @pytest.mark.parametrize(
@@ -407,3 +509,22 @@ def test_kernel_workers_reach_every_cell_and_keep_the_artifact(tmp_path):
     assert comparable_json(plain) == comparable_json(windowed)
     for report in windowed["results"].values():
         assert report["perf"]["kernel_workers"] == 1
+
+
+@pytest.mark.parametrize("name", ["batching", "shardpar"])
+def test_merge_reruns_leave_no_interned_digest_for_the_next_row(name):
+    # A merge that reruns a spec does it as a task, so the interning
+    # tables are dropped after it like after any cell: a row run next in
+    # the same process hashes exactly what it hashes alone (a warm client
+    # result-digest table makes it hash one digest fewer and miss its pin).
+    from repro.crypto.hashing import _INTERN_CACHES
+
+    # Every batching cell is one tiny spec (the probe rerun is real);
+    # shardpar plans no cells and builds its own.
+    keys = list(EXPERIMENTS[name].plan("smoke", 1))
+    spec = _demo_row().plan("smoke", 1)["Flt-C"]
+    report = run_task(PointTask("tiny", spec))
+    specs, reports = dict.fromkeys(keys, spec), dict.fromkeys(keys, report)
+    # kernel_workers=1 narrows shardpar to one partitioned rerun.
+    EXPERIMENTS[name].merge(Run("smoke", 1, None, 1, None, specs, reports))
+    assert not any(_INTERN_CACHES)
