@@ -574,7 +574,7 @@ def _traced_merge(run: Run) -> dict[str, Any]:
 #: widens what certificates demand or signs what no replica sends fails
 #: without timing flakiness.
 #: History and the re-pin procedure: docs/benchmarks.md.
-SCENARIO_PINS = {"digest_calls": 28405, "verify_calls": 85722, "sign_calls": 40499}
+SCENARIO_PINS = {"digest_calls": 25245, "verify_calls": 85722, "sign_calls": 40499}
 
 
 def _scenarios_checks(artifact: dict[str, Any]) -> list[str]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.consensus.cross_base import CrossEngine, CrossState, final_otxs
+from repro.consensus.cross_base import CrossEngine, CrossState
 from repro.consensus.messages import (
     CommitQuery,
     CrossBlock,

@@ -16,6 +16,7 @@ Role terminology used by both families (Table 1):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 from repro.consensus.messages import CommitQuery, CrossBlock
@@ -87,28 +88,48 @@ def commit_payload(base_digest: str, ids_by_cluster: tuple) -> str:
     return cached
 
 
-def final_otxs(block: CrossBlock) -> list[OrderedTransaction]:
+def final_otxs(block: CrossBlock) -> tuple[OrderedTransaction, ...]:
     """Build per-transaction OrderedTransactions from a finished block.
 
     Each transaction carries the IDs assigned by every assigning
     cluster, ordered with the coordinator's first (the commit message's
     "concatenation of the received IDs", §4.3.2).
+
+    Memoised on the block, like :meth:`CrossBlock.base_digest`: every
+    replica that commits the same block object appends the same
+    OrderedTransactions, so each record's body digest is computed once
+    per process.  The block is frozen, so the result cannot stale.
     """
-    result = []
-    for index, tx in enumerate(block.txs):
-        ids = tuple(run[index] for _, run in block.ids_by_cluster)
-        result.append(OrderedTransaction(tx, ids))
-    return result
+    cached = block.__dict__.get("_final_otxs")
+    if cached is None:
+        runs = [run for _, run in block.ids_by_cluster]
+        cached = tuple(
+            OrderedTransaction(tx, tuple(run[index] for run in runs))
+            for index, tx in enumerate(block.txs)
+        )
+        object.__setattr__(block, "_final_otxs", cached)
+    return cached
 
 
-@dataclass
+#: What a finished state's vote tables become: a read finds nothing and
+#: a write raises ``TypeError``.
+_RELEASED: Any = MappingProxyType({})
+
+
+@dataclass(slots=True)
 class CrossState:
-    """Per-block protocol state kept on every participating node."""
+    """Per-block protocol state kept on every participating node.
+
+    Once the block commits, :meth:`finish` turns the state into a
+    tombstone: the vote tables are released and only what a late
+    message or a commit query reads stays (``block``, ``base_digest``,
+    ``coordinator``, ``stage``, ``committed`` and both certificates).
+    """
 
     block: CrossBlock
     base_digest: str
     coordinator: str
-    involved: list[ClusterInfo]
+    involved: tuple[ClusterInfo, ...]
     committed: bool = False
     stage: str = "start"
     # coordinator-side evidence
@@ -138,6 +159,13 @@ class CrossState:
         if self.timer is not None:
             self.timer.cancel()
             self.timer = None
+
+    def finish(self) -> None:
+        """Release the vote tables of a committed block."""
+        self.prepared_certs = self.prepared_votes = self.prepared_ids = _RELEASED
+        self.accepts = self.commits = self.queries = _RELEASED
+        self.id_cluster_by_shard = _RELEASED
+        self.assigning_cache = None
 
 
 class CrossEngine:
@@ -174,12 +202,15 @@ class CrossEngine:
         info = self.node.directory.clusters.get(cluster)
         return info is not None and node_id in info.members
 
-    def _involved(self, block: CrossBlock) -> list[ClusterInfo]:
+    def _involved(self, block: CrossBlock) -> tuple[ClusterInfo, ...]:
         scope = self.node.collections.get_by_label(block.label).scope
         return self.node.directory.involved_clusters(scope, block.shards)
 
     def _assigning(
-        self, block: CrossBlock, involved: list[ClusterInfo], coordinator: str
+        self,
+        block: CrossBlock,
+        involved: tuple[ClusterInfo, ...],
+        coordinator: str,
     ) -> list[ClusterInfo]:
         coord = self.node.directory.get(coordinator)
         if block.protocol == "isce":
@@ -198,7 +229,10 @@ class CrossEngine:
         return cached
 
     def _validating(
-        self, block: CrossBlock, involved: list[ClusterInfo], coordinator: str
+        self,
+        block: CrossBlock,
+        involved: tuple[ClusterInfo, ...],
+        coordinator: str,
     ) -> list[ClusterInfo]:
         assigning = {
             c.name for c in self._assigning(block, involved, coordinator)
@@ -220,7 +254,7 @@ class CrossEngine:
         return state
 
     def _other_cluster_nodes(
-        self, involved: list[ClusterInfo], include_own: bool = False
+        self, involved: tuple[ClusterInfo, ...], include_own: bool = False
     ) -> list[str]:
         nodes: list[str] = []
         for info in involved:
@@ -312,6 +346,7 @@ class CrossEngine:
         state.committed = True
         state.cancel_timer()
         state.stage = "done"
+        state.finish()
         if self._obs_tracer is not None:
             t = self.node.sim.now
             block_id = state.block.block_id

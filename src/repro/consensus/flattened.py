@@ -373,6 +373,8 @@ class FlattenedEngine(CrossEngine):
         if src != self.node.believed_primary(msg.initiator):
             self.node.observe_primary(msg.initiator, src)
         state = self._state(msg.block, coordinator=msg.initiator)
+        if state.committed:
+            return
         state.block = msg.block
         self._commit(state, self._fast_certificate(state))
 

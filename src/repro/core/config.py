@@ -192,10 +192,15 @@ class ClusterDirectory:
 
     clusters: dict[str, ClusterInfo] = field(default_factory=dict)
     _by_location: dict[tuple[str, int], str] = field(default_factory=dict)
+    #: (scope, shards) -> involved clusters; cleared by every add()
+    _involved: dict[tuple, tuple[ClusterInfo, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def add(self, info: ClusterInfo) -> None:
         self.clusters[info.name] = info
         self._by_location[(info.enterprise, info.shard)] = info.name
+        self._involved.clear()
 
     def get(self, name: str) -> ClusterInfo:
         return self.clusters[name]
@@ -208,10 +213,17 @@ class ClusterDirectory:
 
     def involved_clusters(
         self, scope: frozenset[str], shards: tuple[int, ...]
-    ) -> list[ClusterInfo]:
-        """Every cluster touching (scope, shards), deterministic order."""
-        result = []
-        for enterprise in sorted(scope):
-            for shard in shards:
-                result.append(self.at(enterprise, shard))
+    ) -> tuple[ClusterInfo, ...]:
+        """Every cluster touching (scope, shards), deterministic order.
+
+        One tuple per key, shared by every cross block over it.
+        """
+        key = (scope, shards)
+        result = self._involved.get(key)
+        if result is None:
+            result = self._involved[key] = tuple(
+                self.at(enterprise, shard)
+                for enterprise in sorted(scope)
+                for shard in shards
+            )
         return result

@@ -712,6 +712,9 @@ class ClusterNode(SimNode):
         quorum = self.config.reply_cert_quorum
         if not msg.certificate.verify(self.key_registry, quorum):
             return
-        self._reply_certs[msg.certificate.request_id] = msg
+        rid = msg.certificate.request_id
+        self._reply_certs[rid] = msg
+        # From now on the certificate answers a retransmission.
+        self._exec_orders.pop(rid, None)
         if self.consensus.is_primary():
             self.send(msg.client, msg)

@@ -41,6 +41,9 @@ from repro.storage.base import (
 
 _SEGMENT_WIDTH = 6
 _SNAPSHOT_SUFFIX = ".snapshot.json"
+# ``json.dumps`` with any non-default argument builds a new encoder per
+# call; the journal writes one line per record, so build it once.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class WalBackend(StorageBackend):
@@ -113,7 +116,7 @@ class WalBackend(StorageBackend):
             # and load() would then drop everything after the merge.
             handle = self._open_segment(namespace)
         try:
-            line = json.dumps(record.to_payload(), separators=(",", ":"))
+            line = _encode(record.to_payload())
         except TypeError as exc:
             raise StorageError(
                 f"record on {namespace} is not JSON-serializable: {exc}"
@@ -131,10 +134,7 @@ class WalBackend(StorageBackend):
         path = self._snapshot_path(namespace)
         tmp = path.with_suffix(".json.tmp")
         try:
-            body = json.dumps(
-                {"version": version, "payload": payload},
-                separators=(",", ":"),
-            )
+            body = _encode({"version": version, "payload": payload})
         except TypeError as exc:
             raise StorageError(
                 f"snapshot of {namespace} is not JSON-serializable: {exc}"
@@ -213,12 +213,7 @@ class WalBackend(StorageBackend):
                 tmp = path.with_suffix(".jsonl.tmp")
                 with tmp.open("w", encoding="utf-8") as handle:
                     for record in kept:
-                        handle.write(
-                            json.dumps(
-                                record.to_payload(), separators=(",", ":")
-                            )
-                            + "\n"
-                        )
+                        handle.write(_encode(record.to_payload()) + "\n")
                     handle.flush()
                     os.fsync(handle.fileno())
                 tmp.replace(path)

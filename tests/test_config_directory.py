@@ -1,5 +1,7 @@
 """Unit tests for deployment configuration and the cluster directory."""
 
+import dataclasses
+
 import pytest
 
 from repro.consensus.base import cluster_size, local_majority
@@ -70,6 +72,13 @@ def test_directory_lookup_and_involved_clusters():
     assert directory.members_of("B1") == ("B1.o0", "B1.o1")
     involved = directory.involved_clusters(frozenset("AB"), (0, 1))
     assert [c.name for c in involved] == ["A1", "A2", "B1", "B2"]
+    # One shared tuple per (scope, shards) ...
+    assert directory.involved_clusters(frozenset("AB"), (0, 1)) is involved
+    # ... until a cluster is (re)added, as a reconfiguration does.
+    swapped = dataclasses.replace(involved[0], members=("A1.o0", "A1.r1"))
+    directory.add(swapped)
+    again = directory.involved_clusters(frozenset("AB"), (0, 1))
+    assert again[0] is swapped and again[1:] == involved[1:]
 
 
 def test_classify_matches_table_1():

@@ -27,7 +27,7 @@ from repro.workload.generator import WorkloadMix
 # runs, so the pin clears them first).  A drift here means the
 # protocol hot path changed — that may be fine, but it must be
 # deliberate.
-PINNED_DIGEST_CALLS = 1300
+PINNED_DIGEST_CALLS = 726
 PINNED_SPAN_COUNT = 4717
 
 
