@@ -80,16 +80,7 @@ def resolve_jobs(jobs: int | None) -> int:
 
 def run_task(task: PointTask, label: str = "tasks") -> dict[str, Any]:
     """Run one task to its scenario report (picklable, JSON-ready); any
-    failure surfaces as one :class:`CellError` chained to the original.
-
-    The hot-path interning tables (vote payloads, ledger digests,
-    reply digests) are dropped after every task: their keys hold the
-    point's transaction graphs, and one table (the client's result
-    digests) would hit across points and change the next point's
-    counters.  Clearing keeps every point's counters its own and a long
-    matrix run's memory flat, in-process or on a pool worker.
-    """
-    from repro.crypto.hashing import clear_intern_caches
+    failure surfaces as one :class:`CellError` chained to the original."""
     from repro.scenarios.runner import run_scenario
 
     try:
@@ -101,8 +92,6 @@ def run_task(task: PointTask, label: str = "tasks") -> dict[str, Any]:
             task.spec.name,
             f"{type(exc).__name__}: {exc}",
         ) from exc
-    finally:
-        clear_intern_caches()
 
 
 def _pool_entry(item: tuple[int, PointTask, str]) -> tuple[int, dict[str, Any]]:

@@ -49,11 +49,11 @@ def classify(scope: frozenset[str], shards: tuple[int, ...]) -> str:
 # the smoke scenario matrix showed these two helpers producing ~28k of
 # its 79k digest calls over only a few thousand distinct payloads.  The
 # inputs are frozen (digest strings, cluster names, TxId tuples), so
-# the digests are interned process-wide.  Keys embed ``base_digest``,
-# which covers the globally-unique request ids, so entries can never
-# collide across blocks; the table is dropped on overflow like the
-# signature-verification cache, and cleared between bench points
-# (repro.crypto.hashing.clear_intern_caches).
+# the digests are interned across the run's nodes.  Keys embed
+# ``base_digest``, which covers the run-unique request ids, so entries
+# can never collide across blocks; the table is dropped on overflow
+# like the signature-verification cache, and cleared with every run
+# (repro.crypto.hashing.run_scope).
 from repro.crypto.hashing import register_intern_cache as _register_cache
 
 _PAYLOAD_CACHE: dict[tuple, str] = _register_cache({})

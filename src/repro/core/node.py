@@ -70,10 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Reply-payload digests are identical on every node replying to the
 # same request (the digest is what makes f+1 replies "matching"), so
-# they are interned across nodes.  Request ids are process-unique, so
-# entries never collide; results are keyed through hashing.typed_key
-# (True/1/1.0 encode differently but compare equal), and shapes it
-# cannot represent skip the table.
+# they are interned across nodes.  Request ids are unique within a run
+# (hashing.run_scope), so entries never collide; results are keyed
+# through hashing.typed_key (True/1/1.0 encode differently but compare
+# equal), and shapes it cannot represent skip the table.
 from repro.crypto.hashing import register_intern_cache as _register_cache
 from repro.crypto.hashing import typed_key as _typed_key
 
@@ -567,6 +567,8 @@ class ClusterNode(SimNode):
                 self.consensus.release(("req", otx.tx.request_id))
             self.committed_tx_count += 1
             if executor is not None:
+                if self._obs_tracer is not None:
+                    started = max(self.sim.now, self._busy_until)
                 self.charge(self.cost_model.execution_time(1))
                 if executor.backend is not None and executor.backend.durable:
                     # The WAL write rides the commit path; its cost is
@@ -577,10 +579,11 @@ class ClusterNode(SimNode):
                             "journal_writes", cluster=self.cluster_name
                         ).inc()
                 if self._obs_tracer is not None:
-                    self._obs_tracer.point(
+                    self._obs_tracer.completed(
                         "execute",
                         self.node_id,
-                        self.sim.now,
+                        started,
+                        max(started, self._busy_until),
                         self._obs_tracer.tx_sid(otx.tx.request_id),
                         seq=tx_id.alpha.seq,
                     )

@@ -10,7 +10,7 @@ most of its time allocating and joining intermediate ``bytes`` objects
 — ``tests/test_canonical_encoding.py`` pins it against golden vectors
 produced by the recursive implementation.
 
-Module-level counters (:func:`counters` / :func:`reset_counters`)
+Per-run counters (:func:`counters`, zeroed by :func:`run_scope`)
 instrument the hot path: every ``BENCH_*.json`` point records its
 ``digest_calls`` and ``encode_bytes`` so hot-path regressions show up
 in the artifacts (and are pinned by CI for a fixed seed).
@@ -19,7 +19,8 @@ in the artifacts (and are pinned by CI for a fixed seed).
 from __future__ import annotations
 
 import hashlib
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 #: Builtin types the canonical encoding covers directly.  An object
 #: carrying ``canonical_bytes`` is only treated as opaque when it is
@@ -32,7 +33,7 @@ _BUILTIN_TYPES = (bool, int, float, str, bytes, list, tuple, set, frozenset, dic
 _COMMA = object()
 _CLOSE = object()
 
-# Instrumentation counters (process-local, monotonically increasing).
+# Instrumentation counters (zeroed when a run scope opens).
 _digest_calls = 0
 _encode_bytes = 0
 _verify_calls = 0
@@ -317,28 +318,39 @@ class Canonical:
         return cached
 
 
-#: Interning tables registered by hot-path modules (vote payloads,
-#: ledger body/content digests, reply digests).  Their keys hold live
-#: object graphs, so the bench executor clears them after every point,
-#: which keeps a long matrix run's memory flat.  Most keys embed
-#: process-unique request ids and cannot hit across points, but the
-#: client's reply-matching digests are keyed by the result value alone:
-#: a point started with a warm table hashes ``"ok"`` once fewer, which
-#: moves the fixed-seed ``digest_calls`` pins.  So every point, merge
-#: reruns included, runs through ``repro.bench.parallel.run_task``.
-_INTERN_CACHES: list[dict] = []
+#: Resets of per-run module state (interning tables, request ids).
+_RUN_RESETS: list[Callable[[], None]] = []
+
+
+def register_run_reset(reset: Callable[[], None]) -> Callable[[], None]:
+    """Register per-run module state: :func:`run_scope` calls ``reset``
+    when a run opens and again when it closes."""
+    _RUN_RESETS.append(reset)
+    return reset
 
 
 def register_intern_cache(cache: dict) -> dict:
-    """Register an interning table for :func:`clear_intern_caches`."""
-    _INTERN_CACHES.append(cache)
+    """Register an interning table for :func:`run_scope` to empty."""
+    register_run_reset(cache.clear)
     return cache
 
 
-def clear_intern_caches() -> None:
-    """Drop every registered interning table (bench point teardown)."""
-    for cache in _INTERN_CACHES:
-        cache.clear()
+@contextmanager
+def run_scope() -> Iterator[None]:
+    """One run's hot-path state: opening zeroes the counters and runs
+    every registered reset; closing, on every exit path, runs them
+    again.  Tables are cleared in place, not hung on the ``Simulator``:
+    message classes with no simulator reference read them.  One run
+    is live per process; forked workers inherit the open scope."""
+    global _digest_calls, _encode_bytes, _verify_calls, _sign_calls
+    _digest_calls = _encode_bytes = _verify_calls = _sign_calls = 0
+    for reset in _RUN_RESETS:
+        reset()
+    try:
+        yield
+    finally:
+        for reset in _RUN_RESETS:
+            reset()
 
 
 def typed_key(value: Any):
@@ -369,9 +381,8 @@ def counters() -> dict[str, int]:
     ``verify_calls`` counts individual signature verifications (see
     :func:`repro.crypto.signatures.verify_many` for how certificates
     amortize them); ``sign_calls`` counts signatures made, sent or
-    not.  All are process-local and monotonic — benchmark
-    points report the *delta* across their run (see ``perf`` blocks in
-    ``BENCH_*.json``).
+    not.  All count from the last :func:`run_scope` opening, so a
+    run's ``perf`` block is its own, whatever ran before it.
     """
     return {
         "digest_calls": _digest_calls,
@@ -379,12 +390,3 @@ def counters() -> dict[str, int]:
         "verify_calls": _verify_calls,
         "sign_calls": _sign_calls,
     }
-
-
-def reset_counters() -> None:
-    """Zero the instrumentation counters (tests / standalone tools)."""
-    global _digest_calls, _encode_bytes, _verify_calls, _sign_calls
-    _digest_calls = 0
-    _encode_bytes = 0
-    _verify_calls = 0
-    _sign_calls = 0

@@ -12,10 +12,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.hashing import Canonical
+from repro.crypto.hashing import Canonical, register_run_reset
 from repro.datamodel.txid import TxId
 
 _request_counter = itertools.count(1)
+
+
+@register_run_reset
+def _restart_request_ids() -> None:
+    global _request_counter
+    _request_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -37,9 +43,9 @@ class Transaction(Canonical):
 
     ``scope`` names the target collection; ``keys`` drive shard
     mapping; ``read_only`` transactions skip ledger appends.  The
-    request id is process-unique and used for reply matching and
-    duplicate suppression (execution nodes keep the last reply per
-    client, §4.2).
+    request id is unique within a run (``hashing.run_scope``) and used
+    for reply matching and duplicate suppression (execution nodes keep
+    the last reply per client, §4.2).
     """
 
     client: str

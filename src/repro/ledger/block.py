@@ -13,8 +13,8 @@ from repro.ledger.certificate import CommitCertificate
 # the same transaction at the same position — by design (§3.3) — so
 # each replica after the first gets them from this interning table
 # instead of re-hashing.  Keys are digest strings; the table is dropped
-# on overflow, and the bench executor clears it between points
-# (repro.crypto.hashing.clear_intern_caches).
+# on overflow, and cleared with every run
+# (repro.crypto.hashing.run_scope).
 from repro.crypto.hashing import register_intern_cache as _register_cache
 
 _content_cache: dict[tuple[str, str], str] = _register_cache({})

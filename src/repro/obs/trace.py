@@ -108,16 +108,14 @@ class Tracer:
             span.end = t
 
     def new_run(self) -> None:
-        """Start tracing a fresh deployment without dropping spans.
+        """Start tracing a fresh run without dropping spans.
 
-        Block/instance/phase keys are deployment-scoped (``(cluster,
-        slot)`` tuples restart per deployment), so a process-wide
-        tracer spanning several runs (``bench --trace`` over a matrix)
-        must forget the previous deployment's key -> span indexes or
-        later runs alias earlier spans.  Transaction roots stay:
-        request ids come from a process-global counter and never
-        collide.
+        Every key restarts per run (``(cluster, slot)`` tuples, request
+        ids), so a tracer spanning several runs (``bench --trace`` over
+        a matrix) must forget the previous run's key -> span indexes or
+        later runs alias earlier spans.
         """
+        self._tx.clear()
         self._blocks.clear()
         self._instances.clear()
         self._open.clear()
@@ -230,11 +228,14 @@ class Tracer:
 
     def decided(self, cluster: str, slot: Any, node: str, t: float) -> None:
         """One node decided the slot: close its open phases and extend
-        the instance span to cover the decision."""
+        the instance span and a local batch's span to the decision."""
         self.close_owner((cluster, slot, node), t)
         sid = self._instances.get((cluster, slot))
         if sid is not None:
             self._end(sid, t, extend=True)
+            block = self._spans[sid].parent
+            if block is not None and self._spans[block].name == "block.local":
+                self._end(block, t, extend=True)
 
     # ------------------------------------------------------------------
     # open phases (keyed; grouped under an owner for bulk closing)
@@ -380,19 +381,17 @@ def _has_cross_descendant(root: dict, children: dict) -> bool:
     return False
 
 
+def _tx_roots(spans: list[dict], rid: int) -> list[dict]:
+    return [s for s in spans if s["name"] == "tx" and s["attrs"].get("rid") == rid]
+
+
 def render_waterfall(spans: list[dict], rid: int, width: int = 56) -> str:
     """Text waterfall of one transaction's span tree."""
     children = _children_index(spans)
-    root = next(
-        (
-            s
-            for s in spans
-            if s["name"] == "tx" and s["attrs"].get("rid") == rid
-        ),
-        None,
-    )
-    if root is None:
+    roots = _tx_roots(spans, rid)
+    if not roots:
         return f"no tx span for rid {rid}"
+    root = roots[0]
     tree = _subtree(root, children)
     t0 = root["start"]
     t1 = max(
@@ -506,6 +505,12 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     printed = False
     if args.tx is not None:
+        roots = len(_tx_roots(spans, args.tx))
+        if roots > 1:
+            parser.error(
+                f"rid {args.tx} names {roots} tx spans: this trace holds "
+                "several runs, and request ids restart with every run"
+            )
         print(render_waterfall(spans, args.tx))
         printed = True
     if args.aggregate:

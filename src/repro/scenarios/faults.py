@@ -262,9 +262,6 @@ class FaultScheduler:
         client = next(
             c for c in self.deployment.clients if c.enterprise == enterprise
         )
-        # The returned request id rides a process-wide counter, which
-        # varies with how many runs shared this worker process — keep
-        # it out of the (byte-compared) trace detail.
         self._reconfigurator().create_collection(
             client, event.scope, contract="smallbank"
         )

@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.crypto import hashing
 from repro.errors import StorageError
 from repro.scenarios.spec import ScenarioSpec
 
@@ -205,6 +206,7 @@ def _audit_crashed(
     return entries, timings
 
 
+@hashing.run_scope()
 def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     """Build the spec's system, replay its timeline, measure every
     window; returns a JSON-ready report.
@@ -227,8 +229,8 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
 
     The report is assembled from the per-worker ``collect`` payloads
     (one of them in-process) and carries a ``perf`` block — wall-clock
-    seconds, simulated events, events/sec, the hot-path counter deltas
-    from :func:`repro.crypto.hashing.counters`, and per-worker /
+    seconds, simulated events, events/sec, the hot-path counters of the
+    call's :func:`~repro.crypto.hashing.run_scope`, and per-worker /
     per-kernel facts — so every ``BENCH_scenarios.json`` records a perf
     trajectory.  ``perf`` is metadata, not a result: artifact
     comparisons exclude it (see ``repro.bench.report.strip_perf`` and
@@ -236,7 +238,6 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     """
     from repro import obs
     from repro.bench.drivers import build_driver
-    from repro.crypto import hashing
     from repro.sim.partition import ROOT_PID, boundary_lookahead
     from repro.sim.shardpar import ShardParEngine
 
@@ -265,7 +266,6 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     # with the run (owned) or lives in worker processes; under a
     # caller-enabled tracer on one kernel the caller exports it.
     ship_trace = owned or spec.kernel_workers is not None
-    counters_start = hashing.counters()
     wall_start = time.perf_counter()
     durable = spec.topology.storage_backend != "memory"
     scratch = None
@@ -402,10 +402,8 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "events": events,
         "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
     }
-    for key in ("digest_calls", "encode_bytes", "verify_calls", "sign_calls"):
-        perf[key] = (counters_built[key] - counters_start[key]) + sum(
-            p["counters"][key] for p in payloads
-        )
+    for key, built in counters_built.items():
+        perf[key] = built + sum(p["counters"][key] for p in payloads)
     perf["kernel_workers"] = spec.kernel_workers
     # Facts about the kernels themselves: invariant under worker count
     # once partitioned, but not across the one-kernel form.

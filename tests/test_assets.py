@@ -8,6 +8,8 @@ from repro.crypto.zkp import default_params
 from repro.datamodel import Operation
 from repro.errors import AssetError
 
+pytestmark = pytest.mark.slow
+
 
 def make_deployment(enterprises=("A", "B"), **overrides):
     overrides.setdefault("batch_size", 2)

@@ -30,7 +30,13 @@ def test_examples_directory_has_the_documented_set():
 
 @pytest.mark.parametrize(
     "name",
-    [n for n in EXAMPLES if n != "benchmark_tour.py"],
+    [
+        pytest.param(n, marks=pytest.mark.slow)
+        if n == "confidential_assets.py"
+        else n
+        for n in EXAMPLES
+        if n != "benchmark_tour.py"
+    ],
 )
 def test_example_runs(name, capsys):
     module = load_example(name)

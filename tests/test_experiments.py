@@ -268,6 +268,8 @@ CHECK_CASES = {
         [
             (_set(("perf", "digest_calls"), SCENARIO_PINS["digest_calls"] + 1),
              "digest_calls-pin"),
+            (_set(("perf", "encode_bytes"), SCENARIO_PINS["encode_bytes"] + 8),
+             "encode_bytes-pin"),
             (_set(("perf", "verify_calls"), SCENARIO_PINS["verify_calls"] - 1),
              "verify_calls-pin"),
             (_drop(("results", STEADY)), f"smoke-scenarios-run: {STEADY}"),
@@ -511,14 +513,18 @@ def test_kernel_workers_reach_every_cell_and_keep_the_artifact(tmp_path):
         assert report["perf"]["kernel_workers"] == 1
 
 
+def test_scenarios_row_meets_its_pins_after_another_row():
+    # Every run_scenario is one run scope, so the pins hold whatever ran
+    # earlier in the process; a missed pin raises ChecksFailed.
+    run_experiment(EXPERIMENTS["obs"], "smoke")
+    run_experiment(EXPERIMENTS["scenarios"], "smoke")
+
+
 @pytest.mark.parametrize("name", ["batching", "shardpar"])
 def test_merge_reruns_leave_no_interned_digest_for_the_next_row(name):
-    # A merge that reruns a spec does it as a task, so the interning
-    # tables are dropped after it like after any cell: a row run next in
-    # the same process hashes exactly what it hashes alone (a warm client
-    # result-digest table makes it hash one digest fewer and miss its pin).
-    from repro.crypto.hashing import _INTERN_CACHES
-
+    # A run made after a merge's reruns hashes exactly what it hashes
+    # alone (a warm client result-digest table would make it hash one
+    # digest fewer and miss its pin).
     # Every batching cell is one tiny spec (the probe rerun is real);
     # shardpar plans no cells and builds its own.
     keys = list(EXPERIMENTS[name].plan("smoke", 1))
@@ -527,4 +533,6 @@ def test_merge_reruns_leave_no_interned_digest_for_the_next_row(name):
     specs, reports = dict.fromkeys(keys, spec), dict.fromkeys(keys, report)
     # kernel_workers=1 narrows shardpar to one partitioned rerun.
     EXPERIMENTS[name].merge(Run("smoke", 1, None, 1, None, specs, reports))
-    assert not any(_INTERN_CACHES)
+    again = run_task(PointTask("tiny", spec))
+    for counter in ("digest_calls", "encode_bytes", "verify_calls", "sign_calls"):
+        assert again["perf"][counter] == report["perf"][counter], counter

@@ -1,7 +1,6 @@
 """repro.obs: causal tracing, metrics, probes — and the zero-cost /
 determinism guarantees the instrumentation is stated over."""
 
-import itertools
 import json
 
 import pytest
@@ -22,10 +21,9 @@ from repro.scenarios import (
 )
 from repro.workload.generator import WorkloadMix
 
-# Pinned counters for _spec(seed=3) below, measured with cold intern
-# caches (process-wide value-interning tables serve digest hits across
-# runs, so the pin clears them first).  A drift here means the
-# protocol hot path changed — that may be fine, but it must be
+# Pinned counters for _spec(seed=3) below (every run_scenario starts
+# from zeroed counters and empty interning tables).  A drift here means
+# the protocol hot path changed — that may be fine, but it must be
 # deliberate.
 PINNED_DIGEST_CALLS = 726
 PINNED_SPAN_COUNT = 4717
@@ -37,15 +35,6 @@ def _obs_off():
     obs.disable()
     yield
     obs.disable()
-
-
-def _fresh_rids():
-    """Reset the process-global request-id counter so two in-process
-    runs of the same spec mint identical rids (cross-process runs get
-    this for free)."""
-    from repro.datamodel import transaction
-
-    transaction._request_counter = itertools.count(1)
 
 
 def _spec(trace: bool, seed: int = 3) -> ScenarioSpec:
@@ -76,16 +65,7 @@ def test_tracing_off_reports_carry_no_obs_block():
 def test_off_and_on_reports_identical_modulo_metadata():
     """The tentpole guarantee: tracing perturbs nothing it measures —
     same events, same digests, same windows, same fault trace."""
-    from repro.crypto.hashing import clear_intern_caches
-
-    # Equal cache warmth for both runs: the process-wide value-intern
-    # tables make the *first* run in a process burn more digest calls,
-    # which would skew the off/on comparison by test order.
-    _fresh_rids()
-    clear_intern_caches()
     off = run_scenario(_spec(False))
-    _fresh_rids()
-    clear_intern_caches()
     on = run_scenario(_spec(True))
     assert "obs" in on
     assert strip_perf(off) == strip_perf(on)
@@ -102,9 +82,7 @@ def test_run_scenario_owns_and_tears_down_obs():
 # deterministic when on
 # ----------------------------------------------------------------------
 def test_same_seed_twice_is_byte_identical_jsonl():
-    _fresh_rids()
     first = run_scenario(_spec(True))
-    _fresh_rids()
     second = run_scenario(_spec(True))
     jsonl = first["obs"]["trace_jsonl"]
     assert jsonl == second["obs"]["trace_jsonl"]
@@ -112,26 +90,70 @@ def test_same_seed_twice_is_byte_identical_jsonl():
     assert header == {"kind": "repro.obs.trace", "schema": TRACE_SCHEMA_VERSION}
 
 
-def test_pinned_smoke_counters():
-    from repro.crypto.hashing import clear_intern_caches
+def test_a_run_counts_the_same_whatever_ran_before_it():
+    """One spec run twice in one process, another spec in between:
+    both runs report the same counters and trace the same bytes,
+    because every run_scenario zeroes the hot-path counters, empties
+    the interning tables and restarts request ids at 1."""
+    first = run_scenario(_spec(True))
+    run_scenario(_spec(True, seed=4))
+    second = run_scenario(_spec(True))
+    for counter in (
+        "digest_calls", "encode_bytes", "verify_calls", "sign_calls", "events",
+    ):
+        assert first["perf"][counter] == second["perf"][counter], counter
+    assert first["obs"]["trace_jsonl"] == second["obs"]["trace_jsonl"]
 
-    _fresh_rids()
-    clear_intern_caches()
+
+def test_shared_tracer_keeps_each_run_in_its_own_spans(tmp_path, capsys):
+    """Under a caller-enabled tracer (bench --trace over a matrix) the
+    second run's rids restart at 1: its spans must hang off its own
+    tx roots, not alias the first run's, and the waterfall CLI refuses
+    a rid that names a tx in each run."""
+    from repro.obs import trace as trace_cli
+
+    obs.enable()
+    run_scenario(_spec(False))
+    boundary = obs.TRACER.span_count
+    run_scenario(_spec(False))
+    later = obs.TRACER.spans()[boundary:]
+    assert any(span.name == "tx" for span in later)
+    assert all(span.parent is None or span.parent >= boundary for span in later)
+
+    path = tmp_path / "trace.jsonl"
+    path.write_text(obs.TRACER.to_jsonl(), encoding="utf-8")
+    with pytest.raises(SystemExit):
+        trace_cli.main([str(path), "--tx", "1"])
+    assert "rid 1 names 2 tx spans" in capsys.readouterr().err
+
+
+def test_obs_row_trace_closes_every_span(tmp_path):
+    """Every span in the obs row's trace ends: local batches at their
+    last replica decision, and each execute span covers the CPU time
+    its replica charged for the transaction."""
+    from repro.bench.experiments import EXPERIMENTS, run_experiment
+
+    run_experiment(EXPERIMENTS["obs"], "smoke", out_dir=tmp_path)
+    spans = load_trace(str(tmp_path / "BENCH_obs_trace.jsonl"))
+    assert [s for s in spans if s["end"] is None] == []
+    executes = [s for s in spans if s["name"] == "execute"]
+    assert executes and all(s["end"] > s["start"] for s in executes)
+    assert any(s["name"] == "block.local" for s in spans)
+
+
+def test_pinned_smoke_counters():
     report = run_scenario(_spec(True))
     assert report["perf"]["digest_calls"] == PINNED_DIGEST_CALLS
     assert report["obs"]["spans"] == PINNED_SPAN_COUNT
     assert report["obs"]["schema"] == TRACE_SCHEMA_VERSION
 
-    # Tracing adds no digest calls: the untraced run, caches equally
-    # cold, burns the identical number.
-    _fresh_rids()
-    clear_intern_caches()
+    # Tracing adds no digest calls: the untraced run burns the
+    # identical number.
     untraced = run_scenario(_spec(False))
     assert untraced["perf"]["digest_calls"] == PINNED_DIGEST_CALLS
 
 
 def test_trace_spans_respect_causality():
-    _fresh_rids()
     report = run_scenario(_spec(True))
     spans = {}
     for line in report["obs"]["trace_jsonl"].splitlines()[1:]:
@@ -210,7 +232,6 @@ def test_checkpoint_journal_counters_per_cluster(tmp_path):
 def test_waterfall_cli_renders_cross_transaction(tmp_path, capsys):
     from repro.obs import trace as trace_cli
 
-    _fresh_rids()
     report = run_scenario(_spec(True))
     path = tmp_path / "trace.jsonl"
     path.write_text(report["obs"]["trace_jsonl"], encoding="utf-8")

@@ -17,6 +17,8 @@ from repro.crypto.zkp import (
 )
 from repro.errors import CryptoError
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.fixture(scope="module")
 def params():
