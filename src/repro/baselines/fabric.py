@@ -63,13 +63,13 @@ class FabricCosts(CostModel):
     hash_us: float = 12.0
     base_us: float = 8.0
 
-    def processing_time(self, node: Any, msg: Any) -> float:
-        stage_us = getattr(msg, "STAGE_COST_US", None)
-        tx_count = msg.tx_count() if hasattr(msg, "tx_count") else 1
-        if stage_us is None:
-            return self.base_us / 1e6
-        per_tx = getattr(self, stage_us)
-        return (self.base_us + per_tx * tx_count) / 1e6
+    def node_entry(self, node: Any, cls: type) -> tuple[float, float, float, bool]:
+        """A message's ``STAGE_COST_US`` names the per-transaction stage
+        it pays on top of ``base_us``; a class without one pays the base
+        alone."""
+        stage = getattr(cls, "STAGE_COST_US", None)
+        per_tx = getattr(self, stage) / 1e6 if stage is not None else 0.0
+        return (self.base_us / 1e6, per_tx, 1.0, hasattr(cls, "tx_count"))
 
 
 def fast_fabric_costs() -> FabricCosts:
@@ -91,9 +91,6 @@ class EndorseRequest:
     STAGE_COST_US = "endorse_us"
     tx: Transaction
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class Endorsement:
@@ -102,18 +99,12 @@ class Endorsement:
     endorser: str
     read_versions: dict
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class OrderSubmit:
     STAGE_COST_US = "order_us"
     tx: Transaction
     read_versions: dict
-
-    def tx_count(self) -> int:
-        return 1
 
 
 @dataclass
@@ -131,9 +122,6 @@ class RaftAck:
     STAGE_COST_US = None
     block_seq: int
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class BlockDeliver:
@@ -150,9 +138,6 @@ class FabricReply:
     STAGE_COST_US = None
     request_id: int
     valid: bool
-
-    def tx_count(self) -> int:
-        return 1
 
 
 def namespaced(tx: Transaction, key: str) -> tuple:

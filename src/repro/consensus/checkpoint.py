@@ -82,9 +82,6 @@ class CheckpointMsg:
     state_digest: str
     signed: SignedMessage
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class StateRequest:
@@ -96,9 +93,6 @@ class StateRequest:
     shard: int
     have_seq: int
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class StateResponse:
@@ -108,9 +102,6 @@ class StateResponse:
 
     checkpoint: StableCheckpoint
     snapshot: Any  # canonicalizable payload; digest must match
-
-    def tx_count(self) -> int:
-        return 1
 
 
 @dataclass

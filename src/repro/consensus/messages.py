@@ -1,7 +1,8 @@
 """Wire messages for clients, cross-cluster protocols, and the firewall.
 
-Message classes carry ``CPU_WEIGHT`` / ``EXEC_WEIGHT`` hints for the
-calibrated cost model and ``tx_count()`` for batch scaling.
+Message classes carry a ``CPU_WEIGHT`` hint for the calibrated cost
+model, and batch messages a ``tx_count()`` for batch scaling (a class
+without one counts as one transaction).
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ class ClientRequest:
     tx: Transaction
     retransmission: bool = False
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class ClientReply:
@@ -38,9 +36,6 @@ class ClientReply:
     result: Any
     signed: SignedMessage | None = None
     reply_certificate: ReplyCertificate | None = None
-
-    def tx_count(self) -> int:
-        return 1
 
 
 # ----------------------------------------------------------------------
@@ -172,9 +167,6 @@ class PreparedMsg:
     signed: SignedMessage
     certificate: CommitCertificate | None = None  # involved-cluster consensus
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class CrossCommitMsg:
@@ -212,9 +204,6 @@ class PrimaryAccept:
     digest: str
     signed: SignedMessage
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class FlatAccept:
@@ -225,9 +214,6 @@ class FlatAccept:
     digest: str
     signed: SignedMessage
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class FlatCommit:
@@ -237,9 +223,6 @@ class FlatCommit:
     ids_by_cluster: tuple[tuple[str, tuple[TxId, ...]], ...]
     digest: str
     signed: SignedMessage
-
-    def tx_count(self) -> int:
-        return 1
 
 
 @dataclass
@@ -263,9 +246,6 @@ class CommitQuery:
     block_id: int
     digest: str
     cluster: str                   # querying cluster
-
-    def tx_count(self) -> int:
-        return 1
 
 
 # ----------------------------------------------------------------------
@@ -311,9 +291,6 @@ class ExecReply:
     signed: SignedMessage
     result: Any = None             # sealed for the client in real life
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass
 class ReplyCertMsg:
@@ -322,6 +299,3 @@ class ReplyCertMsg:
     client: str
     timestamp: int
     result: Any = None
-
-    def tx_count(self) -> int:
-        return 1

@@ -55,9 +55,6 @@ class PaxosAccepted(Canonical):
             + self.signed.canonical_bytes()
         )
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class PaxosDecide(Canonical):
@@ -84,9 +81,6 @@ class PaxosPrepare(Canonical):
 
     def _canonical_bytes(self) -> bytes:
         return f"paxos-p|{self.ballot}".encode()
-
-    def tx_count(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,6 @@ class PbftPrepare(Canonical):
             + self.signed.canonical_bytes()
         )
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class PbftCommit(Canonical):
@@ -76,9 +73,6 @@ class PbftCommit(Canonical):
             f"pbft-c|{self.view}|{self.slot!r}|{self.value_digest}|".encode()
             + self.signed.canonical_bytes()
         )
-
-    def tx_count(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class Envelope:
         members = ",".join(sorted(self.audience))
         return f"env|{self.ciphertext_digest}|{members}".encode()
 
-    def tx_count(self) -> int:
-        inner = self._plaintext
-        return inner.tx_count() if hasattr(inner, "tx_count") else 1
-
 
 def seal(payload: Any, audience: set[str] | frozenset[str]) -> Envelope:
     """Encrypt ``payload`` so only ``audience`` identities can open it."""

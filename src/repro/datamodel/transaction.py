@@ -79,9 +79,6 @@ class Transaction(Canonical):
             + sealed
         )
 
-    def tx_count(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class OrderedTransaction(Canonical):
@@ -107,6 +104,3 @@ class OrderedTransaction(Canonical):
     def _canonical_bytes(self) -> bytes:
         ids = b";".join(i.canonical_bytes() for i in self.ids)
         return b"otx|" + self.tx.canonical_bytes() + b"|" + ids
-
-    def tx_count(self) -> int:
-        return 1

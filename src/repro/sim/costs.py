@@ -6,11 +6,15 @@ nodes running transactions, Fabric's orderer hashing everything.  The
 simulator reproduces that by charging each message handler a processing
 time on a serial per-node CPU queue.
 
+A model prices a delivery once per (node, message class) through
+:meth:`CostModel.node_entry`; :meth:`repro.sim.node.SimNode.deliver`
+caches the entry and charges ``(base + per_tx * n) * discount``.
 Messages advertise two hints:
 
 - ``CPU_WEIGHT`` (class attribute, default 1.0): relative handler cost;
-- ``tx_count()`` (method, default 1): how many transactions the message
-  carries, for batch messages whose cost scales with the batch.
+- ``tx_count()`` (method; a class without one counts as 1): how many
+  transactions the message carries, for batch messages whose cost
+  scales with the batch.
 
 Calibration targets the paper's absolute numbers loosely (§5: c4.2xlarge,
 Flt-C ≈ 110 ktps over 16 clusters); shapes come from the protocols.
@@ -22,9 +26,13 @@ from typing import Any
 
 
 class CostModel:
-    """Interface: seconds of CPU to process ``msg`` at ``node``."""
+    """Interface: the CPU a node spends handling one message class."""
 
-    def processing_time(self, node: Any, msg: Any) -> float:
+    def node_entry(self, node: Any, cls: type) -> tuple[float, float, float, bool]:
+        """``(base, per_tx, discount, has_tx_count)`` for messages of
+        class ``cls`` delivered to ``node``: a delivery carrying ``n``
+        transactions costs ``(base + per_tx * n) * discount`` seconds,
+        with ``n = msg.tx_count()`` when ``has_tx_count`` else 1."""
         raise NotImplementedError
 
     def execution_time(self, tx_count: int) -> float:
@@ -42,100 +50,48 @@ class CostModel:
 class ZeroCost(CostModel):
     """Free CPU — used by correctness tests to keep schedules simple."""
 
-    def processing_time(self, node: Any, msg: Any) -> float:
-        return 0.0
+    def node_entry(self, node: Any, cls: type) -> tuple[float, float, float, bool]:
+        return (0.0, 0.0, 1.0, False)
 
 
 class CalibratedCost(CostModel):
     """Per-message base cost plus per-transaction marginal cost.
 
-    ``base_us`` covers deserialization and one signature verification;
-    ``per_tx_us`` covers per-transaction hashing/MAC work in batch
-    messages; ``execute_us`` is charged per executed transaction.
-    ``byzantine_factor`` models the heavier cryptographic work of BFT
-    message handling (certificate assembly, extra verifications) —
-    applied when the receiving node belongs to a Byzantine cluster.
+    ``BASE`` covers deserialization and one signature verification;
+    ``PER_TX`` covers per-transaction hashing/MAC work in batch
+    messages; ``EXECUTE`` is charged per executed transaction;
+    ``JOURNAL`` is the amortized per-transaction WAL append
+    (group-committed sequential writes, not per-record fsyncs), all in
+    seconds.  ``BYZANTINE_FACTOR`` models the heavier cryptographic
+    work of BFT message handling (certificate assembly, extra
+    verifications) — applied to ``BASE`` when the receiving node
+    belongs to a Byzantine cluster.
 
-    Defaults are calibrated against §5's c4.2xlarge numbers: a
+    The constants are calibrated against §5's c4.2xlarge numbers: a
     crash-only cluster saturates near ~6.5-7 ktps (Flt-C reaches
     ~110 ktps over 16 clusters in Figure 7a).
     """
 
-    def __init__(
-        self,
-        base_us: float = 100.0,
-        per_tx_us: float = 30.0,
-        execute_us: float = 25.0,
-        byzantine_factor: float = 1.35,
-        journal_us: float = 12.0,
-    ):
-        self.base = base_us / 1e6
-        self.per_tx = per_tx_us / 1e6
-        self.execute = execute_us / 1e6
-        self.byzantine_factor = byzantine_factor
-        #: Amortized per-transaction WAL append (group-committed
-        #: sequential writes, not per-record fsyncs).
-        self.journal = journal_us / 1e6
-        # Hot-path memos: the weights are class attributes and a node's
-        # failure model / CPU discount never change after construction,
-        # so both lookups are resolved once, not per message.
-        self._msg_weights: dict[type, tuple[float, float, bool]] = {}
-        self._node_factors: dict[str, tuple[float, float]] = {}
+    BASE = 100e-6
+    PER_TX = 30e-6
+    EXECUTE = 25e-6
+    JOURNAL = 12e-6
+    BYZANTINE_FACTOR = 1.35
 
-    def node_entry(
-        self, node: Any, cls: type
-    ) -> tuple[float, float, float, float, bool]:
-        """Per-(node, message-class) constants for the inlined hot path
-        in :meth:`repro.sim.node.SimNode.deliver`:
-        ``(base*weight, per_tx, execute*exec_weight, discount,
-        has_tx_count)``.  Each product is formed exactly as
-        :meth:`processing_time` forms it, so the inlined arithmetic is
-        bit-identical to calling this model per message.
-        """
-        weight = getattr(cls, "CPU_WEIGHT", 1.0)
-        exec_weight = getattr(cls, "EXEC_WEIGHT", 0.0)
-        base = self.base
+    def node_entry(self, node: Any, cls: type) -> tuple[float, float, float, bool]:
+        base = self.BASE
         config = getattr(node, "config", None)
         if config is not None and config.failure_model == "byzantine":
-            base *= self.byzantine_factor
+            base *= self.BYZANTINE_FACTOR
         return (
-            base * weight,
-            self.per_tx,
-            self.execute * exec_weight,
+            base * getattr(cls, "CPU_WEIGHT", 1.0),
+            self.PER_TX,
             getattr(node, "CPU_DISCOUNT", 1.0),
             hasattr(cls, "tx_count"),
         )
 
-    def processing_time(self, node: Any, msg: Any) -> float:
-        cls = msg.__class__
-        weights = self._msg_weights.get(cls)
-        if weights is None:
-            weights = (
-                getattr(cls, "CPU_WEIGHT", 1.0),
-                getattr(cls, "EXEC_WEIGHT", 0.0),
-                hasattr(cls, "tx_count"),
-            )
-            self._msg_weights[cls] = weights
-        weight, exec_weight, has_tx_count = weights
-        node_id = getattr(node, "node_id", None)
-        factors = self._node_factors.get(node_id) if node_id is not None else None
-        if factors is None:
-            base = self.base
-            config = getattr(node, "config", None)
-            if config is not None and config.failure_model == "byzantine":
-                base *= self.byzantine_factor
-            factors = (base, getattr(node, "CPU_DISCOUNT", 1.0))
-            if node_id is not None:
-                self._node_factors[node_id] = factors
-        base, discount = factors
-        tx_count = msg.tx_count() if has_tx_count else 1
-        time = base * weight + self.per_tx * tx_count
-        if exec_weight:
-            time += self.execute * exec_weight * tx_count
-        return time * discount
-
     def execution_time(self, tx_count: int) -> float:
-        return self.execute * tx_count
+        return self.EXECUTE * tx_count
 
     def journal_time(self, record_count: int) -> float:
-        return self.journal * record_count
+        return self.JOURNAL * record_count

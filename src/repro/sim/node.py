@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.costs import CalibratedCost, CostModel, ZeroCost
+from repro.sim.costs import CostModel, ZeroCost
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Event, Simulator
@@ -41,10 +41,10 @@ class SimNode(Actor):
     """An actor with a serial CPU and a crash switch.
 
     Arriving messages queue behind the CPU: handling starts at
-    ``max(now, busy_until)`` and takes ``cost_model.processing_time``.
-    Crashed nodes drop everything; a recovered node resumes handling
-    new messages (protocol state is whatever it was at crash time,
-    which is what a process restart with durable state looks like).
+    ``max(now, busy_until)`` and takes ``(base + per_tx * n) *
+    discount`` seconds, the message class's
+    :meth:`~repro.sim.costs.CostModel.node_entry` for this node, where
+    ``n`` is ``msg.tx_count()`` (1 for a class without one).
     """
 
     def __init__(
@@ -58,13 +58,9 @@ class SimNode(Actor):
         self.cost_model = cost_model if cost_model is not None else ZeroCost()
         self.crashed = False
         self._busy_until = 0.0
-        self.messages_handled = 0
         self.busy_time = 0.0
-        # deliver() inlines the calibrated cost arithmetic (exactly one
-        # message per delivery makes the call overhead measurable);
-        # subclasses of CalibratedCost and custom models keep the
-        # virtual processing_time call.
-        self._inline_cost = type(self.cost_model) is CalibratedCost
+        # The cost model's node_entry per message class: a node's
+        # config and CPU discount never change after construction.
         self._cost_entries: dict[type, tuple] = {}
         # The CPU-queue completion handler, bound once rather than per
         # delivery.
@@ -80,30 +76,27 @@ class SimNode(Actor):
         )
 
     def crash(self) -> None:
-        """Fail-stop: drop all traffic until :meth:`recover`."""
+        """Drop every delivery until :meth:`recover`: messages arriving
+        while crashed, and queued ones whose CPU turn comes while
+        crashed, are never handled.  Only deliveries stop — the node's
+        timers still fire and what they send still goes out."""
         self.crashed = True
 
     def recover(self) -> None:
+        """Resume handling new deliveries.  All volatile state — protocol
+        state, pending timers, the CPU queue's clock — is kept exactly as
+        it was: a pause, not a process restart."""
         self.crashed = False
 
     def deliver(self, msg: Any, src: str) -> None:
         if self.crashed:
             return
-        if self._inline_cost:
-            cls = msg.__class__
-            entry = self._cost_entries.get(cls)
-            if entry is None:
-                entry = self._cost_entries[cls] = self.cost_model.node_entry(
-                    self, cls
-                )
-            base_weight, per_tx, exec_prod, discount, has_tx = entry
-            tx_count = msg.tx_count() if has_tx else 1
-            cost = base_weight + per_tx * tx_count
-            if exec_prod:
-                cost += exec_prod * tx_count
-            cost *= discount
-        else:
-            cost = self.cost_model.processing_time(self, msg)
+        cls = msg.__class__
+        entry = self._cost_entries.get(cls)
+        if entry is None:
+            entry = self._cost_entries[cls] = self.cost_model.node_entry(self, cls)
+        base, per_tx, discount, has_tx = entry
+        cost = (base + per_tx * (msg.tx_count() if has_tx else 1)) * discount
         sim = self.sim
         now = sim.now
         busy = self._busy_until
@@ -133,5 +126,4 @@ class SimNode(Actor):
     def _handle(self, msg: Any, src: str) -> None:
         if self.crashed:
             return
-        self.messages_handled += 1
         self.on_message(msg, src)

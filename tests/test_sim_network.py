@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from repro.baselines.fabric import BlockDeliver, FabricCosts, RaftAck, RaftAppend
 from repro.errors import ConfigurationError
 from repro.sim import (
-    CalibratedCost,
+    CostModel,
     Network,
     RegionLatency,
     SimNode,
@@ -34,6 +35,16 @@ class Counted:
 
     def tx_count(self):
         return self.n
+
+
+class FlatCost(CostModel):
+    """``base`` seconds per message plus ``per_tx`` per transaction."""
+
+    def __init__(self, base, per_tx=0.0):
+        self.base, self.per_tx = base, per_tx
+
+    def node_entry(self, node, cls):
+        return (self.base, self.per_tx, 1.0, hasattr(cls, "tx_count"))
 
 
 def make_pair(latency=None, **kwargs):
@@ -113,12 +124,18 @@ def test_crashed_node_drops_messages():
     assert [m for m, _, _ in b.received] == ["y"]
 
 
-def test_cpu_queue_serializes_processing():
+def priced_pair(cost_model):
+    """``a`` sends to ``b``, whose CPU is priced by ``cost_model``, over
+    a zero-latency link."""
     sim = Simulator()
     net = Network(sim, latency=UniformLatency(base_ms=0.0, jitter_ms=0.0))
-    cost = CalibratedCost(base_us=1000.0, per_tx_us=0.0)
     a = Recorder("a", sim, net)
-    b = Recorder("b", sim, net, cost_model=cost)
+    b = Recorder("b", sim, net, cost_model=cost_model)
+    return sim, a, b
+
+
+def test_cpu_queue_serializes_processing():
+    sim, a, b = priced_pair(FlatCost(0.001))
     a.send("b", "m1")
     a.send("b", "m2")
     sim.run()
@@ -130,10 +147,44 @@ def test_cpu_queue_serializes_processing():
 
 
 def test_cost_scales_with_tx_count():
-    cost = CalibratedCost(base_us=10.0, per_tx_us=1.0)
-    small = cost.processing_time(None, Counted(1))
-    large = cost.processing_time(None, Counted(101))
+    sim, a, b = priced_pair(FlatCost(10e-6, per_tx=1e-6))
+    a.send("b", Counted(1))
+    sim.run()
+    small = b.busy_time
+    a.send("b", Counted(101))
+    sim.run()
+    large = b.busy_time - small
+    assert small == pytest.approx(11e-6)
     assert large - small == pytest.approx(100e-6)
+
+
+def test_zero_cost_handles_each_delivery_at_its_arrival():
+    sim, net, a, b = make_pair(latency=UniformLatency(base_ms=1.0, jitter_ms=0.0))
+    a.send("b", Counted(50))
+    a.send("b", "m")
+    sim.run()
+    assert [t for _, _, t in b.received] == [pytest.approx(0.001)] * 2
+    assert b.received[0][2] == b.received[1][2]
+    assert b.busy_time == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_fabric_staged_message_pays_base_plus_stage_per_tx(n):
+    costs = FabricCosts()
+    sim, a, b = priced_pair(costs)
+    a.send("b", RaftAppend(block_seq=1, entries=((None, {}),) * n))
+    sim.run()
+    assert b.busy_time == costs.base_us / 1e6 + costs.order_follower_us / 1e6 * n
+    assert b.received[0][2] == b.busy_time
+
+
+def test_fabric_stageless_message_pays_base_only():
+    costs = FabricCosts()
+    sim, a, b = priced_pair(costs)
+    a.send("b", RaftAck(block_seq=1))
+    a.send("b", BlockDeliver(block_seq=1, entries=((None, {}),) * 5))
+    sim.run()
+    assert b.busy_time == 2 * (costs.base_us / 1e6)
 
 
 def test_region_latency_uses_rtt_matrix():
