@@ -107,9 +107,28 @@ class SlotState:
     view: int = 0
 
 
+class _DecidedSlot:
+    """What :meth:`InternalConsensus._slot` returns for a decided slot:
+    every handler reads ``decided`` and returns, and nothing can be
+    written to it, so one shared instance serves every decided slot."""
+
+    __slots__ = ()
+    decided = True
+
+
+_DECIDED = _DecidedSlot()
+
+
 class InternalConsensus:
     """Base class: primary tracking, slot table, decide plumbing, and
     the replica's one failure detector (§4.3.4/§4.4.4).
+
+    ``slots`` holds the :class:`SlotState` (value, vote tables) of the
+    slots still being decided, and only those: ``_decide`` moves the
+    value to ``decided_values`` and drops the state, so after commit a
+    replica keeps one reference per decided slot, not its votes.
+    ``decided_values`` is truncated by :meth:`garbage_collect` at
+    stable checkpoints.
 
     The detector is a watch-set — what this replica waits on its primary
     for: undecided slots, and ``("req", rid)`` per client retransmission
@@ -186,11 +205,14 @@ class InternalConsensus:
             self.request_view_change(cause="timeout")
         self._restart_timer()
 
-    def _slot(self, slot: Any) -> SlotState:
+    def _slot(self, slot: Any) -> SlotState | _DecidedSlot:
+        """The state of an undecided slot, created on first use; the
+        read-only ``_DECIDED`` for a decided one (never re-created)."""
         state = self.slots.get(slot)
         if state is None:
-            state = SlotState()
-            self.slots[slot] = state
+            if slot in self.decided_values:
+                return _DECIDED
+            state = self.slots[slot] = SlotState()
         return state
 
     def _decide(self, slot: Any, state: SlotState) -> None:
@@ -207,6 +229,9 @@ class InternalConsensus:
         )
         if self._obs_tracer is not None:
             self._obs_decided(slot, state)
+        # Gone from ``slots`` before the host reacts, so whatever the
+        # decide triggers sees only undecided slots there.
+        del self.slots[slot]
         self.host.on_decide(slot, state.value, certificate)
 
     # ------------------------------------------------------------------
@@ -274,8 +299,7 @@ class InternalConsensus:
             )
 
     def is_decided(self, slot: Any) -> bool:
-        state = self.slots.get(slot)
-        return bool(state and state.decided)
+        return slot in self.decided_values
 
     def garbage_collect(self, keep: Callable[[Any, Any], bool]) -> int:
         """Drop decided slots rejected by ``keep(slot, value)``.
@@ -284,16 +308,14 @@ class InternalConsensus:
         checkpoint (undecided slots are never collected).  Returns the
         number of slots released.
         """
-        removed = 0
-        for slot, state in list(self.slots.items()):
-            if state.decided and not keep(slot, state.value):
-                del self.slots[slot]
-                self.decided_values.pop(slot, None)
-                removed += 1
-        return removed
+        decided = self.decided_values
+        dropped = [slot for slot, value in decided.items() if not keep(slot, value)]
+        for slot in dropped:
+            del decided[slot]
+        return len(dropped)
 
     def undecided_slots(self) -> list[Any]:
-        return [s for s, st in self.slots.items() if not st.decided]
+        return list(self.slots)
 
     # ------------------------------------------------------------------
     # interface expected by the engine

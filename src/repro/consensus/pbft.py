@@ -302,8 +302,7 @@ class PBFT(InternalConsensus):
         prepared = {
             slot: (state.view, state.value)
             for slot, state in self.slots.items()
-            if not state.decided
-            and state.value is not None
+            if state.value is not None
             and len(state.votes_phase1) >= self.quorum
         }
         signed = self.host.sign(f"view-change|{new_view}")
@@ -391,10 +390,9 @@ class PBFT(InternalConsensus):
         self._obs_count("view_changes")
         self.view = new_view
         for state in self.slots.values():
-            if not state.decided:
-                state.votes_phase1 = {}
-                state.votes_phase2 = {}
-                state.view = new_view
+            state.votes_phase1 = {}
+            state.votes_phase2 = {}
+            state.view = new_view
         for view in [v for v in self._view_changes if v <= new_view]:
             del self._view_changes[view]
         for view in [v for v in self._future_msgs if v < new_view]:

@@ -178,8 +178,9 @@ class ClusterNode(SimNode):
             seal=self._seal,
         )
         self._pending_requests: dict[int, Transaction] = {}
-        self._committed_requests: set[int] = set()
-        self._request_reply: dict[int, tuple[Any]] = {}  # rid -> (result,)
+        # rid -> (result,) once replied, None while committed but not
+        # yet replied: one entry per committed request.
+        self._request_reply: dict[int, tuple[Any] | None] = {}
         self._reply_certs: dict[int, ReplyCertMsg] = {}
         self._exec_orders: dict[int, ExecOrder] = {}
         self._commit_buffer: dict[tuple[str, int], dict[int, tuple]] = {}
@@ -314,7 +315,7 @@ class ClusterNode(SimNode):
         if rid in self._reply_certs:
             self.send(tx.client, self._reply_certs[rid])
             return
-        if rid in self._committed_requests:
+        if rid in self._request_reply:
             # Committed but not yet replied; with the firewall, re-push
             # the batch in case the original sender failed (§4.4.4).
             if msg.retransmission and rid in self._exec_orders:
@@ -389,8 +390,7 @@ class ClusterNode(SimNode):
         # leaving them batched would double-append when _route runs).
         self.sealer.clear()
         in_flight: set[int] = set()
-        for slot in self.consensus.undecided_slots():
-            state = self.consensus.slots[slot]
+        for state in self.consensus.slots.values():
             value = state.value
             if isinstance(value, Block):
                 in_flight.update(o.tx.request_id for o in value.otxs)
@@ -400,7 +400,7 @@ class ClusterNode(SimNode):
             if not state.committed:
                 in_flight.update(t.request_id for t in state.block.txs)
         for rid, tx in list(self._pending_requests.items()):
-            if rid in self._committed_requests or rid in in_flight:
+            if rid in self._request_reply or rid in in_flight:
                 continue
             self._route(tx)
 
@@ -562,7 +562,7 @@ class ClusterNode(SimNode):
                 # Pure ordering nodes checkpoint at commit; combined
                 # nodes checkpoint at execution (state is then exact).
                 self.checkpoints.on_commit(key[0], key[1], tx_id.alpha.seq)
-            self._committed_requests.add(otx.tx.request_id)
+            self._request_reply.setdefault(otx.tx.request_id, None)
             if self._pending_requests.pop(otx.tx.request_id, None) is not None:
                 self.consensus.release(("req", otx.tx.request_id))
             self.committed_tx_count += 1
@@ -653,7 +653,7 @@ class ClusterNode(SimNode):
         if buffer:
             for stale in [s for s in buffer if s <= seq]:
                 otx = buffer.pop(stale)[0]
-                self._committed_requests.add(otx.tx.request_id)
+                self._request_reply.setdefault(otx.tx.request_id, None)
                 if self._pending_requests.pop(otx.tx.request_id, None) is not None:
                     self.consensus.release(("req", otx.tx.request_id))
             if not buffer:

@@ -198,8 +198,8 @@ _buf_busy = False
 def digest(value: Any) -> str:
     """Hex digest of a canonicalized value (16 bytes of SHA-256).
 
-    Hot callers memoize: frozen transaction/block types cache their
-    ``canonical_bytes`` (see :class:`Canonical`), consensus caches
+    Hot callers memoize: IDs and ordered transactions cache their
+    ``canonical_bytes`` (see :class:`MemoCanonical`), consensus caches
     value digests via :func:`value_digest`, and the cross-cluster
     engines intern their vote-payload digests — because every
     verification site re-hashes the same immutable payload otherwise.
@@ -288,16 +288,14 @@ def value_digest(value: Any) -> str:
 
 
 class Canonical:
-    """Mixin for frozen message/transaction dataclasses: memoized
-    ``canonical_bytes`` (and, through :func:`value_digest`, a memoized
-    digest).
+    """Mixin for frozen message/transaction dataclasses: the canonical
+    encoding, built on demand.
 
-    Subclasses implement :meth:`_canonical_bytes` — the uncached
-    encoding — and every sign/verify/cost site that re-encodes the
-    same immutable payload gets the cached bytes instead.  The cache
-    is written with ``object.__setattr__`` (frozen dataclasses only
-    guard their declared fields), which is safe precisely because all
-    declared fields are frozen: the bytes can never go stale.
+    Subclasses implement :meth:`_canonical_bytes`.  An encoding is kept
+    only where something reads it again (:class:`MemoCanonical`):
+    a cached encoding lives as long as its object, and most objects
+    are encoded once — a block or an operation inside its one digest —
+    while the ledger holds them for the rest of the run.
     """
 
     __slots__ = ()
@@ -306,6 +304,23 @@ class Canonical:
         raise NotImplementedError(
             f"{type(self).__name__} must implement _canonical_bytes()"
         )
+
+    def canonical_bytes(self) -> bytes:
+        return self._canonical_bytes()
+
+
+class MemoCanonical(Canonical):
+    """:class:`Canonical` with the encoding memoized on the instance,
+    for the classes whose encoding is read again after the first time:
+    an ID is re-encoded by every transaction, vote payload and intern
+    probe that carries it, an ordered transaction by the ledger record
+    that appends it.  The cache is written with ``object.__setattr__``
+    (frozen dataclasses only guard their declared fields), which is
+    safe precisely because all declared fields are frozen: the bytes
+    can never go stale.
+    """
+
+    __slots__ = ()
 
     def canonical_bytes(self) -> bytes:
         cached = getattr(self, "_canonical_cache", None)

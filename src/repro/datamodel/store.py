@@ -4,11 +4,19 @@
 nodes to read the version they need to."  Versions are the
 per-collection-shard sequence numbers from α, so executing a
 transaction with γ = [Y:m] reads d_Y exactly as of its m-th commit.
+
+Layout (the newest-to-oldest version chains of Neumann et al., "Fast
+Serializable Multi-Version Concurrency Control", SIGMOD 2015, kept per
+namespace): the latest value of every key sits in place, with the
+version that wrote it, and each overwrite appends the value it
+replaced to one flat undo log.  Almost every read asks for the latest
+version or α.seq − 1 and costs one dict probe; only a read of a key
+overwritten since the version asked for walks the log back.  A key
+written once costs two dict entries, not a history.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.crypto.hashing import digest_int
@@ -37,12 +45,52 @@ def state_root(state: Mapping[str, Any]) -> tuple[int, int]:
     return root % _ROOT_MODULUS, len(state)
 
 
+#: ``latest`` has no entry for a key (written values may be None).
+_ABSENT = object()
+
+
+class _Namespace:
+    """One namespace's versions: ``latest[key]`` written at
+    ``version[key]``, and the undo log of ``(new version, key, old
+    version, old value)`` per overwrite, in write (so version) order."""
+
+    __slots__ = ("latest", "version", "undo")
+
+    def __init__(self) -> None:
+        self.latest: dict[str, Any] = {}
+        self.version: dict[str, int] = {}
+        self.undo: list[tuple[int, str, int, Any]] = []
+
+    def value_at(self, key: str, at_version: int, default: Any) -> Any:
+        """``key`` as of ``at_version``: its latest value, or the undo
+        log walked back to the version asked for."""
+        value = self.latest.get(key, _ABSENT)
+        if value is _ABSENT:
+            return default
+        written = self.version[key]
+        if written > at_version:
+            undo = self.undo
+            i = len(undo) - 1
+            while i >= 0 and undo[i][0] > at_version:
+                if undo[i][1] == key:
+                    _, _, written, value = undo[i]
+                i -= 1
+            if written > at_version:
+                return default  # first written after at_version
+        return value
+
+
 class MultiVersionStore:
     """Versioned key-value state for the collections one node maintains.
 
     Keys live in namespaces ``(collection_label, shard)``.  Writes must
     be applied in increasing version order per namespace (the execution
-    routine guarantees it: transactions execute in α order).
+    routine guarantees it: transactions execute in α order).  Each
+    namespace keeps the latest value of every key in place and an undo
+    log of the values overwrites replaced (module docstring): reads at
+    the latest version are one probe, reads further back walk the log
+    back from its end, and :meth:`snapshot_at` an old version is one
+    backward pass over the log, not one walk per key.
 
     With a :class:`~repro.storage.base.StorageBackend` attached, every
     write and version marker is journaled as it is applied, and
@@ -58,7 +106,7 @@ class MultiVersionStore:
     """
 
     def __init__(self, backend: "StorageBackend | None" = None) -> None:
-        self._data: dict[tuple[str, int], dict[str, tuple[list[int], list[Any]]]] = {}
+        self._data: dict[tuple[str, int], _Namespace] = {}
         self._applied: dict[tuple[str, int], int] = {}
         self._backend = backend
         # State-root bookkeeping, per namespace whose root was ever
@@ -102,32 +150,32 @@ class MultiVersionStore:
                 f"{version} after {applied} (no write recorded at {version})"
             )
         self._applied[namespace] = version
-        by_key = self._data.get(namespace)
-        if by_key is None:
-            by_key = self._data[namespace] = {}
+        ns = self._data.get(namespace)
+        if ns is None:
+            ns = self._data[namespace] = _Namespace()
         dirty = self._dirty.get(namespace)
         if dirty is not None:
             dirty.add(key)
-        entry = by_key.get(key)
-        if entry is None:
-            entry = by_key[key] = ([], [])
-        versions, values = entry
-        if versions and versions[-1] == version:
-            values[-1] = value
-        else:
-            versions.append(version)
-            values.append(value)
+        versions = ns.version
+        written = versions.get(key)
+        if written is not None and written != version:
+            ns.undo.append((version, key, written, ns.latest[key]))
+        ns.latest[key] = value
+        versions[key] = version
         if self._backend is not None:
             self._backend.append(
                 namespace, LogRecord(version, KIND_WRITE, key, value)
             )
 
     def _version_exists(self, namespace: tuple[str, int], version: int) -> bool:
-        for versions, _ in self._data.get(namespace, {}).values():
-            index = bisect.bisect_left(versions, version)
-            if index < len(versions) and versions[index] == version:
-                return True
-        return False
+        ns = self._data.get(namespace)
+        if ns is None:
+            return False
+        # Every version a key ever had is its current one or the old
+        # version of one of its undo entries.
+        return version in ns.version.values() or any(
+            entry[2] == version for entry in ns.undo
+        )
 
     def mark_version(self, label: str, shard: int, version: int) -> None:
         """Advance the applied version without writing (no-op commits)."""
@@ -148,38 +196,48 @@ class MultiVersionStore:
         default: Any = None,
     ) -> Any:
         """Read ``key`` as of ``at_version`` (latest if None)."""
-        namespace = (label, shard)
-        entry = self._data.get(namespace, {}).get(key)
-        if entry is None:
+        ns = self._data.get((label, shard))
+        if ns is None:
             return default
-        versions, values = entry
         if at_version is None:
-            return values[-1]
-        index = bisect.bisect_right(versions, at_version) - 1
-        if index < 0:
-            return default
-        return values[index]
+            return ns.latest.get(key, default)
+        return ns.value_at(key, at_version, default)
 
     def keys(self, label: str, shard: int = 0) -> Iterator[str]:
-        yield from self._data.get((label, shard), {})
+        ns = self._data.get((label, shard))
+        if ns is not None:
+            yield from ns.latest
 
     def key_count(self, label: str, shard: int = 0) -> int:
-        return len(self._data.get((label, shard), ()))
+        ns = self._data.get((label, shard))
+        return len(ns.latest) if ns is not None else 0
 
     def snapshot_at(
         self, label: str, shard: int = 0, version: int | None = None
     ) -> dict[str, Any]:
-        """Every key's value as of ``version`` (latest if None), in one
-        walk over the namespace; keys first written later are absent."""
-        by_key = self._data.get((label, shard), {})
+        """Every key's value as of ``version`` (latest if None); keys
+        first written later are absent.  An old version costs one
+        backward pass over the undo entries newer than it."""
+        ns = self._data.get((label, shard))
+        if ns is None:
+            return {}
+        state = dict(ns.latest)
         if version is None or version >= self._applied.get((label, shard), 0):
-            return {key: values[-1] for key, (_, values) in by_key.items()}
-        state: dict[str, Any] = {}
-        for key, (versions, values) in by_key.items():
-            index = bisect.bisect_right(versions, version) - 1
-            if index >= 0:
-                state[key] = values[index]
-        return state
+            return state
+        written = ns.version
+        rolled: dict[str, int] = {}  # key -> version it is rolled back to
+        undo = ns.undo
+        i = len(undo) - 1
+        while i >= 0 and undo[i][0] > version:
+            _, key, old_version, old_value = undo[i]
+            state[key] = old_value
+            rolled[key] = old_version
+            i -= 1
+        return {
+            key: value
+            for key, value in state.items()
+            if rolled.get(key, written[key]) <= version
+        }
 
     def latest_snapshot(self, label: str, shard: int = 0) -> dict[str, Any]:
         """Latest value of every key in a namespace (for audits/tests)."""
@@ -190,28 +248,31 @@ class MultiVersionStore:
         equal to :func:`state_root` of :meth:`snapshot_at`, at the cost
         of one leaf hash per key written since the previous call."""
         namespace = (label, shard)
-        by_key = self._data.get(namespace, {})
+        ns = self._data.get(namespace)
+        latest = ns.latest if ns is not None else {}
         dirty = self._dirty.get(namespace)
         if dirty is None:
             # First request: every key is new to the root, and write()
             # notes the keys it touches from now on.
-            dirty = self._dirty[namespace] = set(by_key)
+            dirty = self._dirty[namespace] = set(latest)
             self._leaves[namespace] = {}
             self._roots[namespace] = 0
         if dirty:
             leaves = self._leaves[namespace]
             root = self._roots[namespace]
             for key in dirty:
-                leaf = digest_int((key, by_key[key][1][-1]))
+                leaf = digest_int((key, latest[key]))
                 root += leaf - leaves.get(key, 0)
                 leaves[key] = leaf
             self._roots[namespace] = root % _ROOT_MODULUS
             dirty.clear()
-        return self._roots[namespace], len(by_key)
+        return self._roots[namespace], len(latest)
 
     def version_count(self, label: str, key: str, shard: int = 0) -> int:
-        entry = self._data.get((label, shard), {}).get(key)
-        return len(entry[0]) if entry else 0
+        ns = self._data.get((label, shard))
+        if ns is None or key not in ns.latest:
+            return 0
+        return 1 + sum(1 for entry in ns.undo if entry[1] == key)
 
     # ------------------------------------------------------------------
     # durability

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.hashing import Canonical, register_run_reset
+from repro.crypto.hashing import Canonical, MemoCanonical, register_run_reset
 from repro.datamodel.txid import TxId
 
 _request_counter = itertools.count(1)
@@ -62,10 +62,6 @@ class Transaction(Canonical):
     sealed_operation: Any = None
 
     def _canonical_bytes(self) -> bytes:
-        # Memoized by Canonical: every verification site (block digests,
-        # signature checks, certificates) re-canonicalizes the same
-        # immutable request otherwise.  All declared fields are frozen,
-        # so the bytes can never go stale.
         sealed = (
             self.sealed_operation.canonical_bytes()
             if self.sealed_operation is not None
@@ -81,7 +77,7 @@ class Transaction(Canonical):
 
 
 @dataclass(frozen=True)
-class OrderedTransaction(Canonical):
+class OrderedTransaction(MemoCanonical):
     """A transaction bound to the ID (or IDs) consensus assigned it.
 
     Intra-shard transactions carry one :class:`TxId`; cross-shard

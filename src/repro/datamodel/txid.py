@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.crypto.hashing import Canonical
+from repro.crypto.hashing import MemoCanonical
 from repro.errors import ConsistencyViolation, DataModelError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +52,7 @@ class LocalPart:
 
 
 @dataclass(frozen=True)
-class TxId(Canonical):
+class TxId(MemoCanonical):
     """``⟨α, γ⟩`` for one transaction on one collection-shard."""
 
     alpha: LocalPart

@@ -18,6 +18,7 @@ from repro.core.adversary import (
     subvert,
 )
 from repro.consensus.messages import CrossCommitMsg, Prepare
+from repro.crypto.hashing import value_digest
 from repro.datamodel import Operation
 from repro.ledger import shared_chains_consistent
 
@@ -62,7 +63,7 @@ def test_equivocating_primary_cannot_split_decisions():
     # Agreement: per slot, all nodes that decided agree on the digest.
     for slot in equivocator.forked_slots:
         digests = {
-            node.consensus.slots[slot].value_digest
+            value_digest(node.consensus.decided_values[slot])
             for node in nodes
             if node.consensus.is_decided(slot)
         }

@@ -297,7 +297,7 @@ def test_checkpoint_gc_prunes_log_with_deep_window():
         assert node.consensus.undecided_slots() == []
         # The stable checkpoint released decided slots behind it.
         retained = [
-            slot for slot in node.consensus.slots if slot[0] == "A"
+            slot for slot in node.consensus.decided_values if slot[0] == "A"
         ]
         assert all(slot[2] > node.checkpoints.stable_seq("A", 0) - 4
                    for slot in retained)

@@ -14,7 +14,13 @@ import hashlib
 import pytest
 
 from repro.crypto import hashing
-from repro.crypto.hashing import Canonical, _canonical, digest, value_digest
+from repro.crypto.hashing import (
+    Canonical,
+    MemoCanonical,
+    _canonical,
+    digest,
+    value_digest,
+)
 
 
 class Opaque:
@@ -170,25 +176,37 @@ def test_counters_track_calls_and_bytes():
 
 
 def test_canonical_mixin_caches_bytes_and_value_digest():
-    calls = {"n": 0}
+    calls = {"memo": 0, "plain": 0}
 
-    class Msg(Canonical):
+    class Msg(MemoCanonical):
         def _canonical_bytes(self):
-            calls["n"] += 1
+            calls["memo"] += 1
             return b"msg-payload"
+
+    class Plain(Canonical):
+        def _canonical_bytes(self):
+            calls["plain"] += 1
+            return b"plain-payload"
 
     msg = Msg()
     first = msg.canonical_bytes()
     second = msg.canonical_bytes()
     assert first == b"msg-payload"
     assert first is second  # cached object, not re-encoded
-    assert calls["n"] == 1
-    # value_digest memoizes on the same instance.
+    assert calls["memo"] == 1
+    # The plain mixin encodes on demand and keeps nothing.
+    plain = Plain()
+    assert plain.canonical_bytes() == plain.canonical_bytes() == b"plain-payload"
+    assert calls["plain"] == 2
+    assert not hasattr(plain, "_canonical_cache")
+    # value_digest memoizes on the same instance, for either mixin.
     with hashing.run_scope():
         d1 = value_digest(msg)
         d2 = value_digest(msg)
-    assert d1 == d2
-    assert hashing.counters()["digest_calls"] == 1
+        p1 = value_digest(plain)
+        p2 = value_digest(plain)
+    assert d1 == d2 and p1 == p2 and d1 != p1
+    assert hashing.counters()["digest_calls"] == 2
 
 
 def test_canonical_mixin_requires_subclass_hook():
@@ -200,8 +218,10 @@ def test_canonical_mixin_requires_subclass_hook():
 
 
 def test_frozen_message_taxonomy_has_cached_canonical_bytes():
-    # A representative sweep over the message taxonomy: the cached
-    # bytes object is reused, and digests are stable per instance.
+    # A representative sweep over the message taxonomy: every class
+    # encodes the same bytes each time; the classes whose encoding is
+    # read again (IDs, ordered transactions) reuse the cached bytes
+    # object; and a block's value digest is memoized on the block.
     from repro.consensus.messages import Block
     from repro.datamodel.transaction import Operation, OrderedTransaction, Transaction
     from repro.datamodel.txid import LocalPart, TxId
@@ -215,6 +235,11 @@ def test_frozen_message_taxonomy_has_cached_canonical_bytes():
     )
     otx = OrderedTransaction(tx, (TxId(LocalPart("A", 0, 1)),))
     block = Block((otx,))
-    for obj in (tx, otx, block):
+    txid = otx.ids[0]
+    for obj in (tx.operation, tx, txid, otx, block):
+        assert obj.canonical_bytes() == obj.canonical_bytes()
+    for obj in (txid, otx):
+        assert isinstance(obj, MemoCanonical)
         assert obj.canonical_bytes() is obj.canonical_bytes()
-    assert value_digest(block) == value_digest(block)
+    first = value_digest(block)
+    assert value_digest(block) is first

@@ -481,12 +481,12 @@ def test_consensus_log_truncated_at_checkpoint():
     stable = node.checkpoints.stable_seq("A", 0)
     assert stable >= 16
     # No decided slot at or below the stable checkpoint survives.
-    for slot, state in node.consensus.slots.items():
-        if not state.decided or not isinstance(slot, tuple) or len(slot) != 3:
+    for slot, value in node.consensus.decided_values.items():
+        if not isinstance(slot, tuple) or len(slot) != 3:
             continue
         label, shard, first = slot
         if label == "A" and shard == 0:
-            count = len(state.value.otxs)
+            count = len(value.otxs)
             assert first + count - 1 > stable
 
 
