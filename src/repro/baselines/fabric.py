@@ -159,19 +159,21 @@ class Endorser(SimNode):
         self.enterprise = enterprise
         self.versions: dict[str, int] = {}
 
-    def on_message(self, msg, src):
-        if isinstance(msg, EndorseRequest):
-            reads = {
-                k: self.versions.get(namespaced(msg.tx, k), 0)
-                for k in msg.tx.keys
-            }
-            self.send(src, Endorsement(msg.tx, self.node_id, reads))
-        elif isinstance(msg, BlockDeliver):
-            # Endorsers track committed versions from delivered blocks.
-            for tx, _ in msg.entries:
-                if self.enterprise in tx.scope:
-                    for key in tx.keys:
-                        self.versions[namespaced(tx, key)] = msg.block_seq
+    def handlers(self):
+        return {EndorseRequest: self._on_endorse, BlockDeliver: self._on_block}
+
+    def _on_endorse(self, msg, src):
+        reads = {
+            k: self.versions.get(namespaced(msg.tx, k), 0) for k in msg.tx.keys
+        }
+        self.send(src, Endorsement(msg.tx, self.node_id, reads))
+
+    def _on_block(self, msg, src):
+        # Endorsers track committed versions from delivered blocks.
+        for tx, _ in msg.entries:
+            if self.enterprise in tx.scope:
+                for key in tx.keys:
+                    self.versions[namespaced(tx, key)] = msg.block_seq
 
 
 class OrdererLeader(SimNode):
@@ -188,30 +190,26 @@ class OrdererLeader(SimNode):
         self.versions: dict[str, int] = {}  # for fabric++ early abort
         self.early_aborted = 0
 
-    def on_message(self, msg, src):
-        if isinstance(msg, OrderSubmit):
-            if (
-                self.deployment.variant is FabricVariant.FABRIC_PP
-                and self._stale(msg)
-            ):
-                # Early abort: don't waste block space and peer work.
-                self.early_aborted += 1
-                self.deployment.reply_invalid(msg.tx)
-                return
-            self.pending.append((msg.tx, msg.read_versions))
-            if len(self.pending) >= self.deployment.batch_size:
-                self._flush()
-            elif self._timer is None:
-                self._timer = self.set_timer(
-                    self.deployment.batch_wait, self._flush
-                )
-        elif isinstance(msg, RaftAck):
-            acks = self._acks.setdefault(msg.block_seq, set())
-            acks.add(src)
-            if len(acks) + 1 > (len(self.deployment.orderer_followers) + 1) // 2:
-                self._deliver(msg.block_seq)
-        elif isinstance(msg, BlockDeliver):
-            pass
+    def handlers(self):
+        return {OrderSubmit: self._on_submit, RaftAck: self._on_ack}
+
+    def _on_submit(self, msg, src):
+        if self.deployment.variant is FabricVariant.FABRIC_PP and self._stale(msg):
+            # Early abort: don't waste block space and peer work.
+            self.early_aborted += 1
+            self.deployment.reply_invalid(msg.tx)
+            return
+        self.pending.append((msg.tx, msg.read_versions))
+        if len(self.pending) >= self.deployment.batch_size:
+            self._flush()
+        elif self._timer is None:
+            self._timer = self.set_timer(self.deployment.batch_wait, self._flush)
+
+    def _on_ack(self, msg, src):
+        acks = self._acks.setdefault(msg.block_seq, set())
+        acks.add(src)
+        if len(acks) + 1 > (len(self.deployment.orderer_followers) + 1) // 2:
+            self._deliver(msg.block_seq)
 
     def _stale(self, msg: OrderSubmit) -> bool:
         return any(
@@ -256,9 +254,11 @@ class OrdererFollower(SimNode):
         super().__init__(node_id, deployment.sim, deployment.network, deployment.costs)
         self.deployment = deployment
 
-    def on_message(self, msg, src):
-        if isinstance(msg, RaftAppend):
-            self.send(src, RaftAck(msg.block_seq))
+    def handlers(self):
+        return {RaftAppend: self._on_append}
+
+    def _on_append(self, msg, src):
+        self.send(src, RaftAck(msg.block_seq))
 
 
 class Peer(SimNode):
@@ -273,9 +273,10 @@ class Peer(SimNode):
         self.invalidated = 0
         self.ledger_hashes = 0
 
-    def on_message(self, msg, src):
-        if not isinstance(msg, BlockDeliver):
-            return
+    def handlers(self):
+        return {BlockDeliver: self._on_block}
+
+    def _on_block(self, msg, src):
         costs = self.deployment.costs
         reorder = self.deployment.variant is FabricVariant.FABRIC_PP
         snapshot = dict(self.versions) if reorder else None

@@ -14,6 +14,7 @@ from typing import Any, Callable, Protocol
 
 from repro.crypto.signatures import KeyRegistry, SignedMessage
 from repro.ledger.certificate import CommitCertificate
+from repro.sim.node import Handler
 
 
 def local_majority(failure_model: str, f: int) -> int:
@@ -323,7 +324,9 @@ class InternalConsensus:
     def propose(self, slot: Any, value: Any) -> None:  # pragma: no cover
         raise NotImplementedError
 
-    def handle(self, msg: Any, src: str) -> bool:  # pragma: no cover
+    def handlers(self) -> dict[type, Handler]:  # pragma: no cover
+        """Message class -> bound handler, merged into the host node's
+        dispatch table (:meth:`repro.sim.node.SimNode.handlers`)."""
         raise NotImplementedError
 
     def request_view_change(self, cause: str = "timeout") -> None:

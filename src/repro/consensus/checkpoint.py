@@ -37,6 +37,7 @@ from typing import Any, Callable
 
 from repro.crypto.hashing import digest
 from repro.crypto.signatures import KeyRegistry, SignedMessage, verify_many
+from repro.sim.node import Handler
 
 
 ChainKey = tuple[str, int]
@@ -230,16 +231,12 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
-    def handle(self, msg: Any, src: str) -> bool:
-        if isinstance(msg, CheckpointMsg):
-            self._on_checkpoint(msg, src)
-        elif isinstance(msg, StateRequest):
-            self._on_state_request(msg, src)
-        elif isinstance(msg, StateResponse):
-            self._on_state_response(msg, src)
-        else:
-            return False
-        return True
+    def handlers(self) -> dict[type, Handler]:
+        return {
+            CheckpointMsg: self._on_checkpoint,
+            StateRequest: self._on_state_request,
+            StateResponse: self._on_state_response,
+        }
 
     def _on_checkpoint(self, msg: CheckpointMsg, src: str) -> None:
         if src not in self.host.members or msg.signed.signer != src:

@@ -32,10 +32,20 @@ from repro.consensus.messages import (
     PreparedMsg,
 )
 from repro.errors import ConsistencyViolation
+from repro.sim.node import Handler
 
 
 class CoordinatorEngine(CrossEngine):
     """Per-node handler for the coordinator-based protocols."""
+
+    def handlers(self) -> dict[type, Handler]:
+        # Prepare is the node's own entry: it also teaches the node
+        # who the coordinator's primary is.
+        return {
+            PreparedMsg: self.on_prepared,
+            CrossCommitMsg: self.on_cross_commit,
+            CommitQuery: self.on_commit_query,
+        }
 
     # ------------------------------------------------------------------
     # entry point (coordinator primary)

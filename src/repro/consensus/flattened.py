@@ -38,10 +38,21 @@ from repro.consensus.messages import (
     Propose,
 )
 from repro.ledger.certificate import CommitCertificate
+from repro.sim.node import Handler
 
 
 class FlattenedEngine(CrossEngine):
     """Per-node handler for the flattened protocols."""
+
+    def handlers(self) -> dict[type, Handler]:
+        return {
+            Propose: self.on_propose,
+            PrimaryAccept: self.on_primary_accept,
+            FlatAccept: self.on_flat_accept,
+            FlatCommit: self.on_flat_commit,
+            FastCommit: self.on_fast_commit,
+            CommitQuery: self.on_commit_query,
+        }
 
     # ------------------------------------------------------------------
     # entry point (initiator primary)

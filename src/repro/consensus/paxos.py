@@ -18,6 +18,7 @@ from typing import Any
 from repro.crypto.hashing import Canonical, value_digest
 from repro.crypto.signatures import SignedMessage, verify_many
 from repro.consensus.base import ConsensusHost, InternalConsensus
+from repro.sim.node import Handler
 
 
 #: Memoized per value object (see :func:`repro.crypto.hashing.value_digest`).
@@ -150,20 +151,14 @@ class MultiPaxos(InternalConsensus):
             self._obs_phase_begin(slot, "paxos.accept", t, inst)
         self._maybe_decide(slot, state)
 
-    def handle(self, msg: Any, src: str) -> bool:
-        if isinstance(msg, PaxosAccept):
-            self._on_accept(msg, src)
-        elif isinstance(msg, PaxosAccepted):
-            self._on_accepted(msg, src)
-        elif isinstance(msg, PaxosDecide):
-            self._on_decide_msg(msg, src)
-        elif isinstance(msg, PaxosPrepare):
-            self._on_prepare(msg, src)
-        elif isinstance(msg, PaxosPromise):
-            self._on_promise(msg, src)
-        else:
-            return False
-        return True
+    def handlers(self) -> dict[type, Handler]:
+        return {
+            PaxosAccept: self._on_accept,
+            PaxosAccepted: self._on_accepted,
+            PaxosDecide: self._on_decide_msg,
+            PaxosPrepare: self._on_prepare,
+            PaxosPromise: self._on_promise,
+        }
 
     def _on_accept(self, msg: PaxosAccept, src: str) -> None:
         if msg.ballot < self.promised:

@@ -21,6 +21,7 @@ from typing import Any
 from repro.crypto.hashing import Canonical, value_digest
 from repro.crypto.signatures import SignedMessage, verify_many
 from repro.consensus.base import ConsensusHost, InternalConsensus
+from repro.sim.node import Handler
 
 
 #: Memoized per value object (see :func:`repro.crypto.hashing.value_digest`).
@@ -164,20 +165,14 @@ class PBFT(InternalConsensus):
             self._obs_phase_begin(slot, "pbft.prepare", t, inst)
         self._maybe_prepared(slot, state)
 
-    def handle(self, msg: Any, src: str) -> bool:
-        if isinstance(msg, PbftPrePrepare):
-            self._on_preprepare(msg, src)
-        elif isinstance(msg, PbftPrepare):
-            self._on_prepare(msg, src)
-        elif isinstance(msg, PbftCommit):
-            self._on_commit(msg, src)
-        elif isinstance(msg, PbftViewChange):
-            self._on_view_change_msg(msg, src)
-        elif isinstance(msg, PbftNewView):
-            self._on_new_view(msg, src)
-        else:
-            return False
-        return True
+    def handlers(self) -> dict[type, Handler]:
+        return {
+            PbftPrePrepare: self._on_preprepare,
+            PbftPrepare: self._on_prepare,
+            PbftCommit: self._on_commit,
+            PbftViewChange: self._on_view_change_msg,
+            PbftNewView: self._on_new_view,
+        }
 
     def _on_preprepare(self, msg: PbftPrePrepare, src: str) -> None:
         if msg.view > self.view:
@@ -397,8 +392,9 @@ class PBFT(InternalConsensus):
             del self._view_changes[view]
         for view in [v for v in self._future_msgs if v < new_view]:
             del self._future_msgs[view]
+        handlers = self.handlers()
         for msg, src in self._future_msgs.pop(new_view, ()):
-            self.handle(msg, src)
+            handlers[msg.__class__](msg, src)
 
     def _adopt_proposal(self, slot: Any, value: Any, send_prepare: bool) -> None:
         """Adopt a new-view proposal as if freshly pre-prepared."""

@@ -48,7 +48,6 @@ class DeploymentConfig:
     request_timeout: float = 0.5             # client retransmission
     consensus_timeout: float = 0.25          # intra-cluster timer
     cross_timeout: float = 0.75              # cross-cluster timer (>= 3 RTT)
-    reduce_gamma: bool = False               # γ transitive reduction ablation
     checkpoint_interval: int = 0             # per-chain commits; 0 disables
     #: Durable storage (repro.storage): "memory" keeps the seed
     #: behavior; "wal" / "sqlite" journal committed effects so a

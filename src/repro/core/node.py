@@ -17,13 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.consensus import make_internal_consensus
-from repro.consensus.checkpoint import (
-    CheckpointManager,
-    CheckpointMsg,
-    StableCheckpoint,
-    StateRequest,
-    StateResponse,
-)
+from repro.consensus.checkpoint import CheckpointManager, StableCheckpoint
 from repro.consensus.coordinator import CoordinatorEngine
 from repro.consensus.cross_base import classify, final_otxs
 from repro.consensus.flattened import FlattenedEngine
@@ -31,19 +25,11 @@ from repro.consensus.messages import (
     Block,
     ClientReply,
     ClientRequest,
-    CommitQuery,
     CrossBlock,
-    CrossCommitMsg,
     CrossOrderValue,
     ExecEntry,
     ExecOrder,
-    FastCommit,
-    FlatAccept,
-    FlatCommit,
     Prepare,
-    PreparedMsg,
-    PrimaryAccept,
-    Propose,
     ReplyCertMsg,
 )
 from repro.core.config import ClusterInfo, DeploymentConfig
@@ -62,7 +48,7 @@ from repro.datamodel.transaction import OrderedTransaction, Transaction
 from repro.datamodel.txid import LocalPart, SequenceBook, TxId
 from repro.errors import ConsistencyViolation
 from repro.ledger.certificate import CommitCertificate
-from repro.sim.node import SimNode
+from repro.sim.node import Handler, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Deployment
@@ -121,7 +107,7 @@ class ClusterNode(SimNode):
         self.seqbook = SequenceBook(
             self.collections,
             shard=cluster.shard,
-            reduce_gamma=self.config.reduce_gamma,
+            reduce_gamma=False,
         )
         self.consensus = make_internal_consensus(
             self.config.internal_protocol,
@@ -165,10 +151,6 @@ class ClusterNode(SimNode):
                 on_stable_fn=self._persist_checkpoint if has_state else None,
             )
 
-        # message-class -> bound handler, filled lazily by on_message
-        # (engine handlers differ between the coordinator and flattened
-        # families, so they are resolved per instance).
-        self._dispatch: dict[type, Callable[[Any, str], Any]] = {}
         self.sealer = Sealer(
             cap=self.config.batch_size,
             wait=self.config.batch_wait,
@@ -254,53 +236,24 @@ class ClusterNode(SimNode):
     # ==================================================================
     # message dispatch
     # ==================================================================
-    def on_message(self, msg: Any, src: str) -> None:
-        # Hot path: one type-keyed dict probe per message instead of a
-        # 12-branch isinstance chain.  Handlers bind lazily per message
-        # class (the first message of each kind walks the classic chain
-        # in _bind_handler, preserving its dispatch order).
-        dispatch = self._dispatch
-        handler = dispatch.get(msg.__class__)
-        if handler is None:
-            handler = dispatch[msg.__class__] = self._bind_handler(msg.__class__)
-        handler(msg, src)
-
-    def _bind_handler(self, cls: type) -> Callable[[Any, str], Any]:
-        """Resolve the handler for one message class (the old
-        ``isinstance`` chain, evaluated once per class)."""
-        if issubclass(cls, ClientRequest):
-            return self._on_client_request
-        if issubclass(cls, Prepare):
-            return self._on_coordinator_prepare
-        if issubclass(cls, PreparedMsg):
-            return self.engine.on_prepared
-        if issubclass(cls, CrossCommitMsg):
-            return self.engine.on_cross_commit
-        if issubclass(cls, Propose):
-            return self.engine.on_propose
-        if issubclass(cls, PrimaryAccept):
-            return self.engine.on_primary_accept
-        if issubclass(cls, FlatAccept):
-            return self.engine.on_flat_accept
-        if issubclass(cls, FlatCommit):
-            return self.engine.on_flat_commit
-        if issubclass(cls, FastCommit):
-            return self.engine.on_fast_commit
-        if issubclass(cls, CommitQuery):
-            return self.engine.on_commit_query
-        if issubclass(cls, ReplyCertMsg):
-            return self._on_reply_certificate
-        if issubclass(cls, (CheckpointMsg, StateRequest, StateResponse)):
-            return self._on_checkpoint_message
-        return self.consensus.handle
+    def handlers(self) -> dict[type, Handler]:
+        """The internal consensus, cross engine and (when enabled)
+        checkpoint tables plus the node's own three entries; anything
+        else is dropped."""
+        table = {
+            **self.consensus.handlers(),
+            **self.engine.handlers(),
+            ClientRequest: self._on_client_request,
+            Prepare: self._on_coordinator_prepare,
+            ReplyCertMsg: self._on_reply_certificate,
+        }
+        if self.checkpoints is not None:
+            table.update(self.checkpoints.handlers())
+        return table
 
     def _on_coordinator_prepare(self, msg: Prepare, src: str) -> None:
         self.observe_primary(msg.coordinator, src)
         self.engine.on_prepare(msg, src)
-
-    def _on_checkpoint_message(self, msg: Any, src: str) -> None:
-        if self.checkpoints is not None:
-            self.checkpoints.handle(msg, src)
 
     # ==================================================================
     # client requests, batching, routing

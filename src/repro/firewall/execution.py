@@ -9,14 +9,14 @@ can never message a client or an ordering node directly.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.consensus.messages import ExecOrder, ExecReply, ReplyCertMsg
 from repro.core.executor import ExecutionResult, ExecutionUnit
 from repro.crypto.envelope import seal
 from repro.crypto.signatures import sign as crypto_sign
 from repro.ledger.certificate import ReplyCertificate
-from repro.sim.node import SimNode
+from repro.sim.node import Handler, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Deployment
@@ -54,10 +54,9 @@ class ExecutionNode(SimNode):
             backend=deployment.make_backend(node_id),
         )
 
-    def on_message(self, msg: Any, src: str) -> None:
-        if isinstance(msg, ExecOrder):
-            self._on_exec_order(msg, src)
+    def handlers(self) -> dict[type, Handler]:
         # Everything else is out of protocol for an execution node.
+        return {ExecOrder: self._on_exec_order}
 
     def _on_exec_order(self, msg: ExecOrder, src: str) -> None:
         clusters = self.deployment.directory.clusters

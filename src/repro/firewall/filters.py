@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 from repro.consensus.messages import ExecOrder, ExecReply, ReplyCertMsg
 from repro.crypto.signatures import verify as crypto_verify
 from repro.ledger.certificate import ReplyCertificate
-from repro.sim.node import SimNode
+from repro.sim.node import Handler, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Deployment
@@ -63,16 +63,15 @@ class FilterNode(SimNode):
         self._reply_shares: dict[int, dict[str, ExecReply]] = {}
         self.dropped_messages = 0
 
+    def handlers(self) -> dict[type, Handler]:
+        table = {ExecOrder: self._on_exec_order, ReplyCertMsg: self._on_reply_cert}
+        if self.is_top_row:  # only the top row hears execution nodes
+            table[ExecReply] = self._on_exec_reply
+        return table
+
     def on_message(self, msg: Any, src: str) -> None:
-        if isinstance(msg, ExecOrder):
-            self._on_exec_order(msg, src)
-        elif isinstance(msg, ExecReply) and self.is_top_row:
-            self._on_exec_reply(msg, src)
-        elif isinstance(msg, ReplyCertMsg):
-            self._on_reply_cert(msg, src)
-        else:
-            # Unknown or out-of-protocol traffic: filtered (§3.4).
-            self.dropped_messages += 1
+        # Unknown or out-of-protocol traffic: filtered (§3.4).
+        self.dropped_messages += 1
 
     # ------------------------------------------------------------------
     # upward path
@@ -161,7 +160,7 @@ class ByzantineFilterNode(FilterNode):
     honest rows still contain the leak."""
 
     def on_message(self, msg: Any, src: str) -> None:
-        if isinstance(msg, (ExecOrder, ExecReply, ReplyCertMsg)):
+        if isinstance(msg, ExecReply):  # below the top row: dropped
             super().on_message(msg, src)
         else:
             # Collude: pass the smuggled payload along toward clients.

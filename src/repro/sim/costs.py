@@ -8,7 +8,8 @@ time on a serial per-node CPU queue.
 
 A model prices a delivery once per (node, message class) through
 :meth:`CostModel.node_entry`; :meth:`repro.sim.node.SimNode.deliver`
-caches the entry and charges ``(base + per_tx * n) * discount``.
+keeps the entry beside the class's handler in the node's dispatch table
+and charges ``(base + per_tx * n) * discount``.
 Messages advertise two hints:
 
 - ``CPU_WEIGHT`` (class attribute, default 1.0): relative handler cost;

@@ -1,14 +1,17 @@
-"""Node actors: message handling, CPU queueing, crash injection."""
+"""Node actors: message dispatch, CPU queueing, crash injection."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.costs import CostModel, ZeroCost
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Event, Simulator
     from repro.sim.network import Network
+
+#: A message handler: ``handler(msg, src)``.
+Handler = Callable[[Any, str], Any]
 
 
 class Actor:
@@ -38,13 +41,24 @@ class Actor:
 
 
 class SimNode(Actor):
-    """An actor with a serial CPU and a crash switch.
+    """An actor with a serial CPU, a crash switch and a dispatch table.
 
     Arriving messages queue behind the CPU: handling starts at
     ``max(now, busy_until)`` and takes ``(base + per_tx * n) *
     discount`` seconds, the message class's
     :meth:`~repro.sim.costs.CostModel.node_entry` for this node, where
     ``n`` is ``msg.tx_count()`` (1 for a class without one).
+
+    A node declares its message classes once, in :meth:`handlers`.  At
+    a class's first delivery to the node, ``deliver`` resolves one
+    table entry for it: the CPU price above plus the handler of the
+    first class along ``cls.__mro__`` that :meth:`handlers` names (so
+    a subclass reaches its base's handler), or :meth:`on_message`, the
+    catch-all, when none does.  Resolution is lazy, so a node whose
+    ``__class__`` is swapped before its traffic dispatches as its new
+    class.  The crash switch is checked twice: at arrival, and when the
+    CPU reaches the message, so a message queued while the node is up
+    is never handled if the node is down at its turn.
     """
 
     def __init__(
@@ -59,12 +73,8 @@ class SimNode(Actor):
         self.crashed = False
         self._busy_until = 0.0
         self.busy_time = 0.0
-        # The cost model's node_entry per message class: a node's
-        # config and CPU discount never change after construction.
-        self._cost_entries: dict[type, tuple] = {}
-        # The CPU-queue completion handler, bound once rather than per
-        # delivery.
-        self._handle_queued = self._handle
+        # Message class -> (*node_entry, handler), filled by deliver().
+        self._table: dict[type, tuple] = {}
         # Observability capture (None when off): one attribute check in
         # deliver(), no global lookup on the hot path.
         from repro import obs
@@ -88,14 +98,32 @@ class SimNode(Actor):
         it was: a pause, not a process restart."""
         self.crashed = False
 
+    def handlers(self) -> dict[type, Handler]:
+        """Message class -> bound handler, for every class this node
+        handles; any other class goes to :meth:`on_message`."""
+        return {}
+
+    def on_message(self, msg: Any, src: str) -> None:
+        """The catch-all for a class outside :meth:`handlers`: dropped."""
+
+    def _resolve(self, cls: type) -> tuple:
+        handlers = self.handlers()
+        for klass in cls.__mro__:
+            handler = handlers.get(klass)
+            if handler is not None:
+                break
+        else:
+            handler = self.on_message
+        return (*self.cost_model.node_entry(self, cls), handler)
+
     def deliver(self, msg: Any, src: str) -> None:
         if self.crashed:
             return
         cls = msg.__class__
-        entry = self._cost_entries.get(cls)
+        entry = self._table.get(cls)
         if entry is None:
-            entry = self._cost_entries[cls] = self.cost_model.node_entry(self, cls)
-        base, per_tx, discount, has_tx = entry
+            entry = self._table[cls] = self._resolve(cls)
+        base, per_tx, discount, has_tx, handler = entry
         cost = (base + per_tx * (msg.tx_count() if has_tx else 1)) * discount
         sim = self.sim
         now = sim.now
@@ -106,9 +134,14 @@ class SimNode(Actor):
         self._busy_until = finish
         self.busy_time += cost
         if finish <= now:
-            self._handle(msg, src)
+            handler(msg, src)
         else:
-            sim.current.fire_at(finish, self._handle_queued, (msg, src))
+            sim.current.fire_at(finish, self._complete, (handler, msg, src))
+
+    def _complete(self, handler: Handler, msg: Any, src: str) -> None:
+        """The CPU reaches a queued message: handle it unless crashed."""
+        if not self.crashed:
+            handler(msg, src)
 
     def charge(self, seconds: float) -> None:
         """Charge CPU time for work done outside a message handler
@@ -122,8 +155,3 @@ class SimNode(Actor):
     def queue_delay(self) -> float:
         """Seconds a message arriving now would wait before handling."""
         return max(0.0, self._busy_until - self.sim.now)
-
-    def _handle(self, msg: Any, src: str) -> None:
-        if self.crashed:
-            return
-        self.on_message(msg, src)

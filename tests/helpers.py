@@ -90,8 +90,8 @@ class HarnessNode(SimNode):
     def on_view_change(self, new_primary):
         self.view_changes.append(new_primary)
 
-    def on_message(self, msg, src):
-        self.consensus.handle(msg, src)
+    def handlers(self):
+        return self.consensus.handlers()
 
 
 def build_cluster(n, consensus_factory, seed=0):

@@ -49,8 +49,8 @@ class CheckpointHost(HarnessNode):
     def gc(self, label, shard, seq):
         self.collected.append((label, shard, seq))
 
-    def on_message(self, msg, src):
-        self.manager.handle(msg, src)
+    def handlers(self):
+        return self.manager.handlers()
 
 
 def build_checkpoint_cluster(n=3, quorum=2, interval=4):

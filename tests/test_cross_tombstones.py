@@ -222,7 +222,9 @@ def test_firewall_ordering_nodes_keep_no_exec_order_behind_a_certificate(
     }
     rid = next(r for r in node._reply_certs if r in txs)
     sent = _capture_sends(node, monkeypatch)
-    node.on_message(ClientRequest(txs[rid], retransmission=True), txs[rid].client)
+    node.handlers()[ClientRequest](
+        ClientRequest(txs[rid], retransmission=True), txs[rid].client
+    )
     [(dst, reply)] = sent
     assert dst == txs[rid].client
     assert isinstance(reply, ReplyCertMsg)

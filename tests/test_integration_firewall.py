@@ -134,7 +134,7 @@ def test_filters_reject_uncertified_exec_orders():
     tx_id = TxId(LocalPart("A", 0, 1))
     otx = OrderedTransaction(tx, (tx_id,))
     entry = ExecEntry(otx, tx_id, fake_cert, True)
-    bottom.on_message(ExecOrder((entry,)), "A1.o0")
+    bottom.handlers()[ExecOrder](ExecOrder((entry,)), "A1.o0")
     assert bottom.dropped_messages == before + 1
     for exec_unit in deployment.executors_of("A1"):
         assert exec_unit.ledger.height("A") == 0

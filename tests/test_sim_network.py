@@ -146,6 +146,24 @@ def test_cpu_queue_serializes_processing():
     assert b.busy_time == pytest.approx(0.002)
 
 
+@pytest.mark.parametrize("recover_at", [None, 1.8])
+def test_crash_is_checked_when_the_cpu_reaches_a_queued_message(recover_at):
+    # Each message takes the CPU a second: m1 is handled at 1.0, m2
+    # waits for its turn at 2.0, and the node crashes at 1.5.
+    sim, a, b = priced_pair(FlatCost(1.0))
+    a.send("b", "m1")
+    a.send("b", "m2")
+    sim.schedule(1.5, b.crash)
+    if recover_at is not None:
+        sim.schedule(recover_at, b.recover)
+    sim.run()
+    handled = [(m, t) for m, _, t in b.received]
+    if recover_at is None:
+        assert handled == [("m1", pytest.approx(1.0))]
+    else:
+        assert handled == [("m1", pytest.approx(1.0)), ("m2", pytest.approx(2.0))]
+
+
 def test_cost_scales_with_tx_count():
     sim, a, b = priced_pair(FlatCost(10e-6, per_tx=1e-6))
     a.send("b", Counted(1))
