@@ -100,7 +100,7 @@ def final_otxs(block: CrossBlock) -> tuple[OrderedTransaction, ...]:
     OrderedTransactions, so each record's body digest is computed once
     per process.  The block is frozen, so the result cannot stale.
     """
-    cached = block.__dict__.get("_final_otxs")
+    cached = block._final_otxs
     if cached is None:
         runs = [run for _, run in block.ids_by_cluster]
         cached = tuple(

@@ -7,10 +7,10 @@ without one counts as one transaction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.hashing import Canonical
+from repro.crypto.hashing import Canonical, digest, memo_field
 from repro.crypto.signatures import SignedMessage
 from repro.datamodel.transaction import OrderedTransaction, Transaction
 from repro.datamodel.txid import TxId
@@ -41,11 +41,12 @@ class ClientReply:
 # ----------------------------------------------------------------------
 # batching (intra-cluster)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block(Canonical):
     """A batch of ordered transactions on one collection-shard."""
 
     otxs: tuple[OrderedTransaction, ...]
+    _value_digest_cache: str | None = memo_field()
 
     def _canonical_bytes(self) -> bytes:
         return b"block|" + b";".join(o.canonical_bytes() for o in self.otxs)
@@ -58,7 +59,7 @@ class Block(Canonical):
         return self.otxs[0].primary_id.alpha.seq
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossBlock(Canonical):
     """A batch of cross-cluster transactions processed together.
 
@@ -73,6 +74,9 @@ class CrossBlock(Canonical):
     shards: tuple[int, ...]
     protocol: str  # "isce" | "csie" | "csce"
     ids_by_cluster: tuple[tuple[str, tuple[TxId, ...]], ...] = ()
+    _base_digest_cache: str | None = memo_field()
+    #: :func:`repro.consensus.cross_base.final_otxs` of this block.
+    _final_otxs: tuple[OrderedTransaction, ...] | None = memo_field()
 
     @property
     def block_id(self) -> int:
@@ -103,14 +107,11 @@ class CrossBlock(Canonical):
         accept/commit votes by this digest, re-hashing the same
         transactions otherwise.  ``txs`` is frozen, so it cannot stale.
         """
-        cached = getattr(self, "_base_digest_cache", None)
-        if cached is not None:
-            return cached
-        from repro.crypto.hashing import digest
-
-        result = digest([t.canonical_bytes() for t in self.txs])
-        object.__setattr__(self, "_base_digest_cache", result)
-        return result
+        cached = self._base_digest_cache
+        if cached is None:
+            cached = digest([t.canonical_bytes() for t in self.txs])
+            object.__setattr__(self, "_base_digest_cache", cached)
+        return cached
 
     def _canonical_bytes(self) -> bytes:
         ids = b";".join(
@@ -129,12 +130,13 @@ class CrossBlock(Canonical):
         return len(self.txs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossOrderValue(Canonical):
     """Internal-consensus value: 'this cluster ordered this cross block'."""
 
     block: CrossBlock
     stage: str  # "order" | "commit"
+    _value_digest_cache: str | None = memo_field()
 
     def _canonical_bytes(self) -> bytes:
         return f"xord|{self.stage}|".encode() + self.block.canonical_bytes()

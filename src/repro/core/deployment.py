@@ -40,7 +40,8 @@ class Metrics:
     goes quadratic across a sweep.
     """
 
-    completions: list[tuple[int, float, float]] = field(default_factory=list)
+    #: Latencies, parallel to ``_done_at`` (completion-time order).
+    completions: list[float] = field(default_factory=list)
     _done_at: list[float] = field(default_factory=list, repr=False)
     #: Completion times of requests whose reply reported a rejected
     #: execution (contract abort, unreadable sealed body) — kept
@@ -50,15 +51,17 @@ class Metrics:
     def record_completion(
         self, rid: int, sent_at: float, latency: float, ok: bool = True
     ) -> None:
+        """Record request ``rid``'s reply: only its completion time and
+        latency are kept."""
         done_at = sent_at + latency
         if not self._done_at or done_at >= self._done_at[-1]:
             # Simulated time is monotonic, so this is the hot path.
             self._done_at.append(done_at)
-            self.completions.append((rid, sent_at, latency))
+            self.completions.append(latency)
         else:
             index = bisect.bisect_right(self._done_at, done_at)
             self._done_at.insert(index, done_at)
-            self.completions.insert(index, (rid, sent_at, latency))
+            self.completions.insert(index, latency)
         if not ok:
             bisect.insort(self._abort_at, done_at)
 
@@ -66,7 +69,7 @@ class Metrics:
         """Latencies of requests that *completed* within [start, end)."""
         lo = bisect.bisect_left(self._done_at, start)
         hi = bisect.bisect_left(self._done_at, end)
-        return [latency for _, _, latency in self.completions[lo:hi]]
+        return self.completions[lo:hi]
 
     def completed_count(self, start: float, end: float) -> int:
         """How many requests completed within [start, end) — O(log n)."""

@@ -66,6 +66,10 @@ from repro.crypto.hashing import typed_key as _typed_key
 _reply_digest_cache: dict[tuple, str] = _register_cache({})
 _REPLY_CACHE_MAX = 1 << 17
 
+#: ``_request_reply``'s value for a request committed but not yet
+#: replied to (a result may itself be None).
+_UNREPLIED: Any = object()
+
 
 def _reply_payload_digest(rid: int, result: Any) -> str:
     result_key = _typed_key(result)
@@ -160,9 +164,9 @@ class ClusterNode(SimNode):
             seal=self._seal,
         )
         self._pending_requests: dict[int, Transaction] = {}
-        # rid -> (result,) once replied, None while committed but not
-        # yet replied: one entry per committed request.
-        self._request_reply: dict[int, tuple[Any] | None] = {}
+        # rid -> its result once replied, _UNREPLIED while committed
+        # but not yet replied: one entry per committed request.
+        self._request_reply: dict[int, Any] = {}
         self._reply_certs: dict[int, ReplyCertMsg] = {}
         self._exec_orders: dict[int, ExecOrder] = {}
         self._commit_buffer: dict[tuple[str, int], dict[int, tuple]] = {}
@@ -261,9 +265,9 @@ class ClusterNode(SimNode):
     def _on_client_request(self, msg: ClientRequest, src: str) -> None:
         tx = msg.tx
         rid = tx.request_id
-        cached = self._request_reply.get(rid)
-        if cached is not None:
-            self.send(tx.client, self._reply(tx, cached[0]))
+        result = self._request_reply.get(rid, _UNREPLIED)
+        if result is not _UNREPLIED:
+            self.send(tx.client, self._reply(tx, result))
             return
         if rid in self._reply_certs:
             self.send(tx.client, self._reply_certs[rid])
@@ -515,7 +519,7 @@ class ClusterNode(SimNode):
                 # Pure ordering nodes checkpoint at commit; combined
                 # nodes checkpoint at execution (state is then exact).
                 self.checkpoints.on_commit(key[0], key[1], tx_id.alpha.seq)
-            self._request_reply.setdefault(otx.tx.request_id, None)
+            self._request_reply.setdefault(otx.tx.request_id, _UNREPLIED)
             if self._pending_requests.pop(otx.tx.request_id, None) is not None:
                 self.consensus.release(("req", otx.tx.request_id))
             self.committed_tx_count += 1
@@ -606,7 +610,7 @@ class ClusterNode(SimNode):
         if buffer:
             for stale in [s for s in buffer if s <= seq]:
                 otx = buffer.pop(stale)[0]
-                self._request_reply.setdefault(otx.tx.request_id, None)
+                self._request_reply.setdefault(otx.tx.request_id, _UNREPLIED)
                 if self._pending_requests.pop(otx.tx.request_id, None) is not None:
                     self.consensus.release(("req", otx.tx.request_id))
             if not buffer:
@@ -620,18 +624,28 @@ class ClusterNode(SimNode):
 
     def _gc_consensus_log(self, label: str, shard, seq: int) -> None:
         """Release decided consensus slots covered by a stable
-        checkpoint (PBFT log truncation)."""
+        checkpoint (PBFT log truncation): a local block's
+        ``(label, shard, first seq)`` slot, and a cross block's
+        ``("xo"|"xc", label, shards, first seq)`` slots, whose IDs are
+        this cluster's on its own shard."""
+        own_shard = self.cluster.shard
 
         def keep(slot, value) -> bool:
-            if not (isinstance(slot, tuple) and len(slot) == 3):
+            if not isinstance(slot, tuple):
                 return True
-            slot_label, slot_shard, first = slot
-            if slot_label != label or slot_shard != shard:
+            if len(slot) == 3:
+                slot_label, slot_shard, first = slot
+                if slot_shard != shard or not isinstance(first, int):
+                    return True
+                count = len(value.otxs) if hasattr(value, "otxs") else 1
+            elif len(slot) == 4 and slot[0] in ("xo", "xc"):
+                _, slot_label, shards, first = slot
+                if shard != own_shard or shard not in shards:
+                    return True
+                count = len(value.block.txs)
+            else:
                 return True
-            if not isinstance(first, int):
-                return True
-            count = len(value.otxs) if hasattr(value, "otxs") else 1
-            return first + count - 1 > seq
+            return slot_label != label or first + count - 1 > seq
 
         self.consensus.garbage_collect(keep)
 
@@ -645,7 +659,7 @@ class ClusterNode(SimNode):
         if not result.reply_to_client:
             return
         tx = result.otx.tx
-        self._request_reply[tx.request_id] = (result.result,)
+        self._request_reply[tx.request_id] = result.result
         # §4.2: with crash-only nodes the primary replies (a backup signs
         # only if a retransmission makes it answer); BFT without firewall:
         # every node replies, the client waits for f+1 matching results.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from dataclasses import field
 from typing import Any, Callable, Iterator
 
 #: Builtin types the canonical encoding covers directly.  An object
@@ -270,21 +271,29 @@ def value_digest(value: Any) -> str:
 
     The digest is recomputed at proposal, at every backup's
     pre-prepare check, and at decide time — all over the same frozen
-    value, so it is cached on the instance (``object.__setattr__``
-    bypasses frozen-dataclass immutability, which only guards the
-    declared fields).  Values without ``canonical_bytes`` (plain test
-    payloads) are hashed directly and never cached.
+    value, so it is cached on the instance.  A slotted value class
+    declares the memo as a field, ``_value_digest_cache =
+    memo_field()``, which ``object.__setattr__`` fills in past the
+    frozen guard; a slotted class without the field raises here
+    instead of silently re-hashing on every call.  Values without
+    ``canonical_bytes`` (plain test payloads) are hashed directly and
+    never cached.
     """
     if not hasattr(value, "canonical_bytes"):
         return digest(value)
     cached = getattr(value, "_value_digest_cache", None)
     if cached is None:
         cached = digest(value.canonical_bytes())
-        try:
-            object.__setattr__(value, "_value_digest_cache", cached)
-        except (AttributeError, TypeError):
-            pass  # __slots__ or C-level objects: just recompute
+        object.__setattr__(value, "_value_digest_cache", cached)
     return cached
+
+
+def memo_field() -> Any:
+    """A declared memo slot on a frozen, slotted dataclass: None until
+    first filled (with ``object.__setattr__``), outside ``__init__``,
+    equality and ``repr`` — so ``dataclasses.replace`` starts the copy
+    with every memo empty."""
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 class Canonical:
@@ -314,10 +323,12 @@ class MemoCanonical(Canonical):
     for the classes whose encoding is read again after the first time:
     an ID is re-encoded by every transaction, vote payload and intern
     probe that carries it, an ordered transaction by the ledger record
-    that appends it.  The cache is written with ``object.__setattr__``
-    (frozen dataclasses only guard their declared fields), which is
-    safe precisely because all declared fields are frozen: the bytes
-    can never go stale.
+    that appends it.  A slotted subclass declares the memo as a field,
+    ``_canonical_cache: bytes | None = memo_field()``, which
+    ``object.__setattr__`` fills in past the frozen guard — safe
+    precisely because every other field is frozen: the bytes can never
+    go stale.  A slotted subclass without the field raises on its
+    first encoding.
     """
 
     __slots__ = ()
@@ -326,10 +337,7 @@ class MemoCanonical(Canonical):
         cached = getattr(self, "_canonical_cache", None)
         if cached is None:
             cached = self._canonical_bytes()
-            try:
-                object.__setattr__(self, "_canonical_cache", cached)
-            except (AttributeError, TypeError):
-                pass  # __slots__ subclasses: just recompute
+            object.__setattr__(self, "_canonical_cache", cached)
         return cached
 
 

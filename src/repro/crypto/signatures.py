@@ -95,7 +95,7 @@ class KeyRegistry:
         return outer.hexdigest()[:32]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedMessage(Canonical):
     """A digest signed by one identity."""
 

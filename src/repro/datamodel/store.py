@@ -17,6 +17,7 @@ written once costs two dict entries, not a history.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.crypto.hashing import digest_int
@@ -159,7 +160,9 @@ class MultiVersionStore:
         versions = ns.version
         written = versions.get(key)
         if written is not None and written != version:
-            ns.undo.append((version, key, written, ns.latest[key]))
+            # Each write brings its own key string; the undo log keeps
+            # one shared copy per distinct key instead.
+            ns.undo.append((version, sys.intern(key), written, ns.latest[key]))
         ns.latest[key] = value
         versions[key] = version
         if self._backend is not None:

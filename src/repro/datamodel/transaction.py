@@ -12,7 +12,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.crypto.hashing import Canonical, MemoCanonical, register_run_reset
+from repro.crypto.hashing import (
+    Canonical,
+    MemoCanonical,
+    memo_field,
+    register_run_reset,
+)
 from repro.datamodel.txid import TxId
 
 _request_counter = itertools.count(1)
@@ -24,7 +29,7 @@ def _restart_request_ids() -> None:
     _request_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation(Canonical):
     """One invocation of a collection's contract logic."""
 
@@ -37,7 +42,7 @@ class Operation(Canonical):
         return f"op|{self.contract}|{self.name}|{parts}".encode()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction(Canonical):
     """A client request: ``⟨REQUEST, op, t_c, c⟩`` (§4.1).
 
@@ -76,7 +81,7 @@ class Transaction(Canonical):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedTransaction(MemoCanonical):
     """A transaction bound to the ID (or IDs) consensus assigned it.
 
@@ -88,6 +93,10 @@ class OrderedTransaction(MemoCanonical):
 
     tx: Transaction
     ids: tuple[TxId, ...]
+    _canonical_cache: bytes | None = memo_field()
+    #: Body digest per ID, parallel to ``ids`` (see
+    #: :meth:`repro.ledger.block.TransactionRecord.body_digest`).
+    _body_digests: tuple[str | None, ...] | None = memo_field()
 
     def __post_init__(self) -> None:
         if not self.ids:

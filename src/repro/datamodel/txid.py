@@ -21,17 +21,22 @@ captured it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.crypto.hashing import MemoCanonical
+from repro.crypto.hashing import MemoCanonical, memo_field
 from repro.errors import ConsistencyViolation, DataModelError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datamodel.collections import CollectionRegistry, DataCollection
 
 
-@dataclass(frozen=True, order=True)
+#: The γ map of every ID with an empty γ: one shared, read-only map.
+_EMPTY_GAMMA: Mapping[tuple[str, int], int] = MappingProxyType({})
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class LocalPart:
     """``[X#s : n]`` — one collection-shard's sequence entry."""
 
@@ -51,12 +56,14 @@ class LocalPart:
         return f"[{self.label}#{self.shard}:{self.seq}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxId(MemoCanonical):
     """``⟨α, γ⟩`` for one transaction on one collection-shard."""
 
     alpha: LocalPart
     gamma: tuple[LocalPart, ...] = ()
+    _canonical_cache: bytes | None = memo_field()
+    _gamma_map_cache: Mapping[tuple[str, int], int] | None = memo_field()
 
     def __post_init__(self) -> None:
         keys = [g.key() for g in self.gamma]
@@ -65,12 +72,16 @@ class TxId(MemoCanonical):
         if self.alpha.key() in keys:
             raise DataModelError("gamma must not include the target collection")
 
-    def gamma_map(self) -> dict[tuple[str, int], int]:
+    def gamma_map(self) -> Mapping[tuple[str, int], int]:
         # Memoized: the same TxId object is validated, committed, and
         # appended on every replica, each rebuilding this dict
-        # otherwise.  The returned dict is shared — callers treat it as
-        # read-only (they copy if they need to mutate).
-        cached = getattr(self, "_gamma_map_cache", None)
+        # otherwise.  The returned map is shared — callers treat it as
+        # read-only (they copy if they need to mutate) — and an empty γ
+        # maps to one read-only map for the whole process, kept outside
+        # the memo so that an ID still pickles.
+        if not self.gamma:
+            return _EMPTY_GAMMA
+        cached = self._gamma_map_cache
         if cached is None:
             cached = {g.key(): g.seq for g in self.gamma}
             object.__setattr__(self, "_gamma_map_cache", cached)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.hashing import digest
+from repro.crypto.hashing import digest, memo_field
 from repro.datamodel.transaction import OrderedTransaction
 from repro.datamodel.txid import TxId
 from repro.ledger.certificate import CommitCertificate
@@ -21,7 +21,7 @@ _content_cache: dict[tuple[str, str], str] = _register_cache({})
 _CACHE_MAX = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransactionRecord:
     """One committed transaction on one collection-shard.
 
@@ -45,6 +45,7 @@ class TransactionRecord:
     #: collects its own 2f+1 signature set), so cross-replica state
     #: comparison — checkpoints, audits — uses the content chain.
     prev_content: str = "0" * 32
+    _record_digest: str | None = memo_field()
 
     @property
     def label(self) -> str:
@@ -69,7 +70,7 @@ class TransactionRecord:
         # first ask on a long chain must not recurse.
         unresolved, link = [], self
         while not isinstance(link, str):
-            cached = link.__dict__.get("_record_digest")
+            cached = link._record_digest
             if cached is not None:
                 link = cached
                 break
@@ -77,7 +78,7 @@ class TransactionRecord:
             link = link.prev
         for record in reversed(unresolved):
             cert = record.certificate
-            link = record.__dict__["_record_digest"] = digest(
+            link = digest(
                 [
                     record.otx.canonical_bytes(),
                     record.tx_id.canonical_bytes(),
@@ -85,6 +86,7 @@ class TransactionRecord:
                     cert.canonical_bytes() if cert else b"-",
                 ]
             )
+            object.__setattr__(record, "_record_digest", link)
         return link
 
     def body_digest(self) -> str:
@@ -92,15 +94,20 @@ class TransactionRecord:
         independent of its chain position.  Memoised on the
         :class:`OrderedTransaction` — the same object reaches every
         replica — per ID it was committed under (a cross-shard
-        transaction has one per shard)."""
-        memo = self.otx.__dict__.setdefault("_body_digests", [])
-        for tx_id, cached in memo:
-            if tx_id is self.tx_id:
-                return cached
-        cached = digest(
-            [self.otx.canonical_bytes(), self.tx_id.canonical_bytes()]
-        )
-        memo.append((self.tx_id, cached))
+        transaction has one per shard): the memo is a tuple parallel to
+        ``otx.ids``, and an ID is found in it by identity."""
+        otx, tx_id = self.otx, self.tx_id
+        for index, candidate in enumerate(otx.ids):
+            if candidate is tx_id:
+                break
+        else:  # not an ID the transaction was ordered under: no memo
+            return digest([otx.canonical_bytes(), tx_id.canonical_bytes()])
+        memo = otx._body_digests or (None,) * len(otx.ids)
+        cached = memo[index]
+        if cached is None:
+            cached = digest([otx.canonical_bytes(), tx_id.canonical_bytes()])
+            memo = memo[:index] + (cached,) + memo[index + 1 :]
+            object.__setattr__(otx, "_body_digests", memo)
         return cached
 
     def content_digest(self) -> str:

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.crypto import signatures as _sigmod
-from repro.crypto.hashing import Canonical, digest, register_intern_cache
+from repro.crypto.hashing import (
+    Canonical,
+    digest,
+    memo_field,
+    register_intern_cache,
+)
 from repro.crypto.signatures import KeyRegistry, SignedMessage, verify_many
 
 #: Interned whole-certificate outcomes.  Receivers rebuild equal
@@ -69,13 +74,14 @@ def _batched_verify(
     return ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitCertificate(Canonical):
     """local-majority signatures binding a transaction digest to its ID."""
 
     cluster: str
     payload_digest: str
     signatures: tuple[SignedMessage, ...]
+    _verified_cache: set | None = memo_field()
 
     def signers(self) -> frozenset[str]:
         return frozenset(s.signer for s in self.signatures)
@@ -104,7 +110,7 @@ class CommitCertificate(Canonical):
             # measures protocol demand, not cache effectiveness.
             obs.REGISTRY.counter("certificate_verifies", kind="commit").inc()
         key = (registry, quorum, members)
-        cache = getattr(self, "_verified_cache", None)
+        cache = self._verified_cache
         if cache is not None and key in cache:
             return True
         ok = _batched_verify(
@@ -122,7 +128,7 @@ class CommitCertificate(Canonical):
         return f"ccert|{self.cluster}|{self.payload_digest}|".encode() + sigs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplyCertificate(Canonical):
     """``g + 1`` matching execution results, assembled by the firewall."""
 
@@ -130,6 +136,7 @@ class ReplyCertificate(Canonical):
     request_id: int
     result_digest: str
     signatures: tuple[SignedMessage, ...]
+    _verified_cache: set | None = memo_field()
 
     def verify(
         self,
@@ -141,7 +148,7 @@ class ReplyCertificate(Canonical):
         if obs.REGISTRY is not None:
             obs.REGISTRY.counter("certificate_verifies", kind="reply").inc()
         key = (registry, quorum, members)
-        cache = getattr(self, "_verified_cache", None)
+        cache = self._verified_cache
         if cache is not None and key in cache:
             return True
         ok = _batched_verify(

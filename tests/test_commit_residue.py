@@ -22,11 +22,13 @@ from repro.workload.generator import WorkloadMix
 #: system -> (cross share, cross type, decided slots summed over every
 #: ordering node at the end of the drain).  Pinned: where a replica
 #: keeps a decided value must not change how many slots it decides or
-#: its checkpoints collect.
+#: its checkpoints collect.  Crd-C's count includes its cross slots
+#: (``("xo"|"xc", label, shards, seq)``), which a stable checkpoint
+#: covering their IDs collects like a local block's slot.
 RUNS = {
     "Flt-C": (0.2, "isce", 69),
     "Flt-B": (0.2, "isce", 92),
-    "Crd-C": (0.3, "csce", 378),
+    "Crd-C": (0.3, "csce", 63),
 }
 
 

@@ -149,7 +149,7 @@ def test_crash_model_backup_signs_a_reply_only_when_it_answers():
         m for m in deployment.directory.get("A1").members if m != old_primary
     ]
     for member in backups:
-        assert deployment.nodes[member]._request_reply[tx.request_id] == ("ok",)
+        assert deployment.nodes[member]._request_reply[tx.request_id] == "ok"
 
     # The primary dies; a second request forces the election.
     deployment.crash_node(old_primary)

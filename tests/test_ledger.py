@@ -58,12 +58,12 @@ def test_record_digests_resolve_on_demand_without_recursion():
         replica_a.append(otx, tx_id)
         replica_b.append(otx, tx_id)
     chain = replica_a.chain("A")
-    assert not any("_record_digest" in r.__dict__ for r in chain)
+    assert all(r._record_digest is None for r in chain)
     # Equal content at equal positions compares equal across replicas
     # without resolving (or descending) either chain of links.
     assert replica_a.head("A") == replica_b.head("A")
     assert replica_a.record("A", 0, n // 2) == replica_b.record("A", 0, n // 2)
-    assert "_record_digest" not in replica_a.head("A").__dict__
+    assert replica_a.head("A")._record_digest is None
     head = replica_a.head_digest("A")
     assert head == chain[-1].record_digest() == replica_b.head_digest("A")
     assert chain[1].prev_digest == chain[0].record_digest()
