@@ -35,6 +35,22 @@ from repro.errors import ConsistencyViolation
 from repro.sim.node import Handler
 
 
+def cross_slot(stage: str, block: CrossBlock, first_seq: int) -> tuple:
+    """The internal-consensus slot in which a cluster decides ``block``:
+    ``stage`` is ``"xo"`` (its order) or ``"xc"`` (its commit) and
+    ``first_seq`` the first sequence number of the IDs the deciding
+    cluster assigned, on its own shard."""
+    return (stage, block.label, block.shards, first_seq)
+
+
+def cross_slot_span(slot: tuple, value: CrossOrderValue) -> tuple[str, int, int]:
+    """``(label, first, last)``: the sequence numbers, on the deciding
+    cluster's own shard, of the IDs that the :func:`cross_slot`
+    ``slot`` deciding ``value`` covers."""
+    _, label, _, first = slot
+    return label, first, first + len(value.block.txs) - 1
+
+
 class CoordinatorEngine(CrossEngine):
     """Per-node handler for the coordinator-based protocols."""
 
@@ -59,7 +75,7 @@ class CoordinatorEngine(CrossEngine):
         ids = self.node.assign_ids(block)
         block = block.with_ids(self.node.cluster_name, ids)
         self.node.internal_propose(
-            ("xo", block.label, block.shards, ids[0].alpha.seq),
+            cross_slot("xo", block, ids[0].alpha.seq),
             CrossOrderValue(block, "order"),
         )
 
@@ -67,12 +83,18 @@ class CoordinatorEngine(CrossEngine):
     # internal-consensus callbacks (all coordinator-cluster nodes)
     # ------------------------------------------------------------------
     def on_cross_ordered(self, block: CrossBlock, certificate: Any) -> None:
-        """The cluster agreed on the block's order for its shard."""
+        """The cluster agreed on the block's order for its shard.
+
+        A decide for a block already committed here changes nothing: a
+        stable checkpoint releases the decided ``"xo"`` slot, so a later
+        leader can re-propose it, and the committed block (with every
+        assigning cluster's IDs) is what a commit query is answered
+        with."""
         state = self._state(block, coordinator=self._origin_cluster(block))
-        state.block = block
-        state.order_cert = certificate
         if state.committed:
             return
+        state.block = block
+        state.order_cert = certificate
         if state.coordinator == self.node.cluster_name:
             state.stage = "preparing"
             if self._obs_tracer is not None:
@@ -198,7 +220,7 @@ class CoordinatorEngine(CrossEngine):
         block = block.with_ids(self.node.cluster_name, ids)
         state.block = block
         self.node.internal_propose(
-            ("xo", block.label, block.shards, ids[0].alpha.seq),
+            cross_slot("xo", block, ids[0].alpha.seq),
             CrossOrderValue(block, "order"),
         )
 
@@ -299,16 +321,16 @@ class CoordinatorEngine(CrossEngine):
         # (§4.3.1): agree that the block is globally prepared.
         first_seq = state.block.ids_by_cluster[0][1][0].alpha.seq
         self.node.internal_propose(
-            ("xc", state.block.label, state.block.shards, first_seq),
+            cross_slot("xc", state.block, first_seq),
             CrossOrderValue(state.block, "commit"),
         )
 
     def on_commit_decided(self, block: CrossBlock, certificate: Any) -> None:
         """Coordinator cluster agreed to commit: finalize everywhere."""
         state = self._state(block, coordinator=self._origin_cluster(block))
-        state.block = block
         if state.committed:
-            return
+            return  # e.g. a re-proposed "xc" slot a checkpoint released
+        state.block = block
         if self.node.is_primary():
             targets = self._other_cluster_nodes(state.involved)
             if targets:

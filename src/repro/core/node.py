@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.consensus import make_internal_consensus
 from repro.consensus.checkpoint import CheckpointManager, StableCheckpoint
-from repro.consensus.coordinator import CoordinatorEngine
+from repro.consensus.coordinator import CoordinatorEngine, cross_slot_span
 from repro.consensus.cross_base import classify, final_otxs
 from repro.consensus.flattened import FlattenedEngine
 from repro.consensus.messages import (
@@ -626,26 +626,20 @@ class ClusterNode(SimNode):
         """Release decided consensus slots covered by a stable
         checkpoint (PBFT log truncation): a local block's
         ``(label, shard, first seq)`` slot, and a cross block's
-        ``("xo"|"xc", label, shards, first seq)`` slots, whose IDs are
+        :func:`~repro.consensus.coordinator.cross_slot`, whose IDs are
         this cluster's on its own shard."""
         own_shard = self.cluster.shard
 
         def keep(slot, value) -> bool:
-            if not isinstance(slot, tuple):
-                return True
-            if len(slot) == 3:
+            if isinstance(value, Block):
                 slot_label, slot_shard, first = slot
-                if slot_shard != shard or not isinstance(first, int):
-                    return True
-                count = len(value.otxs) if hasattr(value, "otxs") else 1
-            elif len(slot) == 4 and slot[0] in ("xo", "xc"):
-                _, slot_label, shards, first = slot
-                if shard != own_shard or shard not in shards:
-                    return True
-                count = len(value.block.txs)
+                last = first + len(value.otxs) - 1
+            elif isinstance(value, CrossOrderValue):
+                slot_label, first, last = cross_slot_span(slot, value)
+                slot_shard = own_shard
             else:
                 return True
-            return slot_label != label or first + count - 1 > seq
+            return slot_label != label or slot_shard != shard or last > seq
 
         self.consensus.garbage_collect(keep)
 

@@ -95,13 +95,9 @@ class TransactionRecord:
         :class:`OrderedTransaction` — the same object reaches every
         replica — per ID it was committed under (a cross-shard
         transaction has one per shard): the memo is a tuple parallel to
-        ``otx.ids``, and an ID is found in it by identity."""
+        ``otx.ids``."""
         otx, tx_id = self.otx, self.tx_id
-        for index, candidate in enumerate(otx.ids):
-            if candidate is tx_id:
-                break
-        else:  # not an ID the transaction was ordered under: no memo
-            return digest([otx.canonical_bytes(), tx_id.canonical_bytes()])
+        index = otx.ids.index(tx_id)
         memo = otx._body_digests or (None,) * len(otx.ids)
         cached = memo[index]
         if cached is None:
