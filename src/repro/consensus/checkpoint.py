@@ -22,7 +22,12 @@ The flow for one chain ``(label, shard)`` at sequence ``n``:
    full interval behind requests state transfer; the response carries
    the snapshot and the certificate, so the payload is verified
    against a quorum of signatures — and the same state digest,
-   recomputed from the snapshot alone — before being installed.
+   recomputed from the snapshot alone — before being installed.  The
+   certificate must be this cluster's and its quorum is counted over
+   the cluster's *current* members, as votes are: after a member swap
+   (:meth:`~repro.core.reconfig.Reconfigurator.swap_member`) a
+   checkpoint the old member co-signed no longer certifies, and the
+   replica waits for one signed by current members.
 
 The manager is transport-agnostic (it talks through the same host
 interface as the consensus protocols), so unit tests drive it over
@@ -36,7 +41,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.crypto.hashing import digest
-from repro.crypto.signatures import KeyRegistry, SignedMessage, verify_many
+from repro.crypto.signatures import KeyRegistry, SignedMessage
+from repro.ledger.certificate import verify_quorum
 from repro.sim.node import Handler
 
 
@@ -62,12 +68,16 @@ class StableCheckpoint:
              self.state_digest]
         )
 
-    def verify(self, registry: KeyRegistry, quorum: int) -> bool:
-        """Quorum of distinct valid signatures over the payload."""
-        valid = verify_many(
-            registry, self.signatures, payload=self.payload(), quorum=quorum
+    def verify(
+        self, registry: KeyRegistry, quorum: int, members: frozenset[str]
+    ) -> bool:
+        """``quorum`` of ``members`` (``self.cluster``'s current ordering
+        nodes: a swapped-out member's signature no longer counts)
+        signed the payload."""
+        return verify_quorum(
+            "checkpoint", self.payload(), self.signatures, registry, quorum,
+            members=members,
         )
-        return len(valid) >= quorum
 
 
 @dataclass
@@ -319,7 +329,11 @@ class CheckpointManager:
         book.transfer_pending = False
         if checkpoint.seq <= self._committed.get(key, 0):
             return
-        if not checkpoint.verify(self.host.key_registry, self.quorum):
+        # Votes count only from this cluster's members (_on_checkpoint);
+        # a transferred certificate obeys the same rule.
+        if checkpoint.cluster != self.host.cluster_name or not checkpoint.verify(
+            self.host.key_registry, self.quorum, frozenset(self.host.members)
+        ):
             return
         if self.snapshot_digest_fn is not None:
             try:

@@ -229,6 +229,7 @@ class MultiPaxos(InternalConsensus):
             msg.signatures,
             payload=msg.value_digest,
             quorum=self.quorum,
+            members=self.host.members,
         )
         for signed in msg.signatures:
             if signed.signer in valid:

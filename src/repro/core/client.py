@@ -163,6 +163,10 @@ class Client(Actor):
         pending = self._pending.get(msg.request_id)
         if pending is None or pending.done:
             return
+        # Only the initiator cluster's nodes answer; a reply from anyone
+        # else (another client, another cluster) is no vote.
+        if src not in self.deployment.directory.get(pending.cluster).member_set:
+            return
         result_key = _result_key(msg.result)
         voters = pending.results.setdefault(result_key, set())
         voters.add(src)
@@ -173,8 +177,7 @@ class Client(Actor):
         pending = self._pending.get(msg.certificate.request_id)
         if pending is None or pending.done:
             return
-        quorum = self.deployment.config.reply_cert_quorum
-        if not msg.certificate.verify(self.deployment.key_registry, quorum):
+        if not self.deployment.reply_certified(msg.certificate):
             return
         result = msg.result
         try:

@@ -22,6 +22,7 @@ from repro.datamodel.sharding import ShardingSchema
 from repro.datamodel.transaction import Transaction
 from repro.datamodel.workflow import CollaborationWorkflow
 from repro.firewall.topology import FirewallTopology, build_firewall
+from repro.ledger.certificate import CommitCertificate, ReplyCertificate
 from repro.sim.costs import CostModel
 from repro.sim.kernel import Simulator
 from repro.sim.latency import LatencyModel
@@ -256,6 +257,23 @@ class Deployment:
                 else:
                     identities.update(info.members)
         return identities
+
+    def order_certified(self, certificate: CommitCertificate) -> bool:
+        """A local majority of the certificate's own cluster (a
+        cross-enterprise order carries the coordinator's) signed it; a
+        cluster the directory does not know certifies nothing."""
+        info = self.directory.clusters.get(certificate.cluster)
+        return info is not None and certificate.verify(
+            self.key_registry, info.local_majority, info.member_set
+        )
+
+    def reply_certified(self, certificate: ReplyCertificate) -> bool:
+        """``reply_cert_quorum`` of the certificate's cluster's execution
+        nodes signed it; a cluster without them certifies nothing."""
+        firewall = self.firewalls.get(certificate.cluster)
+        return firewall is not None and certificate.verify(
+            self.key_registry, self.config.reply_cert_quorum, firewall.exec_set
+        )
 
     # ------------------------------------------------------------------
     # fault injection

@@ -673,8 +673,7 @@ class ClusterNode(SimNode):
     def _on_reply_certificate(self, msg: ReplyCertMsg, src: str) -> None:
         """A reply certificate arrived from the firewall (§4.2) or — in
         Fig 4(b) — directly from a crash-only execution node."""
-        quorum = self.config.reply_cert_quorum
-        if not msg.certificate.verify(self.key_registry, quorum):
+        if not self.deployment.reply_certified(msg.certificate):
             return
         rid = msg.certificate.request_id
         self._reply_certs[rid] = msg

@@ -142,8 +142,10 @@ class Reconfigurator:
         The old node is fail-stopped; the replacement inherits the
         membership position (so primary rotation is unaffected), joins
         at the cluster's current view, and catches up through state
-        transfer.  Refuses to swap the current primary — view-change it
-        away first, as an operator would.
+        transfer — from a checkpoint of current members only: one the
+        old node co-signed is rejected, and a chain with no later
+        checkpoint stays behind.  Refuses to swap the current primary —
+        view-change it away first, as an operator would.
         """
         deployment = self.deployment
         info = deployment.directory.get(cluster_name)
@@ -186,9 +188,6 @@ class Reconfigurator:
                     filter_node.node_id,
                     set(members) | set(filter_node.peers_above),
                 )
-            for row in firewall.rows:
-                for filter_node in row:
-                    filter_node.ordering_members = member_set
             for exec_node in firewall.execution_nodes:
                 exec_node.ordering_members = member_set
         return new_id

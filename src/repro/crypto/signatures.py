@@ -164,6 +164,11 @@ def verify_many(
     """Verify a certificate's signatures together; return the distinct
     valid signers found.
 
+    ``members`` is the cluster whose quorum the caller expects: no
+    signer outside it counts, enrolled client or not.  Every quorum in
+    the program passes it; ``None`` only times the MAC path in
+    isolation (``benchmarks/perf/probes.py``).
+
     Amortizes what :func:`verify` pays per call across the whole set:
     the wanted payload digest is computed once, the registry's
     memoization table is fetched once, and digest-mismatched or

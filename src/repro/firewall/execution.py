@@ -38,7 +38,6 @@ class ExecutionNode(SimNode):
         self.key_registry = deployment.key_registry
         deployment.key_registry.enroll(node_id)
         self.cluster_name = cluster_name
-        self.order_quorum = deployment.config.local_majority
         self.ordering_members: frozenset[str] = frozenset()
         self.filter_row: tuple[str, ...] = ()  # top row, our only peers
         #: Fig 4(b): crash-only executors reply to clients directly and
@@ -59,20 +58,13 @@ class ExecutionNode(SimNode):
         return {ExecOrder: self._on_exec_order}
 
     def _on_exec_order(self, msg: ExecOrder, src: str) -> None:
-        clusters = self.deployment.directory.clusters
+        order_certified = self.deployment.order_certified
         executor = self.executor
         durable = executor.backend is not None and executor.backend.durable
         verified = []
         for entry in msg.entries:
             certificate = entry.certificate
-            info = clusters.get(certificate.cluster)
-            if info is not None:
-                valid = certificate.verify(
-                    self.key_registry, info.local_majority, info.member_set
-                )
-            else:
-                valid = certificate.verify(self.key_registry, self.order_quorum)
-            if not valid:
+            if not order_certified(certificate):
                 continue
             # Every copy is verified; only an entry the unit will take
             # costs execution (each top-row filter forwards every order).

@@ -52,9 +52,7 @@ class FilterNode(SimNode):
         self.cluster_name = cluster_name
         self.row = row
         self.is_top_row = is_top_row
-        self.order_quorum = deployment.config.local_majority
         self.reply_quorum = deployment.config.g + 1
-        self.ordering_members: frozenset[str] = frozenset()
         self.execution_members: frozenset[str] = frozenset()
         self.peers_above: tuple[str, ...] = ()
         self.peers_below: tuple[str, ...] = ()
@@ -76,28 +74,15 @@ class FilterNode(SimNode):
     # ------------------------------------------------------------------
     # upward path
     # ------------------------------------------------------------------
-    def _order_cert_valid(self, certificate) -> bool:
-        """Verify a commit certificate against its signing cluster.
-
-        A cross-enterprise transaction carries the coordinator
-        cluster's certificate, so membership and quorum come from the
-        certificate's cluster, not from this firewall's own cluster.
-        """
-        info = self.deployment.directory.clusters.get(certificate.cluster)
-        if info is not None:
-            return certificate.verify(
-                self.key_registry, info.local_majority, info.member_set
-            )
-        return certificate.verify(self.key_registry, self.order_quorum)
-
     def _on_exec_order(self, msg: ExecOrder, src: str) -> None:
+        order_certified = self.deployment.order_certified
         passed = []
         for entry in msg.entries:
             alpha = entry.tx_id.alpha
             key = (alpha.label, alpha.shard, alpha.seq)
             if key in self._forwarded_up:
                 continue
-            if not self._order_cert_valid(entry.certificate):
+            if not order_certified(entry.certificate):
                 self.dropped_messages += 1
                 continue
             self._forwarded_up.add(key)
@@ -146,7 +131,7 @@ class FilterNode(SimNode):
         if msg.certificate.request_id in self._forwarded_down:
             return
         if not msg.certificate.verify(
-            self.key_registry, self.reply_quorum, self.execution_members or None
+            self.key_registry, self.reply_quorum, self.execution_members
         ):
             self.dropped_messages += 1
             return

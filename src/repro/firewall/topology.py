@@ -27,6 +27,9 @@ class FirewallTopology:
     cluster_name: str
     rows: list[list[FilterNode]]          # rows[0] = bottom (ordering side)
     execution_nodes: list[ExecutionNode]
+    #: The execution nodes' ids: the members whose signatures count
+    #: toward the cluster's reply certificates.
+    exec_set: frozenset[str]
 
     @property
     def bottom_row_ids(self) -> tuple[str, ...]:
@@ -105,7 +108,6 @@ def build_firewall(
         for filter_node in row:
             filter_node.peers_below = below
             filter_node.peers_above = above
-            filter_node.ordering_members = ordering_set
             filter_node.execution_members = exec_set
             deployment.network.restrict_links(
                 filter_node.node_id, set(below) | set(above)
@@ -117,7 +119,7 @@ def build_firewall(
         exec_node.ordering_members = ordering_set
         deployment.network.restrict_links(exec_node.node_id, set(top_ids))
 
-    return FirewallTopology(cluster_name, rows, execution_nodes)
+    return FirewallTopology(cluster_name, rows, execution_nodes, exec_set)
 
 
 def _build_direct_execution(
@@ -151,4 +153,5 @@ def _build_direct_execution(
         exec_node.filter_row = ()
         exec_node.ordering_members = ordering_set
         exec_node.direct_reply = True
-    return FirewallTopology(cluster_name, [], execution_nodes)
+    exec_set = frozenset(e.node_id for e in execution_nodes)
+    return FirewallTopology(cluster_name, [], execution_nodes, exec_set)

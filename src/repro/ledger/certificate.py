@@ -6,6 +6,11 @@ nodes agreed on a transaction's order: it is appended to the ledger so
 *reply certificate* proves ``g + 1`` execution nodes produced matching
 results; the privacy firewall's top filter row assembles it and only it
 flows down toward the client.
+
+Every certificate — these two and the checkpoint certificate of
+:mod:`repro.consensus.checkpoint` — is checked by one function,
+:func:`verify_quorum`, which always takes the member set whose quorum
+the caller expects: a signature from anyone else never counts.
 """
 
 from __future__ import annotations
@@ -14,64 +19,55 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.crypto import signatures as _sigmod
-from repro.crypto.hashing import (
-    Canonical,
-    digest,
-    memo_field,
-    register_intern_cache,
-)
+from repro.crypto.hashing import Canonical, digest, register_intern_cache
 from repro.crypto.signatures import KeyRegistry, SignedMessage, verify_many
 
-#: Interned whole-certificate outcomes.  Receivers rebuild equal
-#: certificates from message fields, so the per-object memo below
-#: misses even though the signature set was already checked; keying by
-#: the signature tuple (frozen dataclasses, hashable) lets the rebuilt
-#: copy skip every MAC.  Positive outcomes only — enrollment never
+#: Interned whole-certificate outcomes.  Consumers re-verify the same
+#: certificate (execution routine, every firewall row, client) and
+#: receivers rebuild equal copies from message fields; keying by the
+#: signature tuple (frozen dataclasses, hashable) lets every repeat skip
+#: the per-signature pass.  Positive outcomes only — enrollment never
 #: rotates secrets, so a quorum that verified once verifies forever.
 _cert_verified: dict = register_intern_cache({})
 _CERT_CACHE_MAX = 1 << 16
 
 
-def _batched_verify(
+def verify_quorum(
+    kind: str,
     payload_digest: str,
     signatures: tuple[SignedMessage, ...],
     registry: KeyRegistry,
     quorum: int,
-    members,
+    *,
+    members: frozenset[str],
 ) -> bool:
-    """The :func:`verify_many`-backed certificate check with interned
-    whole-certificate outcomes; with batched verification off (the CI
-    baseline) verify_many itself degrades to the per-signature loop and
-    the certificate-level interning is bypassed too."""
+    """At least ``quorum`` distinct ``members`` validly signed
+    ``payload_digest``.  ``certificate_verifies{kind}`` counts every
+    check, intern hits included (protocol demand).  Positive outcomes
+    are interned per (registry, quorum, members, digest, signatures),
+    so another PKI or member set never reuses one; failures are not
+    (a signer may enroll later).  With batched verification off the
+    intern is bypassed and every signature demand counts."""
+    if obs.REGISTRY is not None:
+        obs.REGISTRY.counter("certificate_verifies", kind=kind).inc()
     if not _sigmod.BATCH_VERIFY:
-        return (
-            len(
-                verify_many(
-                    registry, signatures, payload=payload_digest, members=members
-                )
-            )
-            >= quorum
+        valid = verify_many(
+            registry, signatures, payload=payload_digest, members=members
         )
+        return len(valid) >= quorum
     key = (registry, quorum, members, payload_digest, signatures)
     if key in _cert_verified:
         return True
-    ok = (
-        len(
-            verify_many(
-                registry,
-                signatures,
-                payload=payload_digest,
-                quorum=quorum,
-                members=members,
-            )
-        )
-        >= quorum
+    valid = verify_many(
+        registry, signatures, payload=payload_digest, quorum=quorum,
+        members=members,
     )
-    if ok:
-        if len(_cert_verified) >= _CERT_CACHE_MAX:
-            _cert_verified.clear()
-        _cert_verified[key] = True
-    return ok
+    if len(valid) < quorum:
+        return False
+    if len(_cert_verified) >= _CERT_CACHE_MAX:
+        _cert_verified.clear()
+    _cert_verified[key] = True
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,47 +77,19 @@ class CommitCertificate(Canonical):
     cluster: str
     payload_digest: str
     signatures: tuple[SignedMessage, ...]
-    _verified_cache: set | None = memo_field()
 
     def signers(self) -> frozenset[str]:
         return frozenset(s.signer for s in self.signatures)
 
     def verify(
-        self,
-        registry: KeyRegistry,
-        quorum: int,
-        members: frozenset[str] | None = None,
+        self, registry: KeyRegistry, quorum: int, members: frozenset[str]
     ) -> bool:
-        """At least ``quorum`` valid signatures from distinct members.
-
-        Positive outcomes are memoized on the certificate: the same
-        certificate object is re-verified by the execution routine, the
-        privacy firewall, and the client, and a quorum that verified
-        once can never stop verifying (enrollment never rotates
-        secrets).  Failures are not cached — a not-yet-enrolled signer
-        may verify later — and the key includes the registry object
-        (identity-hashed), so a check against a different PKI never
-        reuses an outcome.  The signature set itself goes through
-        :func:`repro.crypto.signatures.verify_many`: quorum early-exit
-        plus interned whole-certificate outcomes for rebuilt copies.
-        """
-        if obs.REGISTRY is not None:
-            # Counts every verify, including memoized hits — the metric
-            # measures protocol demand, not cache effectiveness.
-            obs.REGISTRY.counter("certificate_verifies", kind="commit").inc()
-        key = (registry, quorum, members)
-        cache = self._verified_cache
-        if cache is not None and key in cache:
-            return True
-        ok = _batched_verify(
-            self.payload_digest, self.signatures, registry, quorum, members
+        """``quorum`` of ``members`` (the ordering nodes of the cluster
+        the caller expects) signed the payload."""
+        return verify_quorum(
+            "commit", self.payload_digest, self.signatures, registry, quorum,
+            members=members,
         )
-        if ok:
-            if cache is None:
-                cache = set()
-                object.__setattr__(self, "_verified_cache", cache)
-            cache.add(key)
-        return ok
 
     def _canonical_bytes(self) -> bytes:
         sigs = b";".join(s.canonical_bytes() for s in self.signatures)
@@ -136,30 +104,16 @@ class ReplyCertificate(Canonical):
     request_id: int
     result_digest: str
     signatures: tuple[SignedMessage, ...]
-    _verified_cache: set | None = memo_field()
 
     def verify(
-        self,
-        registry: KeyRegistry,
-        quorum: int,
-        members: frozenset[str] | None = None,
+        self, registry: KeyRegistry, quorum: int, members: frozenset[str]
     ) -> bool:
-        """Same memoization as :meth:`CommitCertificate.verify`."""
-        if obs.REGISTRY is not None:
-            obs.REGISTRY.counter("certificate_verifies", kind="reply").inc()
-        key = (registry, quorum, members)
-        cache = self._verified_cache
-        if cache is not None and key in cache:
-            return True
-        ok = _batched_verify(
-            self.result_digest, self.signatures, registry, quorum, members
+        """``quorum`` of ``members`` (``self.cluster``'s execution
+        nodes) signed the result."""
+        return verify_quorum(
+            "reply", self.result_digest, self.signatures, registry, quorum,
+            members=members,
         )
-        if ok:
-            if cache is None:
-                cache = set()
-                object.__setattr__(self, "_verified_cache", cache)
-            cache.add(key)
-        return ok
 
     def _canonical_bytes(self) -> bytes:
         sigs = b";".join(s.canonical_bytes() for s in self.signatures)

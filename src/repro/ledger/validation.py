@@ -10,6 +10,7 @@ every involved enterprise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from repro.crypto.signatures import KeyRegistry
 from repro.ledger.dag import GENESIS_DIGEST, DagLedger
@@ -31,13 +32,16 @@ class AuditReport:
 def audit_ledger(
     ledger: DagLedger,
     registry: KeyRegistry | None = None,
-    quorum_of: dict[str, int] | None = None,
+    clusters: Mapping[str, Any] | None = None,
 ) -> AuditReport:
     """Full re-verification of one cluster's ledger.
 
-    ``quorum_of`` maps cluster name -> required certificate quorum;
-    when provided together with ``registry``, commit certificates are
-    checked cryptographically.
+    ``clusters`` is the directory's cluster map (name ->
+    :class:`~repro.core.config.ClusterInfo`, or anything with
+    ``local_majority`` and ``member_set``); when provided together with
+    ``registry``, every commit certificate must hold a local majority
+    of its own cluster's ordering nodes, and a certificate naming a
+    cluster the map does not know is reported.
     """
     report = AuditReport()
     for key in ledger.chain_keys():
@@ -61,13 +65,20 @@ def audit_ledger(
                         f"{label}#{shard}:{record.seq}: gamma regressed "
                         f"on {shared}"
                     )
-            if registry is not None and quorum_of is not None:
+            if registry is not None and clusters is not None:
                 cert = record.certificate
                 if cert is None:
                     report.problems.append(
                         f"{label}#{shard}:{record.seq}: missing certificate"
                     )
-                elif not cert.verify(registry, quorum_of.get(cert.cluster, 1)):
+                elif (info := clusters.get(cert.cluster)) is None:
+                    report.problems.append(
+                        f"{label}#{shard}:{record.seq}: certificate of "
+                        f"unknown cluster {cert.cluster}"
+                    )
+                elif not cert.verify(
+                    registry, info.local_majority, info.member_set
+                ):
                     report.problems.append(
                         f"{label}#{shard}:{record.seq}: bad certificate"
                     )

@@ -74,10 +74,15 @@ def test_verify_many_finds_valid_signers_and_filters():
         registry.enroll(who)
     payload = ["vote", 1]
     sigs = tuple(sign(registry, who, payload) for who in ("a", "b", "c"))
-    assert verify_many(registry, sigs, payload=payload) == {"a", "b", "c"}
+    everyone = frozenset({"a", "b", "c"})
+    assert verify_many(
+        registry, sigs, payload=payload, members=everyone
+    ) == {"a", "b", "c"}
     # Digest binding: signatures over another payload contribute nothing.
     other = sign(registry, "a", ["vote", 2])
-    assert verify_many(registry, sigs + (other,), payload=["vote", 2]) == {"a"}
+    assert verify_many(
+        registry, sigs + (other,), payload=["vote", 2], members=everyone
+    ) == {"a"}
     # Membership filter.
     assert verify_many(
         registry, sigs, payload=payload, members=frozenset({"b"})
@@ -91,7 +96,8 @@ def test_verify_many_quorum_early_exit_skips_surplus():
     payload = ["cert"]
     sigs = tuple(sign(registry, f"n{i}", payload) for i in range(5))
     before = counters()["verify_calls"]
-    valid = verify_many(registry, sigs, payload=payload, quorum=3)
+    members = frozenset(f"n{i}" for i in range(5))
+    valid = verify_many(registry, sigs, payload=payload, quorum=3, members=members)
     spent = counters()["verify_calls"] - before
     assert len(valid) == 3
     # Three fresh MACs checked, the two surplus signatures never paid.
@@ -103,10 +109,11 @@ def test_verify_many_skips_interned_outcomes_for_free():
     registry.enroll("a")
     payload = ["x"]
     sigs = (sign(registry, "a", payload),)
-    assert verify_many(registry, sigs, payload=payload) == {"a"}
+    members = frozenset({"a"})
+    assert verify_many(registry, sigs, payload=payload, members=members) == {"a"}
     before = counters()["verify_calls"]
     # Second pass over the same triples: outcome already interned.
-    assert verify_many(registry, sigs, payload=payload) == {"a"}
+    assert verify_many(registry, sigs, payload=payload, members=members) == {"a"}
     assert counters()["verify_calls"] == before
 
 
@@ -116,11 +123,14 @@ def test_baseline_mode_counts_every_demand():
         registry.enroll(who)
     payload = ["y"]
     sigs = tuple(sign(registry, who, payload) for who in ("a", "b", "c"))
-    verify_many(registry, sigs, payload=payload)  # intern all three
+    members = frozenset({"a", "b", "c"})
+    verify_many(registry, sigs, payload=payload, members=members)  # intern all three
     previous = set_batch_verify(False)
     try:
         before = counters()["verify_calls"]
-        valid = verify_many(registry, sigs, payload=payload, quorum=2)
+        valid = verify_many(
+            registry, sigs, payload=payload, quorum=2, members=members
+        )
         spent = counters()["verify_calls"] - before
     finally:
         set_batch_verify(previous)
@@ -140,7 +150,8 @@ def test_rebuilt_certificate_verifies_without_fresh_macs():
     payload_digest = "d" * 32
     sigs = tuple(sign(registry, who, payload_digest) for who in ("a", "b"))
     cert = CommitCertificate("A1", payload_digest, sigs)
-    assert cert.verify(registry, quorum=2)
+    members = frozenset({"a", "b"})
+    assert cert.verify(registry, quorum=2, members=members)
     # A receiver rebuilds an equal-but-distinct certificate from message
     # fields; the interned whole-certificate outcome skips every MAC.
     rebuilt = CommitCertificate(
@@ -149,7 +160,7 @@ def test_rebuilt_certificate_verifies_without_fresh_macs():
         tuple(SignedMessage(s.signer, s.payload_digest, s.signature) for s in sigs),
     )
     before = counters()["verify_calls"]
-    assert rebuilt.verify(registry, quorum=2)
+    assert rebuilt.verify(registry, quorum=2, members=members)
     assert counters()["verify_calls"] == before
 
 

@@ -313,7 +313,8 @@ def test_stable_checkpoint_verify_counts_distinct_signers():
             sign(registry, "n0", draft.payload()),
         ),
     )
-    assert not one_signer_twice.verify(registry, 2)
+    members = frozenset({"n0", "n1"})
+    assert not one_signer_twice.verify(registry, 2, members)
     two_signers = StableCheckpoint(
         "C", "A", 0, 4, "digest",
         signatures=(
@@ -321,7 +322,7 @@ def test_stable_checkpoint_verify_counts_distinct_signers():
             sign(registry, "n1", draft.payload()),
         ),
     )
-    assert two_signers.verify(registry, 2)
+    assert two_signers.verify(registry, 2, members)
 
 
 def test_interval_must_be_positive():

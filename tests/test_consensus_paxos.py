@@ -25,7 +25,8 @@ def test_decide_carries_quorum_certificate():
     sim.run(until=0.05)
     cert = nodes[1].decided[0][2]
     assert len(cert.signers()) >= 2
-    assert cert.verify(nodes[1].key_registry, quorum=2)
+    members = frozenset(nodes[1].members)
+    assert cert.verify(nodes[1].key_registry, quorum=2, members=members)
 
 
 def test_multiple_slots_decide_independently():

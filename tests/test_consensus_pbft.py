@@ -27,7 +27,8 @@ def test_certificate_has_2f_plus_1_signatures():
     sim.run(until=0.05)
     cert = nodes[2].decided[0][2]
     assert len(cert.signers()) >= 3
-    assert cert.verify(nodes[2].key_registry, quorum=3)
+    members = frozenset(nodes[2].members)
+    assert cert.verify(nodes[2].key_registry, quorum=3, members=members)
 
 
 def test_decides_with_one_faulty_backup():

@@ -28,6 +28,14 @@ def make_otx(label="A", seq=1, gamma=(), shard=0, client="c1", request_id=None):
     return OrderedTransaction(tx, (tx_id,)), tx_id
 
 
+class _Cluster:
+    """The two fields of a directory entry an audit reads."""
+
+    def __init__(self, local_majority, members):
+        self.local_majority = local_majority
+        self.member_set = frozenset(members)
+
+
 def make_cert(registry, cluster, members, otx):
     payload = certificate_payload(otx.canonical_bytes())
     sigs = tuple(sign(registry, m, payload) for m in members)
@@ -120,7 +128,7 @@ def test_audit_passes_on_honest_ledger():
         otx, tx_id = make_otx(seq=seq)
         cert = make_cert(registry, "A1", members, otx)
         ledger.append(otx, tx_id, cert)
-    report = audit_ledger(ledger, registry, {"A1": 3})
+    report = audit_ledger(ledger, registry, {"A1": _Cluster(3, members)})
     assert report.ok(), report.problems
 
 
@@ -148,7 +156,7 @@ def test_audit_detects_missing_certificate():
     ledger = DagLedger("A")
     otx, tx_id = make_otx(seq=1)
     ledger.append(otx, tx_id, certificate=None)
-    report = audit_ledger(ledger, registry, {"A1": 1})
+    report = audit_ledger(ledger, registry, {"A1": _Cluster(1, {"n0"})})
     assert any("missing certificate" in p for p in report.problems)
 
 
@@ -160,8 +168,9 @@ def test_certificate_quorum_counting():
     payload = certificate_payload(otx.canonical_bytes())
     sigs = tuple(sign(registry, m, payload) for m in ("n0", "n1"))
     cert = CommitCertificate("A1", payload, sigs)
-    assert cert.verify(registry, quorum=2)
-    assert not cert.verify(registry, quorum=3)
+    cluster = frozenset({"n0", "n1", "n2"})
+    assert cert.verify(registry, quorum=2, members=cluster)
+    assert not cert.verify(registry, quorum=3, members=cluster)
     members = frozenset({"n0"})
     assert not cert.verify(registry, quorum=2, members=members)
 
