@@ -160,7 +160,10 @@ class Endorser(SimNode):
         self.versions: dict[str, int] = {}
 
     def handlers(self):
-        return {EndorseRequest: self._on_endorse, BlockDeliver: self._on_block}
+        return {
+            EndorseRequest: (self._on_endorse, None),
+            BlockDeliver: (self._on_block, None),
+        }
 
     def _on_endorse(self, msg, src):
         reads = {
@@ -191,7 +194,10 @@ class OrdererLeader(SimNode):
         self.early_aborted = 0
 
     def handlers(self):
-        return {OrderSubmit: self._on_submit, RaftAck: self._on_ack}
+        return {
+            OrderSubmit: (self._on_submit, None),
+            RaftAck: (self._on_ack, None),
+        }
 
     def _on_submit(self, msg, src):
         if self.deployment.variant is FabricVariant.FABRIC_PP and self._stale(msg):
@@ -255,7 +261,7 @@ class OrdererFollower(SimNode):
         self.deployment = deployment
 
     def handlers(self):
-        return {RaftAppend: self._on_append}
+        return {RaftAppend: (self._on_append, None)}
 
     def _on_append(self, msg, src):
         self.send(src, RaftAck(msg.block_seq))
@@ -274,7 +280,7 @@ class Peer(SimNode):
         self.ledger_hashes = 0
 
     def handlers(self):
-        return {BlockDeliver: self._on_block}
+        return {BlockDeliver: (self._on_block, None)}
 
     def _on_block(self, msg, src):
         costs = self.deployment.costs

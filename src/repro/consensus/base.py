@@ -14,7 +14,7 @@ from typing import Any, Callable, Protocol
 
 from repro.crypto.signatures import KeyRegistry, SignedMessage
 from repro.ledger.certificate import CommitCertificate
-from repro.sim.node import Handler
+from repro.sim.node import Route
 
 
 def local_majority(failure_model: str, f: int) -> int:
@@ -324,9 +324,9 @@ class InternalConsensus:
     def propose(self, slot: Any, value: Any) -> None:  # pragma: no cover
         raise NotImplementedError
 
-    def handlers(self) -> dict[type, Handler]:  # pragma: no cover
-        """Message class -> bound handler, merged into the host node's
-        dispatch table (:meth:`repro.sim.node.SimNode.handlers`)."""
+    def handlers(self) -> dict[type, Route]:  # pragma: no cover
+        """Message class -> (bound handler, senders), merged into the
+        host node's dispatch table (:meth:`repro.sim.node.SimNode.handlers`)."""
         raise NotImplementedError
 
     def request_view_change(self, cause: str = "timeout") -> None:

@@ -28,6 +28,9 @@ The flow for one chain ``(label, shard)`` at sequence ``n``:
    (:meth:`~repro.core.reconfig.Reconfigurator.swap_member`) a
    checkpoint the old member co-signed no longer certifies, and the
    replica waits for one signed by current members.
+   The host's dispatch table (:class:`~repro.sim.node.SimNode`) takes
+   all three messages only from current members, and a vote only from
+   its signer; a member swap resets the table.
 
 The manager is transport-agnostic (it talks through the same host
 interface as the consensus protocols), so unit tests drive it over
@@ -43,7 +46,7 @@ from typing import Any, Callable
 from repro.crypto.hashing import digest
 from repro.crypto.signatures import KeyRegistry, SignedMessage
 from repro.ledger.certificate import verify_quorum
-from repro.sim.node import Handler
+from repro.sim.node import Route
 
 
 ChainKey = tuple[str, int]
@@ -241,16 +244,15 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
-    def handlers(self) -> dict[type, Handler]:
+    def handlers(self) -> dict[type, Route]:
+        members = frozenset(self.host.members)
         return {
-            CheckpointMsg: self._on_checkpoint,
-            StateRequest: self._on_state_request,
-            StateResponse: self._on_state_response,
+            CheckpointMsg: (self._on_checkpoint, members),
+            StateRequest: (self._on_state_request, members),
+            StateResponse: (self._on_state_response, members),
         }
 
     def _on_checkpoint(self, msg: CheckpointMsg, src: str) -> None:
-        if src not in self.host.members or msg.signed.signer != src:
-            return
         draft = StableCheckpoint(
             msg.cluster, msg.label, msg.shard, msg.seq, msg.state_digest
         )
@@ -329,8 +331,8 @@ class CheckpointManager:
         book.transfer_pending = False
         if checkpoint.seq <= self._committed.get(key, 0):
             return
-        # Votes count only from this cluster's members (_on_checkpoint);
-        # a transferred certificate obeys the same rule.
+        # Votes count only from this cluster's members (the dispatch
+        # table); a transferred certificate obeys the same rule.
         if checkpoint.cluster != self.host.cluster_name or not checkpoint.verify(
             self.host.key_registry, self.quorum, frozenset(self.host.members)
         ):

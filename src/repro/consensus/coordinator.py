@@ -32,7 +32,7 @@ from repro.consensus.messages import (
     PreparedMsg,
 )
 from repro.errors import ConsistencyViolation
-from repro.sim.node import Handler
+from repro.sim.node import Route
 
 
 def cross_slot(stage: str, block: CrossBlock, first_seq: int) -> tuple:
@@ -54,13 +54,13 @@ def cross_slot_span(slot: tuple, value: CrossOrderValue) -> tuple[str, int, int]
 class CoordinatorEngine(CrossEngine):
     """Per-node handler for the coordinator-based protocols."""
 
-    def handlers(self) -> dict[type, Handler]:
-        # Prepare is the node's own entry: it also teaches the node
-        # who the coordinator's primary is.
+    def handlers(self) -> dict[type, Route]:
+        ordering = self.node.directory.ordering_nodes
         return {
-            PreparedMsg: self.on_prepared,
-            CrossCommitMsg: self.on_cross_commit,
-            CommitQuery: self.on_commit_query,
+            Prepare: (self.on_prepare, ordering),
+            PreparedMsg: (self.on_prepared, ordering),
+            CrossCommitMsg: (self.on_cross_commit, ordering),
+            CommitQuery: (self.on_commit_query, ordering),
         }
 
     # ------------------------------------------------------------------
@@ -166,13 +166,10 @@ class CoordinatorEngine(CrossEngine):
     # prepare handling (involved clusters)
     # ------------------------------------------------------------------
     def on_prepare(self, msg: Prepare, src: str) -> None:
+        # The prepare also says who the coordinator's primary is.
+        self.node.observe_primary(msg.coordinator, src)
         block = msg.block
-        coord_info = self.node.directory.get(msg.coordinator)
-        if msg.certificate is None or not msg.certificate.verify(
-            self.node.key_registry,
-            coord_info.local_majority,
-            coord_info.member_set,
-        ):
+        if not self._certified(msg.coordinator, msg.certificate):
             return
         state = self._state(block, coordinator=msg.coordinator)
         if state.committed:
@@ -194,14 +191,16 @@ class CoordinatorEngine(CrossEngine):
             )
         self.drain_early(block.block_id)
 
+    def _certified(self, cluster: str, certificate: Any) -> bool:
+        """A local majority of ``cluster``'s members signed ``certificate``."""
+        info = self.node.directory.get(cluster)
+        return certificate is not None and certificate.verify(
+            self.node.key_registry, info.local_majority, info.member_set
+        )
+
     def _role_on_prepare(self, state: CrossState) -> str:
-        assigning = {
-            c.name
-            for c in self._assigning(
-                state.block, state.involved, state.coordinator
-            )
-        }
-        if self.node.cluster_name in assigning:
+        assigning = self._assigning(state.block, state.involved, state.coordinator)
+        if any(c.name == self.node.cluster_name for c in assigning):
             return "assign"
         coord_shard = self.node.directory.get(state.coordinator).shard
         if self.node.cluster.shard == coord_shard:
@@ -276,18 +275,12 @@ class CoordinatorEngine(CrossEngine):
     ) -> None:
         if not self._is_member(msg.cluster, src):
             return  # a vote only counts from the claimed cluster
-        info = self.node.directory.get(msg.cluster)
-        if msg.certificate is not None:
-            if msg.certificate.verify(
-                self.node.key_registry,
-                info.local_majority,
-                info.member_set,
-            ):
-                state.prepared_certs[msg.cluster] = msg.certificate
-                for name, ids in msg.ids_by_cluster:
-                    state.prepared_ids[name] = ids
-        else:
+        if msg.certificate is None:
             state.prepared_votes.setdefault(msg.cluster, {})[src] = msg.signed
+        elif self._certified(msg.cluster, msg.certificate):
+            state.prepared_certs[msg.cluster] = msg.certificate
+            for name, ids in msg.ids_by_cluster:
+                state.prepared_ids[name] = ids
         if self.node.is_primary():
             self._maybe_decide_commit(state)
 
@@ -295,13 +288,15 @@ class CoordinatorEngine(CrossEngine):
         if state.stage != "preparing":
             return
         assigning = self._assigning(state.block, state.involved, state.coordinator)
-        validating = self._validating(state.block, state.involved, state.coordinator)
         for info in assigning:
             if info.name == self.node.cluster_name:
                 continue
             if info.name not in state.prepared_certs:
                 return
-        for info in validating:
+        assigning_names = {c.name for c in assigning}
+        for info in state.involved:  # the validating clusters
+            if info.name in assigning_names:
+                continue
             votes = state.prepared_votes.get(info.name, {})
             if len(votes) < info.local_majority:
                 return
@@ -344,12 +339,7 @@ class CoordinatorEngine(CrossEngine):
     # commit handling (involved clusters)
     # ------------------------------------------------------------------
     def on_cross_commit(self, msg: CrossCommitMsg, src: str) -> None:
-        coord_info = self.node.directory.get(msg.coordinator)
-        if msg.certificate is None or not msg.certificate.verify(
-            self.node.key_registry,
-            coord_info.local_majority,
-            coord_info.member_set,
-        ):
+        if not self._certified(msg.coordinator, msg.certificate):
             return
         state = self._state(msg.block, coordinator=msg.coordinator)
         state.block = msg.block
@@ -377,18 +367,8 @@ class CoordinatorEngine(CrossEngine):
             elif state.stage == "committing":
                 self._decide_commit(state)
 
-    def on_commit_query(self, msg: CommitQuery, src: str) -> None:
-        state = self.states.get(msg.block_id)
-        if state is None:
-            return
-        if state.committed:
-            # Re-send the commit so the querying node can finish.
-            if state.commit_cert is not None:
-                self.node.send(
-                    src,
-                    CrossCommitMsg(
-                        state.block, self.node.cluster_name, state.commit_cert
-                    ),
-                )
-            return
-        self._count_query(state, msg, src)
+    def _answer_query(self, state: CrossState, src: str) -> None:
+        cert = state.commit_cert
+        if cert is not None:
+            commit = CrossCommitMsg(state.block, self.node.cluster_name, cert)
+            self.node.send(src, commit)

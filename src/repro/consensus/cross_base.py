@@ -196,9 +196,8 @@ class CrossEngine:
     # directory helpers
     # ------------------------------------------------------------------
     def _is_member(self, cluster: str, node_id: str) -> bool:
-        """Votes count toward a cluster's local-majority only when cast
-        by that cluster's members — a node of another (possibly
-        malicious) cluster must not inflate the quorum."""
+        """The dispatch table knows only that ``node_id`` orders for some
+        cluster; a vote counts toward ``cluster``'s quorum only from its own."""
         info = self.node.directory.clusters.get(cluster)
         return info is not None and node_id in info.members
 
@@ -227,17 +226,6 @@ class CrossEngine:
             )
             state.assigning_cache = cached
         return cached
-
-    def _validating(
-        self,
-        block: CrossBlock,
-        involved: tuple[ClusterInfo, ...],
-        coordinator: str,
-    ) -> list[ClusterInfo]:
-        assigning = {
-            c.name for c in self._assigning(block, involved, coordinator)
-        }
-        return [c for c in involved if c.name not in assigning]
 
     def _state(
         self, block: CrossBlock, coordinator: str
@@ -325,11 +313,18 @@ class CrossEngine:
             ),
         )
 
-    def _count_query(self, state: CrossState, msg: CommitQuery, src: str) -> None:
-        """A commit query for a block we have not committed: a
-        local-majority of a cluster asking means our primary is sitting
-        on the block."""
-        if not self._is_member(msg.cluster, src):
+    def on_commit_query(self, msg: CommitQuery, src: str) -> None:
+        """Answer a member of an involved cluster asking after the block:
+        re-send the commit (``_answer_query``) if we have it, else count
+        the query — a local-majority of a cluster asking means our
+        primary is sitting on the block.  Anyone else learns nothing."""
+        state = self.states.get(msg.block_id)
+        if state is None or not self._is_member(msg.cluster, src):
+            return
+        if all(info.name != msg.cluster for info in state.involved):
+            return
+        if state.committed:
+            self._answer_query(state, src)
             return
         askers = state.queries.setdefault(msg.cluster, set())
         askers.add(src)

@@ -38,20 +38,21 @@ from repro.consensus.messages import (
     Propose,
 )
 from repro.ledger.certificate import CommitCertificate
-from repro.sim.node import Handler
+from repro.sim.node import Route
 
 
 class FlattenedEngine(CrossEngine):
     """Per-node handler for the flattened protocols."""
 
-    def handlers(self) -> dict[type, Handler]:
+    def handlers(self) -> dict[type, Route]:
+        ordering = self.node.directory.ordering_nodes
         return {
-            Propose: self.on_propose,
-            PrimaryAccept: self.on_primary_accept,
-            FlatAccept: self.on_flat_accept,
-            FlatCommit: self.on_flat_commit,
-            FastCommit: self.on_fast_commit,
-            CommitQuery: self.on_commit_query,
+            Propose: (self.on_propose, ordering),
+            PrimaryAccept: (self.on_primary_accept, ordering),
+            FlatAccept: (self.on_flat_accept, ordering),
+            FlatCommit: (self.on_flat_commit, ordering),
+            FastCommit: (self.on_fast_commit, ordering),
+            CommitQuery: (self.on_commit_query, ordering),
         }
 
     # ------------------------------------------------------------------
@@ -76,7 +77,6 @@ class FlattenedEngine(CrossEngine):
     # propose (every node of every involved cluster)
     # ------------------------------------------------------------------
     def on_propose(self, msg: Propose, src: str) -> None:
-        initiator_info = self.node.directory.get(msg.initiator)
         if src != self.node.believed_primary(msg.initiator):
             self.node.observe_primary(msg.initiator, src)
         state = self._state(msg.block, coordinator=msg.initiator)
@@ -429,23 +429,15 @@ class FlattenedEngine(CrossEngine):
                 Propose(state.block, self.node.cluster_name),
             )
 
-    def on_commit_query(self, msg: CommitQuery, src: str) -> None:
-        state = self.states.get(msg.block_id)
-        if state is None:
-            return
-        if state.committed:
-            payload = commit_payload(
-                state.base_digest, state.block.ids_by_cluster
-            )
-            self.node.send(
-                src,
-                FlatCommit(
-                    state.block.block_id,
-                    self.node.cluster_name,
-                    state.block.ids_by_cluster,
-                    state.base_digest,
-                    self.node.sign(payload),
-                ),
-            )
-            return
-        self._count_query(state, msg, src)
+    def _answer_query(self, state: CrossState, src: str) -> None:
+        payload = commit_payload(state.base_digest, state.block.ids_by_cluster)
+        self.node.send(
+            src,
+            FlatCommit(
+                state.block.block_id,
+                self.node.cluster_name,
+                state.block.ids_by_cluster,
+                state.base_digest,
+                self.node.sign(payload),
+            ),
+        )

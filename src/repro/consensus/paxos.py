@@ -18,7 +18,7 @@ from typing import Any
 from repro.crypto.hashing import Canonical, value_digest
 from repro.crypto.signatures import SignedMessage, verify_many
 from repro.consensus.base import ConsensusHost, InternalConsensus
-from repro.sim.node import Handler
+from repro.sim.node import Route
 
 
 #: Memoized per value object (see :func:`repro.crypto.hashing.value_digest`).
@@ -151,13 +151,14 @@ class MultiPaxos(InternalConsensus):
             self._obs_phase_begin(slot, "paxos.accept", t, inst)
         self._maybe_decide(slot, state)
 
-    def handlers(self) -> dict[type, Handler]:
+    def handlers(self) -> dict[type, Route]:
+        members = frozenset(self.host.members)
         return {
-            PaxosAccept: self._on_accept,
-            PaxosAccepted: self._on_accepted,
-            PaxosDecide: self._on_decide_msg,
-            PaxosPrepare: self._on_prepare,
-            PaxosPromise: self._on_promise,
+            PaxosAccept: (self._on_accept, members),
+            PaxosAccepted: (self._on_accepted, members),
+            PaxosDecide: (self._on_decide_msg, members),
+            PaxosPrepare: (self._on_prepare, members),
+            PaxosPromise: (self._on_promise, members),
         }
 
     def _on_accept(self, msg: PaxosAccept, src: str) -> None:

@@ -21,7 +21,7 @@ from typing import Any
 from repro.crypto.hashing import Canonical, value_digest
 from repro.crypto.signatures import SignedMessage, verify_many
 from repro.consensus.base import ConsensusHost, InternalConsensus
-from repro.sim.node import Handler
+from repro.sim.node import Route
 
 
 #: Memoized per value object (see :func:`repro.crypto.hashing.value_digest`).
@@ -165,13 +165,14 @@ class PBFT(InternalConsensus):
             self._obs_phase_begin(slot, "pbft.prepare", t, inst)
         self._maybe_prepared(slot, state)
 
-    def handlers(self) -> dict[type, Handler]:
+    def handlers(self) -> dict[type, Route]:
+        members = frozenset(self.host.members)
         return {
-            PbftPrePrepare: self._on_preprepare,
-            PbftPrepare: self._on_prepare,
-            PbftCommit: self._on_commit,
-            PbftViewChange: self._on_view_change_msg,
-            PbftNewView: self._on_new_view,
+            PbftPrePrepare: (self._on_preprepare, members),
+            PbftPrepare: (self._on_prepare, members),
+            PbftCommit: (self._on_commit, members),
+            PbftViewChange: (self._on_view_change_msg, members),
+            PbftNewView: (self._on_new_view, members),
         }
 
     def _on_preprepare(self, msg: PbftPrePrepare, src: str) -> None:
@@ -321,9 +322,7 @@ class PBFT(InternalConsensus):
     def _on_view_change_msg(self, msg: PbftViewChange, src: str) -> None:
         if msg.new_view <= self.view:
             return
-        if msg.signed is None or not self.host.verify(
-            msg.signed, f"view-change|{msg.new_view}"
-        ):
+        if not self.host.verify(msg.signed, f"view-change|{msg.new_view}"):
             return
         self._file_vote(src, msg)
         # Join the view change once f+1 honest-looking votes exist
@@ -394,7 +393,7 @@ class PBFT(InternalConsensus):
             del self._future_msgs[view]
         handlers = self.handlers()
         for msg, src in self._future_msgs.pop(new_view, ()):
-            handlers[msg.__class__](msg, src)
+            handlers[msg.__class__][0](msg, src)
 
     def _adopt_proposal(self, slot: Any, value: Any, send_prepare: bool) -> None:
         """Adopt a new-view proposal as if freshly pre-prepared."""

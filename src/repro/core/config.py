@@ -200,6 +200,12 @@ class ClusterDirectory:
         self.clusters[info.name] = info
         self._by_location[(info.enterprise, info.shard)] = info.name
         self._involved.clear()
+        self.__dict__.pop("ordering_nodes", None)
+
+    @cached_property
+    def ordering_nodes(self) -> frozenset[str]:
+        """Who may send cross-cluster traffic (cached until add())."""
+        return frozenset(m for c in self.clusters.values() for m in c.members)
 
     def get(self, name: str) -> ClusterInfo:
         return self.clusters[name]

@@ -29,7 +29,6 @@ from repro.consensus.messages import (
     CrossOrderValue,
     ExecEntry,
     ExecOrder,
-    Prepare,
     ReplyCertMsg,
 )
 from repro.core.config import ClusterInfo, DeploymentConfig
@@ -48,7 +47,7 @@ from repro.datamodel.transaction import OrderedTransaction, Transaction
 from repro.datamodel.txid import LocalPart, SequenceBook, TxId
 from repro.errors import ConsistencyViolation
 from repro.ledger.certificate import CommitCertificate
-from repro.sim.node import Handler, SimNode
+from repro.sim.node import Route, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Deployment
@@ -240,24 +239,20 @@ class ClusterNode(SimNode):
     # ==================================================================
     # message dispatch
     # ==================================================================
-    def handlers(self) -> dict[type, Handler]:
+    def handlers(self) -> dict[type, Route]:
         """The internal consensus, cross engine and (when enabled)
-        checkpoint tables plus the node's own three entries; anything
+        checkpoint tables plus the node's own two entries; anything
         else is dropped."""
+        below = frozenset(self.firewall_row_below)
         table = {
             **self.consensus.handlers(),
             **self.engine.handlers(),
-            ClientRequest: self._on_client_request,
-            Prepare: self._on_coordinator_prepare,
-            ReplyCertMsg: self._on_reply_certificate,
+            ClientRequest: (self._on_client_request, None),
+            ReplyCertMsg: (self._on_reply_certificate, below),
         }
         if self.checkpoints is not None:
             table.update(self.checkpoints.handlers())
         return table
-
-    def _on_coordinator_prepare(self, msg: Prepare, src: str) -> None:
-        self.observe_primary(msg.coordinator, src)
-        self.engine.on_prepare(msg, src)
 
     # ==================================================================
     # client requests, batching, routing

@@ -33,6 +33,7 @@ from repro.core.node import ClusterNode
 from repro.datamodel.collections import CollectionRegistry, scope_label
 from repro.datamodel.transaction import Operation
 from repro.errors import ConfigurationError, DataModelError
+from repro.sim.node import SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.client import Client
@@ -146,6 +147,10 @@ class Reconfigurator:
         old node co-signed is rejected, and a chain with no later
         checkpoint stays behind.  Refuses to swap the current primary —
         view-change it away first, as an operator would.
+        With separate execution (Fig 4(b)–(d)) the replacement is an
+        ordering node, and the execution nodes (and bottom filters) name
+        it instead of ``old_id``.  Every node's dispatch table is reset,
+        so its sender sets follow the new membership.
         """
         deployment = self.deployment
         info = deployment.directory.get(cluster_name)
@@ -170,24 +175,25 @@ class Reconfigurator:
         deployment.directory.add(new_info)
 
         deployment.crash_node(old_id)
-        role = "ordering" if deployment.config.use_firewall else "combined"
-        node = ClusterNode(
-            new_id, deployment, new_info, role, deployment._cost_model
-        )
+        role = "ordering" if deployment.config.separate_execution else "combined"
+        node = ClusterNode(new_id, deployment, new_info, role, deployment._cost_model)
         node.consensus.view = current_view
         deployment.nodes[new_id] = node
         for survivor in survivors:
             survivor.cluster = new_info
-        if deployment.config.use_firewall:
+        if role == "ordering":
             firewall = deployment.firewalls[cluster_name]
             node.firewall_row_below = firewall.bottom_row_ids
-            member_set = frozenset(members)
+            for exec_node in firewall.execution_nodes:
+                exec_node.ordering_members = new_info.member_set
+        if deployment.config.use_firewall:  # no filters in Fig 4(b)
             for filter_node in firewall.rows[0]:
                 filter_node.peers_below = members
                 deployment.network.restrict_links(
                     filter_node.node_id,
                     set(members) | set(filter_node.peers_above),
                 )
-            for exec_node in firewall.execution_nodes:
-                exec_node.ordering_members = member_set
+        for actor in map(deployment.network.node, deployment.network.node_ids()):
+            if isinstance(actor, SimNode):
+                actor.reset_table()
         return new_id

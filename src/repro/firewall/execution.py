@@ -16,7 +16,7 @@ from repro.core.executor import ExecutionResult, ExecutionUnit
 from repro.crypto.envelope import seal
 from repro.crypto.signatures import sign as crypto_sign
 from repro.ledger.certificate import ReplyCertificate
-from repro.sim.node import Handler, SimNode
+from repro.sim.node import Route, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Deployment
@@ -53,9 +53,11 @@ class ExecutionNode(SimNode):
             backend=deployment.make_backend(node_id),
         )
 
-    def handlers(self) -> dict[type, Handler]:
-        # Everything else is out of protocol for an execution node.
-        return {ExecOrder: self._on_exec_order}
+    def handlers(self) -> dict[type, Route]:
+        # Orders come from the top filter row, or straight from the
+        # ordering nodes in Fig 4(b); everything else is out of protocol.
+        senders = self.ordering_members if self.direct_reply else self.filter_row
+        return {ExecOrder: (self._on_exec_order, frozenset(senders))}
 
     def _on_exec_order(self, msg: ExecOrder, src: str) -> None:
         order_certified = self.deployment.order_certified

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any
 from repro.consensus.messages import ExecOrder, ExecReply, ReplyCertMsg
 from repro.crypto.signatures import verify as crypto_verify
 from repro.ledger.certificate import ReplyCertificate
-from repro.sim.node import Handler, SimNode
+from repro.sim.node import Route, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.deployment import Deployment
@@ -61,10 +61,13 @@ class FilterNode(SimNode):
         self._reply_shares: dict[int, dict[str, ExecReply]] = {}
         self.dropped_messages = 0
 
-    def handlers(self) -> dict[type, Handler]:
-        table = {ExecOrder: self._on_exec_order, ReplyCertMsg: self._on_reply_cert}
+    def handlers(self) -> dict[type, Route]:
+        table = {
+            ExecOrder: (self._on_exec_order, frozenset(self.peers_below)),
+            ReplyCertMsg: (self._on_reply_cert, frozenset(self.peers_above)),
+        }
         if self.is_top_row:  # only the top row hears execution nodes
-            table[ExecReply] = self._on_exec_reply
+            table[ExecReply] = (self._on_exec_reply, self.execution_members)
         return table
 
     def on_message(self, msg: Any, src: str) -> None:
@@ -96,9 +99,6 @@ class FilterNode(SimNode):
     # downward path
     # ------------------------------------------------------------------
     def _on_exec_reply(self, msg: ExecReply, src: str) -> None:
-        if src not in self.execution_members:
-            self.dropped_messages += 1
-            return
         if msg.request_id in self._forwarded_down:
             return
         if not crypto_verify(self.key_registry, msg.signed, msg.result_digest):
@@ -125,9 +125,6 @@ class FilterNode(SimNode):
         )
 
     def _on_reply_cert(self, msg: ReplyCertMsg, src: str) -> None:
-        if src not in self.peers_above:
-            self.dropped_messages += 1
-            return
         if msg.certificate.request_id in self._forwarded_down:
             return
         if not msg.certificate.verify(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro import obs
 from repro.sim.costs import CostModel, ZeroCost
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -12,6 +13,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: A message handler: ``handler(msg, src)``.
 Handler = Callable[[Any, str], Any]
+#: A :meth:`SimNode.handlers` entry: (handler, senders); ``None``: anyone.
+Route = tuple[Handler, frozenset[str] | None]
 
 
 class Actor:
@@ -49,14 +52,18 @@ class SimNode(Actor):
     :meth:`~repro.sim.costs.CostModel.node_entry` for this node, where
     ``n`` is ``msg.tx_count()`` (1 for a class without one).
 
-    A node declares its message classes once, in :meth:`handlers`.  At
-    a class's first delivery to the node, ``deliver`` resolves one
-    table entry for it: the CPU price above plus the handler of the
-    first class along ``cls.__mro__`` that :meth:`handlers` names (so
-    a subclass reaches its base's handler), or :meth:`on_message`, the
-    catch-all, when none does.  Resolution is lazy, so a node whose
-    ``__class__`` is swapped before its traffic dispatches as its new
-    class.  The crash switch is checked twice: at arrival, and when the
+    A node declares its message classes once, in :meth:`handlers`, each
+    with the node ids that may send it.  At a class's first delivery,
+    ``deliver`` resolves one table entry for it: the CPU price above
+    plus the route of the first class along ``cls.__mro__`` that
+    :meth:`handlers` names (so a subclass reaches its base's handler),
+    or :meth:`on_message`, the catch-all open to anyone.  Before the CPU
+    charge, a delivery from outside the senders — or, for a class with
+    a ``signed`` field, not from the signer — is dropped and, with obs
+    on, counted as ``messages_rejected{kind}``.  Resolution is lazy, so
+    a node whose ``__class__`` is swapped before its traffic dispatches
+    as its new class, and :meth:`reset_table` follows a membership
+    change.  The crash switch is checked twice: at arrival, and when the
     CPU reaches the message, so a message queued while the node is up
     is never handled if the node is down at its turn.
     """
@@ -73,12 +80,10 @@ class SimNode(Actor):
         self.crashed = False
         self._busy_until = 0.0
         self.busy_time = 0.0
-        # Message class -> (*node_entry, handler), filled by deliver().
+        # Message class -> (*node_entry, handler, senders, signed).
         self._table: dict[type, tuple] = {}
         # Observability capture (None when off): one attribute check in
         # deliver(), no global lookup on the hot path.
-        from repro import obs
-
         self._obs_queue_wait = (
             obs.REGISTRY.histogram("cpu_queue_wait_s", node=node_id)
             if obs.REGISTRY is not None
@@ -98,10 +103,14 @@ class SimNode(Actor):
         it was: a pause, not a process restart."""
         self.crashed = False
 
-    def handlers(self) -> dict[type, Handler]:
-        """Message class -> bound handler, for every class this node
-        handles; any other class goes to :meth:`on_message`."""
+    def handlers(self) -> dict[type, Route]:
+        """Message class -> (bound handler, senders), for every class
+        this node handles; any other class goes to :meth:`on_message`."""
         return {}
+
+    def reset_table(self) -> None:
+        """Re-resolve each class at its next delivery (after a swap)."""
+        self._table.clear()
 
     def on_message(self, msg: Any, src: str) -> None:
         """The catch-all for a class outside :meth:`handlers`: dropped."""
@@ -109,12 +118,13 @@ class SimNode(Actor):
     def _resolve(self, cls: type) -> tuple:
         handlers = self.handlers()
         for klass in cls.__mro__:
-            handler = handlers.get(klass)
-            if handler is not None:
+            route = handlers.get(klass)
+            if route is not None:
                 break
         else:
-            handler = self.on_message
-        return (*self.cost_model.node_entry(self, cls), handler)
+            route = (self.on_message, None)
+        signed = "signed" in getattr(cls, "__dataclass_fields__", ())
+        return (*self.cost_model.node_entry(self, cls), *route, signed)
 
     def deliver(self, msg: Any, src: str) -> None:
         if self.crashed:
@@ -123,7 +133,14 @@ class SimNode(Actor):
         entry = self._table.get(cls)
         if entry is None:
             entry = self._table[cls] = self._resolve(cls)
-        base, per_tx, discount, has_tx, handler = entry
+        base, per_tx, discount, has_tx, handler, senders, signed = entry
+        if senders is not None and (
+            src not in senders
+            or signed and getattr(msg.signed, "signer", None) != src
+        ):
+            if obs.REGISTRY is not None:
+                obs.REGISTRY.counter("messages_rejected", kind=cls.__name__).inc()
+            return
         cost = (base + per_tx * (msg.tx_count() if has_tx else 1)) * discount
         sim = self.sim
         now = sim.now

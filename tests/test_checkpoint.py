@@ -295,7 +295,7 @@ def test_non_member_vote_ignored():
     msg = CheckpointMsg(
         "C", "A", 0, 4, "digest", sign(registry, "outsider", draft.payload())
     )
-    target.manager._on_checkpoint(msg, "outsider")
+    target.deliver(msg, "outsider")  # the dispatch table rejects it
     assert ("A", 0) not in target.manager._chains or not (
         target.manager._chains[("A", 0)].votes
     )

@@ -222,7 +222,7 @@ def test_firewall_ordering_nodes_keep_no_exec_order_behind_a_certificate(
     }
     rid = next(r for r in node._reply_certs if r in txs)
     sent = _capture_sends(node, monkeypatch)
-    node.handlers()[ClientRequest](
+    node.handlers()[ClientRequest][0](
         ClientRequest(txs[rid], retransmission=True), txs[rid].client
     )
     [(dst, reply)] = sent

@@ -3,13 +3,15 @@
 A ``SimNode`` resolves each message class once, against the classes its
 ``handlers()`` declares; a class outside them goes to ``on_message``,
 the catch-all.  In a fault-free run no honest node may see a class it
-did not declare, and the filters drop nothing.
+did not declare, no delivery breaks its class's sender rule, and the
+filters drop nothing.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.bench.drivers import build_driver
 from repro.firewall.filters import FilterNode
 from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
@@ -19,8 +21,13 @@ from repro.workload.generator import WorkloadMix
 
 #: system -> (cross share, cross type, checkpoint interval).
 CELLS = {
+    "Flt-C": (0.2, "csie", 16),
+    "Flt-B": (0.3, "csce", 16),
     "Flt-B(PF)": (0.1, "isce", 0),
     "Crd-C": (0.3, "csce", 16),
+    "Crd-B": (0.2, "csie", 0),
+    "Crd-B(PF)": (0.2, "csce", 16),
+    "Fig4b": (0.1, "isce", 16),
     "Fabric": (0.0, "isce", 0),
 }
 
@@ -54,22 +61,28 @@ def test_no_delivery_reaches_the_catch_all(system):
         ),
         seed=11,
     )
-    driver = build_driver(spec)
-    network = driver.system.network
-    nodes = [network.node(node_id) for node_id in network.node_ids()]
-    nodes = [node for node in nodes if isinstance(node, SimNode)]
-    reached: list[tuple[str, str]] = []
-    for node in nodes:
-        _watch_catch_all(node, reached)
-    launch_workload(driver.sim, spec, driver.submit_next, 0.3)
-    driver.run(0.8)
-    driver.close()
+    obs.enable()  # before the build: nodes capture it
+    try:
+        driver = build_driver(spec)
+        network = driver.system.network
+        nodes = [network.node(node_id) for node_id in network.node_ids()]
+        nodes = [node for node in nodes if isinstance(node, SimNode)]
+        reached: list[tuple[str, str]] = []
+        for node in nodes:
+            _watch_catch_all(node, reached)
+        launch_workload(driver.sim, spec, driver.submit_next, 0.3)
+        driver.run(0.8)
+        driver.close()
+        counters = obs.REGISTRY.snapshot()["counters"]
+    finally:
+        obs.disable()
+    assert not [key for key in counters if key.startswith("messages_rejected")]
 
     clients = driver.system.clients
     assert sum(len(c.completed) for c in clients) > 100
     assert reached == []
     filters = [node for node in nodes if isinstance(node, FilterNode)]
-    assert bool(filters) == (system == "Flt-B(PF)")
+    assert bool(filters) == system.endswith("(PF)")
     assert sum(f.dropped_messages for f in filters) == 0
     if checkpoint_interval:
         assert any(
@@ -94,7 +107,7 @@ class TableNode(SimNode):
         self.caught: list = []
 
     def handlers(self):
-        return {Base: self._on_base}
+        return {Base: (self._on_base, None)}
 
     def _on_base(self, msg, src):
         self.by_base.append(msg)

@@ -140,14 +140,29 @@ def test_swap_refuses_non_member():
         reconfig.swap_member("A1", "B1.o0")
 
 
-def test_swap_in_byzantine_cluster():
+@pytest.mark.parametrize(
+    "extra", [{}, {"execution_model": "crash"}], ids=["combined", "fig4b"]
+)
+def test_swap_in_byzantine_cluster(extra):
     deployment = make_deployment(
-        failure_model="byzantine", checkpoint_interval=8
+        failure_model="byzantine", checkpoint_interval=8, **extra
     )
     reconfig = Reconfigurator(deployment)
     client = deployment.create_client("A")
     run_load(deployment, client, 4, "pre")
     victim = deployment.directory.get("A1").members[-1]
-    reconfig.swap_member("A1", victim)
+    new_id = reconfig.swap_member("A1", victim)
     run_load(deployment, client, 8, "post")
     assert len(client.completed) == 12
+    node = deployment.nodes[new_id]
+    if not extra:
+        assert node.role == "combined"
+        return
+    # Fig 4(b): the replacement orders and pushes to the execution
+    # nodes, which now name it and not the retired member.
+    assert node.role == "ordering" and node.executor is None
+    execution = deployment.firewalls["A1"].execution_nodes
+    assert node.firewall_row_below == tuple(e.node_id for e in execution)
+    for exec_node in execution:
+        assert new_id in exec_node.ordering_members
+        assert victim not in exec_node.ordering_members
