@@ -51,40 +51,33 @@ def classify(scope: frozenset[str], shards: tuple[int, ...]) -> str:
 # inputs are frozen (digest strings, cluster names, TxId tuples), so
 # the digests are interned across the run's nodes.  Keys embed
 # ``base_digest``, which covers the run-unique request ids, so entries
-# can never collide across blocks; the table is dropped on overflow
-# like the signature-verification cache, and cleared with every run
-# (repro.crypto.hashing.run_scope).
-from repro.crypto.hashing import register_intern_cache as _register_cache
+# can never collide across blocks; the table keeps a reuse window and
+# is cleared with every run (repro.crypto.hashing.run_scope).
+from repro.crypto.hashing import RecentMemo, register_intern_cache
 
-_PAYLOAD_CACHE: dict[tuple, str] = _register_cache({})
-_PAYLOAD_CACHE_MAX = 1 << 18
+_PAYLOAD_WINDOW = 1024
+_PAYLOAD_CACHE: RecentMemo = register_intern_cache(RecentMemo(_PAYLOAD_WINDOW))
 
 
 def accept_payload(base_digest: str, cluster: str, ids: tuple) -> str:
     key = ("a", base_digest, cluster, ids)
-    cached = _PAYLOAD_CACHE.get(key)
+    cached = _PAYLOAD_CACHE[key]
     if cached is None:
-        cached = digest(
+        cached = _PAYLOAD_CACHE[key] = digest(
             ["accept", base_digest, cluster, [i.canonical_bytes() for i in ids]]
         )
-        if len(_PAYLOAD_CACHE) >= _PAYLOAD_CACHE_MAX:
-            _PAYLOAD_CACHE.clear()
-        _PAYLOAD_CACHE[key] = cached
     return cached
 
 
 def commit_payload(base_digest: str, ids_by_cluster: tuple) -> str:
     key = ("c", base_digest, ids_by_cluster)
-    cached = _PAYLOAD_CACHE.get(key)
+    cached = _PAYLOAD_CACHE[key]
     if cached is None:
         flat = sorted(
             (name, [i.canonical_bytes() for i in ids])
             for name, ids in ids_by_cluster
         )
-        cached = digest(["commit", base_digest, flat])
-        if len(_PAYLOAD_CACHE) >= _PAYLOAD_CACHE_MAX:
-            _PAYLOAD_CACHE.clear()
-        _PAYLOAD_CACHE[key] = cached
+        cached = _PAYLOAD_CACHE[key] = digest(["commit", base_digest, flat])
     return cached
 
 

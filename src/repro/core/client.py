@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.consensus.messages import ClientReply, ClientRequest, ReplyCertMsg
 from repro.crypto.envelope import seal, unseal
-from repro.crypto.hashing import digest
 from repro.datamodel.transaction import Operation, Transaction
 from repro.errors import CryptoError
 from repro.sim.node import Actor
@@ -27,24 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover
 # client hashes the identical result f+1 times otherwise.  Keys go
 # through hashing.typed_key so canonically-distinct values that
 # compare equal (True/1/1.0) never share an entry; results typed_key
-# cannot represent (dicts, nested containers) skip the table.
-from repro.crypto.hashing import register_intern_cache, typed_key
+# cannot represent (dicts, nested containers) skip the table, which
+# keeps a reuse window (hashing.RecentMemo).
+from repro.crypto.hashing import RecentMemo, memo_digest, register_intern_cache
 
-_result_key_cache: dict[Any, str] = register_intern_cache({})
-_RESULT_CACHE_MAX = 1 << 17
-
-
-def _result_key(result: Any) -> str:
-    key = typed_key(result)
-    if key is None:
-        return digest(["r", result])
-    cached = _result_key_cache.get(key)
-    if cached is None:
-        cached = digest(["r", result])
-        if len(_result_key_cache) >= _RESULT_CACHE_MAX:
-            _result_key_cache.clear()
-        _result_key_cache[key] = cached
-    return cached
+_RESULT_WINDOW = 1024
+_result_key_cache: RecentMemo = register_intern_cache(RecentMemo(_RESULT_WINDOW))
 
 
 @dataclass
@@ -167,7 +154,7 @@ class Client(Actor):
         # else (another client, another cluster) is no vote.
         if src not in self.deployment.directory.get(pending.cluster).member_set:
             return
-        result_key = _result_key(msg.result)
+        result_key = memo_digest(_result_key_cache, ("r",), msg.result)
         voters = pending.results.setdefault(result_key, set())
         voters.add(src)
         if len(voters) >= self.deployment.config.reply_quorum:

@@ -39,7 +39,6 @@ from repro.core.executor import (
     snapshot_digest,
 )
 from repro.core.sealer import CROSS, LOCAL, Sealer
-from repro.crypto.hashing import digest as _digest
 from repro.crypto.signatures import sign as crypto_sign
 from repro.crypto.signatures import verify as crypto_verify
 from repro.datamodel.sharding import ShardingSchema
@@ -59,29 +58,14 @@ if TYPE_CHECKING:  # pragma: no cover
 # (hashing.run_scope), so entries never collide; results are keyed
 # through hashing.typed_key (True/1/1.0 encode differently but compare
 # equal), and shapes it cannot represent skip the table.
-from repro.crypto.hashing import register_intern_cache as _register_cache
-from repro.crypto.hashing import typed_key as _typed_key
+from repro.crypto.hashing import RecentMemo, memo_digest, register_intern_cache
 
-_reply_digest_cache: dict[tuple, str] = _register_cache({})
-_REPLY_CACHE_MAX = 1 << 17
+_REPLY_WINDOW = 1024
+_reply_digest_cache: RecentMemo = register_intern_cache(RecentMemo(_REPLY_WINDOW))
 
 #: ``_request_reply``'s value for a request committed but not yet
 #: replied to (a result may itself be None).
 _UNREPLIED: Any = object()
-
-
-def _reply_payload_digest(rid: int, result: Any) -> str:
-    result_key = _typed_key(result)
-    if result_key is None:
-        return _digest(["reply", rid, result])
-    key = (rid, result_key)
-    cached = _reply_digest_cache.get(key)
-    if cached is None:
-        cached = _digest(["reply", rid, result])
-        if len(_reply_digest_cache) >= _REPLY_CACHE_MAX:
-            _reply_digest_cache.clear()
-        _reply_digest_cache[key] = cached
-    return cached
 
 
 class ClusterNode(SimNode):
@@ -662,7 +646,9 @@ class ClusterNode(SimNode):
             client=tx.client,
             timestamp=tx.timestamp,
             result=result,
-            signed=self.sign(_reply_payload_digest(tx.request_id, result)),
+            signed=self.sign(
+                memo_digest(_reply_digest_cache, ("reply", tx.request_id), result)
+            ),
         )
 
     def _on_reply_certificate(self, msg: ReplyCertMsg, src: str) -> None:

@@ -358,6 +358,52 @@ def register_intern_cache(cache: dict) -> dict:
     return cache
 
 
+class RecentMemo(dict):
+    """A memo table that keeps a reuse window, not the whole run.
+
+    The dict itself is the young generation, ``old`` the one before.
+    ``memo[key]`` is one dict probe on a young hit, moves an old hit to
+    the young generation, and reads None on a miss (so no value is
+    None); a caller stores what it computes after a miss on the key.
+    A miss on a full young generation first makes it the old one and
+    drops the previous old one: an entry survives at least ``window``
+    later insertions, and the memo never holds more than two windows.
+    Use ``[]``, ``get``, ``in``, ``len`` and ``clear``; a copy or a
+    pickle starts empty."""
+
+    __slots__ = ("window", "old")
+
+    def __init__(self, window: int):
+        self.window = window
+        self.old: dict = {}
+
+    def __reduce__(self):
+        return (RecentMemo, (self.window,))
+
+    def __missing__(self, key: Any) -> Any:
+        value = self.old.pop(key, None)
+        if dict.__len__(self) >= self.window:
+            self.old = dict.copy(self)
+            dict.clear(self)
+        if value is not None:
+            self[key] = value
+        return value
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        value = self[key]
+        return default if value is None else value
+
+    def __contains__(self, key: Any) -> bool:
+        return dict.__contains__(self, key) or key in self.old
+
+    def __len__(self) -> int:
+        return dict.__len__(self) + len(self.old)
+
+    def clear(self) -> None:
+        dict.clear(self)
+        self.old = {}
+
+
 @contextmanager
 def run_scope() -> Iterator[None]:
     """One run's hot-path state: opening zeroes the counters and runs
@@ -394,6 +440,20 @@ def typed_key(value: Any):
     if cls in (str, bytes, bool, int, float) or value is None:
         return (cls, value)
     return None
+
+
+def memo_digest(memo: RecentMemo, prefix: tuple, value: Any) -> str:
+    """``digest([*prefix, value])`` through ``memo``, keyed by ``prefix``
+    and :func:`typed_key` of ``value``; a value it cannot key is hashed
+    directly."""
+    typed = typed_key(value)
+    if typed is None:
+        return digest([*prefix, value])
+    key = (*prefix, typed)
+    cached = memo[key]
+    if cached is None:
+        cached = memo[key] = digest([*prefix, value])
+    return cached
 
 
 def counters() -> dict[str, int]:

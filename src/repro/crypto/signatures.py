@@ -16,14 +16,14 @@ import hmac
 from dataclasses import dataclass
 from typing import Any
 
-from repro.crypto.hashing import Canonical, count_sign, count_verify, digest
+from repro.crypto.hashing import Canonical, RecentMemo, count_sign, count_verify, digest
 from repro.errors import CryptoError
 
 
-#: Per-registry verification-cache bound; far above what one simulated
-#: run produces, but keeps a pathological workload from growing the
-#: cache without limit (on overflow the cache is simply dropped).
-_VERIFY_CACHE_MAX = 1 << 20
+#: Reuse window of a registry's verification memo: every consumer of a
+#: certificate checks it soon after it forms (docs/performance.md,
+#: "Memo tables keep a reuse window").
+_VERIFY_WINDOW = 8192
 
 #: When on (the default), certificate consumers verify their signature
 #: sets through :func:`verify_many` — quorum early-exit plus interned
@@ -52,7 +52,7 @@ class KeyRegistry:
         # routine, privacy firewall, client), so the same HMAC check
         # repeats many times per transaction; secrets never change once
         # enrolled, which makes the outcome cacheable.
-        self._verify_cache: dict[tuple[str, str, str], bool] = {}
+        self._verify_cache = RecentMemo(_VERIFY_WINDOW)
         # identity -> its HMAC-SHA256 inner and outer hash states, keyed
         # once: a MAC copies them instead of re-deriving the key pads.
         self._pads: dict[str, tuple[Any, Any]] = {}
@@ -136,15 +136,12 @@ def verify(
     count_verify()
     cache = registry._verify_cache
     key = (signed.signer, signed.payload_digest, signed.signature)
-    valid = cache.get(key)
+    valid = cache[key]
     if valid is None:
         if not registry.is_enrolled(signed.signer):
             return False
         expected = registry.mac(signed.signer, signed.payload_digest)
-        valid = hmac.compare_digest(expected, signed.signature)
-        if len(cache) >= _VERIFY_CACHE_MAX:
-            cache.clear()
-        cache[key] = valid
+        valid = cache[key] = hmac.compare_digest(expected, signed.signature)
     if not valid:
         return False
     if payload is not None:
@@ -213,16 +210,13 @@ def verify_many(
         if signer in valid:
             continue
         key = (signer, signed.payload_digest, signed.signature)
-        ok = cache.get(key)
+        ok = cache[key]
         if ok is None:
             count_verify()
             if not registry.is_enrolled(signer):
                 continue
             expected = registry.mac(signer, signed.payload_digest)
-            ok = hmac.compare_digest(expected, signed.signature)
-            if len(cache) >= _VERIFY_CACHE_MAX:
-                cache.clear()
-            cache[key] = ok
+            ok = cache[key] = hmac.compare_digest(expected, signed.signature)
         if ok:
             valid.add(signer)
             if quorum is not None and len(valid) >= quorum:

@@ -154,17 +154,19 @@ class MultiVersionStore:
         ns = self._data.get(namespace)
         if ns is None:
             ns = self._data[namespace] = _Namespace()
-        dirty = self._dirty.get(namespace)
-        if dirty is not None:
-            dirty.add(key)
         versions = ns.version
         written = versions.get(key)
-        if written is not None and written != version:
-            # Each write brings its own key string; the undo log keeps
-            # one shared copy per distinct key instead.
+        if written is None:
+            # Each write brings its own key string; the namespace keeps
+            # one interned copy, shared by every replica and undo entry.
+            key = sys.intern(key)
+        elif written != version:
             ns.undo.append((version, sys.intern(key), written, ns.latest[key]))
         ns.latest[key] = value
         versions[key] = version
+        dirty = self._dirty.get(namespace)
+        if dirty is not None:
+            dirty.add(key)
         if self._backend is not None:
             self._backend.append(
                 namespace, LogRecord(version, KIND_WRITE, key, value)

@@ -66,11 +66,16 @@ class TxId(MemoCanonical):
     _gamma_map_cache: Mapping[tuple[str, int], int] | None = memo_field()
 
     def __post_init__(self) -> None:
-        keys = [g.key() for g in self.gamma]
-        if len(set(keys)) != len(keys):
-            raise DataModelError("duplicate collection in gamma")
-        if self.alpha.key() in keys:
-            raise DataModelError("gamma must not include the target collection")
+        _checked_gamma_map(self.alpha.key(), self.gamma)
+
+    @classmethod
+    def _of_block(cls, alpha: LocalPart, gamma: tuple, gamma_map: dict | None):
+        """An ID of a block whose γ :meth:`SequenceBook.assign_block` checked
+        and mapped once: the block's IDs share ``gamma_map`` (None if empty)."""
+        tx_id = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (alpha, gamma, None, gamma_map)):
+            object.__setattr__(tx_id, name, value)
+        return tx_id
 
     def gamma_map(self) -> Mapping[tuple[str, int], int]:
         # Memoized: the same TxId object is validated, committed, and
@@ -83,7 +88,7 @@ class TxId(MemoCanonical):
             return _EMPTY_GAMMA
         cached = self._gamma_map_cache
         if cached is None:
-            cached = {g.key(): g.seq for g in self.gamma}
+            cached = _checked_gamma_map(self.alpha.key(), self.gamma)
             object.__setattr__(self, "_gamma_map_cache", cached)
         return cached
 
@@ -102,6 +107,27 @@ class TxId(MemoCanonical):
         return f"<{self.alpha}, [{gamma}]>" if gamma else f"<{self.alpha}, []>"
 
 
+def _checked_gamma_map(alpha_key: tuple[str, int], gamma: tuple) -> dict:
+    """γ as ``{(label, shard): seq}``, checked: at most one entry per
+    collection-shard, and none for α's own."""
+    mapping = {g.key(): g.seq for g in gamma}
+    if len(mapping) != len(gamma):
+        raise DataModelError("duplicate collection in gamma")
+    if alpha_key in mapping:
+        raise DataModelError("gamma must not include the target collection")
+    return mapping
+
+
+def gamma_regression(earlier: Mapping, later: Mapping) -> tuple[str, int] | None:
+    """A collection-shard both γ maps name whose sequence went back from
+    ``earlier`` to ``later``, or None (walking the smaller map)."""
+    probe, other = (earlier, later) if len(earlier) <= len(later) else (later, earlier)
+    for key in probe:
+        if key in other and later[key] < earlier[key]:
+            return key
+    return None
+
+
 def happens_before(t: TxId, t_prime: TxId) -> bool:
     """Is ``t → t'`` a legal order per §3.3?
 
@@ -115,11 +141,7 @@ def happens_before(t: TxId, t_prime: TxId) -> bool:
         )
     if t.alpha.seq >= t_prime.alpha.seq:
         return False
-    earlier = t.gamma_map()
-    later = t_prime.gamma_map()
-    return all(
-        earlier[key] <= later[key] for key in earlier.keys() & later.keys()
-    )
+    return gamma_regression(t.gamma_map(), t_prime.gamma_map()) is None
 
 
 class SequenceBook:
@@ -171,7 +193,8 @@ class SequenceBook:
         read-set is unknown before execution, so the whole dependency
         closure is captured), with the transitive reduction applied
         when enabled.  All transactions in the run share one γ snapshot
-        (no commits can interleave between the assignments), built once.
+        (no commits can interleave between the assignments), built,
+        checked and mapped once.
         """
         if count < 1:
             raise DataModelError("a block needs at least one transaction")
@@ -180,8 +203,9 @@ class SequenceBook:
         first = max(self._assigned.get(key, 0), self._committed.get(key, 0)) + 1
         self._assigned[key] = first + count - 1
         gamma = self._build_gamma(collection, target_shard)
+        shared = _checked_gamma_map(key, gamma) if gamma else None
         return tuple(
-            TxId(LocalPart(label, target_shard, seq), gamma)
+            TxId._of_block(LocalPart(label, target_shard, seq), gamma, shared)
             for seq in range(first, first + count)
         )
 
@@ -235,25 +259,14 @@ class SequenceBook:
                 f"local consistency: expected seq {expected} for "
                 f"{key[0]}#{key[1]}, got {tx_id.alpha.seq}"
             )
-        previous_gamma = self._last_gamma.get(key)
-        if not previous_gamma:
-            return
+        previous_gamma = self._last_gamma.get(key, _EMPTY_GAMMA)
         new_gamma = tx_id.gamma_map()
-        probe, other = (
-            (previous_gamma, new_gamma)
-            if len(previous_gamma) <= len(new_gamma)
-            else (new_gamma, previous_gamma)
-        )
-        for shared_key in probe:
-            if (
-                shared_key in other
-                and new_gamma[shared_key] < previous_gamma[shared_key]
-            ):
-                raise ConsistencyViolation(
-                    f"global consistency: gamma for {shared_key} went "
-                    f"backwards ({previous_gamma[shared_key]} -> "
-                    f"{new_gamma[shared_key]})"
-                )
+        if (shared_key := gamma_regression(previous_gamma, new_gamma)) is not None:
+            raise ConsistencyViolation(
+                f"global consistency: gamma for {shared_key} went "
+                f"backwards ({previous_gamma[shared_key]} -> "
+                f"{new_gamma[shared_key]})"
+            )
 
     def validate_chain(self, ids: Iterable[TxId]) -> None:
         """Validate a consecutive run of IDs on one collection-shard."""
@@ -271,19 +284,9 @@ class SequenceBook:
                         f"block IDs not consecutive: {previous.alpha} then "
                         f"{tx_id.alpha}"
                     )
-                prev_gamma = previous.gamma_map()
-                gamma = tx_id.gamma_map()
-                if prev_gamma and gamma:
-                    probe, other = (
-                        (prev_gamma, gamma)
-                        if len(prev_gamma) <= len(gamma)
-                        else (gamma, prev_gamma)
-                    )
-                    for key in probe:
-                        if key in other and gamma[key] < prev_gamma[key]:
-                            raise ConsistencyViolation(
-                                f"gamma regressed within block on {key}"
-                            )
+                key = gamma_regression(previous.gamma_map(), tx_id.gamma_map())
+                if key is not None:
+                    raise ConsistencyViolation(f"gamma regressed within block on {key}")
             previous = tx_id
 
     # ------------------------------------------------------------------

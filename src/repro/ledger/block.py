@@ -12,13 +12,13 @@ from repro.ledger.certificate import CommitCertificate
 # Content-chain digests are identical on every replica that committed
 # the same transaction at the same position — by design (§3.3) — so
 # each replica after the first gets them from this interning table
-# instead of re-hashing.  Keys are digest strings; the table is dropped
-# on overflow, and cleared with every run
-# (repro.crypto.hashing.run_scope).
-from repro.crypto.hashing import register_intern_cache as _register_cache
+# instead of re-hashing.  Keys are digest strings; the table keeps a
+# reuse window (docs/performance.md, "Memo tables keep a reuse
+# window") and is cleared with every run (hashing.run_scope).
+from repro.crypto.hashing import RecentMemo, register_intern_cache
 
-_content_cache: dict[tuple[str, str], str] = _register_cache({})
-_CACHE_MAX = 1 << 18
+_CONTENT_WINDOW = 2048
+_content_cache: RecentMemo = register_intern_cache(RecentMemo(_CONTENT_WINDOW))
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,12 +113,9 @@ class TransactionRecord:
         walk the chain from body digests alone without shipping full
         records (:mod:`repro.ledger.queries`)."""
         key = (self.body_digest(), self.prev_content)
-        cached = _content_cache.get(key)
+        cached = _content_cache[key]
         if cached is None:
-            cached = digest([key[0], key[1]])
-            if len(_content_cache) >= _CACHE_MAX:
-                _content_cache.clear()
-            _content_cache[key] = cached
+            cached = _content_cache[key] = digest([key[0], key[1]])
         return cached
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid

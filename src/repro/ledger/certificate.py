@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.crypto import signatures as _sigmod
-from repro.crypto.hashing import Canonical, digest, register_intern_cache
+from repro.crypto.hashing import Canonical, RecentMemo, digest, register_intern_cache
 from repro.crypto.signatures import KeyRegistry, SignedMessage, verify_many
 
 #: Interned whole-certificate outcomes.  Consumers re-verify the same
@@ -28,8 +28,8 @@ from repro.crypto.signatures import KeyRegistry, SignedMessage, verify_many
 #: signature tuple (frozen dataclasses, hashable) lets every repeat skip
 #: the per-signature pass.  Positive outcomes only — enrollment never
 #: rotates secrets, so a quorum that verified once verifies forever.
-_cert_verified: dict = register_intern_cache({})
-_CERT_CACHE_MAX = 1 << 16
+_CERT_WINDOW = 4096
+_cert_verified: RecentMemo = register_intern_cache(RecentMemo(_CERT_WINDOW))
 
 
 def verify_quorum(
@@ -56,7 +56,7 @@ def verify_quorum(
         )
         return len(valid) >= quorum
     key = (registry, quorum, members, payload_digest, signatures)
-    if key in _cert_verified:
+    if _cert_verified[key]:
         return True
     valid = verify_many(
         registry, signatures, payload=payload_digest, quorum=quorum,
@@ -64,8 +64,6 @@ def verify_quorum(
     )
     if len(valid) < quorum:
         return False
-    if len(_cert_verified) >= _CERT_CACHE_MAX:
-        _cert_verified.clear()
     _cert_verified[key] = True
     return True
 

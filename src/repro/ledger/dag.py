@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.datamodel.transaction import OrderedTransaction
-from repro.datamodel.txid import TxId
+from repro.datamodel.txid import TxId, gamma_regression
 from repro.errors import ConsistencyViolation, LedgerError
 from repro.ledger.block import TransactionRecord
 from repro.ledger.certificate import CommitCertificate
@@ -56,22 +56,13 @@ class DagLedger:
                 f"{self.owner}: local consistency violated on {key}: "
                 f"expected seq {expected}, got {tx_id.alpha.seq}"
             )
-        previous_gamma = self._last_gamma.get(key)
         new_gamma = tx_id.gamma_map()
-        if previous_gamma:
-            # Iterate the smaller map instead of materializing the key
-            # intersection — this check runs once per append.
-            probe, other = (
-                (previous_gamma, new_gamma)
-                if len(previous_gamma) <= len(new_gamma)
-                else (new_gamma, previous_gamma)
+        previous_gamma = self._last_gamma.get(key)
+        if previous_gamma and (shared := gamma_regression(previous_gamma, new_gamma)):
+            raise ConsistencyViolation(
+                f"{self.owner}: global consistency violated on {key}: "
+                f"gamma {shared} went backwards"
             )
-            for shared in probe:
-                if shared in other and new_gamma[shared] < previous_gamma[shared]:
-                    raise ConsistencyViolation(
-                        f"{self.owner}: global consistency violated on {key}: "
-                        f"gamma {shared} went backwards"
-                    )
         record = TransactionRecord(
             otx=otx,
             tx_id=tx_id,

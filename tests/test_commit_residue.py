@@ -39,7 +39,9 @@ RUNS = {
 }
 
 
-def _run(system: str, cross: float, cross_type: str, faults=(), seconds=0.8):
+def _run(
+    system: str, cross: float, cross_type: str, faults=(), seconds=0.8, arrivals=0.3
+):
     spec = ScenarioSpec(
         name=f"residue-{system}",
         system=system,
@@ -53,7 +55,7 @@ def _run(system: str, cross: float, cross_type: str, faults=(), seconds=0.8):
         seed=11,
     )
     driver = build_driver(spec)
-    launch_workload(driver.sim, spec, driver.submit_next, 0.3)
+    launch_workload(driver.sim, spec, driver.submit_next, arrivals)
     driver.run(seconds)
     driver.close()
     return driver.system
