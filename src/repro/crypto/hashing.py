@@ -368,8 +368,9 @@ class RecentMemo(dict):
     A miss on a full young generation first makes it the old one and
     drops the previous old one: an entry survives at least ``window``
     later insertions, and the memo never holds more than two windows.
-    Use ``[]``, ``get``, ``in``, ``len`` and ``clear``; a copy or a
-    pickle starts empty."""
+    ``get`` is ``[]`` with a default, so it moves and rotates as ``[]``
+    does; ``in`` and ``len`` only look.  A copy or a pickle starts
+    empty."""
 
     __slots__ = ("window", "old")
 

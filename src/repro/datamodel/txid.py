@@ -68,15 +68,6 @@ class TxId(MemoCanonical):
     def __post_init__(self) -> None:
         _checked_gamma_map(self.alpha.key(), self.gamma)
 
-    @classmethod
-    def _of_block(cls, alpha: LocalPart, gamma: tuple, gamma_map: dict | None):
-        """An ID of a block whose γ :meth:`SequenceBook.assign_block` checked
-        and mapped once: the block's IDs share ``gamma_map`` (None if empty)."""
-        tx_id = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (alpha, gamma, None, gamma_map)):
-            object.__setattr__(tx_id, name, value)
-        return tx_id
-
     def gamma_map(self) -> Mapping[tuple[str, int], int]:
         # Memoized: the same TxId object is validated, committed, and
         # appended on every replica, each rebuilding this dict
@@ -193,8 +184,8 @@ class SequenceBook:
         read-set is unknown before execution, so the whole dependency
         closure is captured), with the transitive reduction applied
         when enabled.  All transactions in the run share one γ snapshot
-        (no commits can interleave between the assignments), built,
-        checked and mapped once.
+        (no commits can interleave between the assignments), built
+        and mapped once.
         """
         if count < 1:
             raise DataModelError("a block needs at least one transaction")
@@ -203,11 +194,16 @@ class SequenceBook:
         first = max(self._assigned.get(key, 0), self._committed.get(key, 0)) + 1
         self._assigned[key] = first + count - 1
         gamma = self._build_gamma(collection, target_shard)
-        shared = _checked_gamma_map(key, gamma) if gamma else None
-        return tuple(
-            TxId._of_block(LocalPart(label, target_shard, seq), gamma, shared)
+        ids = tuple(
+            TxId(LocalPart(label, target_shard, seq), gamma)
             for seq in range(first, first + count)
         )
+        if gamma:
+            # The block's IDs share one γ map, as gamma_map() memoizes it.
+            shared = ids[0].gamma_map()
+            for tx_id in ids[1:]:
+                object.__setattr__(tx_id, "_gamma_map_cache", shared)
+        return ids
 
     def _build_gamma(
         self, collection: "DataCollection", shard: int

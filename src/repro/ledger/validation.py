@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.crypto.signatures import KeyRegistry
+from repro.datamodel.txid import gamma_regression
 from repro.ledger.dag import GENESIS_DIGEST, DagLedger
 
 
@@ -48,7 +49,7 @@ def audit_ledger(
         label, shard = key
         chain = ledger.chain(label, shard)
         prev_digest = GENESIS_DIGEST
-        prev_gamma: dict[tuple[str, int], int] = {}
+        prev_gamma: Mapping[tuple[str, int], int] = {}
         for index, record in enumerate(chain, start=1):
             if record.seq != index:
                 report.problems.append(
@@ -59,12 +60,10 @@ def audit_ledger(
                     f"{label}#{shard}:{record.seq}: broken hash chain"
                 )
             gamma = record.tx_id.gamma_map()
-            for shared in prev_gamma.keys() & gamma.keys():
-                if gamma[shared] < prev_gamma[shared]:
-                    report.problems.append(
-                        f"{label}#{shard}:{record.seq}: gamma regressed "
-                        f"on {shared}"
-                    )
+            if (shared := gamma_regression(prev_gamma, gamma)) is not None:
+                report.problems.append(
+                    f"{label}#{shard}:{record.seq}: gamma regressed on {shared}"
+                )
             if registry is not None and clusters is not None:
                 cert = record.certificate
                 if cert is None:

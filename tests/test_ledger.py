@@ -150,6 +150,22 @@ def test_audit_detects_tampered_chain():
     assert any("hash chain" in p for p in report.problems)
 
 
+def test_audit_detects_regressed_gamma():
+    ledger = DagLedger("A")
+    otx1, id1 = make_otx(seq=1, gamma=(LocalPart("B", 0, 5),))
+    ledger.append(otx1, id1)
+    # A record whose γ went back on B, written behind the ledger's back.
+    otx2, id2 = make_otx(seq=2, gamma=(LocalPart("B", 0, 3),))
+    from repro.ledger.block import TransactionRecord
+
+    first = ledger._chains[("A", 0)][0]
+    ledger._chains[("A", 0)].append(
+        TransactionRecord(otx2, id2, first.record_digest(), None)
+    )
+    report = audit_ledger(ledger)
+    assert report.problems == ["A#0:2: gamma regressed on ('B', 0)"]
+
+
 def test_audit_detects_missing_certificate():
     registry = KeyRegistry()
     registry.enroll("n0")
