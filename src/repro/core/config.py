@@ -166,7 +166,11 @@ class DeploymentConfig:
 
 @dataclass(frozen=True)
 class ClusterInfo:
-    """Directory entry for one cluster: who it is, who is in it."""
+    """Directory entry for one cluster: who it is, who is in it.
+
+    The one record of a cluster's membership: every node, filter and
+    certificate check reads it here, and nothing keeps a copy.
+    """
 
     name: str                 # e.g. "A1"
     enterprise: str
@@ -174,8 +178,11 @@ class ClusterInfo:
     members: tuple[str, ...]  # ordering-node ids
     failure_model: str
     f: int
+    #: Execution-node ids (Fig 4b-d); ``()`` when ordering and
+    #: execution are combined.
+    executors: tuple[str, ...] = ()
 
-    # Computed once per directory entry: every certificate check reads both.
+    # Computed once per directory entry: every certificate check reads these.
     @cached_property
     def local_majority(self) -> int:
         return local_majority(self.failure_model, self.f)
@@ -183,6 +190,11 @@ class ClusterInfo:
     @cached_property
     def member_set(self) -> frozenset[str]:
         return frozenset(self.members)
+
+    @cached_property
+    def exec_set(self) -> frozenset[str]:
+        """The members whose signatures count toward reply certificates."""
+        return frozenset(self.executors)
 
 
 @dataclass

@@ -172,32 +172,31 @@ class Deployment:
         config = self.config
         role = "ordering" if config.separate_execution else "combined"
         n_order = config.ordering_nodes_per_cluster
+        n_exec = config.execution_nodes_per_cluster
         for enterprise in config.enterprises:
             for shard in range(config.shards_per_enterprise):
                 name = f"{enterprise}{shard + 1}"
-                members = tuple(f"{name}.o{i}" for i in range(n_order))
                 info = ClusterInfo(
                     name=name,
                     enterprise=enterprise,
                     shard=shard,
-                    members=members,
+                    members=tuple(f"{name}.o{i}" for i in range(n_order)),
                     failure_model=config.failure_model,
                     f=config.f,
+                    executors=tuple(f"{name}.e{i}" for i in range(n_exec)),
                 )
                 self.directory.add(info)
         # Nodes are created after the full directory exists, so every
         # node can resolve every cluster.
         for info in self.directory.clusters.values():
             cluster_nodes = [
-                ClusterNode(member, self, info, role, self._cost_model)
+                ClusterNode(member, self, info.name, role, self._cost_model)
                 for member in info.members
             ]
             for node in cluster_nodes:
                 self.nodes[node.node_id] = node
             if config.separate_execution:
-                firewall = build_firewall(
-                    self, info.name, info.shard, info.members, self._cost_model
-                )
+                firewall = build_firewall(self, info, self._cost_model)
                 self.firewalls[info.name] = firewall
                 for node in cluster_nodes:
                     node.firewall_row_below = firewall.bottom_row_ids
@@ -249,13 +248,7 @@ class Deployment:
         for enterprise in scope:
             for shard in range(self.config.shards_per_enterprise):
                 info = self.directory.at(enterprise, shard)
-                if self.config.separate_execution:
-                    firewall = self.firewalls[info.name]
-                    identities.update(
-                        e.node_id for e in firewall.execution_nodes
-                    )
-                else:
-                    identities.update(info.members)
+                identities.update(info.executors or info.members)
         return identities
 
     def order_certified(self, certificate: CommitCertificate) -> bool:
@@ -270,9 +263,9 @@ class Deployment:
     def reply_certified(self, certificate: ReplyCertificate) -> bool:
         """``reply_cert_quorum`` of the certificate's cluster's execution
         nodes signed it; a cluster without them certifies nothing."""
-        firewall = self.firewalls.get(certificate.cluster)
-        return firewall is not None and certificate.verify(
-            self.key_registry, self.config.reply_cert_quorum, firewall.exec_set
+        info = self.directory.clusters.get(certificate.cluster)
+        return info is not None and bool(info.executors) and certificate.verify(
+            self.key_registry, self.config.reply_cert_quorum, info.exec_set
         )
 
     # ------------------------------------------------------------------

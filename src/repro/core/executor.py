@@ -140,7 +140,6 @@ class ExecutionUnit:
         self._appended: dict[tuple[str, int], int] = {}
         self._gamma_parked: dict[tuple[str, int], deque[CommitEntry]] = {}
         self._executed_requests: dict[tuple[str, int], set[int]] = {}
-        self._last_reply: dict[str, tuple[int, Any]] = {}
         # Journal folding (see persist_checkpoint): store records
         # journaled per chain since its last snapshot, and what the
         # checkpoints did to the journal so far.
@@ -190,13 +189,6 @@ class ExecutionUnit:
         if alpha.seq <= self._appended.get(key, 0):
             return False
         return alpha.seq not in self._buffer.get(key, ())
-
-    def cached_reply(self, client: str, timestamp: int) -> Any | None:
-        """The stored reply if this request was already executed (§4.2)."""
-        entry = self._last_reply.get(client)
-        if entry is not None and entry[0] >= timestamp:
-            return entry[1]
-        return None
 
     # ------------------------------------------------------------------
     # ordered append + gamma-gated execution
@@ -320,7 +312,6 @@ class ExecutionUnit:
             self.store.mark_version(label, shard, tx_id.alpha.seq)
         self._journaled((label, shard), len(view.writes) or 1)
         self.executed_count += 1
-        self._last_reply[otx.tx.client] = (otx.tx.timestamp, result)
         if self.on_executed is not None:
             self.on_executed(
                 ExecutionResult(otx, tx_id, result, reply_to_client)

@@ -75,14 +75,14 @@ class ClusterNode(SimNode):
         self,
         node_id: str,
         deployment: "Deployment",
-        cluster: ClusterInfo,
+        cluster_name: str,
         role: str,  # "combined" | "ordering"
         cost_model=None,
     ):
         super().__init__(node_id, deployment.sim, deployment.network, cost_model)
         self.deployment = deployment
         self.config: DeploymentConfig = deployment.config
-        self.cluster = cluster
+        self.cluster_name = cluster_name
         self.role = role
         self.collections = deployment.collections
         self.directory = deployment.directory
@@ -91,9 +91,10 @@ class ClusterNode(SimNode):
         self.cross_timeout = self.config.cross_timeout
         deployment.key_registry.enroll(node_id)
 
+        shard = self.cluster.shard
         self.seqbook = SequenceBook(
             self.collections,
-            shard=cluster.shard,
+            shard=shard,
             reduce_gamma=False,
         )
         self.consensus = make_internal_consensus(
@@ -113,7 +114,7 @@ class ClusterNode(SimNode):
                 collections=self.collections,
                 contracts=deployment.contracts,
                 schema=self.schema,
-                shard=cluster.shard,
+                shard=shard,
                 on_executed=self._on_executed,
                 backend=deployment.make_backend(node_id),
             )
@@ -171,12 +172,13 @@ class ClusterNode(SimNode):
     # ConsensusHost interface
     # ==================================================================
     @property
-    def cluster_name(self) -> str:
-        return self.cluster.name
+    def cluster(self) -> ClusterInfo:
+        """This node's cluster, as the directory has it now."""
+        return self.directory.clusters[self.cluster_name]
 
     @property
     def members(self) -> tuple[str, ...]:
-        return self.cluster.members
+        return self.directory.clusters[self.cluster_name].members
 
     def sign(self, payload: Any):
         return crypto_sign(self.key_registry, self.node_id, payload)

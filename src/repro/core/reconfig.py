@@ -147,19 +147,22 @@ class Reconfigurator:
         old node co-signed is rejected, and a chain with no later
         checkpoint stays behind.  Refuses to swap the current primary —
         view-change it away first, as an operator would.
-        With separate execution (Fig 4(b)–(d)) the replacement is an
-        ordering node, and the execution nodes (and bottom filters) name
-        it instead of ``old_id``.  Every node's dispatch table is reset,
-        so its sender sets follow the new membership.
+
+        The swap writes one directory entry: every node, filter and
+        certificate check reads membership there, so nothing else is
+        patched.  With separate execution (Fig 4(b)–(d)) the replacement
+        is an ordering node pushing to the firewall's bottom row, and
+        the bottom filters are rewired to it (physical links, not
+        membership).  Every node's dispatch table is reset, so its
+        sender sets follow the new entry.
         """
         deployment = self.deployment
         info = deployment.directory.get(cluster_name)
         if old_id not in info.members:
             raise ConfigurationError(f"{old_id} is not a member of {cluster_name}")
-        survivors = [
-            deployment.nodes[m] for m in info.members if m != old_id
-        ]
-        current_view = max(n.consensus.view for n in survivors)
+        current_view = max(
+            deployment.nodes[m].consensus.view for m in info.members if m != old_id
+        )
         current_primary = info.members[current_view % len(info.members)]
         if old_id == current_primary:
             raise ConfigurationError(
@@ -171,23 +174,17 @@ class Reconfigurator:
         members = tuple(
             new_id if member == old_id else member for member in info.members
         )
-        new_info = dataclasses.replace(info, members=members)
-        deployment.directory.add(new_info)
+        deployment.directory.add(dataclasses.replace(info, members=members))
 
         deployment.crash_node(old_id)
         role = "ordering" if deployment.config.separate_execution else "combined"
-        node = ClusterNode(new_id, deployment, new_info, role, deployment._cost_model)
+        node = ClusterNode(new_id, deployment, cluster_name, role, deployment._cost_model)
         node.consensus.view = current_view
         deployment.nodes[new_id] = node
-        for survivor in survivors:
-            survivor.cluster = new_info
         if role == "ordering":
             firewall = deployment.firewalls[cluster_name]
             node.firewall_row_below = firewall.bottom_row_ids
-            for exec_node in firewall.execution_nodes:
-                exec_node.ordering_members = new_info.member_set
-        if deployment.config.use_firewall:  # no filters in Fig 4(b)
-            for filter_node in firewall.rows[0]:
+            for filter_node in firewall.rows[0] if firewall.rows else ():
                 filter_node.peers_below = members
                 deployment.network.restrict_links(
                     filter_node.node_id,

@@ -38,11 +38,10 @@ class ExecutionNode(SimNode):
         self.key_registry = deployment.key_registry
         deployment.key_registry.enroll(node_id)
         self.cluster_name = cluster_name
-        self.ordering_members: frozenset[str] = frozenset()
-        self.filter_row: tuple[str, ...] = ()  # top row, our only peers
-        #: Fig 4(b): crash-only executors reply to clients directly and
-        #: inform the ordering nodes (§3.4) — no filters in the path.
-        self.direct_reply = False
+        #: The top filter row, our only peers; ``()`` in Fig 4(b), where
+        #: crash-only executors reply to clients directly and inform the
+        #: ordering nodes (§3.4) — no filters in the path.
+        self.filter_row: tuple[str, ...] = ()
         self.executor = ExecutionUnit(
             identity=node_id,
             collections=deployment.collections,
@@ -56,7 +55,8 @@ class ExecutionNode(SimNode):
     def handlers(self) -> dict[type, Route]:
         # Orders come from the top filter row, or straight from the
         # ordering nodes in Fig 4(b); everything else is out of protocol.
-        senders = self.ordering_members if self.direct_reply else self.filter_row
+        info = self.deployment.directory.get(self.cluster_name)
+        senders = self.filter_row or info.member_set
         return {ExecOrder: (self._on_exec_order, frozenset(senders))}
 
     def _on_exec_order(self, msg: ExecOrder, src: str) -> None:
@@ -90,7 +90,7 @@ class ExecutionNode(SimNode):
         signed = crypto_sign(
             self.key_registry, self.node_id, sealed.ciphertext_digest
         )
-        if self.direct_reply:
+        if not self.filter_row:
             # Fig 4(b): a crash-only executor's word is good — one
             # self-signed certificate, straight to the client, plus a
             # copy to the ordering nodes for retransmission caching.
@@ -102,10 +102,11 @@ class ExecutionNode(SimNode):
             )
             msg = ReplyCertMsg(certificate, tx.client, tx.timestamp, sealed)
             self.send(tx.client, msg)
-            # Sorted: multicasting in frozenset order would draw link-
-            # latency jitter in hash-randomized order, making runs
-            # irreproducible across processes.
-            self.multicast(sorted(self.ordering_members), msg)
+            # Sorted ids, not slot order (they differ after a swap):
+            # link-latency jitter is drawn in send order, and the pinned
+            # runs draw it in sorted order.
+            members = self.deployment.directory.get(self.cluster_name).members
+            self.multicast(sorted(members), msg)
             return
         reply = ExecReply(
             request_id=tx.request_id,

@@ -52,8 +52,6 @@ class FilterNode(SimNode):
         self.cluster_name = cluster_name
         self.row = row
         self.is_top_row = is_top_row
-        self.reply_quorum = deployment.config.g + 1
-        self.execution_members: frozenset[str] = frozenset()
         self.peers_above: tuple[str, ...] = ()
         self.peers_below: tuple[str, ...] = ()
         self._forwarded_up: set[tuple] = set()
@@ -67,7 +65,8 @@ class FilterNode(SimNode):
             ReplyCertMsg: (self._on_reply_cert, frozenset(self.peers_above)),
         }
         if self.is_top_row:  # only the top row hears execution nodes
-            table[ExecReply] = (self._on_exec_reply, self.execution_members)
+            executors = self.deployment.directory.get(self.cluster_name).exec_set
+            table[ExecReply] = (self._on_exec_reply, executors)
         return table
 
     def on_message(self, msg: Any, src: str) -> None:
@@ -109,7 +108,7 @@ class FilterNode(SimNode):
         matching = [
             m for m in shares.values() if m.result_digest == msg.result_digest
         ]
-        if len(matching) < self.reply_quorum:
+        if len(matching) < self.deployment.config.reply_cert_quorum:
             return
         certificate = ReplyCertificate(
             cluster=self.cluster_name,
@@ -128,7 +127,9 @@ class FilterNode(SimNode):
         if msg.certificate.request_id in self._forwarded_down:
             return
         if not msg.certificate.verify(
-            self.key_registry, self.reply_quorum, self.execution_members
+            self.key_registry,
+            self.deployment.config.reply_cert_quorum,
+            self.deployment.directory.get(self.cluster_name).exec_set,
         ):
             self.dropped_messages += 1
             return

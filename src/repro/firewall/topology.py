@@ -17,19 +17,19 @@ from repro.firewall.execution import ExecutionNode
 from repro.firewall.filters import FilterNode
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.config import ClusterInfo
     from repro.core.deployment import Deployment
 
 
 @dataclass
 class FirewallTopology:
-    """Handles to one cluster's firewall components."""
+    """Handles to one cluster's firewall components.  Who the cluster's
+    members are is the directory's (:class:`~repro.core.config.ClusterInfo`);
+    this holds the actors and their physical wiring."""
 
     cluster_name: str
     rows: list[list[FilterNode]]          # rows[0] = bottom (ordering side)
     execution_nodes: list[ExecutionNode]
-    #: The execution nodes' ids: the members whose signatures count
-    #: toward the cluster's reply certificates.
-    exec_set: frozenset[str]
 
     @property
     def bottom_row_ids(self) -> tuple[str, ...]:
@@ -41,117 +41,68 @@ class FirewallTopology:
 
 
 def build_firewall(
-    deployment: "Deployment",
-    cluster_name: str,
-    shard: int,
-    ordering_members: tuple[str, ...],
-    cost_model=None,
+    deployment: "Deployment", info: "ClusterInfo", cost_model=None
 ) -> FirewallTopology:
-    """Create execution nodes (and filters, if any) for one cluster.
+    """Create the filters (if any), then the execution nodes
+    ``info.executors``, of one cluster.
 
     Covers the separated configurations of Figure 4:
 
     - Fig 4(b): ``filter_rows == 0`` — g+1 crash-only execution nodes
       wired straight to the ordering nodes, replying to clients
-      directly (no leakage by the crash assumption, so no filters);
+      directly.  "If execution nodes are crash-only ... there is no
+      need to add a privacy firewall and execution nodes can directly
+      send the reply to the client and inform ordering nodes about
+      execution" (§3.4).  Their links are deliberately *unrestricted*:
+      the crash assumption, not wiring, is what rules out leakage;
     - Fig 4(c): one row of h+1 crash-only filters;
     - Fig 4(d): h+1 rows of h+1 Byzantine filters.
     """
     config = deployment.config
     n_rows = config.filter_rows
-    per_row = config.h + 1
-    if n_rows == 0:
-        return _build_direct_execution(
-            deployment, cluster_name, shard, ordering_members, cost_model
-        )
-    rows: list[list[FilterNode]] = []
-    for row in range(n_rows):
-        filters = [
+    rows = [
+        [
             FilterNode(
-                f"{cluster_name}.f{row}.{col}",
+                f"{info.name}.f{row}.{col}",
                 deployment,
-                cluster_name,
+                info.name,
                 row,
                 is_top_row=(row == n_rows - 1),
                 cost_model=cost_model,
             )
-            for col in range(per_row)
+            for col in range(config.h + 1)
         ]
-        rows.append(filters)
-
+        for row in range(n_rows)
+    ]
     execution_nodes = [
         ExecutionNode(
-            f"{cluster_name}.e{i}",
-            deployment,
-            cluster_name,
-            shard,
-            cost_model=cost_model,
+            exec_id, deployment, info.name, info.shard, cost_model=cost_model
         )
-        for i in range(config.execution_nodes_per_cluster)
+        for exec_id in info.executors
     ]
-
-    exec_ids = tuple(e.node_id for e in execution_nodes)
-    ordering_set = frozenset(ordering_members)
-    exec_set = frozenset(exec_ids)
 
     for row_index, row in enumerate(rows):
         below = (
-            ordering_members
+            info.members
             if row_index == 0
             else tuple(f.node_id for f in rows[row_index - 1])
         )
         above = (
-            exec_ids
+            info.executors
             if row_index == n_rows - 1
             else tuple(f.node_id for f in rows[row_index + 1])
         )
         for filter_node in row:
             filter_node.peers_below = below
             filter_node.peers_above = above
-            filter_node.execution_members = exec_set
             deployment.network.restrict_links(
                 filter_node.node_id, set(below) | set(above)
             )
 
-    top_ids = tuple(f.node_id for f in rows[-1])
-    for exec_node in execution_nodes:
-        exec_node.filter_row = top_ids
-        exec_node.ordering_members = ordering_set
-        deployment.network.restrict_links(exec_node.node_id, set(top_ids))
+    if rows:
+        top_ids = tuple(f.node_id for f in rows[-1])
+        for exec_node in execution_nodes:
+            exec_node.filter_row = top_ids
+            deployment.network.restrict_links(exec_node.node_id, set(top_ids))
 
-    return FirewallTopology(cluster_name, rows, execution_nodes, exec_set)
-
-
-def _build_direct_execution(
-    deployment: "Deployment",
-    cluster_name: str,
-    shard: int,
-    ordering_members: tuple[str, ...],
-    cost_model=None,
-) -> FirewallTopology:
-    """Fig 4(b): crash-only execution nodes, no filters.
-
-    "If execution nodes are crash-only ... there is no need to add a
-    privacy firewall and execution nodes can directly send the reply to
-    the client and inform ordering nodes about execution" (§3.4).
-    Their links are deliberately *unrestricted*: the crash assumption,
-    not wiring, is what rules out leakage here.
-    """
-    config = deployment.config
-    execution_nodes = [
-        ExecutionNode(
-            f"{cluster_name}.e{i}",
-            deployment,
-            cluster_name,
-            shard,
-            cost_model=cost_model,
-        )
-        for i in range(config.execution_nodes_per_cluster)
-    ]
-    ordering_set = frozenset(ordering_members)
-    for exec_node in execution_nodes:
-        exec_node.filter_row = ()
-        exec_node.ordering_members = ordering_set
-        exec_node.direct_reply = True
-    exec_set = frozenset(e.node_id for e in execution_nodes)
-    return FirewallTopology(cluster_name, [], execution_nodes, exec_set)
+    return FirewallTopology(info.name, rows, execution_nodes)

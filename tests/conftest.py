@@ -1,5 +1,9 @@
 """Suite-wide pytest configuration."""
 
+import pytest
+
+from repro import obs
+
 
 def pytest_configure(config):
     # The confidential-asset and ZKP tests take about a quarter of the
@@ -8,3 +12,13 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running test, run in CI's own slow job"
     )
+
+
+@pytest.fixture
+def metrics():
+    """Observability on for one test; yields its metric registry."""
+    obs.enable()
+    try:
+        yield obs.REGISTRY
+    finally:
+        obs.disable()

@@ -98,14 +98,6 @@ def test_duplicate_request_executes_once(registry):
     assert unit.ledger.height("A") == 2  # both committed, one executed
 
 
-def test_cached_reply_for_retransmission(registry):
-    unit = make_unit(registry)
-    o1, id1 = otx_for("A", 1, Operation("kv", "set", ("k", "v")))
-    unit.commit(o1, id1)
-    assert unit.cached_reply("c", 1) == "ok"
-    assert unit.cached_reply("c", 2) is None  # newer request, no reply yet
-
-
 def test_redundant_commit_delivery_ignored(registry):
     unit = make_unit(registry)
     o1, id1 = otx_for("A", 1, Operation("kv", "incr", ("n", 5)))

@@ -224,3 +224,26 @@ def test_every_signature_quorum_in_src_names_its_members():
                     (path.name, {k.arg for k in node.keywords} >= {"members"})
                 )
     assert calls and all(named for _, named in calls), calls
+
+
+def test_membership_is_stored_only_in_the_directory():
+    # ClusterInfo (core/config.py) is the one record of who is in a
+    # cluster; a copy kept on a node or topology goes stale at a swap.
+    copies = {"ordering_members", "execution_members", "exec_set", "direct_reply"}
+    stored = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).as_posix() == "repro/core/config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    name = getattr(leaf, "attr", getattr(leaf, "id", None))
+                    if name in copies:
+                        stored.append((path.name, node.lineno, name))
+    assert stored == []

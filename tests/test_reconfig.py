@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.consensus.messages import ExecOrder
+from repro.consensus.pbft import PbftPrepare
 from tests.helpers import make_deployment as _spec_deployment
 from repro.core.reconfig import Reconfigurator
 from repro.datamodel import Operation
@@ -140,9 +142,14 @@ def test_swap_refuses_non_member():
         reconfig.swap_member("A1", "B1.o0")
 
 
-@pytest.mark.parametrize(
-    "extra", [{}, {"execution_model": "crash"}], ids=["combined", "fig4b"]
+SHAPES = pytest.mark.parametrize(
+    "extra",
+    [{}, {"execution_model": "crash"}, {"use_firewall": True}],
+    ids=["combined", "fig4b", "firewall"],
 )
+
+
+@SHAPES
 def test_swap_in_byzantine_cluster(extra):
     deployment = make_deployment(
         failure_model="byzantine", checkpoint_interval=8, **extra
@@ -158,11 +165,51 @@ def test_swap_in_byzantine_cluster(extra):
     if not extra:
         assert node.role == "combined"
         return
-    # Fig 4(b): the replacement orders and pushes to the execution
-    # nodes, which now name it and not the retired member.
+    # Separate execution: the replacement orders and pushes to the
+    # firewall's bottom row.  The directory names it and not the
+    # retired member, and the execution nodes take orders by that entry.
     assert node.role == "ordering" and node.executor is None
-    execution = deployment.firewalls["A1"].execution_nodes
-    assert node.firewall_row_below == tuple(e.node_id for e in execution)
-    for exec_node in execution:
-        assert new_id in exec_node.ordering_members
-        assert victim not in exec_node.ordering_members
+    info = deployment.directory.get("A1")
+    assert new_id in info.member_set and victim not in info.member_set
+    firewall = deployment.firewalls["A1"]
+    assert node.firewall_row_below == firewall.bottom_row_ids
+    if not firewall.rows:  # Fig 4(b)
+        execution = firewall.execution_nodes
+        assert node.firewall_row_below == tuple(e.node_id for e in execution)
+        for exec_node in execution:
+            assert exec_node.handlers()[ExecOrder][1] == info.member_set
+        return
+    # The bottom filter row is rewired to the replacement and let every
+    # certified order and reply through.
+    for filter_node in firewall.rows[0]:
+        assert filter_node.peers_below == info.members
+        assert new_id in filter_node.peers_below
+    assert sum(f.dropped_messages for row in firewall.rows for f in row) == 0
+
+
+@SHAPES
+def test_retired_member_vote_is_dropped_by_a_survivor(extra, metrics):
+    deployment = make_deployment(
+        failure_model="byzantine", checkpoint_interval=8, **extra
+    )
+    reconfig = Reconfigurator(deployment)
+    client = deployment.create_client("A")
+    run_load(deployment, client, 4, "pre")
+    victim = deployment.directory.get("A1").members[-1]
+    reconfig.swap_member("A1", victim)
+    run_load(deployment, client, 4, "post")
+    survivor = deployment.nodes[deployment.directory.get("A1").members[1]]
+    retired = deployment.nodes[victim]
+    rejected = "messages_rejected{kind=PbftPrepare}"
+    before = metrics.snapshot()["counters"].get(rejected, 0)
+    # A fail-stopped node's sends still go out: the retired member signs
+    # a prepare for a slot above everything ordered so far.
+    digest = "d" * 32
+    slot = ("A", 0, 99)
+    retired.send(
+        survivor.node_id,
+        PbftPrepare(survivor.consensus.view, slot, digest, retired.sign(digest)),
+    )
+    deployment.run(0.5)
+    assert metrics.snapshot()["counters"][rejected] == before + 1
+    assert len(client.completed) == 8

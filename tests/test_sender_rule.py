@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs
 from repro.consensus import PBFT, MultiPaxos
 from repro.consensus.messages import CommitQuery, CrossCommitMsg, FlatCommit
 from repro.consensus.paxos import PaxosAccepted, PaxosPrepare
@@ -47,15 +46,6 @@ def _outsiders(sim, network, nodes, count=2):
         Outsider(f"client-{name}", sim, network, registry)
         for name in "xy"[:count]
     ]
-
-
-@pytest.fixture
-def metrics():
-    obs.enable()
-    try:
-        yield obs.REGISTRY
-    finally:
-        obs.disable()
 
 
 def test_pbft_does_not_decide_on_non_member_votes(metrics):
