@@ -6,8 +6,8 @@
 files) under the chosen directory; ``--seed`` is recorded in every
 artifact so a run can be reproduced exactly.  Every experiment ends by
 evaluating its row's checks: a failed check is named on stderr and the
-exit status is 1; a configuration error (unknown scale, a cell that
-cannot run under ``--kernel-workers``) is one line and exit status 2.
+exit status is 1; a configuration error (an unknown scale, say) is one
+line and exit status 2.
 
 ``--jobs N`` fans the experiment's independent cells out over N
 worker processes (``0`` = one per CPU; default: sequential).  The
@@ -94,16 +94,6 @@ def main(argv: list[str] | None = None) -> None:
         "byte-identical at any job count",
     )
     parser.add_argument(
-        "--kernel-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run every cell on per-cluster kernels over N worker "
-        "processes (the shardpar sweep compares N against the 1-worker "
-        "reference); artifacts are byte-identical at any worker count "
-        "— see docs/performance.md",
-    )
-    parser.add_argument(
         "--trace",
         action="store_true",
         help="enable repro.obs causal tracing + metrics for the whole "
@@ -132,10 +122,6 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
-    if args.kernel_workers is not None and args.kernel_workers < 1:
-        parser.error(
-            f"--kernel-workers must be >= 1, got {args.kernel_workers}"
-        )
     if args.list_experiments:
         print(list_experiments())
         return
@@ -164,7 +150,7 @@ def main(argv: list[str] | None = None) -> None:
         for name in names:
             run_experiment(
                 EXPERIMENTS[name], args.scale, args.seed, args.jobs,
-                args.kernel_workers, args.out,
+                args.out,
             )
     except ConfigurationError as exc:
         print(f"repro.bench: error: {exc}", file=sys.stderr)

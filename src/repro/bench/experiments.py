@@ -12,20 +12,20 @@ group, a one-line description and three functions:
   further top-level fields; a ``perf`` entry adds to the roll-up.  Pure
   for every row whose measurements are all cells; the rows that measure
   what a scenario cell cannot express (``analytics`` fills and queries a
-  database, ``shardpar`` and ``batching`` rerun a spec under a different
-  engine setting) do that measuring here, from the same arguments and
-  through the same :func:`~repro.bench.parallel.run_task` as a cell.
+  database, ``batching`` reruns a spec under a different engine
+  setting) do that measuring here, from the same arguments and through
+  the same :func:`~repro.bench.parallel.run_task` as a cell.
 - ``checks(artifact) -> [failure strings]`` — what CI asserts about the
   artifact, pins included, beside the code that moves them.  A check
   reads the artifact as written (plain JSON data), so the same function
   judges a fresh run and a committed ``artifacts/BENCH_<name>.json``.
 
-:func:`run_experiment` is the only way a row runs: plan → apply
-``kernel_workers`` → execute → merge → assemble the ``{experiment,
-scale, seed, results, perf}`` envelope → write ``BENCH_<name>.json`` →
-print rows → evaluate checks.  Because the merge consumes reports by
-key in plan order, an artifact is byte-identical (modulo ``perf`` /
-``obs``) regardless of job count or completion order.
+:func:`run_experiment` is the only way a row runs: plan → execute →
+merge → assemble the ``{experiment, scale, seed, results, perf}``
+envelope → write ``BENCH_<name>.json`` → print rows → evaluate
+checks.  Because the merge consumes reports by key in plan order, an
+artifact is byte-identical (modulo ``perf`` / ``obs``) regardless of
+job count or completion order.
 
 Scale control: ``smoke`` is CI-sized (2 enterprises x 2 shards),
 ``fast`` uses 3 x 2 and short windows so the whole suite runs in
@@ -46,7 +46,6 @@ from repro.bench.parallel import PointTask, execute_tasks, run_task
 from repro.bench.report import (
     comparable_json,
     results_payload,
-    strip_perf,
     write_json,
 )
 from repro.bench.runner import (
@@ -126,7 +125,6 @@ class Run:
     scale: str
     seed: int
     jobs: int | None
-    kernel_workers: int | None
     out_dir: Path | None
     specs: dict[Hashable, ScenarioSpec]
     reports: dict[Hashable, dict[str, Any]]
@@ -177,26 +175,11 @@ def _ladder_stopped(reports: list[dict[str, Any]]) -> bool:
     return sweep_stopped([PointResult.from_report(r) for r in reports])
 
 
-def _partitioned(row: Experiment, key: Hashable, spec: ScenarioSpec, workers: int):
-    from repro.scenarios.build import validate_partitioning
-
-    spec = spec.with_kernel_workers(workers)
-    try:
-        validate_partitioning(spec)
-    except ConfigurationError as exc:
-        raise ConfigurationError(
-            f"{row.name}: cell {key!r} (spec {spec.name!r}) cannot run "
-            f"under --kernel-workers: {exc}"
-        ) from exc
-    return spec
-
-
 def run_experiment(
     row: Experiment,
     scale: str = "fast",
     seed: int = 1,
     jobs: int | None = None,
-    kernel_workers: int | None = None,
     out_dir: str | Path | None = None,
     cells: set[Hashable] | None = None,
 ) -> dict[str, Any]:
@@ -223,11 +206,6 @@ def run_experiment(
                 f"{row.name}: no such cells {sorted(map(repr, unknown))}"
             )
         specs = {key: spec for key, spec in specs.items() if key in cells}
-    if kernel_workers is not None:
-        specs = {
-            key: _partitioned(row, key, spec, kernel_workers)
-            for key, spec in specs.items()
-        }
     print(
         f"\n=== {row.name}: {row.description} "
         f"(scale={scale}, seed={seed}, {len(specs)} cells) ==="
@@ -243,7 +221,7 @@ def run_experiment(
         label=row.name,
     )
     fields = row.merge(
-        Run(scale, seed, jobs, kernel_workers, out_dir, specs, reports)
+        Run(scale, seed, jobs, out_dir, specs, reports)
     )
     # Measurement context, excluded from the determinism byte-compare
     # (repro.bench.compare strips perf blocks at every level).
@@ -932,71 +910,6 @@ def _recovery_checks(artifact: dict[str, Any]) -> list[str]:
 # ----------------------------------------------------------------------
 # rows whose measurement is not a scenario cell
 # ----------------------------------------------------------------------
-#: Shards-per-enterprise ladder for the shard-parallel sweep (two
-#: enterprises throughout, so total clusters = 2 x shards; ``full``
-#: tops out at the 16-cluster scenario the engine was built for).
-SHARDPAR_SHARDS = {"smoke": (2,), "fast": (2, 4), "full": (4, 8)}
-SHARDPAR_RATE = {"smoke": 100.0, "fast": 250.0, "full": 250.0}
-
-
-def _shardpar_merge(run: Run) -> dict[str, Any]:
-    from repro.scenarios.registry import shardpar_scenario
-
-    sc = SCALES[run.scale]
-    worker_counts = (1, 2) if run.scale == "smoke" else (1, 2, 4)
-    if run.kernel_workers is not None:
-        worker_counts = tuple(sorted({1, run.kernel_workers}))
-    results: dict = {}
-    points: dict = {}
-    for shards in SHARDPAR_SHARDS[run.scale]:
-        spec = shardpar_scenario(
-            shards=shards,
-            seed=run.seed,
-            rate_per_cluster=SHARDPAR_RATE[run.scale],
-            warmup=sc.warmup,
-            measure=sc.measure,
-            drain=sc.drain,
-        )
-        label = f"{len(spec.topology.enterprises)}x{shards}"
-        sequential = run_task(PointTask(label, spec), "shardpar")
-        seq_wall = sequential["perf"]["wall_clock_s"]
-        results[label] = strip_perf(sequential)
-        reference = comparable_json(sequential)
-        per_worker: dict = {}
-        for workers in worker_counts:
-            report = run_task(
-                PointTask((label, workers), spec.with_kernel_workers(workers)),
-                "shardpar",
-            )
-            if comparable_json(report) != reference:
-                raise AssertionError(
-                    f"kernel_workers determinism violated: {label} at "
-                    f"kernel_workers={workers} diverged from the "
-                    "one-kernel run"
-                )
-            wall = report["perf"]["wall_clock_s"]
-            per_worker[str(workers)] = {
-                "wall_clock_s": wall,
-                "speedup_vs_sequential": (
-                    round(seq_wall / wall, 3) if wall > 0 else 0.0
-                ),
-            }
-        points[label] = {"sequential_wall_s": seq_wall, "workers": per_worker}
-    return {"results": results, "perf": {"points": points}}
-
-
-def _shardpar_rows(artifact: dict[str, Any]) -> list[str]:
-    return [
-        f"{label:<6} seq={point['sequential_wall_s']:.2f}s  "
-        + " ".join(
-            f"w{workers}={data['wall_clock_s']:.2f}s"
-            f"(x{data['speedup_vs_sequential']:.2f})"
-            for workers, data in point["workers"].items()
-        )
-        for label, point in artifact["perf"]["points"].items()
-    ]
-
-
 #: Ledger sizes per scale for the analytics benchmark.  The headline
 #: claim is stated at ``full``: four-family query latency percentiles
 #: over a 1M-record multi-shard ledger, every sampled answer verified
@@ -1109,10 +1022,6 @@ _ROWS = (
                "Population matrix: logical sizes x skews x arrival profiles "
                "on a bounded wire pool",
                _population_merge, _population_plan, _population_checks),
-    Experiment("shardpar", "Shard-parallel kernel",
-               "Shard-parallel sweep: shards x worker counts, byte-compared "
-               "and timed against one kernel",
-               _shardpar_merge, rows=_shardpar_rows),
     Experiment("obs", "Observability",
                "Observability smoke: one traced cross-shard cross-enterprise "
                "scenario", _obs_merge, _obs_plan),

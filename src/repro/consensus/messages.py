@@ -35,7 +35,6 @@ class ClientReply:
     timestamp: int
     result: Any
     signed: SignedMessage | None = None
-    reply_certificate: ReplyCertificate | None = None
 
 
 # ----------------------------------------------------------------------

@@ -411,7 +411,8 @@ def run_scope() -> Iterator[None]:
     every registered reset; closing, on every exit path, runs them
     again.  Tables are cleared in place, not hung on the ``Simulator``:
     message classes with no simulator reference read them.  One run
-    is live per process; forked workers inherit the open scope."""
+    is live per process; a ``--jobs`` pool worker runs each cell in
+    its own scope."""
     global _digest_calls, _encode_bytes, _verify_calls, _sign_calls
     _digest_calls = _encode_bytes = _verify_calls = _sign_calls = 0
     for reset in _RUN_RESETS:

@@ -42,10 +42,10 @@ class SimulationLimitError(ReproError):
 
 
 class PartitionError(ReproError):
-    """A shard-parallel partitioning rule was violated — scheduling
-    outside any partition context, or touching (cancelling into) a
-    kernel owned by another worker — or a worker process failed
-    (raised, or was killed) before the run finished."""
+    """A per-cluster kernel rule was violated: scheduling or touching
+    network state outside any partition context, running without an
+    end time, or a boundary envelope due before the barrier it
+    crossed."""
 
 
 class StorageError(ReproError):

@@ -104,45 +104,6 @@ class MetricRegistry:
         return metric
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def merge_snapshots(snapshots: "list[dict[str, Any]]") -> dict[str, Any]:
-        """Combine per-worker :meth:`snapshot` outputs (shard-parallel
-        runs capture one registry per worker process) into one snapshot
-        of the same shape.  Counters and histogram counts/sums add;
-        histogram bounds take the extremes; gauges — point-in-time
-        levels that cannot meaningfully add across processes — take the
-        per-key maximum, which is order-independent and therefore
-        deterministic at any worker count.
-        """
-        counters: dict[str, int] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict[str, Any]] = {}
-        for snap in snapshots:
-            for key, value in snap.get("counters", {}).items():
-                counters[key] = counters.get(key, 0) + value
-            for key, value in snap.get("gauges", {}).items():
-                if key not in gauges or value > gauges[key]:
-                    gauges[key] = value
-            for key, h in snap.get("histograms", {}).items():
-                merged = histograms.get(key)
-                if merged is None:
-                    histograms[key] = dict(h)
-                    continue
-                merged["count"] += h["count"]
-                merged["sum"] = round(merged["sum"] + h["sum"], 9)
-                for bound, better in (("min", min), ("max", max)):
-                    if h[bound] is not None:
-                        merged[bound] = (
-                            h[bound]
-                            if merged[bound] is None
-                            else better(merged[bound], h[bound])
-                        )
-        return {
-            "counters": {k: counters[k] for k in sorted(counters)},
-            "gauges": {k: gauges[k] for k in sorted(gauges)},
-            "histograms": {k: histograms[k] for k in sorted(histograms)},
-        }
-
     def snapshot(self) -> dict[str, Any]:
         """All series as plain JSON data, deterministically ordered."""
         return {

@@ -298,42 +298,6 @@ class Tracer:
         return "\n".join(lines) + "\n"
 
 
-def merge_jsonl(shards: list[str]) -> str:
-    """Merge per-worker trace JSONL shards (shard-parallel runs keep
-    one tracer per worker process) into one artifact: a single header,
-    then every shard's spans in worker order with sids — and the
-    parent references pointing at them — offset past the previous
-    shards', so ids stay unique and links stay intact.  Cross-worker
-    parent links (a consensus span whose tx root lives in the root
-    partition's worker) cannot be resolved and stay within-shard.
-    """
-    header = json.dumps(
-        {"kind": "repro.obs.trace", "schema": TRACE_SCHEMA_VERSION},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    lines = [header]
-    offset = 0
-    for shard in shards:
-        count = 0
-        for line in shard.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if record.get("kind") == "repro.obs.trace":
-                continue
-            record["sid"] += offset
-            if record["parent"] is not None:
-                record["parent"] += offset
-            count += 1
-            lines.append(
-                json.dumps(record, sort_keys=True, separators=(",", ":"))
-            )
-        offset += count
-    return "\n".join(lines) + "\n"
-
-
 # ======================================================================
 # CLI: waterfalls and per-phase aggregates
 # ======================================================================

@@ -82,8 +82,8 @@ def validate_partitioning(spec: ScenarioSpec) -> PartitionMap:
     event kernel per cluster plus a root kernel for clients, advanced
     in conservative-lookahead windows — each raised here with a clear
     error (never a deadlock or a silently different result).  Any spec
-    this accepts yields a byte-identical report (modulo ``perf`` /
-    ``obs``) at every ``kernel_workers``, ``None`` included.
+    this accepts yields the same report (modulo ``perf`` / ``obs``)
+    with ``kernel_workers`` set as with ``None``.
 
     Returns the partition map the spec implies.
     """
@@ -98,8 +98,9 @@ def validate_partitioning(spec: ScenarioSpec) -> PartitionMap:
     if topology.storage_backend != "memory":
         raise ConfigurationError(
             f"kernel_workers requires storage_backend='memory' "
-            f"(got {topology.storage_backend!r}): forked workers "
-            "cannot share WAL/SQLite file handles"
+            f"(got {topology.storage_backend!r}): durable runs and "
+            "their rebuild audit are measured on one kernel; run "
+            "them with kernel_workers=None"
         )
     for event in spec.faults:
         if event.kind in ELASTIC_KINDS:
@@ -224,7 +225,8 @@ def build_workload(
     clients — one per enterprise (exactly the pre-scenario wiring)
     unless the spec declares a population, in which case each
     enterprise gets its bounded pool, created eagerly so every
-    actor is registered before the run forks any worker.
+    actor is registered before the first window fixes the lookahead
+    over the registered nodes.
 
     The returned ``submit_next(hot_shard=None)`` closure draws one
     transaction per call (``hot_shard`` aims a flash-crowd hotspot

@@ -58,7 +58,7 @@ class JitterOverlay(LatencyModel):
     def min_delay(self, src: str, dst: str) -> float:
         # The overlay only *adds* delay, so the inner floor still
         # holds — a mid-run jitter event can never invalidate the
-        # lookahead the shard-parallel engine synchronized on.
+        # lookahead the per-cluster kernels synchronize on.
         return self.inner.min_delay(src, dst)
 
 

@@ -397,7 +397,7 @@ def shardpar_scenario(
 ) -> ScenarioSpec:
     """A canonical shard-scaling scenario: offered load grows with the
     cluster count, so wider topologies keep per-cluster pressure — the
-    shape the ``--experiment shardpar`` sweep and the CI smoke use."""
+    shape the per-cluster kernel tests use."""
     return ScenarioSpec(
         name=f"shardpar-{len(enterprises)}x{shards}",
         system=system,

@@ -212,12 +212,12 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     window; returns a JSON-ready report.
 
     One flow for every spec: obs lifecycle, build, launch, advance,
-    collect, report.  ``spec.kernel_workers`` chooses only how the
-    advance is scheduled — ``sim.run`` on the one kernel, or
-    :class:`~repro.sim.shardpar.ShardParEngine` windows over per-cluster
-    kernels — never what it computes: any spec
-    :func:`~repro.scenarios.build.validate_partitioning` accepts reports
-    the same bytes (modulo ``perf`` / ``obs``) at every setting.
+    report.  ``spec.kernel_workers`` chooses only which simulator the
+    advance runs on — one kernel, or a
+    :class:`~repro.sim.partition.PartitionedSimulator` with one kernel
+    per cluster advanced in safe windows — never what it computes: any
+    spec :func:`~repro.scenarios.build.validate_partitioning` accepts
+    reports the same bytes (modulo ``perf`` / ``obs``) either way.
 
     A durable spec (``topology.storage_backend`` other than memory)
     journals into ``topology.storage_dir`` — which must be empty; with
@@ -227,19 +227,17 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     (:func:`_audit_crashed`): the ``recovery`` block of the report,
     with the rebuild's wall-clock numbers under ``perf["recovery"]``.
 
-    The report is assembled from the per-worker ``collect`` payloads
-    (one of them in-process) and carries a ``perf`` block — wall-clock
-    seconds, simulated events, events/sec, the hot-path counters of the
-    call's :func:`~repro.crypto.hashing.run_scope`, and per-worker /
-    per-kernel facts — so every ``BENCH_scenarios.json`` records a perf
-    trajectory.  ``perf`` is metadata, not a result: artifact
+    The report carries a ``perf`` block — wall-clock seconds, simulated
+    events, events/sec, the hot-path counters of the call's
+    :func:`~repro.crypto.hashing.run_scope`, message counts and facts
+    about the kernels — so every ``BENCH_scenarios.json`` records a
+    perf trajectory.  ``perf`` is metadata, not a result: artifact
     comparisons exclude it (see ``repro.bench.report.strip_perf`` and
     ``python -m repro.bench.compare``).
     """
     from repro import obs
     from repro.bench.drivers import build_driver
-    from repro.sim.partition import ROOT_PID, boundary_lookahead
-    from repro.sim.shardpar import ShardParEngine
+    from repro.sim.partition import ROOT_PID
 
     if spec.workload is None:
         raise ValueError(
@@ -262,10 +260,6 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         obs.TRACER.new_run()
         if obs.PROBES is not None:
             obs.PROBES.reset()
-    # The trace JSONL rides in the report when the tracer is torn down
-    # with the run (owned) or lives in worker processes; under a
-    # caller-enabled tracer on one kernel the caller exports it.
-    ship_trace = owned or spec.kernel_workers is not None
     wall_start = time.perf_counter()
     durable = spec.topology.storage_backend != "memory"
     scratch = None
@@ -277,112 +271,45 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         try:
             sim = driver.sim
             system = driver.system
-            network = system.network
             submit = driver.submit_next
-            workload = getattr(submit, "workload", None)
-            population = getattr(submit, "population", None)
-            capture = getattr(submit, "capture", None)
-            scheduler = getattr(system, "fault_scheduler", None)
-            # Per-worker counter deltas are taken against the counters
-            # at launch (build work happened once, here, and every
-            # forked worker inherits it in its absolute counters).
-            counters_built = hashing.counters()
-
-            def collect(owned_pids: list[int]) -> dict[str, Any]:
-                # Runs inside each worker process after the final
-                # barrier (in-process: once, owning every partition):
-                # whatever a report needs crosses back here, picklable
-                # and partition-owned.
-                payload: dict[str, Any] = {
-                    "events": sum(
-                        sim.kernels[pid].events_processed
-                        for pid in owned_pids
-                    ),
-                    "messages_sent": network.messages_sent,
-                    "messages_dropped": network.messages_dropped,
-                    "counters": {
-                        key: value - counters_built[key]
-                        for key, value in hashing.counters().items()
-                    },
-                    "fault_trace": list(scheduler.trace)
-                    if scheduler is not None
-                    else [],
-                }
-                if ROOT_PID in owned_pids:
-                    # Clients and arrivals run on the root kernel, so
-                    # completions, the generated mix, population stats
-                    # and the captured trace all live there.
-                    payload["metrics"] = driver.metrics()
-                    payload["generated"] = (
-                        dict(workload.generated) if workload is not None else {}
-                    )
-                    payload["population"] = (
-                        population.stats() if population is not None else None
-                    )
-                    payload["capture_jsonl"] = (
-                        capture.to_jsonl() if capture is not None else None
-                    )
-                if obs_on:
-                    if (
-                        len(owned_pids) == len(sim.kernels)
-                        and obs.PROBES is not None
-                        and hasattr(system, "executors_of")
-                    ):
-                        # The cross-cluster ledger-agreement probe needs
-                        # live executor state from every partition at
-                        # once: a traced run that broke agreement fails
-                        # loudly here rather than reporting plausible
-                        # numbers.  Forked workers hold stale copies of
-                        # foreign clusters by design and skip it (the
-                        # inline per-node sequence probes still ran).
-                        obs.PROBES.ledger_agreement(system)
-                    payload["obs"] = {
-                        "spans": obs.TRACER.span_count,
-                        "metrics": obs.REGISTRY.snapshot(),
-                        "trace_jsonl": obs.TRACER.to_jsonl()
-                        if ship_trace
-                        else None,
-                    }
-                return payload
-
             with paused_gc():
                 launch_workload(sim.kernels[ROOT_PID], spec, submit, total)
-                if spec.kernel_workers is None:
-                    # With obs on, pause at every window edge to sample
-                    # gauges.  Back-to-back bounded runs tile the
-                    # timeline exactly (the kernel advances the clock
-                    # to `until` between calls), so event order — and
-                    # every reported number — matches the single run.
-                    base = sim.now
-                    edges = (
-                        ((m.warmup, "warmup"), (total, "measure"), (m.total, "drain"))
-                        if obs_on
-                        else ((m.total, "drain"),)
+                # With obs on, pause at every window edge to sample
+                # gauges.  Back-to-back bounded runs tile the timeline
+                # exactly, so event order — and every reported number
+                # — matches the single run.
+                base = sim.now
+                edges = (
+                    ((m.warmup, "warmup"), (total, "measure"), (m.total, "drain"))
+                    if obs_on
+                    else ((m.total, "drain"),)
+                )
+                for offset, edge in edges:
+                    sim.run(
+                        until=base + offset,
+                        max_events=m.max_events,
+                        raise_on_limit=True,
                     )
-                    for offset, edge in edges:
-                        sim.run(
-                            until=base + offset,
-                            max_events=m.max_events,
-                            raise_on_limit=True,
-                        )
-                        obs.sample(driver, edge)
-                    lookahead = None
-                    windows = len(edges)
-                    payloads = [collect([ROOT_PID])]
-                else:
-                    # The event budget is enforced at window barriers
-                    # (window granularity) rather than per event.
-                    with sim.activate(ROOT_PID):
-                        lookahead = boundary_lookahead(
-                            network.latency, sim.pmap, network.node_ids()
-                        )
-                    engine = ShardParEngine(
-                        sim, network, lookahead, spec.kernel_workers
-                    )
-                    payloads = engine.run(
-                        m.total, max_events=m.max_events, collect=collect
-                    )
-                    windows = engine.windows_run
+                    obs.sample(driver, edge)
+            # Read before close (and before a durable run's rebuild
+            # audit, which hashes again).
+            counters = hashing.counters()
+            metrics = driver.metrics()
+            if obs_on:
+                if obs.PROBES is not None and hasattr(system, "executors_of"):
+                    # The cross-cluster ledger-agreement probe: a traced
+                    # run that broke agreement fails loudly here rather
+                    # than reporting plausible numbers.
+                    obs.PROBES.ledger_agreement(system)
+                observed = {
+                    "spans": obs.TRACER.span_count,
+                    "metrics": obs.REGISTRY.snapshot(),
+                }
+                if owned:
+                    # The tracer is torn down with the run, so its JSONL
+                    # rides in the report; a caller-owned tracer is
+                    # exported by the caller.
+                    observed["trace_jsonl"] = obs.TRACER.to_jsonl()
             wall = time.perf_counter() - wall_start
         finally:
             driver.close()
@@ -394,34 +321,34 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
 
-    root = payloads[0]
-    metrics = root["metrics"]
-    events = sum(p["events"] for p in payloads)
+    network = system.network
+    events = sim.events_processed
     perf: dict[str, Any] = {
         "wall_clock_s": round(wall, 6),
         "events": events,
         "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
+        **counters,
     }
-    for key, built in counters_built.items():
-        perf[key] = built + sum(p["counters"][key] for p in payloads)
     perf["kernel_workers"] = spec.kernel_workers
-    # Facts about the kernels themselves: invariant under worker count
-    # once partitioned, but not across the one-kernel form.
+    # Facts about the kernels themselves: not a result, and different
+    # between the one-kernel and the per-cluster form.
+    partitioned = spec.kernel_workers is not None
     perf["kernel"] = {
         "partitions": len(sim.kernels),
-        "lookahead_s": None if lookahead is None else round(lookahead, 9),
-        "windows": windows,
+        "lookahead_s": round(sim.lookahead, 9) if partitioned else None,
+        "windows": sim.windows_run if partitioned else len(edges),
     }
     perf["workers"] = [
         {
-            "events": p["events"],
-            "messages_sent": p["messages_sent"],
-            "messages_dropped": p["messages_dropped"],
-            **p["counters"],
+            "messages_sent": network.messages_sent,
+            "messages_dropped": network.messages_dropped,
         }
-        for p in payloads
     ]
-    trace = sorted(tuple(entry) for p in payloads for entry in p["fault_trace"])
+    scheduler = getattr(system, "fault_scheduler", None)
+    # Sorted: per-cluster kernels fire one window's faults kernel by
+    # kernel, not in virtual-time order.
+    trace = sorted(map(tuple, scheduler.trace)) if scheduler is not None else []
+    workload = getattr(submit, "workload", None)
     report: dict[str, Any] = {
         "scenario": spec.name,
         "system": spec.system,
@@ -433,7 +360,7 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         "fault_trace": [
             {"t": t, "kind": kind, "detail": detail} for t, kind, detail in trace
         ],
-        "generated": root["generated"],
+        "generated": dict(workload.generated) if workload is not None else {},
         "windows": {
             "warmup": _window_report(metrics, 0.0, m.warmup),
             "measure": _window_report(metrics, m.warmup, total),
@@ -441,39 +368,27 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         },
         "perf": perf,
     }
-    if root["population"] is not None:
-        report["population"] = root["population"]
-        perf["client_pool"] = root["population"]["wire_clients"]
+    population = getattr(submit, "population", None)
+    if population is not None:
+        report["population"] = population.stats()
+        perf["client_pool"] = report["population"]["wire_clients"]
     if m.window > 0:
         report["series"] = series_report(metrics, m)
     if durable:
         report["recovery"] = recovered
         perf["recovery"] = recovery_timings
-    if root["capture_jsonl"] is not None:
+    capture = getattr(submit, "capture", None)
+    if capture is not None:
         # Persist the run's captured trace to the spec's
         # ``capture_trace`` path (JSONL, one entry per submitted
         # transaction).
-        from pathlib import Path
-
         path = Path(spec.workload.capture_trace)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(root["capture_jsonl"] + "\n")
+        path.write_text(capture.to_jsonl() + "\n")
     if obs_on:
-        from repro.obs.metrics import MetricRegistry
-        from repro.obs.trace import TRACE_SCHEMA_VERSION, merge_jsonl
+        from repro.obs.trace import TRACE_SCHEMA_VERSION
 
-        shards = [p["obs"] for p in payloads]
-        report["obs"] = {
-            "schema": TRACE_SCHEMA_VERSION,
-            "spans": sum(shard["spans"] for shard in shards),
-            "metrics": MetricRegistry.merge_snapshots(
-                [shard["metrics"] for shard in shards]
-            ),
-        }
-        if ship_trace:
-            report["obs"]["trace_jsonl"] = merge_jsonl(
-                [shard["trace_jsonl"] for shard in shards]
-            )
+        report["obs"] = {"schema": TRACE_SCHEMA_VERSION, **observed}
     return report
 
 

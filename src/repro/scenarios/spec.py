@@ -345,12 +345,12 @@ class ScenarioSpec:
     #: byte-identical; on, the runner embeds an ``obs`` block in the
     #: report and the trace can be exported as JSONL.
     trace: bool = False
-    #: Shard-parallel simulation: run one event kernel per cluster,
-    #: spread over this many worker processes with conservative
-    #: lookahead at the network boundary (``None`` — the default —
-    #: runs one kernel).  Purely a scheduling choice: reports are
-    #: byte-identical (modulo ``perf``/``obs``) at every setting a
-    #: spec accepts (``scenarios.build.validate_partitioning``); see
+    #: ``None`` (the default) runs one event kernel.  Any N >= 1 runs
+    #: one kernel per cluster plus a root kernel, in this process,
+    #: advanced in conservative-lookahead windows; N itself is not
+    #: used.  Purely a scheduling choice: reports are byte-identical
+    #: (modulo ``perf``/``obs``) either way for every spec
+    #: ``scenarios.build.validate_partitioning`` accepts; see
     #: docs/performance.md.
     kernel_workers: int | None = None
 

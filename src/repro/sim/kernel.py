@@ -11,12 +11,12 @@ Two scheduling surfaces exist:
 - :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
   :class:`Event` handle for callers that may cancel (protocol timers,
   retransmission guards);
-- :meth:`Simulator.schedule_fire` / :meth:`Simulator.schedule_at_fire`
-  are the flyweight path for fire-and-forget work, which skips the
-  per-call Event allocation entirely; :meth:`Simulator.fire_at` and
-  :meth:`Simulator.fire_all` are the same push without argument
-  packing or validation, for the two hottest call sites (CPU-queue
-  completions and a multicast's deliveries).
+- :meth:`Simulator.schedule_fire` is the flyweight path for
+  fire-and-forget work, which skips the per-call Event allocation
+  entirely; :meth:`Simulator.fire_at` and :meth:`Simulator.fire_all`
+  are the same push without argument packing or validation, for the
+  hottest call sites (CPU-queue completions, a multicast's deliveries
+  and boundary envelopes).
 """
 
 from __future__ import annotations
@@ -57,23 +57,6 @@ class Event:
         """Mark the event so the kernel skips it when it fires."""
         if not self.cancelled:
             sim = self._sim
-            if sim is not None and sim.foreign:
-                # Shard-parallel runs mark every kernel a worker does
-                # NOT own as foreign.  Cancelling into one would mutate
-                # a stale copy of another worker's heap and live
-                # counter — the owning process would never see it, and
-                # the two accountings would silently diverge.  Raising
-                # makes cross-boundary cancellation impossible by
-                # construction; the event stays live (and cancellable
-                # by its owner).
-                from repro.errors import PartitionError
-
-                raise PartitionError(
-                    f"cannot cancel {self!r}: its kernel belongs to "
-                    "another shard-parallel worker (cross-boundary "
-                    "cancellation would desynchronize the owner's "
-                    "live-event accounting)"
-                )
             self.cancelled = True
             # Keep the owning simulator's cancelled count exact: a fired
             # (or already cancelled) event has no back-reference, so
@@ -101,12 +84,6 @@ class Simulator:
     >>> out
     ['b', 'a']
     """
-
-    #: Set by the shard-parallel engine on every kernel a worker does
-    #: not own.  A class attribute, so the default (sequential) path
-    #: pays nothing per instance; :meth:`Event.cancel` refuses to touch
-    #: a foreign kernel.
-    foreign = False
 
     #: A plain simulator is its own one-partition context — the shape
     #: :class:`~repro.sim.partition.PartitionedSimulator` has with many
@@ -179,17 +156,10 @@ class Simulator:
         self._seq = seq + 1
         heapq.heappush(self._queue, (self.now + delay, seq, fn, args))
 
-    def schedule_at_fire(
-        self, time: float, fn: Callable[..., Any], *args: Any
-    ) -> None:
-        """Fire-and-forget :meth:`schedule_at` (boundary envelopes)."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        self.fire_at(time, fn, args)
-
     def fire_at(self, time: float, fn: Callable[..., Any], args: tuple) -> None:
         """Queue ``fn(*args)`` at ``time``, which the caller guarantees
-        is not in the past (a send's arrival, a CPU-queue completion)."""
+        is not in the past (a send's arrival, a CPU-queue completion,
+        a boundary envelope)."""
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (time, seq, fn, args))
@@ -246,7 +216,7 @@ class Simulator:
         self._advance(until, True, max_events, raise_on_limit)
 
     def run_horizon(self, until: float, inclusive: bool = False) -> int:
-        """Fire events strictly before ``until`` — the shard-parallel
+        """Fire events strictly before ``until`` — the partitioned
         window primitive — then advance the clock to ``until``.
 
         Conservative-lookahead execution advances each partition's
@@ -260,8 +230,9 @@ class Simulator:
         With no event budget the clock always lands on ``until`` —
         windows must tile exactly or two kernels would disagree about
         which window an envelope belongs to.  Budgets are enforced
-        *between* windows by the engine (window granularity), not
-        here.  Returns the number of events fired.
+        *between* windows by
+        :meth:`~repro.sim.partition.PartitionedSimulator.run` (window
+        granularity), not here.  Returns the number of events fired.
         """
         if until < self.now:
             raise ValueError(

@@ -40,13 +40,13 @@ class LatencyModel:
 
     def min_delay(self, src: str, dst: str) -> float:
         """A hard lower bound on :meth:`delay` for this pair, in
-        seconds — the conservative lookahead the shard-parallel kernel
-        synchronizes on (no message from ``src`` can reach ``dst``
+        seconds — the conservative lookahead per-cluster kernels
+        synchronize on (no message from ``src`` can reach ``dst``
         sooner).  Models without a provable bound must override this
         or stay sequential."""
         raise NotImplementedError(
             f"{type(self).__name__} declares no minimum delay; "
-            "shard-parallel execution needs min_delay() for its "
+            "per-cluster kernels need min_delay() for their "
             "conservative lookahead — run with kernel_workers=None"
         )
 

@@ -12,8 +12,8 @@ mutates mid-run lives in a per-partition view; the simulator says which
 partition is executing (``sim.current_pid``) and which one owns a node
 (``sim.pid_of_node``).  A plain :class:`~repro.sim.kernel.Simulator` is
 one partition owning every node, so the sequential run is the
-one-partition case of the shard-parallel one — same streams, same
-views, same results at any ``kernel_workers``.
+one-partition case of the partitioned one — same streams, same views,
+same results with one kernel or one kernel per cluster.
 """
 
 from __future__ import annotations
@@ -33,12 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class _View:
     """One partition's view of the network's mutable tables.
 
-    Partitions of one window execute at different wall-clock moments
-    (and in different processes at different worker counts), so
-    anything a fault event mutates mid-run — pairwise blocks, the
-    latency model and the per-pair link cache resolved from it — is
-    per-partition: each kernel fires the fault event itself, against
-    its own view, at the same *virtual* time.
+    Partitions of one window execute one after another, each up to
+    the window edge, so anything a fault event mutates mid-run —
+    pairwise blocks, the latency model and the per-pair link cache
+    resolved from it — is per-partition: each kernel fires the fault
+    event itself, against its own view, at the same *virtual* time.
     """
 
     __slots__ = ("latency", "links", "blocked")
@@ -79,7 +78,7 @@ class Network:
         # swaps (the link cache does not).
         self._pair_rngs: dict[tuple[str, str], random.Random] = {}
         # Cross-partition messages in flight: envelopes queued for the
-        # shard-parallel engine's barrier exchange, numbered per sender
+        # partitioned simulator's barrier exchange, numbered per sender
         # partition.  Always empty with one partition.
         self._outbox: list[Envelope] = []
         self._env_seqs = [0] * len(self._views)
@@ -90,6 +89,9 @@ class Network:
         from repro import obs
 
         self._obs_registry = obs.REGISTRY
+        # A partitioned simulator exchanges this network's envelopes at
+        # its window barriers.
+        sim.network = self
 
     def _view(self) -> _View:
         pid = self.sim.current_pid

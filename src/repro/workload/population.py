@@ -18,8 +18,8 @@ that setup as the byte-identical degenerate case:
   peak rate.  With no profile (or a constant one) it runs the exact
   legacy loop — same rng stream, same event shape — so every historical
   seed keeps producing bit-identical runs.  Determinism holds at any
-  ``--jobs`` and ``kernel_workers`` count: the engine runs on one
-  kernel (the root, in shard-parallel mode) with its own rng.
+  ``--jobs`` count and with per-cluster kernels: the engine runs on
+  one kernel (the root, when partitioned) with its own rng.
 """
 
 from __future__ import annotations

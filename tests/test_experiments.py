@@ -37,7 +37,7 @@ SMOKE_CELLS = {
     "ablation_batching": 4, "ablation_gamma": 0, "ablation_checkpoint": 4,
     "ablation_fig4": 4, "baseline_landscape": 12,
     "batching": 12, "scenarios": 16, "recovery": 2, "population": 12,
-    "shardpar": 0, "obs": 1, "analytics": 0,
+    "obs": 1, "analytics": 0,
 }
 
 
@@ -483,12 +483,6 @@ def test_run_experiment_rejects_bad_configuration_before_running(monkeypatch):
         run_experiment(row, "warp")
     with pytest.raises(ConfigurationError, match="no such cells"):
         run_experiment(row, "smoke", cells={"Flt-B"})
-    with pytest.raises(
-        ConfigurationError,
-        match=r"demo: cell 'Fabric' \(spec 'demo-Fabric'\) cannot run under "
-        "--kernel-workers: .*Qanaat deployments only",
-    ):
-        run_experiment(row, "smoke", kernel_workers=2)
 
 
 def test_rows_without_cells_run_through_the_same_function(tmp_path):
@@ -504,15 +498,6 @@ def test_rows_without_cells_run_through_the_same_function(tmp_path):
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_kernel_workers_reach_every_cell_and_keep_the_artifact(tmp_path):
-    row = _demo_row()
-    plain = run_experiment(row, "smoke", seed=2)
-    windowed = run_experiment(row, "smoke", seed=2, kernel_workers=1)
-    assert comparable_json(plain) == comparable_json(windowed)
-    for report in windowed["results"].values():
-        assert report["perf"]["kernel_workers"] == 1
-
-
 def test_scenarios_row_meets_its_pins_after_another_row():
     # Every run_scenario is one run scope, so the pins hold whatever ran
     # earlier in the process; a missed pin raises ChecksFailed.
@@ -520,19 +505,17 @@ def test_scenarios_row_meets_its_pins_after_another_row():
     run_experiment(EXPERIMENTS["scenarios"], "smoke")
 
 
-@pytest.mark.parametrize("name", ["batching", "shardpar"])
+@pytest.mark.parametrize("name", ["batching"])
 def test_merge_reruns_leave_no_interned_digest_for_the_next_row(name):
     # A run made after a merge's reruns hashes exactly what it hashes
     # alone (a warm client result-digest table would make it hash one
     # digest fewer and miss its pin).
-    # Every batching cell is one tiny spec (the probe rerun is real);
-    # shardpar plans no cells and builds its own.
+    # Every batching cell is one tiny spec (the probe rerun is real).
     keys = list(EXPERIMENTS[name].plan("smoke", 1))
     spec = _demo_row().plan("smoke", 1)["Flt-C"]
     report = run_task(PointTask("tiny", spec))
     specs, reports = dict.fromkeys(keys, spec), dict.fromkeys(keys, report)
-    # kernel_workers=1 narrows shardpar to one partitioned rerun.
-    EXPERIMENTS[name].merge(Run("smoke", 1, None, 1, None, specs, reports))
+    EXPERIMENTS[name].merge(Run("smoke", 1, None, None, specs, reports))
     again = run_task(PointTask("tiny", spec))
     for counter in ("digest_calls", "encode_bytes", "verify_calls", "sign_calls"):
         assert again["perf"][counter] == report["perf"][counter], counter

@@ -89,6 +89,17 @@ def test_cli_rejects_negative_jobs(capsys):
     assert "--jobs must be >= 0" in capsys.readouterr().err
 
 
+def test_cli_has_no_kernel_workers_flag(capsys):
+    # Per-cluster kernels are a spec setting (ScenarioSpec.kernel_workers),
+    # not a way to run an experiment.
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--experiment", "fig11", "--kernel-workers", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --kernel-workers 1" in capsys.readouterr().err
+
+
 def test_cli_list_enumerates_experiments_with_descriptions(capsys):
     from repro.bench.__main__ import main
     from repro.bench.experiments import EXPERIMENTS
@@ -117,11 +128,6 @@ def test_cli_configuration_error_is_one_line_and_exit_2(capsys):
     for argv, needle in (
         (["--experiment", "ablation_gamma", "--scale", "warp"],
          "unknown scale 'warp'"),
-        # Fabric builds its own single-kernel system: the grid cannot
-        # run on per-cluster kernels, and says which cell and why.
-        (["--experiment", "table3", "--scale", "smoke",
-          "--kernel-workers", "2"],
-         "table3: cell ('no fail', 'Fabric', 0) (spec 'Fabric')"),
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

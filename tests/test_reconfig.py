@@ -110,6 +110,29 @@ def test_swap_member_keeps_cluster_committing():
     assert len(client.completed) == 12
 
 
+@pytest.mark.parametrize("failure_model", ["crash", "byzantine"])
+def test_swapped_in_member_vote_completes_a_quorum(failure_model):
+    deployment = make_deployment(
+        failure_model=failure_model, checkpoint_interval=8
+    )
+    reconfig = Reconfigurator(deployment)
+    client = deployment.create_client("A")
+    run_load(deployment, client, 4, "pre")
+    new_id = reconfig.swap_member("A1", deployment.directory.get("A1").members[-1])
+    # Crash a survivor that is not the primary: the survivors left are
+    # one vote short of a quorum, so every commit from here on counts
+    # the replacement's vote.
+    primary = deployment.primary_of("A1")
+    survivor = next(
+        member
+        for member in deployment.directory.get("A1").members
+        if member not in (primary, new_id)
+    )
+    deployment.crash_node(survivor)
+    run_load(deployment, client, 8, "post")
+    assert len(client.completed) == 12
+
+
 def test_swapped_in_member_catches_up_via_state_transfer():
     deployment = make_deployment(checkpoint_interval=8)
     reconfig = Reconfigurator(deployment)

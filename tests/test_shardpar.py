@@ -1,10 +1,10 @@
-"""Shard-parallel simulation: the conservative-lookahead engine, the
+"""Per-cluster kernels: the conservative-lookahead window loop, the
 partitioned network, fault routing, and the byte-identity guarantee
-across every ``kernel_workers`` setting (``None`` included)."""
+between one kernel (``kernel_workers=None``) and one kernel per
+cluster."""
 
 import dataclasses
 import json
-import os
 
 import pytest
 
@@ -34,12 +34,11 @@ from repro.sim.partition import (
     PartitionedSimulator,
     boundary_lookahead,
 )
-from repro.sim.shardpar import ShardParEngine
 
 
 def small_spec(**overrides):
-    """A sub-smoke shard-parallel scenario that runs in well under a
-    second per worker count."""
+    """A sub-smoke per-cluster scenario that runs in well under a
+    second per setting."""
     params = dict(
         shards=2,
         seed=5,
@@ -159,32 +158,13 @@ def test_run_horizon_skips_cancelled_events_exactly():
 
 
 # ----------------------------------------------------------------------
-# foreign-kernel cancellation (satellite: cancel/live-counter safety)
-# ----------------------------------------------------------------------
-def test_cancel_on_foreign_kernel_raises_partition_error():
-    sim = Simulator()
-    event = sim.schedule_at(1.0, lambda: None)
-    sim.foreign = True
-    with pytest.raises(PartitionError, match="another shard-parallel worker"):
-        event.cancel()
-    # The event is untouched: not cancelled, still counted live.
-    assert event.cancelled is False
-    assert sim.pending() == 1
-    # Back on the owning worker the cancel works and the live counter
-    # stays exact.
-    sim.foreign = False
-    event.cancel()
-    assert sim.pending() == 0
-
-
-# ----------------------------------------------------------------------
 # PartitionedSimulator facade
 # ----------------------------------------------------------------------
 def test_facade_requires_partition_context():
     facade = PartitionedSimulator(PartitionMap(["A1"]))
     with pytest.raises(PartitionError, match="outside any partition"):
         facade.schedule(0.1, lambda: None)
-    with pytest.raises(PartitionError, match="ShardParEngine"):
+    with pytest.raises(PartitionError, match="needs an end time"):
         facade.run()
 
 
@@ -210,7 +190,7 @@ def test_partition_map_prefix_assignment():
 
 
 # ----------------------------------------------------------------------
-# engine: window edges and deterministic envelope merge
+# the window loop: edges, deterministic envelope merge, pausing
 # ----------------------------------------------------------------------
 class _FakeNet:
     """The minimal surface _inject touches."""
@@ -222,8 +202,8 @@ class _FakeNet:
 
 def test_edges_tile_the_horizon():
     facade = PartitionedSimulator(PartitionMap(["A1"]))
-    engine = ShardParEngine(facade, object(), lookahead=0.3, workers=1)
-    edges = engine._edges(1.0)
+    facade.lookahead = 0.3
+    edges = facade._edges(1.0)
     assert edges[-1] == 1.0
     previous = 0.0
     for edge in edges:
@@ -233,46 +213,91 @@ def test_edges_tile_the_horizon():
 
 
 def test_inject_merges_same_time_envelopes_by_src_pid_then_seq():
-    pmap = PartitionMap(["A1"])
-    facade = PartitionedSimulator(pmap)
+    facade = PartitionedSimulator(PartitionMap(["A1"]))
     received = []
-    net = _FakeNet(
+    facade.network = _FakeNet(
         deliver={"A1.o0": lambda msg, src: received.append(msg)},
         partition_of={"A1.o0": 1},
     )
-    engine = ShardParEngine(facade, net, lookahead=1.0, workers=1)
-    # Hand the envelopes over in scrambled (wall-clock-accident) order;
-    # all three land at the same virtual time.
-    engine._inject(
+    # Hand the envelopes over in scrambled order; all three land at the
+    # same virtual time.
+    facade._inject(
         [
             Envelope(5.0, 2, 0, "B1.o0", "A1.o0", "from-pid2-seq0"),
             Envelope(5.0, 1, 1, "root", "A1.o0", "from-pid1-seq1"),
             Envelope(5.0, 1, 0, "root", "A1.o0", "from-pid1-seq0"),
-        ]
+        ],
+        edge=5.0,
     )
     facade.kernels[1].run_horizon(5.0, inclusive=True)
     assert received == ["from-pid1-seq0", "from-pid1-seq1", "from-pid2-seq0"]
+    # An envelope due before the barrier it crossed means the lookahead
+    # was not a lower bound: refused, never fired in the past.
+    with pytest.raises(PartitionError, match="crossed the barrier"):
+        facade._inject([Envelope(5.5, 1, 2, "root", "A1.o0", "late")], edge=6.0)
 
 
-def test_engine_clamps_workers_to_partition_count():
-    facade = PartitionedSimulator(PartitionMap(["A1", "B1"]))
-    engine = ShardParEngine(facade, object(), lookahead=0.001, workers=64)
-    assert engine.workers == 3
-    with pytest.raises(ConfigurationError):
-        ShardParEngine(facade, object(), lookahead=0.0, workers=2)
-    with pytest.raises(ConfigurationError):
-        ShardParEngine(facade, object(), lookahead=0.001, workers=0)
+class _Relay(SimNode):
+    """Logs every delivery and forwards it to a peer picked from the
+    hop count, until the hops run out."""
+
+    def __init__(self, node_id, sim, network, ring, log):
+        super().__init__(node_id, sim, network)
+        self.ring = ring
+        self.log = log
+
+    def on_message(self, msg, src):
+        chain, hops = msg
+        self.log.append((self.sim.now, self.node_id, chain, hops, src))
+        if hops:
+            ring = self.ring
+            nxt = ring[(ring.index(self.node_id) + 1 + hops) % len(ring)]
+            self.network.send(self.node_id, nxt, (chain, hops - 1))
+
+
+def _relay_run(sim, untils):
+    """Three relay chains over four clusters and a client; returns the
+    delivery log in virtual-time order (kernels of one window log one
+    after another) and the event count after ``sim.run(until=u)`` for
+    each ``u`` in turn."""
+    net = Network(sim, latency=UniformLatency(base_ms=1.0, jitter_ms=0.7), seed=3)
+    log = []
+    ring = ["A1.o0", "A1.o1", "A2.o0", "B1.o0", "B2.o0", "client-A-0"]
+    for node in ring:
+        _Relay(node, sim, net, ring, log)
+    for chain, node in enumerate(ring[:3]):
+        if isinstance(sim, PartitionedSimulator):
+            with sim.activate(sim.pid_of_node(node)):
+                net.send(node, ring[-1 - chain], (chain, 40))
+        else:
+            net.send(node, ring[-1 - chain], (chain, 40))
+    for until in untils:
+        sim.run(until=until)
+    return sorted(log), sim.events_processed
+
+
+def test_facade_runs_tile_like_one_run():
+    # Pausing (as a traced run does at every measurement-window edge)
+    # fires the same events at the same times as one run to the end,
+    # and both match one kernel.
+    def facade():
+        return PartitionedSimulator(PartitionMap(["A1", "A2", "B1", "B2"]))
+
+    whole = _relay_run(facade(), [0.05])
+    paused = _relay_run(facade(), [0.0123, 0.03, 0.05])
+    single = _relay_run(Simulator(), [0.05])
+    assert whole[1] > 60
+    assert paused == whole == single
 
 
 # ----------------------------------------------------------------------
 # end-to-end byte-identity across worker settings (the tentpole claim)
 # ----------------------------------------------------------------------
 def test_reports_identical_at_any_worker_count():
+    # Every N >= 1 runs the same per-cluster kernels in this process.
     spec = small_spec()
-    reports = [
-        run_scenario(spec.with_kernel_workers(w)) for w in (None, 1, 2, 4)
-    ]
-    assert len({stripped(report) for report in reports}) == 1
+    reports = [run_scenario(spec.with_kernel_workers(w)) for w in (None, 1)]
+    assert stripped(reports[0]) == stripped(reports[1])
     measure = reports[0]["windows"]["measure"]
     assert measure["completed"] > 0
     # Kernel facts and the worker count are perf metadata, never a
@@ -281,13 +306,9 @@ def test_reports_identical_at_any_worker_count():
     assert reports[0]["perf"]["kernel"]["partitions"] == 1
     assert reports[1]["perf"]["kernel"]["partitions"] == 5
     assert reports[1]["perf"]["kernel"]["lookahead_s"] > 0
-    assert reports[1]["perf"]["kernel"] == reports[3]["perf"]["kernel"]
-    assert reports[3]["perf"]["kernel_workers"] == 4
-    assert [len(r["perf"]["workers"]) for r in reports] == [1, 1, 2, 4]
-    for report in reports:
-        assert report["perf"]["events"] == sum(
-            w["events"] for w in report["perf"]["workers"]
-        )
+    assert reports[1]["perf"]["kernel_workers"] == 1
+    assert reports[0]["perf"]["events"] == reports[1]["perf"]["events"]
+    assert reports[0]["perf"]["workers"] == reports[1]["perf"]["workers"]
 
 
 def _smoke_registry():
@@ -346,12 +367,17 @@ def _firewall_partition_heal():
 )
 def test_one_spec_one_answer(spec):
     """The guarantee: a spec the validation function accepts yields the
-    same artifact bytes on one kernel, on windowed per-cluster kernels
-    in-process, and on forked workers — over every smoke scenario, not
-    a sample."""
+    same artifact bytes on one kernel and on per-cluster kernels, traced
+    (pausing at every measurement-window edge) or not — over every
+    smoke scenario, not a sample."""
     from repro.bench.report import canonical_json
 
-    reports = [run_scenario(spec.with_kernel_workers(w)) for w in (None, 1, 2)]
+    partitioned = spec.with_kernel_workers(1)
+    reports = [
+        run_scenario(spec.with_kernel_workers(None)),
+        run_scenario(partitioned),
+        run_scenario(dataclasses.replace(partitioned, trace=True)),
+    ]
     assert reports[0]["windows"]["measure"]["completed"] > 0
     assert len({canonical_json(strip_perf(report)) for report in reports}) == 1
 
@@ -390,11 +416,17 @@ def test_delivery_exactly_on_window_edge():
     # Zero jitter makes every delay exactly the base = the lookahead,
     # so every cross-partition delivery lands exactly on a window edge
     # — the boundary case the inclusive final window and the >= edge
-    # injection rule must agree on.
+    # injection rule must agree on, also when a traced run pauses at
+    # the measurement-window edges.  (Against one kernel this spec is
+    # not byte-equal: an exact virtual-time tie between a boundary
+    # delivery and a local event is ordered by injection, not by send.)
     spec = dataclasses.replace(
         small_spec(), latency=UniformLatency(base_ms=0.25, jitter_ms=0.0)
     )
-    reports = [run_scenario(spec.with_kernel_workers(w)) for w in (1, 2)]
+    reports = [
+        run_scenario(spec.with_kernel_workers(1)),
+        run_scenario(dataclasses.replace(spec, kernel_workers=1, trace=True)),
+    ]
     assert stripped(reports[0]) == stripped(reports[1])
     assert reports[0]["windows"]["measure"]["completed"] > 0
 
@@ -411,10 +443,8 @@ def test_fault_timeline_identical_across_workers():
         FaultEvent(at=0.10, kind="recover", target="node:A1.o1"),
     )
     spec = dataclasses.replace(small_spec(), faults=faults)
-    reports = [
-        run_scenario(spec.with_kernel_workers(w)) for w in (None, 1, 2, 3)
-    ]
-    assert len({stripped(report) for report in reports}) == 1
+    reports = [run_scenario(spec.with_kernel_workers(w)) for w in (None, 1)]
+    assert stripped(reports[0]) == stripped(reports[1])
     kinds = [entry["kind"] for entry in reports[0]["fault_trace"]]
     assert kinds == [
         "crash", "wan_jitter", "partition", "wan_jitter_end", "heal",
@@ -422,17 +452,27 @@ def test_fault_timeline_identical_across_workers():
     ]
 
 
-def test_obs_trace_merges_deterministically():
-    spec = dataclasses.replace(small_spec(), trace=True)
-    reports = [run_scenario(spec.with_kernel_workers(w)) for w in (1, 2)]
-    # obs is perf-adjacent metadata (span counts shift with the process
-    # split), but the merged metric counters are deterministic.
-    assert (
-        reports[0]["obs"]["metrics"]["counters"]
-        == reports[1]["obs"]["metrics"]["counters"]
+def test_traced_partitioned_run_matches_untraced_and_one_kernel():
+    spec = small_spec()
+    traced = dataclasses.replace(spec, trace=True)
+    one_kernel, untraced, windowed, traced_one = (
+        run_scenario(spec),
+        run_scenario(spec.with_kernel_workers(1)),
+        run_scenario(traced.with_kernel_workers(1)),
+        run_scenario(traced),
     )
-    header = reports[1]["obs"]["trace_jsonl"].splitlines()[0]
-    assert json.loads(header)["schema"] == reports[1]["obs"]["schema"]
+    assert stripped(windowed) == stripped(untraced) == stripped(one_kernel)
+    # The traced run paused at the three measurement-window edges and
+    # sampled gauges at each; its metric counters match one kernel's.
+    gauges = windowed["obs"]["metrics"]["gauges"]
+    for edge in ("warmup", "measure", "drain"):
+        assert f"sim_pending_events{{edge={edge}}}" in gauges
+    assert (
+        windowed["obs"]["metrics"]["counters"]
+        == traced_one["obs"]["metrics"]["counters"]
+    )
+    header = windowed["obs"]["trace_jsonl"].splitlines()[0]
+    assert json.loads(header)["schema"] == windowed["obs"]["schema"]
 
 
 def test_event_budget_enforced_at_barriers():
@@ -441,50 +481,8 @@ def test_event_budget_enforced_at_barriers():
         spec,
         measurement=dataclasses.replace(spec.measurement, max_events=50),
     )
-    for workers in (1, 2):
-        with pytest.raises(SimulationLimitError, match="window barriers"):
-            run_scenario(spec.with_kernel_workers(workers))
-
-
-# ----------------------------------------------------------------------
-# a worker that dies (not raises) mid-run
-# ----------------------------------------------------------------------
-def test_killed_worker_raises_one_partition_error_and_reaps_siblings():
-    facade = PartitionedSimulator(PartitionMap(["A1", "B1"]))
-    net = Network(facade, latency=UniformLatency(base_ms=1.0, jitter_ms=0.0))
-    parent = os.getpid()
-
-    def die_in_child():
-        if os.getpid() != parent:
-            os._exit(9)
-
-    # Partition 1 belongs to worker 1 of 3 (pid % workers).
-    facade.kernels[1].schedule_at(0.0045, die_in_child)
-    engine = ShardParEngine(facade, net, lookahead=0.001, workers=3)
-    with pytest.raises(PartitionError) as caught:
-        engine.run(0.01)
-    message = str(caught.value)
-    assert "worker 1 (partitions [1])" in message
-    assert "window ending at 0.005" in message
-    assert "died without reporting" in message
-    # Every child — the dead one and its healthy sibling — was waited.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_raising_worker_reports_through_the_same_error():
-    facade = PartitionedSimulator(PartitionMap(["A1"]))
-    net = Network(facade, latency=UniformLatency(base_ms=1.0, jitter_ms=0.0))
-
-    def boom():
-        raise ValueError("boom at 0.002")
-
-    facade.kernels[1].schedule_at(0.002, boom)
-    engine = ShardParEngine(facade, net, lookahead=0.001, workers=2)
-    with pytest.raises(PartitionError, match="(?s)worker 1 .*boom at 0.002"):
-        engine.run(0.01)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    with pytest.raises(SimulationLimitError, match="window barriers"):
+        run_scenario(spec.with_kernel_workers(1))
 
 
 # ----------------------------------------------------------------------
