@@ -27,50 +27,34 @@ scenario specs, fault timelines, the named-scenario registry),
 :mod:`repro.apps` (supply chain, healthcare, crowdworking).
 """
 
-from repro.api import (
-    Network,
-    Session,
-    SystemDriver,
-    TxHandle,
-    TxResult,
-    TxStatus,
-    wait_all,
-)
-from repro.core.assets import AssetWallet, ConfidentialAssetContract
-from repro.core.config import DeploymentConfig
-from repro.core.deployment import Deployment
-from repro.core.reconfig import Reconfigurator
-from repro.datamodel.collections import CollectionRegistry, DataCollection
-from repro.datamodel.transaction import Operation, Transaction
-from repro.datamodel.txid import LocalPart, TxId
-from repro.datamodel.workflow import CollaborationWorkflow
-from repro.ledger.dag import DagLedger
-from repro.ledger.validation import audit_ledger, shared_chains_consistent
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AssetWallet",
-    "ConfidentialAssetContract",
-    "Deployment",
-    "DeploymentConfig",
-    "Network",
-    "Session",
-    "SystemDriver",
-    "TxHandle",
-    "TxResult",
-    "TxStatus",
-    "wait_all",
-    "CollaborationWorkflow",
-    "CollectionRegistry",
-    "DataCollection",
-    "Operation",
-    "Reconfigurator",
-    "Transaction",
-    "TxId",
-    "LocalPart",
-    "DagLedger",
-    "audit_ledger",
-    "shared_chains_consistent",
-    "__version__",
-]
+# Every public name is imported on first use (PEP 562), so
+# ``import repro`` loads no protocol module a run does not deploy.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "api": (
+            "Network",
+            "Session",
+            "SystemDriver",
+            "TxHandle",
+            "TxResult",
+            "TxStatus",
+            "wait_all",
+        ),
+        "core.assets": ("AssetWallet", "ConfidentialAssetContract"),
+        "core.config": ("DeploymentConfig",),
+        "core.deployment": ("Deployment",),
+        "core.reconfig": ("Reconfigurator",),
+        "datamodel.collections": ("CollectionRegistry", "DataCollection"),
+        "datamodel.transaction": ("Operation", "Transaction"),
+        "datamodel.txid": ("LocalPart", "TxId"),
+        "datamodel.workflow": ("CollaborationWorkflow",),
+        "ledger.dag": ("DagLedger",),
+        "ledger.validation": ("audit_ledger", "shared_chains_consistent"),
+    },
+)
+__all__.append("__version__")

@@ -25,16 +25,13 @@ out of the package namespace on purpose — importing the query side
 must stay cheap.
 """
 
-from repro.analytics.engine import AnalyticsEngine, HistoryEntry
-from repro.analytics.ingest import AnalyticsIngest, IngestStats
-from repro.analytics.schema import SCHEMA_VERSION, initialize, open_analytics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AnalyticsEngine",
-    "AnalyticsIngest",
-    "HistoryEntry",
-    "IngestStats",
-    "SCHEMA_VERSION",
-    "initialize",
-    "open_analytics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "engine": ("AnalyticsEngine", "HistoryEntry"),
+        "ingest": ("AnalyticsIngest", "IngestStats"),
+        "schema": ("SCHEMA_VERSION", "initialize", "open_analytics"),
+    },
+)

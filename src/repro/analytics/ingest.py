@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import StorageError
-from repro.ledger.archive import ARCHIVE_NAMESPACE_PREFIX
 from repro.storage.base import (
+    ARCHIVE_NAMESPACE_PREFIX,
     KIND_HEAD,
     KIND_SEGMENT,
     KIND_WRITE,

@@ -21,17 +21,14 @@ See ``docs/api.md`` for the full tour and the migration table from the
 raw ``Client``/``Deployment`` plumbing.
 """
 
-from repro.api.driver import SystemDriver
-from repro.api.futures import TxHandle, TxResult, TxStatus, wait_all
-from repro.api.network import Network
-from repro.api.session import Session
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Network",
-    "Session",
-    "SystemDriver",
-    "TxHandle",
-    "TxResult",
-    "TxStatus",
-    "wait_all",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "driver": ("SystemDriver",),
+        "futures": ("TxHandle", "TxResult", "TxStatus", "wait_all"),
+        "network": ("Network",),
+        "session": ("Session",),
+    },
+)

@@ -6,19 +6,13 @@ supply chain management (:mod:`repro.apps.supplychain`), healthcare
 (:mod:`repro.apps.crowdwork`).
 """
 
-from repro.apps.crowdwork import (
-    WORK_CAP,
-    CrowdworkContract,
-    build_crowdwork_network,
-)
-from repro.apps.healthcare import HealthcareContract, build_healthcare_network
-from repro.apps.supplychain import SupplyChainContract
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CrowdworkContract",
-    "HealthcareContract",
-    "SupplyChainContract",
-    "WORK_CAP",
-    "build_crowdwork_network",
-    "build_healthcare_network",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "crowdwork": ("CrowdworkContract", "WORK_CAP", "build_crowdwork_network"),
+        "healthcare": ("HealthcareContract", "build_healthcare_network"),
+        "supplychain": ("SupplyChainContract",),
+    },
+)

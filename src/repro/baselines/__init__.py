@@ -12,25 +12,17 @@
   :mod:`repro.baselines.sharded`.
 """
 
-from repro.baselines.caper import CaperClient, CaperDeployment
-from repro.baselines.fabric import (
-    FabricCosts,
-    FabricDeployment,
-    FabricVariant,
-)
-from repro.baselines.sharded import (
-    AHLDeployment,
-    SharPerDeployment,
-    ShardedSingleEnterprise,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AHLDeployment",
-    "CaperClient",
-    "CaperDeployment",
-    "FabricCosts",
-    "FabricDeployment",
-    "FabricVariant",
-    "SharPerDeployment",
-    "ShardedSingleEnterprise",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "caper": ("CaperClient", "CaperDeployment"),
+        "fabric": ("FabricCosts", "FabricDeployment", "FabricVariant"),
+        "sharded": (
+            "AHLDeployment",
+            "SharPerDeployment",
+            "ShardedSingleEnterprise",
+        ),
+    },
+)

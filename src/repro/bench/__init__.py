@@ -10,22 +10,18 @@ job regenerates each smoke artifact and compares it with the one
 committed under ``artifacts/``.
 """
 
-from repro.bench.parallel import CellError, PointTask, execute_tasks
-from repro.bench.runner import (
-    PointResult,
-    QANAAT_PROTOCOLS,
-    point_spec,
-    run_point,
-    sweep_merge,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellError",
-    "PointResult",
-    "PointTask",
-    "QANAAT_PROTOCOLS",
-    "execute_tasks",
-    "point_spec",
-    "run_point",
-    "sweep_merge",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "parallel": ("CellError", "PointTask", "execute_tasks"),
+        "runner": (
+            "PointResult",
+            "QANAAT_PROTOCOLS",
+            "point_spec",
+            "run_point",
+            "sweep_merge",
+        ),
+    },
+)

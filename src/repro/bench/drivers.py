@@ -12,15 +12,14 @@ The Qanaat family builds through :func:`repro.scenarios.build` and so
 supports fault timelines and workload traces; the baseline families
 reject specs carrying timeline events (their deployments lack the
 primitives the scheduler replays through) or a ``capture_trace`` /
-``replay_trace`` path.
+``replay_trace`` path.  Each baseline's module is imported by its
+driver's ``build``, so a Qanaat run loads none of them.
 """
 
 from __future__ import annotations
 
-from repro.api.driver import SystemDriver
-from repro.baselines.caper import CaperDeployment
-from repro.baselines.fabric import FabricDeployment, FabricVariant
-from repro.baselines.sharded import AHLDeployment, SharPerDeployment
+from typing import TYPE_CHECKING
+
 from repro.core.deployment import Metrics
 from repro.datamodel.transaction import Transaction
 from repro.errors import WorkloadError
@@ -36,6 +35,9 @@ from repro.scenarios.build import (
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.costs import CalibratedCost
 from repro.workload.generator import SmallBankWorkload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.api.driver import SystemDriver
 
 
 def _require_baseline_runnable(spec: ScenarioSpec) -> None:
@@ -118,19 +120,22 @@ class FabricDriver(_DriverBase):
     no storage backends behind the model (nothing to close).
     """
 
+    #: System label -> :class:`~repro.baselines.fabric.FabricVariant` value.
     VARIANTS = {
-        "Fabric": FabricVariant.FABRIC,
-        "Fabric++": FabricVariant.FABRIC_PP,
-        "FastFabric": FabricVariant.FAST_FABRIC,
+        "Fabric": "fabric",
+        "Fabric++": "fabric++",
+        "FastFabric": "fastfabric",
     }
 
     @classmethod
     def build(cls, spec: ScenarioSpec) -> "FabricDriver":
+        from repro.baselines.fabric import FabricDeployment, FabricVariant
+
         _require_baseline_runnable(spec)
         enterprises = spec.topology.enterprises
         deployment = FabricDeployment(
             enterprises=enterprises,
-            variant=cls.VARIANTS[spec.system],
+            variant=FabricVariant(cls.VARIANTS[spec.system]),
             latency=resolve_latency(spec),
             batch_size=spec.topology.batch_size,
             seed=spec.seed,
@@ -169,6 +174,8 @@ class CaperDriver(_DriverBase):
 
     @classmethod
     def build(cls, spec: ScenarioSpec) -> "CaperDriver":
+        from repro.baselines.caper import CaperDeployment
+
         _require_baseline_runnable(spec)
         mix = spec.workload.mix
         if mix.cross > 0 and mix.cross_type != "isce":
@@ -213,17 +220,22 @@ class ShardedDriver(_DriverBase):
     """SharPer / AHL: one enterprise, N shards — internal and
     csie-shaped workloads only (§5)."""
 
-    SYSTEMS = {"SharPer": SharPerDeployment, "AHL": AHLDeployment}
+    SYSTEMS = ("SharPer", "AHL")
 
     @classmethod
     def build(cls, spec: ScenarioSpec) -> "ShardedDriver":
+        from repro.baselines.sharded import AHLDeployment, SharPerDeployment
+
         _require_baseline_runnable(spec)
         mix = spec.workload.mix
         if mix.cross > 0 and mix.cross_type != "csie":
             raise WorkloadError(
                 f"{spec.system} cannot run cross-enterprise workloads"
             )
-        system = cls.SYSTEMS[spec.system](
+        deployment_class = (
+            SharPerDeployment if spec.system == "SharPer" else AHLDeployment
+        )
+        system = deployment_class(
             num_shards=spec.topology.shards,
             failure_model="byzantine",
             contract="smallbank",

@@ -11,27 +11,37 @@ matching Table 1:
   communication and no coordinator.
 """
 
-from repro.consensus.base import (
-    ConsensusHost,
-    InternalConsensus,
-    local_majority,
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.consensus.base import ConsensusHost, InternalConsensus
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("ConsensusHost", "InternalConsensus", "local_majority"),
+        "paxos": ("MultiPaxos",),
+        "pbft": ("PBFT",),
+    },
 )
-from repro.consensus.paxos import MultiPaxos
-from repro.consensus.pbft import PBFT
-
-__all__ = [
-    "ConsensusHost",
-    "InternalConsensus",
-    "MultiPaxos",
-    "PBFT",
-    "local_majority",
-]
+__all__.append("make_internal_consensus")
 
 
-def make_internal_consensus(protocol: str, host: "ConsensusHost", **kwargs):
-    """Factory for the pluggable internal protocol (§4.1)."""
+def make_internal_consensus(
+    protocol: str, host: ConsensusHost, **kwargs
+) -> InternalConsensus:
+    """Factory for the pluggable internal protocol (§4.1); imports only
+    the protocol the cluster runs."""
     if protocol == "paxos":
+        from repro.consensus.paxos import MultiPaxos
+
         return MultiPaxos(host, **kwargs)
     if protocol == "pbft":
+        from repro.consensus.pbft import PBFT
+
         return PBFT(host, **kwargs)
     raise ValueError(f"unknown internal consensus protocol {protocol!r}")

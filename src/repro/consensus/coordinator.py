@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.consensus.cross_base import CrossEngine, CrossState
+from repro.consensus.cross_base import CrossEngine, CrossState, cross_slot
 from repro.consensus.messages import (
     CommitQuery,
     CrossBlock,
@@ -33,22 +33,6 @@ from repro.consensus.messages import (
 )
 from repro.errors import ConsistencyViolation
 from repro.sim.node import Route
-
-
-def cross_slot(stage: str, block: CrossBlock, first_seq: int) -> tuple:
-    """The internal-consensus slot in which a cluster decides ``block``:
-    ``stage`` is ``"xo"`` (its order) or ``"xc"`` (its commit) and
-    ``first_seq`` the first sequence number of the IDs the deciding
-    cluster assigned, on its own shard."""
-    return (stage, block.label, block.shards, first_seq)
-
-
-def cross_slot_span(slot: tuple, value: CrossOrderValue) -> tuple[str, int, int]:
-    """``(label, first, last)``: the sequence numbers, on the deciding
-    cluster's own shard, of the IDs that the :func:`cross_slot`
-    ``slot`` deciding ``value`` covers."""
-    _, label, _, first = slot
-    return label, first, first + len(value.block.txs) - 1
 
 
 class CoordinatorEngine(CrossEngine):

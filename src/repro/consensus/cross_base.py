@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
-from repro.consensus.messages import CommitQuery, CrossBlock
+from repro.consensus.messages import CommitQuery, CrossBlock, CrossOrderValue
 from repro.core.config import ClusterInfo
 from repro.crypto.hashing import digest
 from repro.datamodel.transaction import OrderedTransaction
@@ -102,6 +102,22 @@ def final_otxs(block: CrossBlock) -> tuple[OrderedTransaction, ...]:
         )
         object.__setattr__(block, "_final_otxs", cached)
     return cached
+
+
+def cross_slot(stage: str, block: CrossBlock, first_seq: int) -> tuple:
+    """The internal-consensus slot in which a cluster decides ``block``:
+    ``stage`` is ``"xo"`` (its order) or ``"xc"`` (its commit) and
+    ``first_seq`` the first sequence number of the IDs the deciding
+    cluster assigned, on its own shard."""
+    return (stage, block.label, block.shards, first_seq)
+
+
+def cross_slot_span(slot: tuple, value: CrossOrderValue) -> tuple[str, int, int]:
+    """``(label, first, last)``: the sequence numbers, on the deciding
+    cluster's own shard, of the IDs that the :func:`cross_slot`
+    ``slot`` deciding ``value`` covers."""
+    _, label, _, first = slot
+    return label, first, first + len(value.block.txs) - 1
 
 
 #: What a finished state's vote tables become: a read finds nothing and

@@ -7,17 +7,14 @@ configured), the collection registry, clients, and the simulation
 substrate underneath.
 """
 
-from repro.core.config import ClusterInfo, DeploymentConfig
-from repro.core.contracts import Contract, ContractRegistry, StoreView
-from repro.core.deployment import Deployment
-from repro.core.executor import ExecutionUnit
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeploymentConfig",
-    "ClusterInfo",
-    "Deployment",
-    "Contract",
-    "ContractRegistry",
-    "StoreView",
-    "ExecutionUnit",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "config": ("DeploymentConfig", "ClusterInfo"),
+        "deployment": ("Deployment",),
+        "contracts": ("Contract", "ContractRegistry", "StoreView"),
+        "executor": ("ExecutionUnit",),
+    },
+)

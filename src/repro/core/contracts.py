@@ -220,10 +220,6 @@ class ContractRegistry:
         self._contracts: dict[str, Contract] = {}
         self.register(KVContract())
         self.register(SmallBankContract())
-        # Imported here: assets builds on Contract/StoreView above.
-        from repro.core.assets import ConfidentialAssetContract
-
-        self.register(ConfidentialAssetContract())
 
     def register(self, contract: Contract) -> None:
         self._contracts[contract.name] = contract
@@ -232,4 +228,13 @@ class ContractRegistry:
         try:
             return self._contracts[name]
         except KeyError:
-            raise DataModelError(f"no contract named {name!r}") from None
+            pass
+        if name == "assets":
+            # The confidential-asset contract (and its ZKP module) is
+            # loaded by the first deployment that runs it.
+            from repro.core.assets import ConfidentialAssetContract
+
+            contract = ConfidentialAssetContract()
+            self.register(contract)
+            return contract
+        raise DataModelError(f"no contract named {name!r}")

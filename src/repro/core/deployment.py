@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.client import Client
 from repro.core.config import ClusterDirectory, ClusterInfo, DeploymentConfig
@@ -21,13 +21,16 @@ from repro.datamodel.collections import CollectionRegistry
 from repro.datamodel.sharding import ShardingSchema
 from repro.datamodel.transaction import Transaction
 from repro.datamodel.workflow import CollaborationWorkflow
-from repro.firewall.topology import FirewallTopology, build_firewall
 from repro.ledger.certificate import CommitCertificate, ReplyCertificate
 from repro.sim.costs import CostModel
 from repro.sim.kernel import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
-from repro.storage import StorageBackend, make_backend
+from repro.storage import make_backend
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.firewall.topology import FirewallTopology
+    from repro.storage.base import StorageBackend
 
 
 @dataclass
@@ -196,6 +199,8 @@ class Deployment:
             for node in cluster_nodes:
                 self.nodes[node.node_id] = node
             if config.separate_execution:
+                from repro.firewall.topology import build_firewall
+
                 firewall = build_firewall(self, info, self._cost_model)
                 self.firewalls[info.name] = firewall
                 for node in cluster_nodes:

@@ -29,10 +29,10 @@ from repro.datamodel.store import MultiVersionStore, state_root
 from repro.datamodel.transaction import OrderedTransaction
 from repro.datamodel.txid import TxId
 from repro.errors import CryptoError, DataModelError
-from repro.ledger.archive import ARCHIVE_NAMESPACE_PREFIX
 from repro.ledger.certificate import CommitCertificate
 from repro.ledger.dag import DagLedger
 from repro.storage.base import (
+    ARCHIVE_NAMESPACE_PREFIX,
     KIND_HEAD,
     LogRecord,
     StorageBackend,

@@ -17,10 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.consensus import make_internal_consensus
-from repro.consensus.checkpoint import CheckpointManager, StableCheckpoint
-from repro.consensus.coordinator import CoordinatorEngine, cross_slot_span
-from repro.consensus.cross_base import classify, final_otxs
-from repro.consensus.flattened import FlattenedEngine
+from repro.consensus.cross_base import classify, cross_slot_span, final_otxs
 from repro.consensus.messages import (
     Block,
     ClientReply,
@@ -49,16 +46,23 @@ from repro.ledger.certificate import CommitCertificate
 from repro.sim.node import Route, SimNode
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.consensus.checkpoint import CheckpointManager, StableCheckpoint
     from repro.core.deployment import Deployment
 
 
 # Reply-payload digests are identical on every node replying to the
 # same request (the digest is what makes f+1 replies "matching"), so
-# they are interned across nodes.  Request ids are unique within a run
+# on Byzantine clusters, where every node replies, they are interned
+# across nodes.  Request ids are unique within a run
 # (hashing.run_scope), so entries never collide; results are keyed
 # through hashing.typed_key (True/1/1.0 encode differently but compare
 # equal), and shapes it cannot represent skip the table.
-from repro.crypto.hashing import RecentMemo, memo_digest, register_intern_cache
+from repro.crypto.hashing import (
+    RecentMemo,
+    digest,
+    memo_digest,
+    register_intern_cache,
+)
 
 _REPLY_WINDOW = 1024
 _reply_digest_cache: RecentMemo = register_intern_cache(RecentMemo(_REPLY_WINDOW))
@@ -103,9 +107,15 @@ class ClusterNode(SimNode):
             f=self.config.f,
             timeout=self.config.consensus_timeout,
         )
+        # Each protocol module is imported where a deployment that runs
+        # it builds its first node (docs/performance.md).
         if self.config.cross_protocol == "coordinator":
+            from repro.consensus.coordinator import CoordinatorEngine
+
             self.engine: Any = CoordinatorEngine(self)
         else:
+            from repro.consensus.flattened import FlattenedEngine
+
             self.engine = FlattenedEngine(self)
         self.executor: ExecutionUnit | None = None
         if role == "combined":
@@ -126,6 +136,8 @@ class ClusterNode(SimNode):
             # Combined nodes checkpoint full state; pure ordering nodes
             # (firewall clusters) checkpoint their log position only —
             # state lives on the execution nodes (§3.4).
+            from repro.consensus.checkpoint import CheckpointManager
+
             has_state = self.executor is not None
             self.checkpoints = CheckpointManager(
                 self,
@@ -607,7 +619,7 @@ class ClusterNode(SimNode):
         """Release decided consensus slots covered by a stable
         checkpoint (PBFT log truncation): a local block's
         ``(label, shard, first seq)`` slot, and a cross block's
-        :func:`~repro.consensus.coordinator.cross_slot`, whose IDs are
+        :func:`~repro.consensus.cross_base.cross_slot`, whose IDs are
         this cluster's on its own shard."""
         own_shard = self.cluster.shard
 
@@ -643,14 +655,19 @@ class ClusterNode(SimNode):
 
     def _reply(self, tx: Transaction, result: Any) -> ClientReply:
         """The signed reply to ``tx``, built where it is sent."""
+        prefix = ("reply", tx.request_id)
+        if self.config.failure_model == "crash":
+            # Only the primary replies (§4.2), so no other node would
+            # look this digest up: interning it would only cost.
+            payload = digest([*prefix, result])
+        else:
+            payload = memo_digest(_reply_digest_cache, prefix, result)
         return ClientReply(
             request_id=tx.request_id,
             client=tx.client,
             timestamp=tx.timestamp,
             result=result,
-            signed=self.sign(
-                memo_digest(_reply_digest_cache, ("reply", tx.request_id), result)
-            ),
+            signed=self.sign(payload),
         )
 
     def _on_reply_certificate(self, msg: ReplyCertMsg, src: str) -> None:

@@ -11,24 +11,19 @@ stood in for by quorum certificates: a certificate carries its quorum's
 individual signatures, checked with :func:`verify_many`.
 """
 
-from repro.crypto.envelope import Envelope, seal, unseal
-from repro.crypto.hashing import digest
-from repro.crypto.signatures import (
-    KeyRegistry,
-    SignedMessage,
-    sign,
-    verify,
-    verify_many,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "digest",
-    "KeyRegistry",
-    "SignedMessage",
-    "sign",
-    "verify",
-    "verify_many",
-    "Envelope",
-    "seal",
-    "unseal",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "hashing": ("digest",),
+        "signatures": (
+            "KeyRegistry",
+            "SignedMessage",
+            "sign",
+            "verify",
+            "verify_many",
+        ),
+        "envelope": ("Envelope", "seal", "unseal"),
+    },
+)

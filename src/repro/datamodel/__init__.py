@@ -9,27 +9,16 @@ subsets.  Collection ``d_X`` is *order-dependent* on ``d_Y`` iff
 order-dependent collections (γ).
 """
 
-from repro.datamodel.collections import (
-    CollectionRegistry,
-    DataCollection,
-    scope_label,
-)
-from repro.datamodel.sharding import ShardingSchema
-from repro.datamodel.store import MultiVersionStore
-from repro.datamodel.transaction import Operation, Transaction
-from repro.datamodel.txid import LocalPart, SequenceBook, TxId
-from repro.datamodel.workflow import CollaborationWorkflow
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "scope_label",
-    "DataCollection",
-    "CollectionRegistry",
-    "LocalPart",
-    "TxId",
-    "SequenceBook",
-    "Operation",
-    "Transaction",
-    "MultiVersionStore",
-    "ShardingSchema",
-    "CollaborationWorkflow",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "collections": ("scope_label", "DataCollection", "CollectionRegistry"),
+        "txid": ("LocalPart", "TxId", "SequenceBook"),
+        "transaction": ("Operation", "Transaction"),
+        "store": ("MultiVersionStore",),
+        "sharding": ("ShardingSchema",),
+        "workflow": ("CollaborationWorkflow",),
+    },
+)

@@ -9,14 +9,13 @@ to smuggle out is dropped before it reaches a node that can reach a
 client.
 """
 
-from repro.firewall.execution import ExecutionNode
-from repro.firewall.filters import ByzantineFilterNode, FilterNode
-from repro.firewall.topology import FirewallTopology, build_firewall
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FilterNode",
-    "ByzantineFilterNode",
-    "ExecutionNode",
-    "FirewallTopology",
-    "build_firewall",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "filters": ("FilterNode", "ByzantineFilterNode"),
+        "execution": ("ExecutionNode",),
+        "topology": ("FirewallTopology", "build_firewall"),
+    },
+)

@@ -8,49 +8,34 @@ replicated on every involved enterprise in the same order — the audit
 helpers verify exactly that.
 """
 
-from repro.ledger.archive import (
-    ArchivedLedgerView,
-    ArchiveSegment,
-    LedgerArchiver,
-    SegmentManifest,
-    load_segment_manifests,
-)
-from repro.ledger.block import TransactionRecord
-from repro.ledger.certificate import CommitCertificate, ReplyCertificate
-from repro.ledger.dag import DagLedger
-from repro.ledger.queries import (
-    MembershipProof,
-    RangeProof,
-    attested_head,
-    prove_membership,
-    prove_range,
-    verify_membership,
-    verify_range,
-)
-from repro.ledger.validation import (
-    audit_ledger,
-    shared_chains_consistent,
-    verify_global_consistency,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArchiveSegment",
-    "ArchivedLedgerView",
-    "LedgerArchiver",
-    "SegmentManifest",
-    "load_segment_manifests",
-    "MembershipProof",
-    "RangeProof",
-    "TransactionRecord",
-    "attested_head",
-    "prove_membership",
-    "prove_range",
-    "verify_membership",
-    "verify_range",
-    "CommitCertificate",
-    "ReplyCertificate",
-    "DagLedger",
-    "audit_ledger",
-    "verify_global_consistency",
-    "shared_chains_consistent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "archive": (
+            "ArchiveSegment",
+            "ArchivedLedgerView",
+            "LedgerArchiver",
+            "SegmentManifest",
+            "load_segment_manifests",
+        ),
+        "queries": (
+            "MembershipProof",
+            "RangeProof",
+            "attested_head",
+            "prove_membership",
+            "prove_range",
+            "verify_membership",
+            "verify_range",
+        ),
+        "block": ("TransactionRecord",),
+        "certificate": ("CommitCertificate", "ReplyCertificate"),
+        "dag": ("DagLedger",),
+        "validation": (
+            "audit_ledger",
+            "verify_global_consistency",
+            "shared_chains_consistent",
+        ),
+    },
+)

@@ -22,21 +22,17 @@ Verification invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.crypto.hashing import digest
 from repro.errors import LedgerError
 from repro.ledger.block import TransactionRecord
 from repro.ledger.dag import GENESIS_DIGEST, DagLedger
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.base import StorageBackend
-
-#: Storage namespaces holding archived-segment manifests are kept
-#: apart from collection-shard journal namespaces by this label prefix
-#: (collection labels are enterprise-name strings and never contain a
-#: colon).
-ARCHIVE_NAMESPACE_PREFIX = "archive:"
+from repro.storage.base import (
+    ARCHIVE_NAMESPACE_PREFIX,
+    KIND_SEGMENT,
+    LogRecord,
+    StorageBackend,
+)
 
 
 @dataclass(frozen=True)
@@ -147,11 +143,9 @@ def archive_namespace(label: str, shard: int) -> tuple[str, int]:
 
 
 def load_segment_manifests(
-    backend: "StorageBackend", label: str, shard: int = 0
+    backend: StorageBackend, label: str, shard: int = 0
 ) -> list[SegmentManifest]:
     """Read back (and verify) every persisted manifest for one chain."""
-    from repro.storage.base import KIND_SEGMENT
-
     manifests = []
     for record in backend.load(archive_namespace(label, shard)).records:
         if record.kind != KIND_SEGMENT:
@@ -176,7 +170,7 @@ class LedgerArchiver:
     is journaled so cold history stays verifiable across restarts.
     """
 
-    def __init__(self, ledger: DagLedger, backend: "StorageBackend | None" = None):
+    def __init__(self, ledger: DagLedger, backend: StorageBackend | None = None):
         self.ledger = ledger
         self.backend = backend
         self._segments: dict[tuple[str, int], list[ArchiveSegment]] = {}
@@ -237,8 +231,6 @@ class LedgerArchiver:
         manifest = SegmentManifest.of(segment)
         manifests.append(manifest)
         if self.backend is not None:
-            from repro.storage.base import KIND_SEGMENT, LogRecord
-
             self.backend.append(
                 archive_namespace(label, shard),
                 LogRecord(

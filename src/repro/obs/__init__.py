@@ -27,34 +27,26 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricRegistry
-from repro.obs.probes import Probes
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.trace import Span, Tracer  # noqa: F401
+    from repro.obs.metrics import MetricRegistry
+    from repro.obs.probes import Probes
+    from repro.obs.trace import Tracer
 
-#: Lazily re-exported from :mod:`repro.obs.trace` (PEP 562) so
-#: ``python -m repro.obs.trace`` does not find the module already
-#: imported by this package and warn about double execution.
-_TRACE_EXPORTS = ("Span", "Tracer", "TRACE_SCHEMA_VERSION")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _TRACE_EXPORTS:
-        from repro.obs import trace
-
-        return getattr(trace, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "TRACE_SCHEMA_VERSION",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricRegistry",
-    "Probes",
-    "Span",
-    "Tracer",
+# Re-exported lazily (PEP 562): a run with observability off loads
+# none of the three modules, and ``python -m repro.obs.trace`` does not
+# find its module already imported by this package and warn about
+# double execution.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "trace": ("TRACE_SCHEMA_VERSION", "Span", "Tracer"),
+        "metrics": ("Counter", "Gauge", "Histogram", "MetricRegistry"),
+        "probes": ("Probes",),
+    },
+)
+__all__ += [
     "TRACER",
     "REGISTRY",
     "PROBES",
@@ -64,7 +56,7 @@ __all__ = [
     "sample",
 ]
 
-TRACER: "Tracer | None" = None
+TRACER: Tracer | None = None
 REGISTRY: MetricRegistry | None = None
 PROBES: Probes | None = None
 
@@ -74,7 +66,7 @@ def enabled() -> bool:
     return TRACER is not None
 
 
-def enable() -> "Tracer":
+def enable() -> Tracer:
     """Turn observability on: fresh tracer, registry, and probes.
 
     Must run before the deployment under observation is built —
@@ -83,6 +75,8 @@ def enable() -> "Tracer":
     """
     global TRACER, REGISTRY, PROBES
     if TRACER is None:
+        from repro.obs.metrics import MetricRegistry
+        from repro.obs.probes import Probes
         from repro.obs.trace import Tracer
 
         TRACER = Tracer()

@@ -11,61 +11,38 @@ See ``docs/scenarios.md`` for the spec fields, the fault-event
 vocabulary, and how to register a named scenario.
 """
 
-from repro.scenarios.build import (
-    build,
-    build_workload,
-    pair_scopes,
-    validate_partitioning,
-)
-from repro.scenarios.faults import FaultScheduler, JitterOverlay
-from repro.scenarios.registry import (
-    BENCH_SCENARIOS,
-    EXAMPLE_SCENARIOS,
-    SMOKE_SCENARIOS,
-    bench_scenarios,
-    example_scenario,
-    register_scenario,
-    shardpar_scenario,
-)
-from repro.scenarios.runner import (
-    launch_workload,
-    run_scenario,
-    summary_row,
-)
-from repro.scenarios.spec import (
-    FAULT_KINDS,
-    ArrivalSpec,
-    FaultEvent,
-    MeasurementSpec,
-    PopulationSpec,
-    ScenarioSpec,
-    TopologySpec,
-    WorkloadSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrivalSpec",
-    "BENCH_SCENARIOS",
-    "EXAMPLE_SCENARIOS",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultScheduler",
-    "JitterOverlay",
-    "MeasurementSpec",
-    "PopulationSpec",
-    "SMOKE_SCENARIOS",
-    "ScenarioSpec",
-    "TopologySpec",
-    "WorkloadSpec",
-    "bench_scenarios",
-    "build",
-    "build_workload",
-    "example_scenario",
-    "launch_workload",
-    "pair_scopes",
-    "register_scenario",
-    "run_scenario",
-    "shardpar_scenario",
-    "summary_row",
-    "validate_partitioning",
-]
+# ``build`` is also a submodule's name, so the function is bound now:
+# importing ``repro.scenarios.build`` first would otherwise leave the
+# module, not the function, behind ``from repro.scenarios import build``.
+from repro.scenarios.build import build
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "build": ("build_workload", "pair_scopes", "validate_partitioning"),
+        "faults": ("FaultScheduler", "JitterOverlay"),
+        "registry": (
+            "BENCH_SCENARIOS",
+            "EXAMPLE_SCENARIOS",
+            "SMOKE_SCENARIOS",
+            "bench_scenarios",
+            "example_scenario",
+            "register_scenario",
+            "shardpar_scenario",
+        ),
+        "runner": ("launch_workload", "run_scenario", "summary_row"),
+        "spec": (
+            "FAULT_KINDS",
+            "ArrivalSpec",
+            "FaultEvent",
+            "MeasurementSpec",
+            "PopulationSpec",
+            "ScenarioSpec",
+            "TopologySpec",
+            "WorkloadSpec",
+        ),
+    },
+)
+__all__.append("build")

@@ -9,28 +9,20 @@ runs unmodified on top of it, so correctness tests and performance
 benchmarks exercise the same state machines.
 """
 
-from repro.sim.costs import CalibratedCost, CostModel, ZeroCost
-from repro.sim.kernel import Event, Simulator
-from repro.sim.latency import (
-    AWS_REGION_RTT_MS,
-    LatencyModel,
-    RegionLatency,
-    UniformLatency,
-)
-from repro.sim.network import Network
-from repro.sim.node import Actor, SimNode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "Network",
-    "LatencyModel",
-    "UniformLatency",
-    "RegionLatency",
-    "AWS_REGION_RTT_MS",
-    "CostModel",
-    "ZeroCost",
-    "CalibratedCost",
-    "Actor",
-    "SimNode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "kernel": ("Simulator", "Event"),
+        "network": ("Network",),
+        "latency": (
+            "LatencyModel",
+            "UniformLatency",
+            "RegionLatency",
+            "AWS_REGION_RTT_MS",
+        ),
+        "costs": ("CostModel", "ZeroCost", "CalibratedCost"),
+        "node": ("Actor", "SimNode"),
+    },
+)

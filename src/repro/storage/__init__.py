@@ -8,24 +8,13 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 from repro.errors import StorageError
-from repro.storage.base import (
-    KIND_HEAD,
-    KIND_MARK,
-    KIND_SEGMENT,
-    KIND_WRITE,
-    LogRecord,
-    Namespace,
-    RecoveredNamespace,
-    Snapshot,
-    StorageBackend,
-    decode_namespace,
-    encode_namespace,
-)
-from repro.storage.memory import MemoryBackend
-from repro.storage.sqlite import SqliteBackend
-from repro.storage.wal import WalBackend
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.storage.base import StorageBackend
 
 BACKENDS = ("memory", "wal", "sqlite")
 
@@ -38,35 +27,46 @@ def make_backend(
     ``memory`` ignores ``storage_dir``; ``wal`` uses a directory per
     node; ``sqlite`` a database file per node.  Re-opening the same
     (kind, storage_dir, node_id) triple after a crash sees the same
-    durable state — that is the recovery path.
+    durable state — that is the recovery path.  Only the chosen
+    backend's module is imported (``sqlite`` loads :mod:`sqlite3`).
     """
     if kind == "memory":
+        from repro.storage.memory import MemoryBackend
+
         return MemoryBackend()
     if storage_dir is None:
         raise StorageError(f"storage backend {kind!r} needs a storage_dir")
     root = Path(storage_dir)
     if kind == "wal":
+        from repro.storage.wal import WalBackend
+
         return WalBackend(root / node_id)
     if kind == "sqlite":
+        from repro.storage.sqlite import SqliteBackend
+
         return SqliteBackend(root / f"{node_id}.sqlite")
     raise StorageError(f"unknown storage backend {kind!r} (choose from {BACKENDS})")
 
 
-__all__ = [
-    "BACKENDS",
-    "KIND_HEAD",
-    "KIND_MARK",
-    "KIND_SEGMENT",
-    "KIND_WRITE",
-    "LogRecord",
-    "MemoryBackend",
-    "Namespace",
-    "RecoveredNamespace",
-    "Snapshot",
-    "SqliteBackend",
-    "StorageBackend",
-    "WalBackend",
-    "decode_namespace",
-    "encode_namespace",
-    "make_backend",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": (
+            "KIND_HEAD",
+            "KIND_MARK",
+            "KIND_SEGMENT",
+            "KIND_WRITE",
+            "LogRecord",
+            "Namespace",
+            "RecoveredNamespace",
+            "Snapshot",
+            "StorageBackend",
+            "decode_namespace",
+            "encode_namespace",
+        ),
+        "memory": ("MemoryBackend",),
+        "sqlite": ("SqliteBackend",),
+        "wal": ("WalBackend",),
+    },
+)
+__all__ += ["BACKENDS", "make_backend"]

@@ -44,6 +44,12 @@ from repro.errors import StorageError
 #: A namespace names one collection-shard chain, e.g. ``("AB", 1)``.
 Namespace = tuple[str, int]
 
+#: Namespaces holding archived-segment manifests
+#: (:mod:`repro.ledger.archive`) are kept apart from collection-shard
+#: journal namespaces by this label prefix (collection labels are
+#: enterprise-name strings and never contain a colon).
+ARCHIVE_NAMESPACE_PREFIX = "archive:"
+
 #: Journal record kinds.
 KIND_WRITE = "write"      # one key written at a version
 KIND_MARK = "mark"        # version advanced without a write (no-op commit)

@@ -1,27 +1,20 @@
 """Workload generation: the modified SmallBank benchmark of §5, plus
 the population-scale engine (logical clients, rate profiles, traces)."""
 
-from repro.workload.generator import SmallBankWorkload, TxSpec, WorkloadMix
-from repro.workload.population import (
-    ConstantRate,
-    DiurnalRate,
-    FlashCrowdRate,
-    PopulationModel,
-    launch_arrivals,
-)
-from repro.workload.trace import TraceEntry, WorkloadTrace
-from repro.workload.zipf import ZipfSampler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConstantRate",
-    "DiurnalRate",
-    "FlashCrowdRate",
-    "PopulationModel",
-    "SmallBankWorkload",
-    "TraceEntry",
-    "TxSpec",
-    "WorkloadMix",
-    "WorkloadTrace",
-    "ZipfSampler",
-    "launch_arrivals",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "population": (
+            "ConstantRate",
+            "DiurnalRate",
+            "FlashCrowdRate",
+            "PopulationModel",
+            "launch_arrivals",
+        ),
+        "generator": ("SmallBankWorkload", "TxSpec", "WorkloadMix"),
+        "trace": ("TraceEntry", "WorkloadTrace"),
+        "zipf": ("ZipfSampler",),
+    },
+)
